@@ -19,7 +19,6 @@ from binquant import (
     predict_single_threshold,
     solve,
     translate_log_concavity,
-    verify_stationarity,
 )
 
 # --- 1. the channel: x = -1 or +1, y = x + N(0, 1) -----------------------
@@ -54,5 +53,4 @@ print(f"\nbrute force over {oracle.n_evaluated} candidate thresholds (step 0.01)
 print(f"  best threshold {oracle.best_thresholds[0]:+.2f}, MI {oracle.best_mi_bits:.6f} bits")
 print(f"  solver-oracle gap: {design.mi_bits - oracle.best_mi_bits:+.2e} bits")
 
-report = verify_stationarity(spec, design)
-print(f"equal-ratio residual at the threshold: {report.residual:.2e}")
+print(f"equal-ratio residual at the threshold: {design.stationarity_residual:.2e}")

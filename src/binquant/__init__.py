@@ -22,7 +22,6 @@ from .density import (
     Prior,
     Thresholds,
     cdf,
-    interval_mass,
     log_pdf,
     partition_mass,
     pdf,
@@ -54,10 +53,8 @@ from .oracle import StructuralCheck, OracleResult, SweepRow, grid_search, struct
 from .solver import (
     QuantizerDesign,
     SolverConfig,
-    StationarityReport,
     predict_single_threshold,
     solve,
-    verify_stationarity,
 )
 
 __version__ = "0.1.0"
@@ -70,7 +67,6 @@ __all__ = [
     "pdf",
     "log_pdf",
     "cdf",
-    "interval_mass",
     "partition_mass",
     "validate_thresholds",
     "ChannelSpec",
@@ -95,9 +91,7 @@ __all__ = [
     "stationarity",
     "SolverConfig",
     "QuantizerDesign",
-    "StationarityReport",
     "solve",
-    "verify_stationarity",
     "predict_single_threshold",
     "OracleResult",
     "SweepRow",

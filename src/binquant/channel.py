@@ -7,8 +7,9 @@ giving the correct-decision masses
 
     f(a) = mass of density0 on {u < a},   g(a) = mass of density1 on {u >= a},
 
-both computed from exact interval masses (no quadrature).  The stationarity
-function returned by :func:`stationarity` is the scalar factor in
+both computed by :func:`channel_matrix` from the CDFs at the level-set roots
+(no quadrature).  The stationarity function returned by :func:`stationarity`
+is the scalar factor in
 
     d I(X;Z)_a / da = p0 * f'(a) * F(a),
 
@@ -23,8 +24,9 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
+from scipy.special import entr
 
-from .density import Thresholds, cdf, partition_mass, validate_thresholds
+from .density import Thresholds, partition_mass
 from .errors import DegenerateChannelError, InvalidSpecError
 from .likelihood import DEFAULT_GRID_POINTS, ChannelSpec, Prior, find_level_set, posterior
 
@@ -41,6 +43,8 @@ __all__ = [
 ]
 
 Mapping = Literal["odd_to_zero", "even_to_zero"]
+
+_LN2 = math.log(2.0)
 
 #: Correct-decision masses within this band of {0, 1} make the stationarity
 #: logs unbounded; :func:`stationarity` raises DegenerateChannelError there.
@@ -68,8 +72,10 @@ class LevelFunctionals:
     """Correct-decision masses induced by one posterior level.
 
     ``correct0`` is f(a), ``correct1`` is g(a); ``roots`` are the level-set
-    solutions that bound the quantizer segments.  f + g >= 1 always holds for
-    a level-set quantizer, and is enforced here (violation means the segment
+    solutions that bound the quantizer segments and ``mapping`` says which
+    segments go to Z=0, so (f, g) is the diagonal of
+    ``channel_matrix(spec, roots, mapping)``.  f + g >= 1 always holds for a
+    level-set quantizer, and is enforced here (violation means the segment
     assignment is broken).
     """
 
@@ -77,6 +83,7 @@ class LevelFunctionals:
     correct0: float
     correct1: float
     roots: Thresholds
+    mapping: Mapping
 
     def __post_init__(self):
         if self.correct0 + self.correct1 < 1.0 - 1e-9:
@@ -93,49 +100,50 @@ def channel_matrix(spec: ChannelSpec, thresholds: Thresholds, mapping: Mapping) 
     (-inf, h1)) to Z=0; ``even_to_zero`` sends them to Z=1.  With no
     thresholds everything lands in the single (odd) segment.
     """
-    if mapping not in ("odd_to_zero", "even_to_zero"):
-        raise InvalidSpecError(f"unknown mapping {mapping!r}")
-    h = validate_thresholds(thresholds)
     if mapping == "odd_to_zero":
-        a11 = partition_mass(spec.density0, h, "odd")
-        a22 = partition_mass(spec.density1, h, "even")
+        a11 = partition_mass(spec.density0, thresholds, "odd")
+        a22 = partition_mass(spec.density1, thresholds, "even")
+    elif mapping == "even_to_zero":
+        a11 = partition_mass(spec.density0, thresholds, "even")
+        a22 = partition_mass(spec.density1, thresholds, "odd")
     else:
-        a11 = partition_mass(spec.density0, h, "even")
-        a22 = partition_mass(spec.density1, h, "odd")
+        raise InvalidSpecError(f"unknown mapping {mapping!r}")
     return ChannelMatrix(a11=a11, a22=a22)
 
 
-def binary_entropy(w: float) -> float:
-    """H2(w) in bits, with 0 log 0 := 0."""
-    if w <= 0.0 or w >= 1.0:
-        return 0.0
-    return -(w * math.log2(w) + (1.0 - w) * math.log2(1.0 - w))
+def _h2(w):
+    """H2(w) in bits, elementwise, with 0 log 0 := 0; w outside (0, 1) gives 0.
 
-
-def binary_entropy_arr(w: np.ndarray) -> np.ndarray:
-    """Vectorized H2 in bits; endpoints map to 0."""
+    Masses formed by sums such as c0[i] + 1 - c0[j] can round to 1 + 2^-52,
+    where a bare entr(1 - w) would be -inf, so the mask is not optional.
+    """
     w = np.asarray(w, dtype=float)
-    inside = (w > 0.0) & (w < 1.0)
-    safe = np.where(inside, w, 0.5)
-    with np.errstate(invalid="ignore"):
-        h = -(safe * np.log2(safe) + (1.0 - safe) * np.log2(1.0 - safe))
-    return np.where(inside, h, 0.0)
+    return np.where((w > 0.0) & (w < 1.0), entr(w) + entr(1.0 - w), 0.0) / _LN2
 
 
-def mutual_information(prior: Prior, matrix: ChannelMatrix) -> float:
-    """I(X;Z) of the induced binary channel, in bits.
+def _mi_bits(p0: float, a11, a22):
+    """I(X;Z) in bits from correct-decision masses (scalars or arrays).
 
     q0 = p0 a11 + p1 (1 - a22) is the output mass on Z=0 and
 
-        I = H2(q0) - p0 H2(a11) - p1 H2(a22).
+        I = H2(q0) - p0 H2(a11) - p1 H2(a22),
 
-    The value is clamped at 0 (rounding can produce -1e-16 for useless
-    channels).  It never exceeds H2(p0).
+    clamped at 0 (rounding can produce -1e-16 for useless channels).
     """
-    p0, p1 = prior.p0, prior.p1
-    q0 = p0 * matrix.a11 + p1 * (1.0 - matrix.a22)
-    mi = binary_entropy(q0) - p0 * binary_entropy(matrix.a11) - p1 * binary_entropy(matrix.a22)
-    return max(0.0, mi)
+    p1 = 1.0 - p0
+    q0 = p0 * a11 + p1 * (1.0 - a22)
+    return np.maximum(0.0, _h2(q0) - p0 * _h2(a11) - p1 * _h2(a22))
+
+
+def binary_entropy(w):
+    """H2(w) in bits for a scalar or an array, with 0 log 0 := 0."""
+    h = _h2(w)
+    return float(h) if h.ndim == 0 else h
+
+
+def mutual_information(prior: Prior, matrix: ChannelMatrix) -> float:
+    """I(X;Z) of the induced binary channel, in bits; never exceeds H2(p0)."""
+    return float(_mi_bits(prior.p0, matrix.a11, matrix.a22))
 
 
 def level_functionals(
@@ -143,41 +151,19 @@ def level_functionals(
 ) -> LevelFunctionals:
     """Correct-decision masses f, g of the quantizer induced by ``level``.
 
-    The level-set roots split the line into segments; each segment belongs to
-    {u < level} or {u >= level} according to the posterior at its midpoint
-    (the unbounded end segments are probed at the search-window edges, where
-    the posterior has stabilized to its tail behavior).  f sums density0
-    masses over {u < level}; g sums density1 masses over the complement.
-    Boundary points (u = level) belong to the Z=1 side; they carry no mass.
+    The level-set roots are the thresholds.  Every root is a strict crossing
+    of u through the level, so the segments alternate between {u < level}
+    and {u >= level}, and only the first one, (-inf, h1), needs a label: the
+    posterior at the search window's lower edge, where it has stabilized to
+    its tail behavior, decides it.  f is then a11 and g is a22 of the
+    induced channel.  Boundary points (u = level) carry no mass.
     """
-    level_set = find_level_set(spec, level, grid_points)
-    roots = level_set.roots
-    n = len(roots)
-
-    c0 = cdf(spec.density0, np.asarray(roots)) if n else np.empty(0)
-    c1 = cdf(spec.density1, np.asarray(roots)) if n else np.empty(0)
-
-    f_parts = []
-    g_parts = []
-    for i in range(n + 1):
-        mass0_lo = 0.0 if i == 0 else c0[i - 1]
-        mass0_hi = 1.0 if i == n else c0[i]
-        mass1_lo = 0.0 if i == 0 else c1[i - 1]
-        mass1_hi = 1.0 if i == n else c1[i]
-        if i == 0:
-            probe = spec.search_lo
-        elif i == n:
-            probe = spec.search_hi
-        else:
-            probe = 0.5 * (roots[i - 1] + roots[i])
-        if posterior(spec, probe) < level:
-            f_parts.append(mass0_hi - mass0_lo)
-        else:
-            g_parts.append(mass1_hi - mass1_lo)
-
-    f = min(1.0, max(0.0, math.fsum(f_parts)))
-    g = min(1.0, max(0.0, math.fsum(g_parts)))
-    return LevelFunctionals(level=level, correct0=f, correct1=g, roots=roots)
+    roots = find_level_set(spec, level, grid_points).roots
+    mapping = "odd_to_zero" if posterior(spec, spec.search_lo) < level else "even_to_zero"
+    matrix = channel_matrix(spec, roots, mapping)
+    return LevelFunctionals(
+        level=level, correct0=matrix.a11, correct1=matrix.a22, roots=roots, mapping=mapping
+    )
 
 
 def _stationarity_from_masses(prior: Prior, level: float, f: float, g: float) -> float:

@@ -1,10 +1,11 @@
-"""Gaussian-mixture conditional densities with exact interval masses.
+"""Gaussian-mixture conditional densities with exact partition masses.
 
 Each conditional density of the channel output is a finite Gaussian mixture.
 All probability masses are computed in closed form through the normal CDF
-(error function), never by quadrature, so interval masses are exact to
-floating-point rounding and additive by construction.  Infinite endpoints are
-first-class: ``interval_mass(model, -inf, +inf)`` is the total mass.
+(error function), never by quadrature: :func:`partition_mass` evaluates the
+CDF once at every threshold and sums the differences over alternate
+segments, so masses are exact to floating-point rounding and the two
+parities always add up to the total mass.
 
 The second Gaussian parameter throughout this package is the *standard
 deviation*, not the variance.
@@ -30,7 +31,6 @@ __all__ = [
     "pdf",
     "log_pdf",
     "cdf",
-    "interval_mass",
     "partition_mass",
 ]
 
@@ -147,22 +147,6 @@ def cdf(model: DensityModel, y):
     return float(vals) if np.ndim(y) == 0 else vals
 
 
-def interval_mass(model: DensityModel, lo: float, hi: float) -> float:
-    """Exact probability mass of ``model`` on the interval [lo, hi].
-
-    Endpoints may be ``-inf``/``+inf``.  Rejects lo > hi.  The result is the
-    closed-form CDF difference clipped into [0, 1].
-    """
-    lo = float(lo)
-    hi = float(hi)
-    if math.isnan(lo) or math.isnan(hi):
-        raise InvalidSpecError("interval endpoints must not be NaN")
-    if lo > hi:
-        raise InvalidSpecError(f"interval bounds out of order: {lo!r} > {hi!r}")
-    mass = cdf(model, hi) - cdf(model, lo)
-    return min(1.0, max(0.0, mass))
-
-
 def partition_mass(
     model: DensityModel,
     thresholds: Thresholds,
@@ -178,9 +162,6 @@ def partition_mass(
     if parity not in ("odd", "even"):
         raise InvalidSpecError(f"parity must be 'odd' or 'even', got {parity!r}")
     h = validate_thresholds(thresholds)
-    edges = (-math.inf, *h, math.inf)
+    segments = np.diff(np.concatenate(([0.0], cdf(model, np.asarray(h)), [1.0])))
     start = 0 if parity == "odd" else 1
-    return min(1.0, max(0.0, math.fsum(
-        interval_mass(model, edges[i], edges[i + 1])
-        for i in range(start, len(edges) - 1, 2)
-    )))
+    return min(1.0, max(0.0, math.fsum(segments[start::2])))

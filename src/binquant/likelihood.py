@@ -229,16 +229,16 @@ class LevelSet:
     """All solutions of u(y) = level inside the search window.
 
     ``roots`` are strictly increasing and each satisfies
-    |u(root) - level| <= 1e-9.  ``brackets`` are the raw grid cells whose
-    endpoints straddled the level; ``tangencies`` are cells where u sits on
-    the level at both endpoints (the level grazes u), which are reported as
+    |u(root) - level| <= 1e-9.  Every root is a strict crossing of u through
+    the level, so the segments between roots alternate between {u < level}
+    and {u >= level}.  ``tangencies`` are grid cells where u sits on the
+    level at both endpoints (the level grazes u), which are reported as
     diagnostics and never returned as roots: a grazing contact changes the
     partition on a measure-zero set only.
     """
 
     level: float
     roots: Thresholds
-    brackets: tuple[tuple[float, float], ...]
     tangencies: tuple[tuple[float, float], ...] = ()
 
 
@@ -279,7 +279,6 @@ def find_level_set(spec: ChannelSpec, level: float, grid_points: int = DEFAULT_G
 
     lo = ys[crossing]
     hi = ys[crossing + 1]
-    brackets = tuple(zip(lo.tolist(), hi.tolist()))
 
     sign_lo = signs[crossing]
     roots = 0.5 * (lo + hi)
@@ -307,6 +306,5 @@ def find_level_set(spec: ChannelSpec, level: float, grid_points: int = DEFAULT_G
     return LevelSet(
         level=level,
         roots=tuple(all_roots.tolist()),
-        brackets=brackets,
         tangencies=tuple((float(ys[i]), float(ys[i + 1])) for i in grazing),
     )

@@ -1,9 +1,11 @@
-"""Independent brute-force verification of solved quantizer designs.
+"""Brute-force verification of solved quantizer designs.
 
-Nothing here reuses the solver's search path: :func:`grid_search` maximizes
+Nothing here reuses the solver's level search: :func:`grid_search` maximizes
 the mutual information by exhaustive enumeration of threshold tuples on a
-uniform grid, :func:`sweep_levels` tabulates the level functionals across the
-whole admissible range, and :func:`structural_checks` validates the structural
+uniform grid (with the mass and MI formulas of :mod:`binquant.channel`; the
+check that shares no code at all is ``bench/certificate.py``),
+:func:`sweep_levels` tabulates the level functionals across the whole
+admissible range, and :func:`structural_checks` validates the structural
 facts the solver relies on (mass monotonicity, the derivative relation
 between the correct-decision masses, the product bound, and monotonicity of
 the stationarity function) with central finite differences.
@@ -18,8 +20,8 @@ import numpy as np
 
 from .channel import (
     ChannelMatrix,
+    _mi_bits,
     _stationarity_from_masses,
-    binary_entropy_arr,
     channel_matrix,
     level_functionals,
     mutual_information,
@@ -44,22 +46,17 @@ _ROW_BLOCK = 128
 class OracleResult:
     """Best quantizer found by exhaustive grid search.
 
-    ``best_thresholds`` lies on the search grid and ``best_mi_bits`` is the
-    exact mutual information recomputed at those thresholds (max over the two
-    label mappings).  Ties break to the lexicographically smallest tuple.
+    ``best_thresholds`` lies on the search grid.  Relabeling Z leaves
+    I(X;Z) unchanged, so the enumeration scores each tuple under the
+    ``odd_to_zero`` mapping only; ``best_mi_bits`` is the exact mutual
+    information recomputed at the winning thresholds (max over the two label
+    mappings).  Ties break to the lexicographically smallest tuple.
     """
 
     best_mi_bits: float
     best_thresholds: Thresholds
     n_evaluated: int
     grid_step: float
-
-
-def _mi_from_masses(p0: float, p1: float, a11, a22):
-    """Vectorized MI in bits from correct-decision mass arrays."""
-    q0 = p0 * a11 + p1 * (1.0 - a22)
-    mi = binary_entropy_arr(q0) - p0 * binary_entropy_arr(a11) - p1 * binary_entropy_arr(a22)
-    return np.maximum(0.0, mi)
 
 
 def _search_grid(spec: ChannelSpec, grid_step: float) -> np.ndarray:
@@ -71,9 +68,9 @@ def grid_search(spec: ChannelSpec, n_thresholds: int, grid_step: float) -> Oracl
     """Exhaustive MI maximization over strictly increasing threshold tuples.
 
     Every n-tuple on the uniform grid over the search window is evaluated
-    under both label mappings and the maximum is kept.  ``n_thresholds`` is
-    capped at 3: the enumeration is O((range/step)^n), and anything larger
-    is better exercised through :func:`sweep_levels`.
+    once (the label mapping does not change I(X;Z)) and the maximum is kept.
+    ``n_thresholds`` is capped at 3: the enumeration is O((range/step)^n),
+    and anything larger is better exercised through :func:`sweep_levels`.
     """
     if n_thresholds not in (1, 2, 3):
         raise InvalidSpecError(f"n_thresholds must be 1, 2, or 3, got {n_thresholds!r}")
@@ -84,7 +81,7 @@ def grid_search(spec: ChannelSpec, n_thresholds: int, grid_step: float) -> Oracl
     npts = grid.size
     if npts < n_thresholds:
         raise InvalidSpecError("grid has fewer points than requested thresholds")
-    p0, p1 = spec.prior.p0, spec.prior.p1
+    p0 = spec.prior.p0
     c0 = cdf(spec.density0, grid)
     c1 = cdf(spec.density1, grid)
 
@@ -93,10 +90,7 @@ def grid_search(spec: ChannelSpec, n_thresholds: int, grid_step: float) -> Oracl
     n_evaluated = 0
 
     if n_thresholds == 1:
-        mi = np.maximum(
-            _mi_from_masses(p0, p1, c0, 1.0 - c1),
-            _mi_from_masses(p0, p1, 1.0 - c0, c1),
-        )
+        mi = _mi_bits(p0, c0, 1.0 - c1)
         k = int(np.argmax(mi))
         best_mi, best = float(mi[k]), (k,)
         n_evaluated = npts
@@ -109,11 +103,7 @@ def grid_search(spec: ChannelSpec, n_thresholds: int, grid_step: float) -> Oracl
             upper = idx[None, :] > rows
             a11 = c0[rows] + 1.0 - c0[None, :]
             a22 = c1[None, :] - c1[rows]
-            mi = np.maximum(
-                _mi_from_masses(p0, p1, a11, a22),
-                _mi_from_masses(p0, p1, 1.0 - a11, 1.0 - a22),
-            )
-            mi = np.where(upper, mi, -np.inf)
+            mi = np.where(upper, _mi_bits(p0, a11, a22), -np.inf)
             k = int(np.argmax(mi))
             if mi.flat[k] > best_mi:
                 best_mi = float(mi.flat[k])
@@ -126,10 +116,7 @@ def grid_search(spec: ChannelSpec, n_thresholds: int, grid_step: float) -> Oracl
                 ks = np.arange(j + 1, npts)
                 a11 = c0[i] + (c0[ks] - c0[j])
                 a22 = (c1[j] - c1[i]) + (1.0 - c1[ks])
-                mi = np.maximum(
-                    _mi_from_masses(p0, p1, a11, a22),
-                    _mi_from_masses(p0, p1, 1.0 - a11, 1.0 - a22),
-                )
+                mi = _mi_bits(p0, a11, a22)
                 k = int(np.argmax(mi))
                 if mi[k] > best_mi:
                     best_mi = float(mi[k])

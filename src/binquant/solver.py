@@ -12,7 +12,10 @@ At the solution every threshold carries the same likelihood ratio
 
     r* = (p1/p0) (1 - a*) / a*,
 
-which is the post-solve certificate checked by :func:`verify_stationarity`.
+and the design records the worst relative deviation from it as its
+``stationarity_residual``, the post-solve equal-ratio certificate.  The
+thresholds, their labels and the channel matrix all come from one
+:func:`~binquant.channel.level_functionals` call at a*.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelMatrix, Mapping, channel_matrix, mutual_information, stationarity
+from .channel import ChannelMatrix, Mapping, level_functionals, mutual_information, stationarity
 from .density import Thresholds
 from .errors import (
     DegenerateChannelError,
@@ -33,18 +36,14 @@ from .likelihood import (
     ChannelSpec,
     Monotonicity,
     classify_monotonicity,
-    find_level_set,
     likelihood_ratio,
-    posterior,
     translate_log_concavity,
 )
 
 __all__ = [
     "SolverConfig",
     "QuantizerDesign",
-    "StationarityReport",
     "solve",
-    "verify_stationarity",
     "predict_single_threshold",
 ]
 
@@ -83,7 +82,7 @@ class QuantizerDesign:
     likelihood ratio (p1/p0)(1-a*)/a* at every threshold, and
     ``stationarity_residual`` the worst relative deviation
     max_i |r(h_i) - r*| / r* actually measured.  ``mi_bits`` is recomputed
-    from exact interval masses at the final thresholds, never interpolated.
+    from exact partition masses at the final thresholds, never interpolated.
     """
 
     a_star: float
@@ -95,14 +94,6 @@ class QuantizerDesign:
     stationarity_residual: float
     iterations: int
     notes: tuple[str, ...] = field(default=())
-
-
-@dataclass(frozen=True)
-class StationarityReport:
-    """Equal-ratio certificate: the likelihood ratio recomputed per threshold."""
-
-    residual: float
-    per_threshold: tuple[tuple[float, float], ...]
 
 
 def _scan_values(spec: ChannelSpec, levels: np.ndarray, grid_points: int):
@@ -117,21 +108,15 @@ def _scan_values(spec: ChannelSpec, levels: np.ndarray, grid_points: int):
     return values, last_degenerate
 
 
-def _posterior_is_flat(spec: ChannelSpec, grid_points: int) -> bool:
-    ys = np.linspace(spec.search_lo, spec.search_hi, grid_points)
-    us = posterior(spec, ys)
-    return float(np.max(us) - np.min(us)) <= 1e-12
-
-
 def solve(spec: ChannelSpec, config: SolverConfig | None = None) -> QuantizerDesign:
     """Find the optimal binary quantizer for ``spec`` by bisection on F.
 
     Procedure: (1) scan F on a 64-point level grid over [a_lo, a_hi],
     skipping degenerate levels at the ends; (2) bisect the sign-change cell
-    down to ``tol_a``; (3) take every level-set root at the midpoint as the
-    threshold vector; (4) map segments with posterior below a* to Z=0;
-    (5) recompute the channel matrix, mutual information (bits), r*, and the
-    equal-ratio residual from the final thresholds.
+    down to ``tol_a``; (3) take the level functionals at the midpoint a*:
+    every level-set root is a threshold, segments with posterior below a*
+    map to Z=0, and their masses are the channel matrix; (4) compute the
+    mutual information (bits), r*, and the equal-ratio residual from them.
 
     Raises NoSignChangeError when F keeps one sign over the admissible range
     (e.g. identical conditional densities carry no information),
@@ -145,35 +130,30 @@ def solve(spec: ChannelSpec, config: SolverConfig | None = None) -> QuantizerDes
     scan_f, last_degenerate = _scan_values(spec, scan_levels, cfg.grid_points)
     valid = np.isfinite(scan_f)
 
-    if not valid.any():
-        if _posterior_is_flat(spec, cfg.grid_points):
+    exact = np.nonzero(valid & (scan_f == 0.0))[0]
+    cells = [
+        i
+        for i in range(SCAN_POINTS - 1)
+        if valid[i] and valid[i + 1] and scan_f[i] * scan_f[i + 1] < 0.0
+    ]
+    if not (exact.size or cells):
+        if classify_monotonicity(spec, cfg.grid_points).flat:
             raise NoSignChangeError(
                 "the posterior level is constant, so the channel carries no "
                 "information (mutual information is identically 0)"
             )
-        raise last_degenerate  # non-flat posterior with no evaluable level
+        if not valid.any():
+            raise last_degenerate  # non-flat posterior with no evaluable level
+        raise NoSignChangeError(
+            "the stationarity function keeps one sign over the admissible "
+            f"level range [{cfg.a_lo}, {cfg.a_hi}]; widen the range or check "
+            "the channel"
+        )
 
-    exact = np.nonzero(valid & (scan_f == 0.0))[0]
     if exact.size:
         lo = hi = float(scan_levels[exact[0]])
         iterations = 0
     else:
-        cells = [
-            i
-            for i in range(SCAN_POINTS - 1)
-            if valid[i] and valid[i + 1] and scan_f[i] * scan_f[i + 1] < 0.0
-        ]
-        if not cells:
-            if _posterior_is_flat(spec, cfg.grid_points):
-                raise NoSignChangeError(
-                    "the posterior level is constant, so the channel carries no "
-                    "information (mutual information is identically 0)"
-                )
-            raise NoSignChangeError(
-                "the stationarity function keeps one sign over the admissible "
-                f"level range [{cfg.a_lo}, {cfg.a_hi}]; widen the range or check "
-                "the channel"
-            )
         if len(cells) > 1:
             spreads = [abs(scan_f[i + 1] - scan_f[i]) for i in cells]
             cells = [cells[int(np.argmax(spreads))]]
@@ -204,13 +184,9 @@ def solve(spec: ChannelSpec, config: SolverConfig | None = None) -> QuantizerDes
                 hi = mid
 
     a_star = 0.5 * (lo + hi)
-    level_set = find_level_set(spec, a_star, cfg.grid_points)
-    thresholds = level_set.roots
-
-    mapping: Mapping = (
-        "odd_to_zero" if posterior(spec, spec.search_lo) < a_star else "even_to_zero"
-    )
-    matrix = channel_matrix(spec, thresholds, mapping)
+    fn = level_functionals(spec, a_star, cfg.grid_points)
+    thresholds = fn.roots
+    matrix = ChannelMatrix(a11=fn.correct0, a22=fn.correct1)
     mi_bits = mutual_information(spec.prior, matrix)
     r_star = (spec.prior.p1 / spec.prior.p0) * (1.0 - a_star) / a_star
 
@@ -224,29 +200,13 @@ def solve(spec: ChannelSpec, config: SolverConfig | None = None) -> QuantizerDes
         a_star=a_star,
         r_star=r_star,
         thresholds=thresholds,
-        mapping=mapping,
+        mapping=fn.mapping,
         channel=matrix,
         mi_bits=mi_bits,
         stationarity_residual=residual,
         iterations=iterations,
         notes=tuple(notes),
     )
-
-
-def verify_stationarity(spec: ChannelSpec, design: QuantizerDesign) -> StationarityReport:
-    """Recompute the likelihood ratio at every threshold of a solved design.
-
-    All ratios must agree with r* at the optimum; the report carries the
-    worst relative deviation and the per-threshold values.
-    """
-    per = tuple(
-        (h, float(likelihood_ratio(spec, h))) for h in design.thresholds
-    )
-    if per:
-        residual = max(abs(r - design.r_star) for _, r in per) / design.r_star
-    else:
-        residual = 0.0
-    return StationarityReport(residual=residual, per_threshold=per)
 
 
 def predict_single_threshold(spec: ChannelSpec, grid_points: int = 4096) -> bool:

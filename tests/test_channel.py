@@ -5,6 +5,7 @@ import pytest
 
 from binquant import (
     ChannelMatrix,
+    posterior,
     DegenerateChannelError,
     InvalidSpecError,
     Prior,
@@ -14,6 +15,7 @@ from binquant import (
     mutual_information,
     stationarity,
 )
+from binquant.channel import _mi_bits
 
 PHI_1 = 0.8413447460685429
 EX1_MI = 0.3689172325944581
@@ -100,6 +102,26 @@ class TestMutualInformation:
         assert binary_entropy(1.0) == 0.0
         assert binary_entropy(0.5) == 1.0
 
+    def test_binary_entropy_on_an_array_matches_scalars(self):
+        w = np.array([0.0, 1e-300, 1e-9, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0 - 1e-9, 1.0])
+        got = binary_entropy(w)
+        assert isinstance(got, np.ndarray) and got.shape == w.shape
+        assert got.tolist() == [binary_entropy(float(x)) for x in w]
+
+    def test_binary_entropy_outside_the_unit_interval_is_zero(self):
+        # grid-search masses such as c0[i] + 1 - c0[j] can round past 1
+        assert binary_entropy(np.nextafter(1.0, 2.0)) == 0.0
+        assert binary_entropy(-1e-300) == 0.0
+
+    def test_array_formula_matches_mutual_information(self, asym_spec):
+        rng = np.random.default_rng(29)
+        a11 = np.concatenate(([0.0, 1.0, 0.5], rng.uniform(0.0, 1.0, size=200)))
+        a22 = np.concatenate(([1.0, 0.0, 0.5], rng.uniform(0.0, 1.0, size=200)))
+        prior = asym_spec.prior
+        got = _mi_bits(prior.p0, a11, a22)
+        want = [mutual_information(prior, ChannelMatrix(x, y)) for x, y in zip(a11, a22)]
+        assert got.tolist() == want
+
 
 class TestLevelFunctionals:
     def test_symmetric_channel_at_half(self, example1_spec):
@@ -116,6 +138,19 @@ class TestLevelFunctionals:
         # frozen values at the exact 0.412 level (mpmath closed form)
         assert fn.correct0 == pytest.approx(0.6031654394680978, abs=1e-9)
         assert fn.correct1 == pytest.approx(0.9323202994584764, abs=1e-9)
+
+    def test_segments_alternate_from_the_first_label(self, example1_spec, example2_spec, fig5_spec):
+        # every segment, probed at its midpoint inside the search window, lies
+        # on the side of the level that its alternating label assigns it
+        for spec in (example1_spec, example2_spec, fig5_spec):
+            for level in np.linspace(0.05, 0.95, 19):
+                fn = level_functionals(spec, float(level))
+                cm = channel_matrix(spec, fn.roots, fn.mapping)
+                assert (fn.correct0, fn.correct1) == (cm.a11, cm.a22)
+                edges = (spec.search_lo, *fn.roots, spec.search_hi)
+                for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
+                    below = posterior(spec, 0.5 * (lo + hi)) < level
+                    assert below == ((fn.mapping == "odd_to_zero") == (i % 2 == 0))
 
     def test_level_near_one_saturates(self, example2_spec):
         fn = level_functionals(example2_spec, 0.999)

@@ -1,4 +1,4 @@
-"""Gaussian-mixture density evaluation and exact interval masses."""
+"""Gaussian-mixture density evaluation and exact partition masses."""
 
 import math
 
@@ -10,7 +10,7 @@ from binquant import (
     GaussianComponent,
     InvalidSpecError,
     Prior,
-    interval_mass,
+    cdf,
     log_pdf,
     partition_mass,
     pdf,
@@ -97,44 +97,43 @@ class TestPdf:
 
 
 class TestIntervalMass:
+    """Masses of single intervals: CDF differences, or the even segment
+    [a, b) of the partition by the threshold pair (a, b)."""
+
     def test_half_mass_by_symmetry(self):
-        assert interval_mass(STD_NORMAL, -INF, 0.0) == pytest.approx(0.5, abs=1e-12)
+        assert cdf(STD_NORMAL, 0.0) - cdf(STD_NORMAL, -INF) == pytest.approx(0.5, abs=1e-12)
 
     def test_frozen_cdf_value(self):
-        assert interval_mass(UNIT_AT_1, -INF, 3.5374) == pytest.approx(PHI_2_5374, abs=1e-12)
+        assert cdf(UNIT_AT_1, 3.5374) - cdf(UNIT_AT_1, -INF) == pytest.approx(PHI_2_5374, abs=1e-12)
 
     def test_empty_interval(self):
         for c in (-3.0, 0.0, 17.5):
-            assert interval_mass(STD_NORMAL, c, c) == 0.0
+            assert np.diff(cdf(STD_NORMAL, np.array([c, c])))[0] == 0.0
 
     def test_total_mass_is_one(self):
         for model in ALL_MODELS:
-            assert interval_mass(model, -INF, INF) == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_reversed_bounds(self):
-        with pytest.raises(InvalidSpecError):
-            interval_mass(STD_NORMAL, 1.0, 0.0)
+            assert cdf(model, INF) - cdf(model, -INF) == pytest.approx(1.0, abs=1e-12)
 
     def test_additivity(self):
         rng = np.random.default_rng(7)
         for model in ALL_MODELS:
             pts = np.sort(rng.uniform(-12.0, 12.0, size=30))
             for a, b, c in zip(pts, pts[10:], pts[20:]):
-                lhs = interval_mass(model, a, b) + interval_mass(model, b, c)
-                assert lhs == pytest.approx(interval_mass(model, a, c), abs=1e-12)
+                lhs = partition_mass(model, (a, b), "even") + partition_mass(model, (b, c), "even")
+                assert lhs == pytest.approx(partition_mass(model, (a, c), "even"), abs=1e-12)
 
     def test_monotone_in_upper_bound(self):
         rng = np.random.default_rng(11)
         for model in ALL_MODELS:
             a = -4.0
             uppers = np.sort(rng.uniform(-4.0, 8.0, size=20))
-            masses = [interval_mass(model, a, b) for b in uppers]
+            masses = [partition_mass(model, (a, b), "even") for b in uppers]
             assert all(m1 <= m2 + 1e-15 for m1, m2 in zip(masses, masses[1:]))
 
     def test_normalization_within_1e9_of_one(self):
         # wide-interval check of the unit-integral invariant
         for model in ALL_MODELS:
-            assert abs(interval_mass(model, -1e6, 1e6) - 1.0) <= 1e-9
+            assert abs(partition_mass(model, (-1e6, 1e6), "even") - 1.0) <= 1e-9
 
 
 class TestPartitionMass:

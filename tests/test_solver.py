@@ -8,10 +8,10 @@ from binquant import (
     NotConvergedError,
     SolverConfig,
     grid_search,
+    likelihood_ratio,
     posterior,
     predict_single_threshold,
     solve,
-    verify_stationarity,
 )
 
 # independently verified optima (mpmath, 30 dps, closed-form level sets)
@@ -36,6 +36,12 @@ FIG5_THRESHOLDS = (
     2.264761835,
     3.847384496,
 )
+
+
+def _equal_ratio_residual(spec, design):
+    """max_i |r(h_i) - r*| / r*, recomputed from the likelihood ratio."""
+    ratios = likelihood_ratio(spec, np.asarray(design.thresholds))
+    return float(np.max(np.abs(ratios - design.r_star)) / design.r_star), ratios
 
 
 class TestSolveSymmetric:
@@ -104,24 +110,25 @@ class TestSolveThreeBump:
 
     def test_all_thresholds_share_one_ratio(self, fig5_spec):
         design = solve(fig5_spec)
-        report = verify_stationarity(fig5_spec, design)
-        assert report.residual <= 1e-6
-        ratios = [r for _, r in report.per_threshold]
+        residual, ratios = _equal_ratio_residual(fig5_spec, design)
+        assert residual <= 1e-6
         assert max(ratios) - min(ratios) <= 1e-6 * design.r_star
 
 
 class TestVerifyStationarity:
+    """The equal-ratio condition, checked outside ``solve``."""
+
     def test_single_threshold_trivially_equal(self, example1_spec):
         design = solve(example1_spec)
-        report = verify_stationarity(example1_spec, design)
-        assert report.residual <= 1e-8
-        assert len(report.per_threshold) == 1
+        residual, ratios = _equal_ratio_residual(example1_spec, design)
+        assert residual <= 1e-8
+        assert len(ratios) == 1
 
     def test_two_thresholds_share_the_ratio(self, example2_spec):
         design = solve(example2_spec)
-        report = verify_stationarity(example2_spec, design)
-        assert report.residual <= 1e-6
-        for _, ratio in report.per_threshold:
+        residual, ratios = _equal_ratio_residual(example2_spec, design)
+        assert residual <= 1e-6
+        for ratio in ratios:
             assert ratio == pytest.approx(EX2_R_STAR, rel=1e-6)
 
 
