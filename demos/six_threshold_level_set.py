@@ -6,7 +6,7 @@ spike: the level set has six roots and the optimal quantizer alternates
 labels across seven segments.  Every one of the six thresholds still carries
 the same likelihood ratio, and the stationarity function -- no longer
 monotone for a channel like this -- still crosses zero exactly once, which is
-all the bisection solver needs.
+all the solver's bracketed search needs.
 
 Run:  python demos/six_threshold_level_set.py
 """

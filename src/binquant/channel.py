@@ -13,8 +13,9 @@ is the scalar factor in
 
     d I(X;Z)_a / da = p0 * f'(a) * F(a),
 
-so its zero is the stationary level of the mutual information.  F decreases
-strictly through that zero, which is what makes bisection applicable.
+so its zero is the stationary level of the mutual information.  F crosses
+zero exactly once, from positive to negative, which is what makes a
+bracketed search over the level valid.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from scipy.special import entr
 
 from .density import Thresholds, partition_mass
 from .errors import DegenerateChannelError, InvalidSpecError
-from .likelihood import DEFAULT_GRID_POINTS, ChannelSpec, Prior, find_level_set, posterior
+from .likelihood import DEFAULT_GRID_POINTS, ChannelSpec, Prior, _search_grid, find_level_set
 
 __all__ = [
     "Mapping",
@@ -155,11 +156,14 @@ def level_functionals(
     of u through the level, so the segments alternate between {u < level}
     and {u >= level}, and only the first one, (-inf, h1), needs a label: the
     posterior at the search window's lower edge, where it has stabilized to
-    its tail behavior, decides it.  f is then a11 and g is a22 of the
-    induced channel.  Boundary points (u = level) carry no mass.
+    its tail behavior, decides it.  That edge is the first point of the
+    channel's cached search grid, so the label costs no posterior call.  f is
+    then a11 and g is a22 of the induced channel.  Boundary points
+    (u = level) carry no mass.
     """
     roots = find_level_set(spec, level, grid_points).roots
-    mapping = "odd_to_zero" if posterior(spec, spec.search_lo) < level else "even_to_zero"
+    u_lo = _search_grid(spec, grid_points).u[0]
+    mapping = "odd_to_zero" if u_lo < level else "even_to_zero"
     matrix = channel_matrix(spec, roots, mapping)
     return LevelFunctionals(
         level=level, correct0=matrix.a11, correct1=matrix.a22, roots=roots, mapping=mapping
@@ -194,7 +198,8 @@ def stationarity(spec: ChannelSpec, level: float, grid_points: int = DEFAULT_GRI
 
     F is the scalar factor in dI/da = p0 f'(a) F(a): it is positive while
     raising the level still gains information and negative past the optimum,
-    crossing zero exactly once, so bisection on F finds the optimal level.
+    crossing zero exactly once, so a bracketed search on F finds the optimal
+    level.
     (F is monotone when the posterior has a single extremum; for multimodal
     posteriors it can rise where a new dip joins the level set, without
     re-crossing zero.)  The zero is invariant to the log base.

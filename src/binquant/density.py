@@ -60,7 +60,12 @@ class GaussianComponent:
 
 @dataclass(frozen=True)
 class DensityModel:
-    """A finite Gaussian mixture; weights must sum to 1 within 1e-12."""
+    """A finite Gaussian mixture; weights must sum to 1 within 1e-12.
+
+    The component parameters are also held as read-only arrays, built once
+    here: ``_mus``, ``_sigmas``, ``_weights`` and ``_log_coef``, the
+    per-component constant log w - log sigma - log sqrt(2 pi) of the log-pdf.
+    """
 
     components: tuple[GaussianComponent, ...]
 
@@ -72,6 +77,15 @@ class DensityModel:
         total = math.fsum(c.weight for c in comps)
         if abs(total - 1.0) > 1e-12:
             raise InvalidSpecError(f"component weights must sum to 1, got {total!r}")
+        mus = np.array([c.mean for c in comps])
+        sigmas = np.array([c.stddev for c in comps])
+        weights = np.array([c.weight for c in comps])
+        log_coef = -np.log(sigmas) - _LOG_SQRT_2PI + np.log(weights)
+        for name, arr in (
+            ("_mus", mus), ("_sigmas", sigmas), ("_weights", weights), ("_log_coef", log_coef)
+        ):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def mean(self) -> float:
@@ -80,12 +94,6 @@ class DensityModel:
     @property
     def max_stddev(self) -> float:
         return max(c.stddev for c in self.components)
-
-    def _params(self):
-        mus = np.array([c.mean for c in self.components])
-        sigmas = np.array([c.stddev for c in self.components])
-        weights = np.array([c.weight for c in self.components])
-        return mus, sigmas, weights
 
 
 @dataclass(frozen=True)
@@ -117,17 +125,15 @@ def validate_thresholds(thresholds) -> Thresholds:
 
 def pdf(model: DensityModel, y):
     """Mixture density at ``y`` (scalar or array): sum_k w_k N(y; mu_k, sigma_k)."""
-    mus, sigmas, weights = model._params()
-    z = (np.asarray(y, dtype=float)[..., None] - mus) / sigmas
-    vals = np.sum(weights / (sigmas * math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * z * z), axis=-1)
+    z = (np.asarray(y, dtype=float)[..., None] - model._mus) / model._sigmas
+    vals = np.sum(np.exp(model._log_coef - 0.5 * z * z), axis=-1)
     return float(vals) if np.ndim(y) == 0 else vals
 
 
 def log_pdf(model: DensityModel, y):
     """Log of the mixture density, computed in log-space (no tail underflow)."""
-    mus, sigmas, weights = model._params()
-    z = (np.asarray(y, dtype=float)[..., None] - mus) / sigmas
-    comp_logs = -0.5 * z * z - np.log(sigmas) - _LOG_SQRT_2PI + np.log(weights)
+    z = (np.asarray(y, dtype=float)[..., None] - model._mus) / model._sigmas
+    comp_logs = -0.5 * z * z + model._log_coef
     # log-sum-exp over the component axis; comp_logs is always finite
     top = np.max(comp_logs, axis=-1, keepdims=True)
     vals = top[..., 0] + np.log(np.sum(np.exp(comp_logs - top), axis=-1))
@@ -137,13 +143,12 @@ def log_pdf(model: DensityModel, y):
 def cdf(model: DensityModel, y):
     """Mixture CDF at ``y``; accepts +-inf (limits 0 and 1)."""
     y_arr = np.asarray(y, dtype=float)
-    mus, sigmas, weights = model._params()
     with np.errstate(invalid="ignore"):
-        z = (y_arr[..., None] - mus) / sigmas
+        z = (y_arr[..., None] - model._mus) / model._sigmas
     # +-inf inputs give +-inf z; ndtr maps those to 1/0 exactly
     z = np.where(np.isposinf(y_arr)[..., None], np.inf, z)
     z = np.where(np.isneginf(y_arr)[..., None], -np.inf, z)
-    vals = np.sum(weights * ndtr(z), axis=-1)
+    vals = np.sum(model._weights * ndtr(z), axis=-1)
     return float(vals) if np.ndim(y) == 0 else vals
 
 
@@ -162,6 +167,8 @@ def partition_mass(
     if parity not in ("odd", "even"):
         raise InvalidSpecError(f"parity must be 'odd' or 'even', got {parity!r}")
     h = validate_thresholds(thresholds)
-    segments = np.diff(np.concatenate(([0.0], cdf(model, np.asarray(h)), [1.0])))
     start = 0 if parity == "odd" else 1
+    if not h:
+        return 1.0 - start  # one segment, the whole line, and it is odd
+    segments = np.diff(np.concatenate(([0.0], cdf(model, np.asarray(h)), [1.0])))
     return min(1.0, max(0.0, math.fsum(segments[start::2])))

@@ -38,4 +38,6 @@ class NoSignChangeError(QuantizerError):
 
 
 class NotConvergedError(QuantizerError):
-    """Bisection exceeded its iteration budget before reaching tolerance."""
+    """The bracketed secant search over the level exceeded its iteration
+    budget (``max_iter`` F evaluations after the scan) before its bracket
+    narrowed to ``tol_a``."""

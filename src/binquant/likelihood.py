@@ -8,10 +8,16 @@ The two central scalar fields of a binary-input channel with output density
 
 a strictly decreasing one-to-one function of ``r``.  Candidate quantizer
 thresholds at level ``a`` are the solutions of ``u(y) = a``; the solver in
-:mod:`binquant.solver` searches over ``a``.  Root finding is sign-change
-bracketing on a uniform grid followed by bisection, which is unconditionally
-convergent; derivative-based methods are deliberately avoided because mixture
-derivatives are easy to get wrong.
+:mod:`binquant.solver` searches over ``a``.
+
+Nothing on the search grid depends on the level, so each :class:`ChannelSpec`
+computes the grid, ``log r`` and ``u`` on it once per grid size and keeps them
+(see :func:`_search_grid`); a level then costs only the sign scan of
+``u - level``.  Each sign change is polished by a bracketed secant step with
+Illinois down-weighting, which falls back to bisection whenever a secant step
+would leave its bracket, so it converges unconditionally.  Derivative-based
+methods are deliberately avoided because mixture derivatives are easy to get
+wrong.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -45,10 +52,10 @@ __all__ = [
 DEFAULT_GRID_POINTS = 4096
 
 #: Grid cells whose endpoints both sit within this band of the level are
-#: flagged as tangency suspects instead of being bisected.
+#: flagged as tangency suspects instead of being refined.
 TANGENCY_TOL = 1e-12
 
-#: Bisection stops once |u(mid) - level| or the bracket width drops below this.
+#: Root polishing stops once |u(y) - level| or the bracket width drops below this.
 REFINE_TOL = 1e-12
 
 
@@ -60,6 +67,9 @@ class ChannelSpec:
     must cover every mixture mean of both densities with at least a
     10-standard-deviation margin, beyond which the tails carry < 1e-20 mass.
     Use :func:`channel_spec` to fill the default window.
+
+    Each instance keeps its own search grids (:func:`_search_grid`), so two
+    equal specs built separately each compute theirs once.
     """
 
     prior: Prior
@@ -82,6 +92,7 @@ class ChannelSpec:
                 f"search interval [{self.search_lo!r}, {self.search_hi!r}] must cover "
                 f"[{lo_req!r}, {hi_req!r}] (all means with a 10-sigma margin)"
             )
+        object.__setattr__(self, "_grids", {})
 
 
 def default_search_interval(density0: DensityModel, density1: DensityModel) -> tuple[float, float]:
@@ -132,6 +143,31 @@ def posterior(spec: ChannelSpec, y):
     return float(u) if np.ndim(y) == 0 else u
 
 
+class _Grid(NamedTuple):
+    """The level-independent search grid of one channel; arrays are read-only."""
+
+    ys: np.ndarray
+    log_r: np.ndarray
+    u: np.ndarray
+
+
+def _search_grid(spec: ChannelSpec, grid_points: int) -> _Grid:
+    """The uniform grid over the search window, with log r and u on it.
+
+    Computed on first use for each ``grid_points`` and kept on ``spec``.
+    """
+    if grid_points < 64:
+        raise InvalidSpecError(f"grid_points must be >= 64, got {grid_points}")
+    grid = spec._grids.get(grid_points)
+    if grid is None:
+        ys = np.linspace(spec.search_lo, spec.search_hi, grid_points)
+        grid = _Grid(ys, log_likelihood_ratio(spec, ys), posterior(spec, ys))
+        for arr in grid:
+            arr.flags.writeable = False
+        spec._grids[grid_points] = grid
+    return grid
+
+
 class Monotonicity(enum.Enum):
     STRICTLY_INCREASING = "StrictlyIncreasing"
     STRICTLY_DECREASING = "StrictlyDecreasing"
@@ -161,10 +197,7 @@ def classify_monotonicity(spec: ChannelSpec, grid_points: int = DEFAULT_GRID_POI
     1e-12 in magnitude (the double-precision noise floor for log-pdf
     differences) count as violations of strictness.
     """
-    if grid_points < 64:
-        raise InvalidSpecError(f"grid_points must be >= 64, got {grid_points}")
-    ys = np.linspace(spec.search_lo, spec.search_hi, grid_points)
-    diffs = np.diff(log_likelihood_ratio(spec, ys))
+    diffs = np.diff(_search_grid(spec, grid_points).log_r)
     if np.all(diffs > 1e-12):
         return MonotonicityReport(Monotonicity.STRICTLY_INCREASING, grid_points)
     if np.all(diffs < -1e-12):
@@ -242,22 +275,58 @@ class LevelSet:
     tangencies: tuple[tuple[float, float], ...] = ()
 
 
-def find_level_set(spec: ChannelSpec, level: float, grid_points: int = DEFAULT_GRID_POINTS) -> LevelSet:
-    """Find every root of u(y) = level by grid bracketing plus bisection.
+def _polish_roots(spec: ChannelSpec, level: float, lo, hi, d_lo, d_hi) -> np.ndarray:
+    """Refine the root of u - level inside each bracket [lo, hi], all at once.
 
-    The posterior is evaluated on a uniform grid of ``grid_points`` over the
-    search window; every strict sign change of u - level is refined by
-    bisection until |u(mid) - level| <= 1e-12 or the bracket is narrower than
-    1e-12.  Roots are returned sorted ascending.
+    ``d_lo``/``d_hi`` are u - level at the bracket ends and have opposite
+    signs.  Each round evaluates u once per open bracket at the secant point
+    of its ends, or at the midpoint when that point is not strictly inside,
+    and keeps the sub-bracket with the sign change.  When the same end moves
+    twice in a row, the value at the other end is halved (Illinois), so both
+    ends converge.  A bracket closes once |u - level| <= REFINE_TOL at the
+    new point or its width is <= REFINE_TOL; the new point is its root.
+    """
+    lo, hi, d_lo, d_hi = (np.array(v, dtype=float) for v in (lo, hi, d_lo, d_hi))
+    roots = 0.5 * (lo + hi)
+    last = np.zeros(lo.shape, dtype=np.int8)  # end moved last: -1 lower, +1 upper
+    active = np.arange(lo.size)
+    for _ in range(200):
+        if not active.size:
+            break
+        a, b, da, db = lo[active], hi[active], d_lo[active], d_hi[active]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = b - db * (b - a) / (db - da)
+        outside = ~((a < x) & (x < b))
+        x[outside] = 0.5 * (a[outside] + b[outside])
+        dx = posterior(spec, x) - level
+        roots[active] = x
+
+        move_lo = np.sign(dx) == np.sign(da)
+        at_lo, at_hi = active[move_lo], active[~move_lo]
+        d_hi[at_lo[last[at_lo] == -1]] *= 0.5
+        d_lo[at_hi[last[at_hi] == 1]] *= 0.5
+        lo[at_lo], d_lo[at_lo], last[at_lo] = x[move_lo], dx[move_lo], -1
+        hi[at_hi], d_hi[at_hi], last[at_hi] = x[~move_lo], dx[~move_lo], 1
+
+        done = (np.abs(dx) <= REFINE_TOL) | (hi[active] - lo[active] <= REFINE_TOL)
+        active = active[~done]
+    return roots
+
+
+def find_level_set(spec: ChannelSpec, level: float, grid_points: int = DEFAULT_GRID_POINTS) -> LevelSet:
+    """Find every root of u(y) = level by grid bracketing plus secant polishing.
+
+    The sign of u - level is scanned on the channel's cached uniform grid of
+    ``grid_points`` over the search window; every strict sign change is
+    refined by :func:`_polish_roots` until |u(y) - level| <= 1e-12 or the
+    bracket is narrower than 1e-12.  Roots are returned sorted ascending.
     """
     level = float(level)
     if not (1e-9 < level < 1.0 - 1e-9):
         raise InvalidSpecError(f"level must lie in (1e-9, 1 - 1e-9), got {level!r}")
-    if grid_points < 64:
-        raise InvalidSpecError(f"grid_points must be >= 64, got {grid_points}")
-
-    ys = np.linspace(spec.search_lo, spec.search_hi, grid_points)
-    delta = posterior(spec, ys) - level
+    grid = _search_grid(spec, grid_points)
+    ys = grid.ys
+    delta = grid.u - level
 
     signs = np.sign(delta)
     crossing = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
@@ -277,31 +346,9 @@ def find_level_set(spec: ChannelSpec, level: float, grid_points: int = DEFAULT_G
             exact.append(ys[i])
     exact = np.asarray(exact)
 
-    lo = ys[crossing]
-    hi = ys[crossing + 1]
-
-    sign_lo = signs[crossing]
-    roots = 0.5 * (lo + hi)
-    active = np.ones(lo.shape, dtype=bool)
-    for _ in range(200):
-        if not active.any():
-            break
-        mid = 0.5 * (lo[active] + hi[active])
-        dm = posterior(spec, mid) - level
-        roots[active] = mid
-
-        go_lo = np.sign(dm) == sign_lo[active]
-        lo_active = lo[active]
-        hi_active = hi[active]
-        lo_active[go_lo] = mid[go_lo]
-        hi_active[~go_lo] = mid[~go_lo]
-        lo[active] = lo_active
-        hi[active] = hi_active
-
-        done = (np.abs(dm) <= REFINE_TOL) | ((hi_active - lo_active) <= REFINE_TOL)
-        idx = np.nonzero(active)[0]
-        active[idx[done]] = False
-
+    roots = _polish_roots(
+        spec, level, ys[crossing], ys[crossing + 1], delta[crossing], delta[crossing + 1]
+    )
     all_roots = np.sort(np.concatenate([roots, exact]))
     return LevelSet(
         level=level,

@@ -111,17 +111,21 @@ def grid_search(spec: ChannelSpec, n_thresholds: int, grid_step: float) -> Oracl
             n_evaluated += int(upper.sum())
 
     else:
+        idx = np.arange(npts)
         for i in range(npts - 2):
-            for j in range(i + 1, npts - 1):
-                ks = np.arange(j + 1, npts)
-                a11 = c0[i] + (c0[ks] - c0[j])
-                a22 = (c1[j] - c1[i]) + (1.0 - c1[ks])
-                mi = _mi_bits(p0, a11, a22)
+            for r0 in range(i + 1, npts - 1, _ROW_BLOCK):
+                r1 = min(r0 + _ROW_BLOCK, npts - 1)
+                rows = idx[r0:r1, None]
+                ks = idx[None, r0 + 1 :]
+                upper = ks > rows
+                a11 = c0[i] + (c0[ks] - c0[rows])
+                a22 = (c1[rows] - c1[i]) + (1.0 - c1[ks])
+                mi = np.where(upper, _mi_bits(p0, a11, a22), -np.inf)
                 k = int(np.argmax(mi))
-                if mi[k] > best_mi:
-                    best_mi = float(mi[k])
-                    best = (i, j, j + 1 + k)
-                n_evaluated += ks.size
+                if mi.flat[k] > best_mi:
+                    best_mi = float(mi.flat[k])
+                    best = (i, r0 + k // ks.size, r0 + 1 + k % ks.size)
+                n_evaluated += int(upper.sum())
 
     thresholds = tuple(float(grid[k]) for k in best)
     exact = max(
@@ -215,7 +219,8 @@ def structural_checks(
       F itself is monotone only when the posterior has a single extremum;
       at levels where new posterior dips join the level set it can jump
       upward without re-crossing zero, so the defensible check is the
-      crossing count, which is what makes bisection valid.
+      crossing count, which is what makes the solver's bracketed search
+      valid.
 
     Degenerate levels participate in the mass checks (their masses are exact
     0/1) and are skipped only by the stationarity check.

@@ -1,10 +1,13 @@
-"""Bisection solver for the optimal binary quantizer.
+"""Bracketed secant solver for the optimal binary quantizer.
 
 The mutual information of the induced quantizer, viewed as a function of the
 posterior level ``a``, has a single stationary point; the stationarity
-function F of :mod:`binquant.channel` decreases strictly through zero there.
-The solver brackets that zero on a coarse level grid (trimming inward past
-levels whose channel is degenerate), bisects to tolerance, and takes *all*
+function F of :mod:`binquant.channel` crosses zero exactly once there, from
+positive to negative.  That single crossing is what makes any bracketed
+method valid.  The solver brackets the zero on a coarse level grid (trimming
+inward past levels whose channel is degenerate), narrows the bracket to
+tolerance with secant steps under Illinois down-weighting (falling back to
+bisection when a secant step would leave the bracket), and takes *all*
 level-set roots at the solution as the threshold vector: dropping any subset
 of them can never improve the mutual information.
 
@@ -53,7 +56,13 @@ SCAN_POINTS = 64
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Bisection parameters; the defaults solve all shipped channels < 1 s."""
+    """Level-search parameters; the defaults solve all shipped channels < 1 s.
+
+    ``[a_lo, a_hi]`` is the scanned level range, ``tol_a`` the width the
+    bracketed secant search narrows the sign-change bracket to, ``max_iter``
+    its budget of F evaluations after the scan, and ``grid_points`` the size
+    of the root-bracketing grid.
+    """
 
     a_lo: float = 1e-6
     a_hi: float = 1.0 - 1e-6
@@ -109,11 +118,15 @@ def _scan_values(spec: ChannelSpec, levels: np.ndarray, grid_points: int):
 
 
 def solve(spec: ChannelSpec, config: SolverConfig | None = None) -> QuantizerDesign:
-    """Find the optimal binary quantizer for ``spec`` by bisection on F.
+    """Find the optimal binary quantizer for ``spec`` by a bracketed search on F.
 
     Procedure: (1) scan F on a 64-point level grid over [a_lo, a_hi],
-    skipping degenerate levels at the ends; (2) bisect the sign-change cell
-    down to ``tol_a``; (3) take the level functionals at the midpoint a*:
+    skipping degenerate levels at the ends; (2) narrow the sign-change cell
+    down to ``tol_a`` with secant steps: when the same end moves twice in a
+    row, the F value kept at the other end is halved (Illinois); a step that
+    would leave the bracket bisects it instead, and every step stays at
+    least tol_a / 2 inside it; ``iterations`` counts these steps; (3) take
+    the level functionals at the midpoint a* of the final bracket:
     every level-set root is a threshold, segments with posterior below a*
     map to Z=0, and their masses are the channel matrix; (4) compute the
     mutual information (bits), r*, and the equal-ratio residual from them.
@@ -163,25 +176,37 @@ def solve(spec: ChannelSpec, config: SolverConfig | None = None) -> QuantizerDes
             )
         i = cells[0]
         lo, hi = float(scan_levels[i]), float(scan_levels[i + 1])
-        f_lo = scan_f[i]
+        f_lo, f_hi = float(scan_f[i]), float(scan_f[i + 1])
 
         iterations = 0
+        last = 0  # end moved last: -1 lower, +1 upper
         while hi - lo > cfg.tol_a:
             if iterations >= cfg.max_iter:
                 raise NotConvergedError(
-                    f"bisection exceeded max_iter={cfg.max_iter} "
+                    f"bracketed secant search exceeded max_iter={cfg.max_iter} "
                     f"(bracket width {hi - lo:.3e} > tol_a={cfg.tol_a})"
                 )
-            mid = 0.5 * (lo + hi)
-            f_mid = stationarity(spec, mid, cfg.grid_points)
+            a = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+            if not lo < a < hi:
+                a = 0.5 * (lo + hi)
+            # step at least tol_a / 2 away from both ends, so an end that has
+            # reached the root closes the bracket instead of creeping at it
+            a = min(max(a, lo + 0.5 * cfg.tol_a), hi - 0.5 * cfg.tol_a)
+            f_a = stationarity(spec, a, cfg.grid_points)
             iterations += 1
-            if f_mid == 0.0:
-                lo = hi = mid
+            if f_a == 0.0:
+                lo = hi = a
                 break
-            if (f_mid > 0.0) == (f_lo > 0.0):
-                lo, f_lo = mid, f_mid
+            if (f_a > 0.0) == (f_lo > 0.0):
+                lo, f_lo = a, f_a
+                if last == -1:
+                    f_hi *= 0.5
+                last = -1
             else:
-                hi = mid
+                hi, f_hi = a, f_a
+                if last == 1:
+                    f_lo *= 0.5
+                last = 1
 
     a_star = 0.5 * (lo + hi)
     fn = level_functionals(spec, a_star, cfg.grid_points)

@@ -15,6 +15,7 @@ from binquant import (
     mutual_information,
     stationarity,
 )
+from binquant import density
 from binquant.channel import _mi_bits
 
 PHI_1 = 0.8413447460685429
@@ -46,6 +47,19 @@ class TestChannelMatrix:
         for spec in (example2_spec, fig5_spec):
             cm = channel_matrix(spec, (), "odd_to_zero")
             assert (cm.a11, cm.a22) == (1.0, 0.0)
+
+    def test_constant_quantizer_makes_no_cdf_call(self, example2_spec, fig5_spec, monkeypatch):
+        calls = []
+        real_cdf = density.cdf
+        monkeypatch.setattr(density, "cdf", lambda *args: calls.append(args) or real_cdf(*args))
+        for spec in (example2_spec, fig5_spec):
+            odd = channel_matrix(spec, (), "odd_to_zero")
+            even = channel_matrix(spec, (), "even_to_zero")
+            assert (odd.a11, odd.a22, even.a11, even.a22) == (1.0, 0.0, 0.0, 1.0)
+        assert calls == []
+        # the counter does see the calls a non-empty threshold vector makes
+        channel_matrix(example2_spec, (0.0,), "odd_to_zero")
+        assert len(calls) == 2
 
     def test_mapping_swap_complements_the_matrix(self, example2_spec):
         odd = channel_matrix(example2_spec, (-0.5, 2.0), "odd_to_zero")

@@ -12,11 +12,14 @@ from binquant import (
     classify_monotonicity,
     default_search_interval,
     find_level_set,
+    level_functionals,
     likelihood_ratio,
     posterior,
     translate_log_concavity,
 )
+from binquant import likelihood
 from binquant.density import DensityModel, GaussianComponent, Prior
+from binquant.likelihood import _search_grid
 
 # likelihood ratio of the unequal-variance channel at the equal-ratio pair
 # (-0.5374, 3.5374); mpmath, 30 dps
@@ -228,3 +231,48 @@ class TestLevelSet:
         # 4097 points put y = 0.0 exactly on the grid, where u == 0.5 exactly
         ls = find_level_set(example1_spec, 0.5, grid_points=4097)
         assert ls.roots == (0.0,)
+
+
+def _fresh_example2():
+    """The unequal-variance channel, built anew (not the session fixture)."""
+    return channel_spec(
+        Prior(p0=0.5),
+        DensityModel((GaussianComponent(mean=-1.0, stddev=math.sqrt(5.0), weight=1.0),)),
+        DensityModel((GaussianComponent(mean=1.0, stddev=1.0, weight=1.0),)),
+    )
+
+
+class TestSearchGridCache:
+    def test_equal_specs_each_compute_their_grid_once(self, monkeypatch):
+        full_grid = []
+        real = likelihood.posterior
+
+        def counting(spec, y):
+            if np.size(y) == 4096:
+                full_grid.append(spec)
+            return real(spec, y)
+
+        monkeypatch.setattr(likelihood, "posterior", counting)
+        first, second = _fresh_example2(), _fresh_example2()
+        assert first == second and first is not second
+        for spec in (first, second, first):
+            for level in (0.2, 0.3205528447713517, 0.5):
+                find_level_set(spec, level)
+                level_functionals(spec, level)
+            classify_monotonicity(spec)
+        assert [id(s) for s in full_grid] == [id(first), id(second)]
+
+    def test_alternating_grid_sizes_match_fresh_specs(self, fig5_spec):
+        spec = channel_spec(fig5_spec.prior, fig5_spec.density0, fig5_spec.density1)
+        for grid_points in (4096, 8192, 4096):
+            for level in (0.2, 0.5, 0.65):
+                fresh = channel_spec(fig5_spec.prior, fig5_spec.density0, fig5_spec.density1)
+                assert find_level_set(spec, level, grid_points) == find_level_set(
+                    fresh, level, grid_points
+                )
+
+    def test_cached_arrays_are_read_only(self):
+        grid = _search_grid(_fresh_example2(), 4096)
+        for arr in grid:
+            with pytest.raises(ValueError):
+                arr[0] = 0.0

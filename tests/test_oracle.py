@@ -1,10 +1,13 @@
 """Brute-force oracle: grid search, level sweeps, and structural checks."""
 
+import math
+
 import numpy as np
 import pytest
 
 from binquant import (
     InvalidSpecError,
+    cdf,
     channel_matrix,
     grid_search,
     structural_checks,
@@ -12,6 +15,25 @@ from binquant import (
     solve,
     sweep_levels,
 )
+from binquant.channel import _mi_bits
+
+
+def _brute_force_three(spec, grid_step):
+    """The best n = 3 tuple by a plain triple loop, first maximum kept."""
+    count = int(math.floor((spec.search_hi - spec.search_lo) / grid_step + 1e-9)) + 1
+    grid = spec.search_lo + grid_step * np.arange(count)
+    c0, c1 = cdf(spec.density0, grid), cdf(spec.density1, grid)
+    best_mi, best, n_evaluated = -np.inf, (), 0
+    for i in range(count):
+        for j in range(i + 1, count):
+            for k in range(j + 1, count):
+                a11 = c0[i] + (c0[k] - c0[j])
+                a22 = (c1[j] - c1[i]) + (1.0 - c1[k])
+                mi = _mi_bits(spec.prior.p0, a11, a22)
+                n_evaluated += 1
+                if mi > best_mi:
+                    best_mi, best = mi, (i, j, k)
+    return tuple(float(grid[k]) for k in best), n_evaluated
 
 
 class TestGridSearch:
@@ -57,6 +79,14 @@ class TestGridSearch:
         three = grid_search(example1_spec, 3, 0.5)
         one = grid_search(example1_spec, 1, 0.5)
         assert three.best_mi_bits >= one.best_mi_bits - 1e-12
+
+    @pytest.mark.parametrize("name, step", [("example2_spec", 1.5), ("fig5_spec", 2.0)])
+    def test_three_thresholds_match_a_triple_loop(self, name, step, request):
+        spec = request.getfixturevalue(name)
+        result = grid_search(spec, 3, step)
+        thresholds, n_evaluated = _brute_force_three(spec, step)
+        assert result.best_thresholds == thresholds
+        assert result.n_evaluated == n_evaluated
 
     def test_rejects_bad_arguments(self, example1_spec):
         with pytest.raises(InvalidSpecError):

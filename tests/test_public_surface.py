@@ -7,6 +7,10 @@ private helper added to one puts spans inside the grid search's inner loop.
 """
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -59,3 +63,16 @@ def test_cli_binds_the_library_calls_the_benchmark_makes():
         ("grid_search", oracle),
     ]:
         assert getattr(cli, attr) is getattr(owner, attr)
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # importing scipy.optimize would add about 0.25 s to the CLI's 0.5 s import
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = "import sys, binquant.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

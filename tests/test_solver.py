@@ -1,4 +1,4 @@
-"""End-to-end solver: bisection, design assembly, and the equal-ratio certificate."""
+"""End-to-end solver: the bracketed level search, design assembly, and the equal-ratio certificate."""
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from binquant import (
     predict_single_threshold,
     solve,
 )
+from binquant import solver
 
 # independently verified optima (mpmath, 30 dps, closed-form level sets)
 EX2_A_STAR = 0.3205528447713517
@@ -130,6 +131,24 @@ class TestVerifyStationarity:
         assert residual <= 1e-6
         for ratio in ratios:
             assert ratio == pytest.approx(EX2_R_STAR, rel=1e-6)
+
+
+class TestSearchBudget:
+    """The bracketed secant search needs at most 12 F evaluations past the scan."""
+
+    @pytest.mark.parametrize(
+        "name, a_star",
+        [("example2_spec", EX2_A_STAR), ("fig5_spec", FIG5_A_STAR), ("asym_spec", ASYM_A_STAR)],
+    )
+    def test_stationarity_calls(self, name, a_star, request, monkeypatch):
+        spec = request.getfixturevalue(name)
+        calls = []
+        real = solver.stationarity
+        monkeypatch.setattr(solver, "stationarity", lambda *args: calls.append(args) or real(*args))
+        design = solve(spec)
+        assert len(calls) <= solver.SCAN_POINTS + 12
+        assert design.iterations == len(calls) - solver.SCAN_POINTS
+        assert design.a_star == pytest.approx(a_star, abs=1e-8)
 
 
 class TestErrors:
