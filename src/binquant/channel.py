@@ -16,6 +16,11 @@ is the scalar factor in
 so its zero is the stationary level of the mutual information.  F crosses
 zero exactly once, from positive to negative, which is what makes a
 bracketed search over the level valid.
+
+A level whose f or g lies within DEGENERACY_EPS of {0, 1} is degenerate: F
+is unbounded there.  :func:`level_functionals` is the one place that decides
+this (its ``stationarity_value`` is NaN), and :func:`stationarity` is the one
+function that raises DegenerateChannelError for it.
 """
 
 from __future__ import annotations
@@ -48,7 +53,8 @@ Mapping = Literal["odd_to_zero", "even_to_zero"]
 _LN2 = math.log(2.0)
 
 #: Correct-decision masses within this band of {0, 1} make the stationarity
-#: logs unbounded; :func:`stationarity` raises DegenerateChannelError there.
+#: logs unbounded: ``LevelFunctionals.stationarity_value`` is NaN there, and
+#: :func:`stationarity` raises DegenerateChannelError.
 DEGENERACY_EPS = 1e-12
 
 
@@ -75,9 +81,10 @@ class LevelFunctionals:
     ``correct0`` is f(a), ``correct1`` is g(a); ``roots`` are the level-set
     solutions that bound the quantizer segments and ``mapping`` says which
     segments go to Z=0, so (f, g) is the diagonal of
-    ``channel_matrix(spec, roots, mapping)``.  f + g >= 1 always holds for a
-    level-set quantizer, and is enforced here (violation means the segment
-    assignment is broken).
+    ``channel_matrix(spec, roots, mapping)``.  ``stationarity_value`` is
+    F(a), or NaN when f or g is within DEGENERACY_EPS of {0, 1}.  f + g >= 1
+    always holds for a level-set quantizer, and is enforced here (violation
+    means the segment assignment is broken).
     """
 
     level: float
@@ -85,6 +92,7 @@ class LevelFunctionals:
     correct1: float
     roots: Thresholds
     mapping: Mapping
+    stationarity_value: float
 
     def __post_init__(self):
         if self.correct0 + self.correct1 < 1.0 - 1e-9:
@@ -158,27 +166,24 @@ def level_functionals(
     posterior at the search window's lower edge, where it has stabilized to
     its tail behavior, decides it.  That edge is the first point of the
     channel's cached search grid, so the label costs no posterior call.  f is
-    then a11 and g is a22 of the induced channel.  Boundary points
-    (u = level) carry no mass.
+    then a11 and g is a22 of the induced channel, and F is taken from them.
+    Boundary points (u = level) carry no mass.
     """
     roots = find_level_set(spec, level, grid_points).roots
     u_lo = _search_grid(spec, grid_points).u[0]
     mapping = "odd_to_zero" if u_lo < level else "even_to_zero"
     matrix = channel_matrix(spec, roots, mapping)
     return LevelFunctionals(
-        level=level, correct0=matrix.a11, correct1=matrix.a22, roots=roots, mapping=mapping
+        level=level, correct0=matrix.a11, correct1=matrix.a22, roots=roots, mapping=mapping,
+        stationarity_value=_stationarity_from_masses(spec.prior, level, matrix.a11, matrix.a22),
     )
 
 
 def _stationarity_from_masses(prior: Prior, level: float, f: float, g: float) -> float:
-    """F value from precomputed masses; raises on degenerate f or g."""
-    if (
-        f <= DEGENERACY_EPS
-        or f >= 1.0 - DEGENERACY_EPS
-        or g <= DEGENERACY_EPS
-        or g >= 1.0 - DEGENERACY_EPS
-    ):
-        raise DegenerateChannelError(level, f, g)
+    """F value from the masses; NaN when f or g is degenerate."""
+    lo, hi = DEGENERACY_EPS, 1.0 - DEGENERACY_EPS
+    if not (lo < f < hi and lo < g < hi):
+        return math.nan
     p0, p1 = prior.p0, prior.p1
     q0 = p0 * f + p1 * (1.0 - g)
     q1 = p0 * (1.0 - f) + p1 * g
@@ -208,4 +213,6 @@ def stationarity(spec: ChannelSpec, level: float, grid_points: int = DEFAULT_GRI
     signalling that the level must move inward.
     """
     fn = level_functionals(spec, level, grid_points)
-    return _stationarity_from_masses(spec.prior, level, fn.correct0, fn.correct1)
+    if math.isnan(fn.stationarity_value):
+        raise DegenerateChannelError(level, fn.correct0, fn.correct1)
+    return fn.stationarity_value

@@ -91,10 +91,6 @@ class DensityModel:
     def mean(self) -> float:
         return math.fsum(c.weight * c.mean for c in self.components)
 
-    @property
-    def max_stddev(self) -> float:
-        return max(c.stddev for c in self.components)
-
 
 @dataclass(frozen=True)
 class Prior:

@@ -38,6 +38,7 @@ class NoSignChangeError(QuantizerError):
 
 
 class NotConvergedError(QuantizerError):
-    """The bracketed secant search over the level exceeded its iteration
-    budget (``max_iter`` F evaluations after the scan) before its bracket
-    narrowed to ``tol_a``."""
+    """A bracketed secant search ran out of steps with a bracket still open:
+    the search over the level (``max_iter`` F evaluations after the scan,
+    narrowing to ``tol_a``) or the polishing of level-set roots (200 steps
+    per level)."""

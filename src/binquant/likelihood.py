@@ -13,11 +13,12 @@ thresholds at level ``a`` are the solutions of ``u(y) = a``; the solver in
 Nothing on the search grid depends on the level, so each :class:`ChannelSpec`
 computes the grid, ``log r`` and ``u`` on it once per grid size and keeps them
 (see :func:`_search_grid`); a level then costs only the sign scan of
-``u - level``.  Each sign change is polished by a bracketed secant step with
-Illinois down-weighting, which falls back to bisection whenever a secant step
-would leave its bracket, so it converges unconditionally.  Derivative-based
-methods are deliberately avoided because mixture derivatives are easy to get
-wrong.
+``u - level``.  Every sign change is polished by :func:`_bracketed_secant`,
+the Illinois modified regula falsi (Dowell & Jarratt, BIT 1971): secant steps
+whose stale end is down-weighted, with bisection whenever a secant step would
+leave its bracket, so it converges unconditionally.  The solver narrows its
+bracket on the level with the same routine.  Derivative-based methods are
+deliberately avoided because mixture derivatives are easy to get wrong.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from scipy.special import expit
 
 from .density import DensityModel, Prior, Thresholds, log_pdf
-from .errors import InvalidSpecError
+from .errors import InvalidSpecError, NotConvergedError
 
 __all__ = [
     "ChannelSpec",
@@ -55,7 +56,7 @@ DEFAULT_GRID_POINTS = 4096
 #: flagged as tangency suspects instead of being refined.
 TANGENCY_TOL = 1e-12
 
-#: Root polishing stops once |u(y) - level| or the bracket width drops below this.
+#: Root polishing stops once |u(y) - level| or the bracket width drops to this.
 REFINE_TOL = 1e-12
 
 
@@ -231,8 +232,6 @@ def translate_log_concavity(spec: ChannelSpec, grid_points: int = DEFAULT_GRID_P
     (tolerance 1e-9 per parameter); concavity via second differences of the
     log-pdf on a uniform grid.
     """
-    if grid_points < 64:
-        raise InvalidSpecError(f"grid_points must be >= 64, got {grid_points}")
     d0, d1 = spec.density0, spec.density1
     shift = d1.mean - d0.mean
     detected = False
@@ -246,8 +245,7 @@ def translate_log_concavity(spec: ChannelSpec, grid_points: int = DEFAULT_GRID_P
             for c0, c1 in pairs
         )
 
-    ys = np.linspace(spec.search_lo, spec.search_hi, grid_points)
-    lp = log_pdf(d0, ys)
+    lp = log_pdf(d0, _search_grid(spec, grid_points).ys)
     second = lp[2:] - 2.0 * lp[1:-1] + lp[:-2]
     return TranslateConcavity(
         shift_detected=detected,
@@ -275,42 +273,62 @@ class LevelSet:
     tangencies: tuple[tuple[float, float], ...] = ()
 
 
-def _polish_roots(spec: ChannelSpec, level: float, lo, hi, d_lo, d_hi) -> np.ndarray:
-    """Refine the root of u - level inside each bracket [lo, hi], all at once.
+def _bracketed_secant(fn, lo, hi, f_lo, f_hi, xtol: float, ftol: float, max_steps: int):
+    """Narrow every bracket [lo, hi] onto a zero of ``fn``, all brackets at once.
 
-    ``d_lo``/``d_hi`` are u - level at the bracket ends and have opposite
-    signs.  Each round evaluates u once per open bracket at the secant point
-    of its ends, or at the midpoint when that point is not strictly inside,
-    and keeps the sub-bracket with the sign change.  When the same end moves
-    twice in a row, the value at the other end is halved (Illinois), so both
-    ends converge.  A bracket closes once |u - level| <= REFINE_TOL at the
-    new point or its width is <= REFINE_TOL; the new point is its root.
+    ``fn`` maps an array of points to an array of values; ``f_lo``/``f_hi``
+    are its values at the bracket ends, of opposite signs.  Each step
+    evaluates ``fn`` once per open bracket, at the secant point of its ends
+    or at the midpoint when that point is not strictly inside, and keeps the
+    sub-bracket with the sign change.  Every point stays at least xtol / 2
+    inside its bracket, so an end that has reached the zero closes the
+    bracket instead of creeping at it; when the same end moves twice in a
+    row, the value kept at the other end is halved (Illinois), so both ends
+    converge.  A point with |fn| <= ftol is its bracket's root; a bracket
+    whose width drops to <= xtol returns its midpoint.
+
+    Returns the roots and the number of steps taken; raises
+    NotConvergedError when brackets are still open after ``max_steps``.
     """
-    lo, hi, d_lo, d_hi = (np.array(v, dtype=float) for v in (lo, hi, d_lo, d_hi))
+    lo, hi, f_lo, f_hi = (np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi))
     roots = 0.5 * (lo + hi)
     last = np.zeros(lo.shape, dtype=np.int8)  # end moved last: -1 lower, +1 upper
-    active = np.arange(lo.size)
-    for _ in range(200):
-        if not active.size:
-            break
-        a, b, da, db = lo[active], hi[active], d_lo[active], d_hi[active]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = b - db * (b - a) / (db - da)
-        outside = ~((a < x) & (x < b))
-        x[outside] = 0.5 * (a[outside] + b[outside])
-        dx = posterior(spec, x) - level
+    active = np.nonzero(hi - lo > xtol)[0]
+    half = 0.5 * xtol
+    steps = 0
+    while active.size:
+        if steps == max_steps:
+            raise NotConvergedError(
+                f"bracketed secant search used all {max_steps} steps with "
+                f"{active.size} bracket(s) still wider than {xtol:g} "
+                f"(widest {np.max(hi[active] - lo[active]):.3e})"
+            )
+        a, b, fa, fb = lo[active], hi[active], f_lo[active], f_hi[active]
+        # an open bracket's ends keep strictly opposite signs: fb - fa != 0
+        x = b - fb * (b - a) / (fb - fa)
+        near = ~((a + half < x) & (x < b - half))
+        if np.count_nonzero(near):
+            an, bn, xn = a[near], b[near], x[near]
+            inside = (an < xn) & (xn < bn)
+            x[near] = np.where(inside, np.clip(xn, an + half, bn - half), 0.5 * (an + bn))
+        fx = fn(x)
+        steps += 1
         roots[active] = x
 
-        move_lo = np.sign(dx) == np.sign(da)
+        move_lo = np.sign(fx) == np.sign(fa)
         at_lo, at_hi = active[move_lo], active[~move_lo]
-        d_hi[at_lo[last[at_lo] == -1]] *= 0.5
-        d_lo[at_hi[last[at_hi] == 1]] *= 0.5
-        lo[at_lo], d_lo[at_lo], last[at_lo] = x[move_lo], dx[move_lo], -1
-        hi[at_hi], d_hi[at_hi], last[at_hi] = x[~move_lo], dx[~move_lo], 1
+        f_hi[at_lo[last[at_lo] == -1]] *= 0.5
+        f_lo[at_hi[last[at_hi] == 1]] *= 0.5
+        lo[at_lo], f_lo[at_lo], last[at_lo] = x[move_lo], fx[move_lo], -1
+        hi[at_hi], f_hi[at_hi], last[at_hi] = x[~move_lo], fx[~move_lo], 1
 
-        done = (np.abs(dx) <= REFINE_TOL) | (hi[active] - lo[active] <= REFINE_TOL)
-        active = active[~done]
-    return roots
+        hit = np.abs(fx) <= ftol
+        narrow = hi[active] - lo[active] <= xtol
+        if np.count_nonzero(narrow):
+            mid = active[narrow & ~hit]
+            roots[mid] = 0.5 * (lo[mid] + hi[mid])
+        active = active[~(hit | narrow)]
+    return roots, steps
 
 
 def find_level_set(spec: ChannelSpec, level: float, grid_points: int = DEFAULT_GRID_POINTS) -> LevelSet:
@@ -318,8 +336,9 @@ def find_level_set(spec: ChannelSpec, level: float, grid_points: int = DEFAULT_G
 
     The sign of u - level is scanned on the channel's cached uniform grid of
     ``grid_points`` over the search window; every strict sign change is
-    refined by :func:`_polish_roots` until |u(y) - level| <= 1e-12 or the
-    bracket is narrower than 1e-12.  Roots are returned sorted ascending.
+    refined by :func:`_bracketed_secant` until |u(y) - level| <= 1e-12 or the
+    bracket is at most 1e-12 wide.  Roots are returned sorted ascending.
+    Raises NotConvergedError if a bracket is still open after 200 steps.
     """
     level = float(level)
     if not (1e-9 < level < 1.0 - 1e-9):
@@ -346,8 +365,10 @@ def find_level_set(spec: ChannelSpec, level: float, grid_points: int = DEFAULT_G
             exact.append(ys[i])
     exact = np.asarray(exact)
 
-    roots = _polish_roots(
-        spec, level, ys[crossing], ys[crossing + 1], delta[crossing], delta[crossing + 1]
+    roots, _ = _bracketed_secant(
+        lambda y: posterior(spec, y) - level,
+        ys[crossing], ys[crossing + 1], delta[crossing], delta[crossing + 1],
+        REFINE_TOL, REFINE_TOL, 200,
     )
     all_roots = np.sort(np.concatenate([roots, exact]))
     return LevelSet(

@@ -1,14 +1,16 @@
 """Brute-force verification of solved quantizer designs.
 
-Nothing here reuses the solver's level search: :func:`grid_search` maximizes
+:func:`grid_search` does not reuse the solver's level search: it maximizes
 the mutual information by exhaustive enumeration of threshold tuples on a
-uniform grid (with the mass and MI formulas of :mod:`binquant.channel`; the
-check that shares no code at all is ``bench/certificate.py``),
-:func:`sweep_levels` tabulates the level functionals across the whole
-admissible range, and :func:`structural_checks` validates the structural
-facts the solver relies on (mass monotonicity, the derivative relation
-between the correct-decision masses, the product bound, and monotonicity of
-the stationarity function) with central finite differences.
+uniform grid, with n = 2 and n = 3 sharing one blocked loop (it uses the
+mass and MI formulas of :mod:`binquant.channel`; the check that shares no
+code at all is ``bench/certificate.py``).  :func:`sweep_levels` tabulates
+the level functionals across the whole admissible range, and
+:func:`structural_checks` validates the structural facts the solver relies
+on (mass monotonicity, the derivative relation between the correct-decision
+masses, the product bound, and the single zero crossing of the stationarity
+function) with central finite differences.  Both take F and the degeneracy
+verdict from :func:`~binquant.channel.level_functionals`.
 """
 
 from __future__ import annotations
@@ -21,13 +23,12 @@ import numpy as np
 from .channel import (
     ChannelMatrix,
     _mi_bits,
-    _stationarity_from_masses,
     channel_matrix,
     level_functionals,
     mutual_information,
 )
 from .density import Thresholds, cdf
-from .errors import DegenerateChannelError, InvalidSpecError
+from .errors import InvalidSpecError
 from .likelihood import DEFAULT_GRID_POINTS, ChannelSpec
 
 __all__ = [
@@ -47,10 +48,10 @@ class OracleResult:
     """Best quantizer found by exhaustive grid search.
 
     ``best_thresholds`` lies on the search grid.  Relabeling Z leaves
-    I(X;Z) unchanged, so the enumeration scores each tuple under the
-    ``odd_to_zero`` mapping only; ``best_mi_bits`` is the exact mutual
-    information recomputed at the winning thresholds (max over the two label
-    mappings).  Ties break to the lexicographically smallest tuple.
+    I(X;Z) unchanged, so the enumeration scores each tuple under one label
+    mapping only; ``best_mi_bits`` is the exact mutual information
+    recomputed at the winning thresholds (max over the two label mappings).
+    Ties break to the lexicographically smallest tuple.
     """
 
     best_mi_bits: float
@@ -59,7 +60,7 @@ class OracleResult:
     grid_step: float
 
 
-def _search_grid(spec: ChannelSpec, grid_step: float) -> np.ndarray:
+def _threshold_grid(spec: ChannelSpec, grid_step: float) -> np.ndarray:
     count = int(math.floor((spec.search_hi - spec.search_lo) / grid_step + 1e-9)) + 1
     return spec.search_lo + grid_step * np.arange(count)
 
@@ -77,7 +78,7 @@ def grid_search(spec: ChannelSpec, n_thresholds: int, grid_step: float) -> Oracl
     if not grid_step > 0.0:
         raise InvalidSpecError(f"grid_step must be > 0, got {grid_step!r}")
 
-    grid = _search_grid(spec, grid_step)
+    grid = _threshold_grid(spec, grid_step)
     npts = grid.size
     if npts < n_thresholds:
         raise InvalidSpecError("grid has fewer points than requested thresholds")
@@ -95,36 +96,28 @@ def grid_search(spec: ChannelSpec, n_thresholds: int, grid_step: float) -> Oracl
         best_mi, best = float(mi[k]), (k,)
         n_evaluated = npts
 
-    elif n_thresholds == 2:
-        idx = np.arange(npts)
-        for r0 in range(0, npts - 1, _ROW_BLOCK):
-            r1 = min(r0 + _ROW_BLOCK, npts - 1)
-            rows = idx[r0:r1, None]
-            upper = idx[None, :] > rows
-            a11 = c0[rows] + 1.0 - c0[None, :]
-            a22 = c1[None, :] - c1[rows]
-            mi = np.where(upper, _mi_bits(p0, a11, a22), -np.inf)
-            k = int(np.argmax(mi))
-            if mi.flat[k] > best_mi:
-                best_mi = float(mi.flat[k])
-                best = (r0 + k // npts, k % npts)
-            n_evaluated += int(upper.sum())
-
     else:
+        # relabeling Z leaves I(X;Z) unchanged, so an n = 2 tuple scores as an
+        # n = 3 one whose first segment (-inf, h_i) is empty: one loop over
+        # row blocks of j against every later k serves both
         idx = np.arange(npts)
-        for i in range(npts - 2):
-            for r0 in range(i + 1, npts - 1, _ROW_BLOCK):
+        if n_thresholds == 2:
+            heads = [((), 0.0, 0.0, 0)]
+        else:
+            heads = [((i,), c0[i], c1[i], i + 1) for i in range(npts - 2)]
+        for head, base0, base1, j0 in heads:
+            for r0 in range(j0, npts - 1, _ROW_BLOCK):
                 r1 = min(r0 + _ROW_BLOCK, npts - 1)
                 rows = idx[r0:r1, None]
                 ks = idx[None, r0 + 1 :]
                 upper = ks > rows
-                a11 = c0[i] + (c0[ks] - c0[rows])
-                a22 = (c1[rows] - c1[i]) + (1.0 - c1[ks])
+                a11 = base0 + (c0[ks] - c0[rows])
+                a22 = (c1[rows] - base1) + (1.0 - c1[ks])
                 mi = np.where(upper, _mi_bits(p0, a11, a22), -np.inf)
                 k = int(np.argmax(mi))
                 if mi.flat[k] > best_mi:
                     best_mi = float(mi.flat[k])
-                    best = (i, r0 + k // ks.size, r0 + 1 + k % ks.size)
+                    best = (*head, r0 + k // ks.size, r0 + 1 + k % ks.size)
                 n_evaluated += int(upper.sum())
 
     thresholds = tuple(float(grid[k]) for k in best)
@@ -165,12 +158,6 @@ def sweep_levels(
     for a in levels:
         a = float(a)
         fn = level_functionals(spec, a, grid_points)
-        try:
-            f_val = _stationarity_from_masses(spec.prior, a, fn.correct0, fn.correct1)
-            degenerate = False
-        except DegenerateChannelError:
-            f_val = math.nan
-            degenerate = True
         mi = mutual_information(
             spec.prior, ChannelMatrix(a11=fn.correct0, a22=fn.correct1)
         )
@@ -179,10 +166,10 @@ def sweep_levels(
                 level=a,
                 correct0=fn.correct0,
                 correct1=fn.correct1,
-                stationarity_value=f_val,
+                stationarity_value=fn.stationarity_value,
                 mi_bits=mi,
                 n_roots=len(fn.roots),
-                degenerate=degenerate,
+                degenerate=math.isnan(fn.stationarity_value),
             )
         )
     return rows
@@ -238,18 +225,14 @@ def structural_checks(
     g = np.empty(levels.size)
     f_prime = np.empty(levels.size)
     g_prime = np.empty(levels.size)
-    f_stat = np.full(levels.size, np.nan)
+    f_stat = np.empty(levels.size)
     for i, a in enumerate(levels):
         fn = level_functionals(spec, a, grid_points)
-        f[i], g[i] = fn.correct0, fn.correct1
+        f[i], g[i], f_stat[i] = fn.correct0, fn.correct1, fn.stationarity_value
         hi = level_functionals(spec, a + fd_step, grid_points)
         lo = level_functionals(spec, a - fd_step, grid_points)
         f_prime[i] = (hi.correct0 - lo.correct0) / (2.0 * fd_step)
         g_prime[i] = (hi.correct1 - lo.correct1) / (2.0 * fd_step)
-        try:
-            f_stat[i] = _stationarity_from_masses(spec.prior, a, f[i], g[i])
-        except DegenerateChannelError:
-            pass
 
     checks: dict[str, StructuralCheck] = {}
 

@@ -6,8 +6,8 @@ function F of :mod:`binquant.channel` crosses zero exactly once there, from
 positive to negative.  That single crossing is what makes any bracketed
 method valid.  The solver brackets the zero on a coarse level grid (trimming
 inward past levels whose channel is degenerate), narrows the bracket to
-tolerance with secant steps under Illinois down-weighting (falling back to
-bisection when a secant step would leave the bracket), and takes *all*
+tolerance with the bracketed secant routine that also polishes the level-set
+roots (:func:`~binquant.likelihood._bracketed_secant`), and takes *all*
 level-set roots at the solution as the threshold vector: dropping any subset
 of them can never improve the mutual information.
 
@@ -29,15 +29,11 @@ import numpy as np
 
 from .channel import ChannelMatrix, Mapping, level_functionals, mutual_information, stationarity
 from .density import Thresholds
-from .errors import (
-    DegenerateChannelError,
-    InvalidSpecError,
-    NoSignChangeError,
-    NotConvergedError,
-)
+from .errors import DegenerateChannelError, InvalidSpecError, NoSignChangeError
 from .likelihood import (
     ChannelSpec,
     Monotonicity,
+    _bracketed_secant,
     classify_monotonicity,
     likelihood_ratio,
     translate_log_concavity,
@@ -122,10 +118,10 @@ def solve(spec: ChannelSpec, config: SolverConfig | None = None) -> QuantizerDes
 
     Procedure: (1) scan F on a 64-point level grid over [a_lo, a_hi],
     skipping degenerate levels at the ends; (2) narrow the sign-change cell
-    down to ``tol_a`` with secant steps: when the same end moves twice in a
-    row, the F value kept at the other end is halved (Illinois); a step that
-    would leave the bracket bisects it instead, and every step stays at
-    least tol_a / 2 inside it; ``iterations`` counts these steps; (3) take
+    down to ``tol_a`` with the shared bracketed secant routine (Illinois
+    down-weighting, bisection when a secant step would leave the bracket,
+    every step at least tol_a / 2 inside it; an exact zero of F, in the scan
+    or at a step, ends the search); ``iterations`` counts these steps; (3) take
     the level functionals at the midpoint a* of the final bracket:
     every level-set root is a threshold, segments with posterior below a*
     map to Z=0, and their masses are the channel matrix; (4) compute the
@@ -164,8 +160,7 @@ def solve(spec: ChannelSpec, config: SolverConfig | None = None) -> QuantizerDes
         )
 
     if exact.size:
-        lo = hi = float(scan_levels[exact[0]])
-        iterations = 0
+        i = j = int(exact[0])  # a zero-width bracket: its midpoint, no step
     else:
         if len(cells) > 1:
             spreads = [abs(scan_f[i + 1] - scan_f[i]) for i in cells]
@@ -174,41 +169,13 @@ def solve(spec: ChannelSpec, config: SolverConfig | None = None) -> QuantizerDes
                 "multiple sign-change cells in the coarse scan (noise-level "
                 "flats); kept the one with the largest spread"
             )
-        i = cells[0]
-        lo, hi = float(scan_levels[i]), float(scan_levels[i + 1])
-        f_lo, f_hi = float(scan_f[i]), float(scan_f[i + 1])
-
-        iterations = 0
-        last = 0  # end moved last: -1 lower, +1 upper
-        while hi - lo > cfg.tol_a:
-            if iterations >= cfg.max_iter:
-                raise NotConvergedError(
-                    f"bracketed secant search exceeded max_iter={cfg.max_iter} "
-                    f"(bracket width {hi - lo:.3e} > tol_a={cfg.tol_a})"
-                )
-            a = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-            if not lo < a < hi:
-                a = 0.5 * (lo + hi)
-            # step at least tol_a / 2 away from both ends, so an end that has
-            # reached the root closes the bracket instead of creeping at it
-            a = min(max(a, lo + 0.5 * cfg.tol_a), hi - 0.5 * cfg.tol_a)
-            f_a = stationarity(spec, a, cfg.grid_points)
-            iterations += 1
-            if f_a == 0.0:
-                lo = hi = a
-                break
-            if (f_a > 0.0) == (f_lo > 0.0):
-                lo, f_lo = a, f_a
-                if last == -1:
-                    f_hi *= 0.5
-                last = -1
-            else:
-                hi, f_hi = a, f_a
-                if last == 1:
-                    f_lo *= 0.5
-                last = 1
-
-    a_star = 0.5 * (lo + hi)
+        i, j = cells[0], cells[0] + 1
+    roots, iterations = _bracketed_secant(
+        lambda levels: np.array([stationarity(spec, float(a), cfg.grid_points) for a in levels]),
+        scan_levels[[i]], scan_levels[[j]], scan_f[[i]], scan_f[[j]],
+        cfg.tol_a, 0.0, cfg.max_iter,
+    )
+    a_star = float(roots[0])
     fn = level_functionals(spec, a_star, cfg.grid_points)
     thresholds = fn.roots
     matrix = ChannelMatrix(a11=fn.correct0, a22=fn.correct1)

@@ -8,6 +8,7 @@ import pytest
 from binquant import (
     InvalidSpecError,
     Monotonicity,
+    NotConvergedError,
     channel_spec,
     classify_monotonicity,
     default_search_interval,
@@ -19,7 +20,7 @@ from binquant import (
 )
 from binquant import likelihood
 from binquant.density import DensityModel, GaussianComponent, Prior
-from binquant.likelihood import _search_grid
+from binquant.likelihood import _bracketed_secant, _search_grid
 
 # likelihood ratio of the unequal-variance channel at the equal-ratio pair
 # (-0.5374, 3.5374); mpmath, 30 dps
@@ -276,3 +277,65 @@ class TestSearchGridCache:
         for arr in grid:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+
+def _ends(fn, lo, hi):
+    """Bracket arrays and fn at their ends, as _bracketed_secant takes them."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    return lo, hi, fn(lo), fn(hi)
+
+
+def _cubic(x):
+    return (x - 0.3) ** 3 + 0.01 * (x - 0.3)
+
+
+class TestBracketedSecant:
+    def test_brackets_narrowed_together_match_each_alone(self, fig5_spec):
+        level = 0.5
+        fn = lambda y: posterior(fig5_spec, y) - level
+        grid = _search_grid(fig5_spec, 4096)
+        cells = np.nonzero(np.sign(grid.u[:-1] - level) * np.sign(grid.u[1:] - level) < 0)[0]
+        lo, hi = grid.ys[cells], grid.ys[cells + 1]
+        together, steps = _bracketed_secant(fn, *_ends(fn, lo, hi), 1e-12, 1e-12, 200)
+        alone = [_bracketed_secant(fn, *_ends(fn, [a], [b]), 1e-12, 1e-12, 200) for a, b in zip(lo, hi)]
+        assert len(together) == 6
+        assert together.tolist() == [r[0] for r, _ in alone]
+        assert steps == max(s for _, s in alone)
+        assert np.all(np.abs(fn(together)) <= 1e-9)
+
+    def test_exact_zero_is_returned_as_is(self):
+        # the first secant point of a line is its zero
+        fn = lambda x: x - 0.25
+        roots, steps = _bracketed_secant(fn, *_ends(fn, [0.0], [1.0]), 1e-3, 0.0, 200)
+        assert (roots.tolist(), steps) == ([0.25], 1)
+
+    @pytest.mark.parametrize(
+        "fn, lo, hi, xtol",
+        [
+            (lambda x: x - 1e-15, 0.0, 1.0, 1e-6),  # secant point hugs the lower end
+            (lambda x: 1.0 - 1e-15 - x, 0.0, 1.0, 1e-6),  # ... and the upper end
+            (_cubic, -2.0, 1.0, 1e-10),
+            (lambda x: np.tanh(50.0 * (x - 0.7)), -2.0, 1.0, 1e-12),
+        ],
+    )
+    def test_every_point_stays_half_a_tolerance_inside(self, fn, lo, hi, xtol):
+        points = []
+
+        def recording(x):
+            points.extend(x.tolist())
+            return fn(x)
+
+        f_lo = float(fn(np.array([lo]))[0])
+        _bracketed_secant(recording, *_ends(fn, [lo], [hi]), xtol, 0.0, 200)
+        assert points
+        for x in points:
+            assert lo + 0.5 * xtol <= x <= hi - 0.5 * xtol
+            if (float(fn(np.array([x]))[0]) > 0.0) == (f_lo > 0.0):
+                lo = x
+            else:
+                hi = x
+        assert hi - lo <= xtol
+
+    def test_exhausted_budget_raises(self):
+        with pytest.raises(NotConvergedError):
+            _bracketed_secant(_cubic, *_ends(_cubic, [-2.0], [1.0]), 1e-12, 0.0, 3)

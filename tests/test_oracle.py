@@ -18,11 +18,15 @@ from binquant import (
 from binquant.channel import _mi_bits
 
 
-def _brute_force_three(spec, grid_step):
-    """The best n = 3 tuple by a plain triple loop, first maximum kept."""
+def _grid_cdfs(spec, grid_step):
     count = int(math.floor((spec.search_hi - spec.search_lo) / grid_step + 1e-9)) + 1
     grid = spec.search_lo + grid_step * np.arange(count)
-    c0, c1 = cdf(spec.density0, grid), cdf(spec.density1, grid)
+    return count, grid, cdf(spec.density0, grid), cdf(spec.density1, grid)
+
+
+def _brute_force_three(spec, grid_step):
+    """The best n = 3 tuple by a plain triple loop, first maximum kept."""
+    count, grid, c0, c1 = _grid_cdfs(spec, grid_step)
     best_mi, best, n_evaluated = -np.inf, (), 0
     for i in range(count):
         for j in range(i + 1, count):
@@ -33,6 +37,21 @@ def _brute_force_three(spec, grid_step):
                 n_evaluated += 1
                 if mi > best_mi:
                     best_mi, best = mi, (i, j, k)
+    return tuple(float(grid[k]) for k in best), n_evaluated
+
+
+def _brute_force_two(spec, grid_step):
+    """The best n = 2 tuple by a plain double loop under ``odd_to_zero``."""
+    count, grid, c0, c1 = _grid_cdfs(spec, grid_step)
+    best_mi, best, n_evaluated = -np.inf, (), 0
+    for j in range(count):
+        for k in range(j + 1, count):
+            a11 = c0[j] + (1.0 - c0[k])
+            a22 = c1[k] - c1[j]
+            mi = _mi_bits(spec.prior.p0, a11, a22)
+            n_evaluated += 1
+            if mi > best_mi:
+                best_mi, best = mi, (j, k)
     return tuple(float(grid[k]) for k in best), n_evaluated
 
 
@@ -80,11 +99,22 @@ class TestGridSearch:
         one = grid_search(example1_spec, 1, 0.5)
         assert three.best_mi_bits >= one.best_mi_bits - 1e-12
 
-    @pytest.mark.parametrize("name, step", [("example2_spec", 1.5), ("fig5_spec", 2.0)])
-    def test_three_thresholds_match_a_triple_loop(self, name, step, request):
+    @pytest.mark.parametrize(
+        "name, step, n",
+        [
+            pytest.param("example2_spec", 1.5, 3, id="example2_spec-1.5"),
+            pytest.param("fig5_spec", 2.0, 3, id="fig5_spec-2.0"),
+            pytest.param("example2_spec", 0.25, 2, id="n2-example2_spec-0.25"),
+            pytest.param("fig5_spec", 0.5, 2, id="n2-fig5_spec-0.5"),
+        ],
+    )
+    def test_three_thresholds_match_a_triple_loop(self, name, step, n, request):
+        # grid_search scores n = 2 as n = 3 with an empty first segment; the
+        # double loop scores it directly, under the other label mapping
         spec = request.getfixturevalue(name)
-        result = grid_search(spec, 3, step)
-        thresholds, n_evaluated = _brute_force_three(spec, step)
+        result = grid_search(spec, n, step)
+        brute_force = _brute_force_three if n == 3 else _brute_force_two
+        thresholds, n_evaluated = brute_force(spec, step)
         assert result.best_thresholds == thresholds
         assert result.n_evaluated == n_evaluated
 

@@ -4,8 +4,12 @@
 functions, and ``bench/spans.py`` wraps exactly the functions a module lists
 in ``__all__``, so a name dropped from a list silently loses its metric and a
 private helper added to one puts spans inside the grid search's inner loop.
+The ``ast`` checks at the end stand in for a linter: no library module may
+keep an unused import or reach for another module's private helpers beyond
+the few that are shared on purpose.
 """
 
+import ast
 import importlib
 import os
 import subprocess
@@ -76,3 +80,43 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+LIBRARY = sorted((Path(__file__).resolve().parent.parent / "src" / "binquant").glob("*.py"))
+
+#: The private helpers that are shared between library modules on purpose.
+SHARED_PRIVATE = {"_search_grid", "_mi_bits", "_bracketed_secant"}
+
+
+def _imports(tree):
+    """(bound name, imported name, node) for every import below ``__future__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], alias.name, node
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, alias.name, node
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.stem)
+def test_no_unused_import(path):
+    tree = ast.parse(path.read_text())
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    module = binquant if path.stem == "__init__" else importlib.import_module(f"binquant.{path.stem}")
+    used |= set(getattr(module, "__all__", ()))
+    assert sorted(bound for bound, _, _ in _imports(tree) if bound not in used) == []
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.stem)
+def test_private_names_cross_modules_only_from_the_allowlist(path):
+    tree = ast.parse(path.read_text())
+    crossing = [
+        name
+        for _, name, node in _imports(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").startswith("binquant"))
+        and name.startswith("_")
+        and name not in SHARED_PRIVATE
+    ]
+    assert crossing == []

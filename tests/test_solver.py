@@ -56,6 +56,11 @@ class TestSolveSymmetric:
         assert design.stationarity_residual <= 1e-8
         assert design.mapping == "odd_to_zero"
 
+    def test_exact_zero_on_the_scan_takes_no_step(self, example1_spec):
+        # the scan's 32nd level is exactly 0.5, where F is exactly 0 by symmetry
+        design = solve(example1_spec, SolverConfig(a_lo=0.5 - 31 / 126, a_hi=0.5 + 32 / 126))
+        assert (design.a_star, design.iterations, design.thresholds) == (0.5, 0, (0.0,))
+
 
 class TestSolveUnequalVariance:
     def test_design(self, example2_spec):
