@@ -13,9 +13,10 @@ is the scalar factor in
 
     d I(X;Z)_a / da = p0 * f'(a) * F(a),
 
-so its zero is the stationary level of the mutual information.  F crosses
-zero exactly once, from positive to negative, which is what makes a
-bracketed search over the level valid.
+so its zeros are the stationary levels of the mutual information: a zero
+where F falls from positive to negative is a local maximum.  F can have
+more than one such zero, so the solver brackets one per candidate peak and
+compares their mutual information.
 
 A level whose f or g lies within DEGENERACY_EPS of {0, 1} is degenerate: F
 is unbounded there.  :func:`level_functionals` is the one place that decides
@@ -202,12 +203,12 @@ def stationarity(spec: ChannelSpec, level: float, grid_points: int = DEFAULT_GRI
                - (1/(1-a)) log((p0 f + p1 (1-g)) / (p0 (1-f) + p1 g))
 
     F is the scalar factor in dI/da = p0 f'(a) F(a): it is positive while
-    raising the level still gains information and negative past the optimum,
-    crossing zero exactly once, so a bracketed search on F finds the optimal
-    level.
+    raising the level gains information and negative while it loses it, so
+    every + to - zero of F is a local maximum of the mutual information.
     (F is monotone when the posterior has a single extremum; for multimodal
-    posteriors it can rise where a new dip joins the level set, without
-    re-crossing zero.)  The zero is invariant to the log base.
+    posteriors it can jump upward where a new dip joins the level set, and
+    it can have several + to - zeros.)  The zeros are invariant to the log
+    base.
 
     Raises DegenerateChannelError when f or g is within 1e-12 of {0, 1},
     signalling that the level must move inward.

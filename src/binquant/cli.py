@@ -124,7 +124,6 @@ def _design_payload(design: QuantizerDesign, predicted_single: bool) -> dict:
         "mi_bits": design.mi_bits,
         "stationarity_residual": design.stationarity_residual,
         "iterations": design.iterations,
-        "notes": list(design.notes),
         "single_threshold_predicted": predicted_single,
     }
 
@@ -142,7 +141,6 @@ def _design_text(design: QuantizerDesign, predicted_single: bool) -> str:
         f"iterations             {design.iterations}",
         f"single-threshold optimal: {'yes' if predicted_single else 'no'}",
     ]
-    lines.extend(f"note: {n}" for n in design.notes)
     return "\n".join(lines)
 
 

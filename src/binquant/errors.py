@@ -29,8 +29,9 @@ class DegenerateChannelError(QuantizerError):
 
 
 class NoSignChangeError(QuantizerError):
-    """The stationarity function keeps one sign over the whole admissible
-    range, so no optimum can be bracketed.  ``diagnosis`` explains why."""
+    """No + to - sign change of the stationarity function can be bracketed
+    in the admissible level range, so no optimum can be narrowed.
+    ``diagnosis`` explains why."""
 
     def __init__(self, diagnosis: str):
         self.diagnosis = diagnosis
@@ -39,6 +40,5 @@ class NoSignChangeError(QuantizerError):
 
 class NotConvergedError(QuantizerError):
     """A bracketed secant search ran out of steps with a bracket still open:
-    the search over the level (``max_iter`` F evaluations after the scan,
-    narrowing to ``tol_a``) or the polishing of level-set roots (200 steps
-    per level)."""
+    the search over the level (``max_iter`` secant steps, narrowing to
+    ``tol_a``) or the polishing of level-set roots (200 steps per level)."""

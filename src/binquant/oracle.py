@@ -6,11 +6,11 @@ uniform grid, with n = 2 and n = 3 sharing one blocked loop (it uses the
 mass and MI formulas of :mod:`binquant.channel`; the check that shares no
 code at all is ``bench/certificate.py``).  :func:`sweep_levels` tabulates
 the level functionals across the whole admissible range, and
-:func:`structural_checks` validates the structural facts the solver relies
-on (mass monotonicity, the derivative relation between the correct-decision
-masses, the product bound, and the single zero crossing of the stationarity
-function) with central finite differences.  Both take F and the degeneracy
-verdict from :func:`~binquant.channel.level_functionals`.
+:func:`structural_checks` validates structural facts of the level
+functionals (mass monotonicity, the derivative relation between the
+correct-decision masses, the product bound) with central finite differences
+and counts the sign changes of the stationarity function.  Both take F and
+the degeneracy verdict from :func:`~binquant.channel.level_functionals`.
 """
 
 from __future__ import annotations
@@ -191,7 +191,7 @@ def structural_checks(
     fd_step: float = 1e-5,
     grid_points: int = DEFAULT_GRID_POINTS,
 ) -> dict[str, StructuralCheck]:
-    """Numerically validate the structural facts behind the solver.
+    """Numerically validate the structural facts of the level functionals.
 
     On the level grid (default 0.05, 0.10, ..., 0.95):
 
@@ -202,12 +202,13 @@ def structural_checks(
     * ``crossterm_product_bound`` - with A = (p0 f + p1(1-g))(p0(1-f) + p1 g)
       and B = p0 f(1-f) + p1 g(1-g), A >= B (slack 1e-12);
     * ``stationarity_single_crossing`` - F changes sign exactly once across
-      the evaluable levels (positive below the optimum, negative above).
-      F itself is monotone only when the posterior has a single extremum;
-      at levels where new posterior dips join the level set it can jump
-      upward without re-crossing zero, so the defensible check is the
-      crossing count, which is what makes the solver's bracketed search
-      valid.
+      the evaluable levels (positive below the optimum, negative above);
+      the worst violation is |sign changes - 1|.  F itself is monotone
+      only when the posterior has a single extremum; at levels where new
+      posterior dips join the level set it can jump upward, and a channel
+      whose mutual information has two peaks over the level fails this
+      check.  The solver does not rely on it: it brackets every candidate
+      peak.
 
     Degenerate levels participate in the mass checks (their masses are exact
     0/1) and are skipped only by the stationarity check.

@@ -1,63 +1,46 @@
-"""Bracketed secant solver for the optimal binary quantizer.
+"""Sorted-cell candidate search and bracketed secant solver for the optimal binary quantizer.
 
-The mutual information of the induced quantizer, viewed as a function of the
-posterior level ``a``, has a single stationary point; the stationarity
-function F of :mod:`binquant.channel` crosses zero exactly once there, from
-positive to negative.  That single crossing is what makes any bracketed
-method valid.  The solver brackets the zero on a coarse level grid (trimming
-inward past levels whose channel is degenerate), narrows the bracket to
-tolerance with the bracketed secant routine that also polishes the level-set
-roots (:func:`~binquant.likelihood._bracketed_secant`), and takes *all*
-level-set roots at the solution as the threshold vector: dropping any subset
-of them can never improve the mutual information.
-
-At the solution every threshold carries the same likelihood ratio
-
-    r* = (p1/p0) (1 - a*) / a*,
-
-and the design records the worst relative deviation from it as its
-``stationarity_residual``, the post-solve equal-ratio certificate.  The
-thresholds, their labels and the channel matrix all come from one
-:func:`~binquant.channel.level_functionals` call at a*.
+The optimal quantizer is the full root set of u(y) = a* for one level a*, so
+every candidate is a prefix of the search grid's cells sorted by posterior
+level (Burshtein et al., Ann. Stat. 1992; Kurkoski & Yagi, IEEE T-IT 2014).
+The stationarity function F may change sign from + to - more than once, so
+:func:`solve` brackets F around each MI peak of those prefixes.  The grid
+only ranks: every reported number comes from one
+:func:`~binquant.channel.level_functionals` call at a*, where every
+threshold carries the likelihood ratio r* = (p1/p0)(1 - a*)/a*; the worst
+relative deviation from it is the design's ``stationarity_residual``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelMatrix, Mapping, level_functionals, mutual_information, stationarity
-from .density import Thresholds
+from .channel import ChannelMatrix, Mapping, _mi_bits, level_functionals, mutual_information
+from .channel import stationarity
+from .density import Thresholds, cdf
 from .errors import DegenerateChannelError, InvalidSpecError, NoSignChangeError
-from .likelihood import (
-    ChannelSpec,
-    Monotonicity,
-    _bracketed_secant,
-    classify_monotonicity,
-    likelihood_ratio,
-    translate_log_concavity,
-)
+from .likelihood import ChannelSpec, Monotonicity, _bracketed_secant, _search_grid
+from .likelihood import classify_monotonicity, likelihood_ratio, translate_log_concavity
 
-__all__ = [
-    "SolverConfig",
-    "QuantizerDesign",
-    "solve",
-    "predict_single_threshold",
-]
+__all__ = ["SolverConfig", "QuantizerDesign", "solve", "predict_single_threshold"]
 
-#: Number of points in the coarse bracketing scan over the level range.
-SCAN_POINTS = 64
+#: Sorted-cell MI peaks within this many bits of the best one are candidates.
+PEAK_MARGIN_BITS = 1e-3
+
+#: Half-width of the first F bracket around a candidate level.
+BRACKET_HALF_WIDTH = 0.01
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Level-search parameters; the defaults solve all shipped channels < 1 s.
 
-    ``[a_lo, a_hi]`` is the scanned level range, ``tol_a`` the width the
-    bracketed secant search narrows the sign-change bracket to, ``max_iter``
-    its budget of F evaluations after the scan, and ``grid_points`` the size
-    of the root-bracketing grid.
+    ``[a_lo, a_hi]`` is the admissible level range, ``tol_a`` the width the
+    bracketed secant search narrows each sign-change bracket to,
+    ``max_iter`` its budget of secant steps, and ``grid_points`` the size of
+    the search grid that ranks candidates and brackets the level-set roots.
     """
 
     a_lo: float = 1e-6
@@ -98,106 +81,118 @@ class QuantizerDesign:
     mi_bits: float
     stationarity_residual: float
     iterations: int
-    notes: tuple[str, ...] = field(default=())
 
 
-def _scan_values(spec: ChannelSpec, levels: np.ndarray, grid_points: int):
-    """Evaluate F on the scan grid; NaN marks degenerate levels."""
-    values = np.full(levels.shape, np.nan)
-    last_degenerate: DegenerateChannelError | None = None
-    for i, a in enumerate(levels):
-        try:
-            values[i] = stationarity(spec, float(a), grid_points)
-        except DegenerateChannelError as err:
-            last_degenerate = err
-    return values, last_degenerate
+def _candidate_levels(spec: ChannelSpec, cfg: SolverConfig) -> np.ndarray:
+    """Levels of the sorted-cell MI peaks within PEAK_MARGIN_BITS of the best.
+
+    Each grid point is the centre of a cell reaching halfway to its
+    neighbours (the outer cells reach +-inf).  With the n cells sorted by u
+    and u = 0, 1 put at the ends, the first k of them (k = 0..n) are the
+    quantizer {u < a} for every level a between the k-th and the (k+1)-th
+    u, placed at the middle of that interval, so cumulative sums give a11
+    and a22 of all these quantizers at once.  The quantizers near the best
+    form runs in level order; each run, merged with any run whose end lies
+    within two bracket half-widths, gives its best level, so a single-peaked
+    MI curve gives one candidate however flat or jagged its top is at cell
+    resolution.
+    """
+    grid = _search_grid(spec, cfg.grid_points)
+    edges = 0.5 * (grid.ys[1:] + grid.ys[:-1])
+    order = np.argsort(grid.u, kind="stable")
+    m0 = np.diff(cdf(spec.density0, edges), prepend=0.0, append=1.0)[order]
+    m1 = np.diff(cdf(spec.density1, edges), prepend=0.0, append=1.0)[order]
+    u = np.concatenate(([0.0], grid.u[order], [1.0]))
+    inside = (u[1:] >= cfg.a_lo) & (u[:-1] <= cfg.a_hi)
+    levels = np.clip(0.5 * (u[1:] + u[:-1])[inside], cfg.a_lo, cfg.a_hi)
+    a11 = np.concatenate(([0.0], np.cumsum(m0)))
+    a22 = 1.0 - np.concatenate(([0.0], np.cumsum(m1)))
+    mi = _mi_bits(spec.prior.p0, a11, a22)[inside]
+    near_best = np.flatnonzero(mi >= mi.max(initial=0.0) - PEAK_MARGIN_BITS)
+    cuts = 1 + np.flatnonzero(
+        (np.diff(near_best) > 1) & (np.diff(levels[near_best]) > 2.0 * BRACKET_HALF_WIDTH)
+    )
+    return np.array([levels[g[np.argmax(mi[g])]] for g in np.split(near_best, cuts) if g.size])
+
+
+def _bracket_end(spec: ChannelSpec, cfg: SolverConfig, level: float, step: float):
+    """``(a, F(a))`` for the first a = level + step, + 2 step, + 4 step, ...
+    (clipped to [a_lo, a_hi]) where F is 0 or has the sign of -step, or None
+    once the range's edge does not."""
+    while True:
+        a = min(max(level + step, cfg.a_lo), cfg.a_hi)
+        f = stationarity(spec, a, cfg.grid_points)
+        if f * step <= 0.0:
+            return a, f
+        if a in (cfg.a_lo, cfg.a_hi):
+            return None
+        step *= 2.0
 
 
 def solve(spec: ChannelSpec, config: SolverConfig | None = None) -> QuantizerDesign:
-    """Find the optimal binary quantizer for ``spec`` by a bracketed search on F.
+    """Find the optimal binary quantizer for ``spec``.
 
-    Procedure: (1) scan F on a 64-point level grid over [a_lo, a_hi],
-    skipping degenerate levels at the ends; (2) narrow the sign-change cell
-    down to ``tol_a`` with the shared bracketed secant routine (Illinois
-    down-weighting, bisection when a secant step would leave the bracket,
-    every step at least tol_a / 2 inside it; an exact zero of F, in the scan
-    or at a step, ends the search); ``iterations`` counts these steps; (3) take
-    the level functionals at the midpoint a* of the final bracket:
-    every level-set root is a threshold, segments with posterior below a*
-    map to Z=0, and their masses are the channel matrix; (4) compute the
-    mutual information (bits), r*, and the equal-ratio residual from them.
+    (1) Rank the sorted-cell quantizers and take the candidate levels
+    (:func:`_candidate_levels`); (2) bracket a + to - sign change of F
+    around each, from +- BRACKET_HALF_WIDTH outward; (3) narrow all brackets
+    together to ``tol_a`` with the shared bracketed secant routine, whose
+    steps ``iterations`` counts; (4) keep the narrowed level whose level
+    functionals give the largest mutual information.  Every F evaluation,
+    bracket ends included, goes through
+    :func:`~binquant.channel.stationarity`.
 
-    Raises NoSignChangeError when F keeps one sign over the admissible range
-    (e.g. identical conditional densities carry no information),
-    NotConvergedError past ``max_iter``, and DegenerateChannelError when no
-    level in the range is evaluable for a non-flat posterior.
+    Raises NoSignChangeError when no candidate can be bracketed (the best
+    level in range is at its edge, or identical conditional densities carry
+    no information),
+    NotConvergedError past ``max_iter`` steps, and DegenerateChannelError
+    when no candidate is bracketed and a bracket end was degenerate.
     """
     cfg = config or SolverConfig()
-    notes: list[str] = []
-
-    scan_levels = np.linspace(cfg.a_lo, cfg.a_hi, SCAN_POINTS)
-    scan_f, last_degenerate = _scan_values(spec, scan_levels, cfg.grid_points)
-    valid = np.isfinite(scan_f)
-
-    exact = np.nonzero(valid & (scan_f == 0.0))[0]
-    cells = [
-        i
-        for i in range(SCAN_POINTS - 1)
-        if valid[i] and valid[i + 1] and scan_f[i] * scan_f[i + 1] < 0.0
-    ]
-    if not (exact.size or cells):
+    brackets = []
+    degenerate: DegenerateChannelError | None = None
+    for level in _candidate_levels(spec, cfg):
+        try:
+            ends = [_bracket_end(spec, cfg, level, s * BRACKET_HALF_WIDTH) for s in (-1, 1)]
+        except DegenerateChannelError as err:
+            degenerate = err
+            continue
+        if None not in ends:
+            (lo, f_lo), (hi, f_hi) = ends
+            brackets.append((lo, hi, f_lo, f_hi))
+    if not brackets:
         if classify_monotonicity(spec, cfg.grid_points).flat:
             raise NoSignChangeError(
                 "the posterior level is constant, so the channel carries no "
                 "information (mutual information is identically 0)"
             )
-        if not valid.any():
-            raise last_degenerate  # non-flat posterior with no evaluable level
+        if degenerate is not None:
+            raise degenerate
         raise NoSignChangeError(
-            "the stationarity function keeps one sign over the admissible "
-            f"level range [{cfg.a_lo}, {cfg.a_hi}]; widen the range or check "
-            "the channel"
+            "no + to - sign change of the stationarity function brackets the "
+            f"best levels of the admissible range [{cfg.a_lo}, {cfg.a_hi}], so "
+            "the mutual information is highest at its edge; widen the range"
         )
 
-    if exact.size:
-        i = j = int(exact[0])  # a zero-width bracket: its midpoint, no step
-    else:
-        if len(cells) > 1:
-            spreads = [abs(scan_f[i + 1] - scan_f[i]) for i in cells]
-            cells = [cells[int(np.argmax(spreads))]]
-            notes.append(
-                "multiple sign-change cells in the coarse scan (noise-level "
-                "flats); kept the one with the largest spread"
-            )
-        i, j = cells[0], cells[0] + 1
     roots, iterations = _bracketed_secant(
         lambda levels: np.array([stationarity(spec, float(a), cfg.grid_points) for a in levels]),
-        scan_levels[[i]], scan_levels[[j]], scan_f[[i]], scan_f[[j]],
-        cfg.tol_a, 0.0, cfg.max_iter,
+        *np.array(brackets).T, cfg.tol_a, 0.0, cfg.max_iter,
     )
-    a_star = float(roots[0])
-    fn = level_functionals(spec, a_star, cfg.grid_points)
-    thresholds = fn.roots
+    fn = max(
+        (level_functionals(spec, float(a), cfg.grid_points) for a in roots),
+        key=lambda fn: _mi_bits(spec.prior.p0, fn.correct0, fn.correct1),
+    )
     matrix = ChannelMatrix(a11=fn.correct0, a22=fn.correct1)
-    mi_bits = mutual_information(spec.prior, matrix)
-    r_star = (spec.prior.p1 / spec.prior.p0) * (1.0 - a_star) / a_star
-
-    if thresholds:
-        ratios = likelihood_ratio(spec, np.asarray(thresholds))
-        residual = float(np.max(np.abs(ratios - r_star)) / r_star)
-    else:
-        residual = 0.0
-
+    r_star = (spec.prior.p1 / spec.prior.p0) * (1.0 - fn.level) / fn.level
+    ratios = likelihood_ratio(spec, np.asarray(fn.roots))
     return QuantizerDesign(
-        a_star=a_star,
+        a_star=fn.level,
         r_star=r_star,
-        thresholds=thresholds,
+        thresholds=fn.roots,
         mapping=fn.mapping,
         channel=matrix,
-        mi_bits=mi_bits,
-        stationarity_residual=residual,
+        mi_bits=mutual_information(spec.prior, matrix),
+        stationarity_residual=float(np.max(np.abs(ratios - r_star), initial=0.0) / r_star),
         iterations=iterations,
-        notes=tuple(notes),
     )
 
 

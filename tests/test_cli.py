@@ -13,11 +13,12 @@ from tests.conftest import CONFIG_DIR
 EXAMPLE1 = str(CONFIG_DIR / "example1.json")
 EXAMPLE2 = str(CONFIG_DIR / "example2.json")
 FIG5 = str(CONFIG_DIR / "fig5.json")
+TWO_PEAKS = str(CONFIG_DIR / "mixture_two_peaks.json")
 
 
 class TestConfigLoading:
     def test_shipped_configs_parse(self):
-        for path in (EXAMPLE1, EXAMPLE2, FIG5):
+        for path in (EXAMPLE1, EXAMPLE2, FIG5, TWO_PEAKS):
             spec, cfg = load_config(path)
             assert spec.search_lo < spec.search_hi
             assert cfg.tol_a == 1e-10
@@ -86,6 +87,15 @@ class TestSolveCommand:
         assert payload["stationarity_residual"] == design.stationarity_residual
         assert payload["iterations"] == design.iterations
         assert payload["single_threshold_predicted"] is False
+
+    def test_json_key_set(self, capsys):
+        assert main(["solve", "--config", FIG5, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == {
+            "a_star", "r_star", "thresholds", "mapping", "channel", "mi_bits",
+            "stationarity_residual", "iterations", "single_threshold_predicted",
+        }
+        assert set(payload["channel"]) == {"a11", "a22"}
 
     def test_information_free_channel_exits_2(self, tmp_path, capsys):
         path = tmp_path / "flat.json"
@@ -174,6 +184,15 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         gap_line = next(line for line in out.splitlines() if "gap" in line)
         assert float(gap_line.split()[4]) > 1e-3
+
+    def test_second_stationary_level_fails_the_crossing_check(self, capsys):
+        # F has two + to - zeros on this channel, and the check says so
+        assert main(["verify", "--config", TWO_PEAKS, "--n-thresholds", "1",
+                     "--grid-step", "0.5"]) == 3
+        out = capsys.readouterr().out
+        assert "solver mi_bits        0.386627 (4 thresholds)" in out
+        assert "stationarity_single_crossing  FAIL" in out
+        assert "verification FAILED" in out
 
     def test_failed_verification_exits_3(self, capsys, monkeypatch):
         def inflated(spec, n, step):

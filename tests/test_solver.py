@@ -2,18 +2,29 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from binquant import (
+    DegenerateChannelError,
+    DensityModel,
+    GaussianComponent,
     NoSignChangeError,
     NotConvergedError,
+    Prior,
     SolverConfig,
+    channel_spec,
     grid_search,
     likelihood_ratio,
     posterior,
     predict_single_threshold,
     solve,
+    structural_checks,
 )
 from binquant import solver
+from binquant.cli import load_config
+from tests.conftest import CONFIG_DIR, single_gaussian
 
 # independently verified optima (mpmath, 30 dps, closed-form level sets)
 EX2_A_STAR = 0.3205528447713517
@@ -55,11 +66,6 @@ class TestSolveSymmetric:
         assert design.mi_bits == pytest.approx(EX1_MI, abs=1e-9)
         assert design.stationarity_residual <= 1e-8
         assert design.mapping == "odd_to_zero"
-
-    def test_exact_zero_on_the_scan_takes_no_step(self, example1_spec):
-        # the scan's 32nd level is exactly 0.5, where F is exactly 0 by symmetry
-        design = solve(example1_spec, SolverConfig(a_lo=0.5 - 31 / 126, a_hi=0.5 + 32 / 126))
-        assert (design.a_star, design.iterations, design.thresholds) == (0.5, 0, (0.0,))
 
 
 class TestSolveUnequalVariance:
@@ -139,21 +145,130 @@ class TestVerifyStationarity:
 
 
 class TestSearchBudget:
-    """The bracketed secant search needs at most 12 F evaluations past the scan."""
+    """Two bracket ends plus the secant steps: at most 12 F evaluations per solve."""
 
     @pytest.mark.parametrize(
         "name, a_star",
         [("example2_spec", EX2_A_STAR), ("fig5_spec", FIG5_A_STAR), ("asym_spec", ASYM_A_STAR)],
     )
     def test_stationarity_calls(self, name, a_star, request, monkeypatch):
-        spec = request.getfixturevalue(name)
+        design, calls = self._solve_counting_f(request.getfixturevalue(name), monkeypatch)
+        assert len(calls) <= 12
+        assert design.iterations <= len(calls) - 2
+        assert design.a_star == pytest.approx(a_star, abs=1e-8)
+
+    def test_a_jagged_top_costs_one_bracket(self, monkeypatch):
+        # near-separable: the prefix MI stays within 3e-4 bits of its top at
+        # every level, and every other cell adds no mass, so the curve is a
+        # staircase with 155 flat local maxima
+        spec = channel_spec(Prior(p0=0.48), single_gaussian(3.7, 0.7), single_gaussian(-1.6, 0.2))
+        design, calls = self._solve_counting_f(spec, monkeypatch)
+        assert len(calls) <= 12
+        assert design.mi_bits == pytest.approx(0.998845487, abs=1e-9)
+
+    @staticmethod
+    def _solve_counting_f(spec, monkeypatch):
         calls = []
         real = solver.stationarity
         monkeypatch.setattr(solver, "stationarity", lambda *args: calls.append(args) or real(*args))
+        return solve(spec), calls
+
+
+class TestTwoPeakMixture:
+    """F has two + to - zeros; the higher MI peak is the optimum."""
+
+    @pytest.fixture(scope="class")
+    def spec(self):
+        return load_config(str(CONFIG_DIR / "mixture_two_peaks.json"))[0]
+
+    def test_solve_finds_the_higher_peak(self, spec):
         design = solve(spec)
-        assert len(calls) <= solver.SCAN_POINTS + 12
-        assert design.iterations == len(calls) - solver.SCAN_POINTS
-        assert design.a_star == pytest.approx(a_star, abs=1e-8)
+        assert design.mi_bits >= 0.38662
+        assert design.a_star == pytest.approx(0.69730, abs=1e-4)
+
+    def test_the_higher_of_two_brackets_wins(self, spec, monkeypatch):
+        # one candidate at each + to - zero of F, the lower peak's first
+        monkeypatch.setattr(solver, "_candidate_levels", lambda spec, cfg: np.array([0.07, 0.7]))
+        design = solve(spec)
+        assert design.mi_bits >= 0.38662
+        assert design.a_star == pytest.approx(0.69730, abs=1e-4)
+
+    def test_a_range_below_the_higher_peak_gives_the_lower_one(self, spec):
+        design = solve(spec, SolverConfig(a_hi=0.15))
+        assert design.a_star == pytest.approx(0.06264, abs=1e-4)
+        assert design.mi_bits == pytest.approx(0.0518924, abs=1e-6)
+
+    def test_structural_checks_count_the_crossings(self, spec):
+        # F on 0.05, 0.10, ..., 0.95 changes sign three times: + to - in
+        # (0.05, 0.10), - to + in (0.15, 0.20), where two roots join the level
+        # set, and + to - in (0.65, 0.70)
+        check = structural_checks(spec)["stationarity_single_crossing"]
+        assert (check.passed, check.worst_violation) == (False, 2.0)
+
+
+def _cell_bound_bits(p0, comps0, comps1, cells=2**16):
+    """Best MI of a union of ``cells`` cells, from scipy's normal CDF alone.
+
+    The cells cover the line; sorted by their mass ratio, every prefix is a
+    quantizer, so the best prefix is a lower bound on the optimal MI.
+    """
+    comps = comps0 + comps1
+    smax = max(s for _, s, _ in comps)
+    lo = min(m for m, _, _ in comps) - 12.0 * smax
+    hi = max(m for m, _, _ in comps) + 12.0 * smax
+    edges = np.concatenate(([-np.inf], np.linspace(lo, hi, cells - 1), [np.inf]))
+
+    def masses(mixture):
+        return np.diff(sum(w * ndtr((edges - m) / s) for m, s, w in mixture))
+
+    m0, m1 = masses(comps0), masses(comps1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        order = np.argsort(-np.nan_to_num(np.log(m0) - np.log(m1), nan=0.0), kind="stable")
+    a11 = np.clip(np.cumsum(m0[order]), 0.0, 1.0)
+    a22 = np.clip(1.0 - np.cumsum(m1[order]), 0.0, 1.0)
+
+    def h2(w):
+        inside = (w > 0.0) & (w < 1.0)
+        v = np.where(inside, w, 0.5)
+        return np.where(inside, -(v * np.log2(v) + (1.0 - v) * np.log2(1.0 - v)), 0.0)
+
+    q0 = p0 * a11 + (1.0 - p0) * (1.0 - a22)
+    mi = h2(q0) - p0 * h2(a11) - (1.0 - p0) * h2(a22)
+    k = int(np.argmax(mi))
+    return float(mi[k]), 1.0 - a11[k], 1.0 - a22[k]
+
+
+def _normalized(comps):
+    total = sum(w for _, _, w in comps)
+    return [(m, s, w / total) for m, s, w in comps]
+
+
+_MIXTURE = st.lists(
+    st.tuples(st.floats(-4.0, 4.0), st.floats(0.05, 3.0), st.floats(0.1, 1.0)),
+    min_size=1,
+    max_size=3,
+).map(_normalized)
+
+
+class TestGlobalOptimum:
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(p0=st.floats(0.2, 0.8), comps0=_MIXTURE, comps1=_MIXTURE)
+    def test_never_below_a_sorted_cell_bound(self, p0, comps0, comps1):
+        assume(comps0 != comps1)  # identical densities: TestErrors
+        density0, density1 = (
+            DensityModel(tuple(GaussianComponent(*c) for c in comps)) for comps in (comps0, comps1)
+        )
+        bound, err0, err1 = _cell_bound_bits(p0, comps0, comps1)
+        try:
+            design = solve(channel_spec(Prior(p0=p0), density0, density1))
+        except NoSignChangeError:
+            assert bound <= 1e-9  # only a channel that carries no information
+            return
+        except DegenerateChannelError:
+            # only a channel whose best cell quantizer is almost error-free
+            assert min(err0, err1) <= 1e-9
+            return
+        assert design.mi_bits >= bound - 1e-9
 
 
 class TestErrors:
@@ -165,6 +280,11 @@ class TestErrors:
         # F < 0 on the whole admissible range above the optimum
         with pytest.raises(NoSignChangeError):
             solve(example2_spec, SolverConfig(a_lo=0.5, a_hi=0.7))
+
+    def test_separated_densities_are_degenerate(self):
+        spec = channel_spec(Prior(p0=0.5), single_gaussian(-10.0, 1.0), single_gaussian(10.0, 1.0))
+        with pytest.raises(DegenerateChannelError):
+            solve(spec)
 
     def test_iteration_budget_enforced(self, example2_spec):
         with pytest.raises(NotConvergedError):
