@@ -13,6 +13,7 @@ from .channel import (
     binary_entropy,
     channel_matrix,
     level_functionals,
+    level_functionals_batch,
     mutual_information,
     stationarity,
 )
@@ -44,6 +45,7 @@ from .likelihood import (
     classify_monotonicity,
     default_search_interval,
     find_level_set,
+    find_level_sets,
     likelihood_ratio,
     log_likelihood_ratio,
     posterior,
@@ -82,12 +84,14 @@ __all__ = [
     "classify_monotonicity",
     "translate_log_concavity",
     "find_level_set",
+    "find_level_sets",
     "ChannelMatrix",
     "LevelFunctionals",
     "channel_matrix",
     "binary_entropy",
     "mutual_information",
     "level_functionals",
+    "level_functionals_batch",
     "stationarity",
     "SolverConfig",
     "QuantizerDesign",

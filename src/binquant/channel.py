@@ -7,8 +7,12 @@ giving the correct-decision masses
 
     f(a) = mass of density0 on {u < a},   g(a) = mass of density1 on {u >= a},
 
-both computed by :func:`channel_matrix` from the CDFs at the level-set roots
-(no quadrature).  The stationarity function returned by :func:`stationarity`
+both computed from the CDFs at the level-set roots (no quadrature), by the
+same alternate-segment sum as :func:`channel_matrix`.
+:func:`level_functionals_batch` takes a batch of levels: one
+:func:`~binquant.likelihood.find_level_sets` call and one CDF call per
+density over the roots of all of them; :func:`level_functionals` is a batch
+of one.  The stationarity function returned by :func:`stationarity`
 is the scalar factor in
 
     d I(X;Z)_a / da = p0 * f'(a) * F(a),
@@ -33,9 +37,10 @@ from typing import Literal
 import numpy as np
 from scipy.special import entr
 
-from .density import Thresholds, partition_mass
+from .density import Thresholds, _alternating_mass, cdf, partition_mass
 from .errors import DegenerateChannelError, InvalidSpecError
-from .likelihood import DEFAULT_GRID_POINTS, ChannelSpec, Prior, _search_grid, find_level_set
+from .likelihood import DEFAULT_GRID_POINTS, ChannelSpec, LevelSet, Prior, _search_grid
+from .likelihood import find_level_set, find_level_sets
 
 __all__ = [
     "Mapping",
@@ -45,6 +50,7 @@ __all__ = [
     "binary_entropy",
     "mutual_information",
     "level_functionals",
+    "level_functionals_batch",
     "stationarity",
     "DEGENERACY_EPS",
 ]
@@ -156,10 +162,10 @@ def mutual_information(prior: Prior, matrix: ChannelMatrix) -> float:
     return float(_mi_bits(prior.p0, matrix.a11, matrix.a22))
 
 
-def level_functionals(
-    spec: ChannelSpec, level: float, grid_points: int = DEFAULT_GRID_POINTS
-) -> LevelFunctionals:
-    """Correct-decision masses f, g of the quantizer induced by ``level``.
+def level_functionals_batch(
+    spec: ChannelSpec, levels, grid_points: int = DEFAULT_GRID_POINTS
+) -> tuple[LevelFunctionals, ...]:
+    """Correct-decision masses f, g of the quantizer induced by each level, in input order.
 
     The level-set roots are the thresholds.  Every root is a strict crossing
     of u through the level, so the segments alternate between {u < level}
@@ -167,17 +173,50 @@ def level_functionals(
     posterior at the search window's lower edge, where it has stabilized to
     its tail behavior, decides it.  That edge is the first point of the
     channel's cached search grid, so the label costs no posterior call.  f is
-    then a11 and g is a22 of the induced channel, and F is taken from them.
-    Boundary points (u = level) carry no mass.
+    then a11 and g is a22 of the induced channel, as
+    ``channel_matrix(spec, roots, mapping)`` gives them, and F is taken from
+    them.  The level sets of the whole batch come from one
+    :func:`~binquant.likelihood.find_level_sets` call, and the CDF of each
+    density is evaluated once, at the roots of all levels.  Boundary points
+    (u = level) carry no mass.
     """
-    roots = find_level_set(spec, level, grid_points).roots
+    return _from_level_sets(spec, find_level_sets(spec, levels, grid_points), grid_points)
+
+
+def level_functionals(
+    spec: ChannelSpec, level: float, grid_points: int = DEFAULT_GRID_POINTS
+) -> LevelFunctionals:
+    """The level functionals at ``level``: :func:`level_functionals_batch` on a batch of one.
+
+    Its level set comes from :func:`~binquant.likelihood.find_level_set`, so
+    a traced run counts one level-set call per single level.
+    """
+    return _from_level_sets(spec, (find_level_set(spec, level, grid_points),), grid_points)[0]
+
+
+def _from_level_sets(
+    spec: ChannelSpec, sets: tuple[LevelSet, ...], grid_points: int
+) -> tuple[LevelFunctionals, ...]:
+    """Level functionals of level sets, with one CDF call per density over all their roots."""
     u_lo = _search_grid(spec, grid_points).u[0]
-    mapping = "odd_to_zero" if u_lo < level else "even_to_zero"
-    matrix = channel_matrix(spec, roots, mapping)
-    return LevelFunctionals(
-        level=level, correct0=matrix.a11, correct1=matrix.a22, roots=roots, mapping=mapping,
-        stationarity_value=_stationarity_from_masses(spec.prior, level, matrix.a11, matrix.a22),
-    )
+    roots = np.array([h for ls in sets for h in ls.roots])
+    c0 = cdf(spec.density0, roots) if roots.size else roots
+    c1 = cdf(spec.density1, roots) if roots.size else roots
+    out = []
+    stop = 0
+    for ls in sets:
+        start, stop = stop, stop + len(ls.roots)
+        odd_first = u_lo < ls.level
+        a11 = _alternating_mass(c0[start:stop], "odd" if odd_first else "even")
+        a22 = _alternating_mass(c1[start:stop], "even" if odd_first else "odd")
+        out.append(
+            LevelFunctionals(
+                level=ls.level, correct0=a11, correct1=a22, roots=ls.roots,
+                mapping="odd_to_zero" if odd_first else "even_to_zero",
+                stationarity_value=_stationarity_from_masses(spec.prior, ls.level, a11, a22),
+            )
+        )
+    return tuple(out)
 
 
 def _stationarity_from_masses(prior: Prior, level: float, f: float, g: float) -> float:

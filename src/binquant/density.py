@@ -4,8 +4,10 @@ Each conditional density of the channel output is a finite Gaussian mixture.
 All probability masses are computed in closed form through the normal CDF
 (error function), never by quadrature: :func:`partition_mass` evaluates the
 CDF once at every threshold and sums the differences over alternate
-segments, so masses are exact to floating-point rounding and the two
-parities always add up to the total mass.
+segments (:func:`_alternating_mass`, which also serves the batched level
+functionals of :mod:`binquant.channel`), so masses are exact to
+floating-point rounding and the two parities always add up to the total
+mass.
 
 The second Gaussian parameter throughout this package is the *standard
 deviation*, not the variance.
@@ -131,8 +133,8 @@ def log_pdf(model: DensityModel, y):
     z = (np.asarray(y, dtype=float)[..., None] - model._mus) / model._sigmas
     comp_logs = -0.5 * z * z + model._log_coef
     # log-sum-exp over the component axis; comp_logs is always finite
-    top = np.max(comp_logs, axis=-1, keepdims=True)
-    vals = top[..., 0] + np.log(np.sum(np.exp(comp_logs - top), axis=-1))
+    top = comp_logs.max(axis=-1, keepdims=True)
+    vals = top[..., 0] + np.log(np.exp(comp_logs - top).sum(axis=-1))
     return float(vals) if np.ndim(y) == 0 else vals
 
 
@@ -163,8 +165,15 @@ def partition_mass(
     if parity not in ("odd", "even"):
         raise InvalidSpecError(f"parity must be 'odd' or 'even', got {parity!r}")
     h = validate_thresholds(thresholds)
-    start = 0 if parity == "odd" else 1
-    if not h:
-        return 1.0 - start  # one segment, the whole line, and it is odd
-    segments = np.diff(np.concatenate(([0.0], cdf(model, np.asarray(h)), [1.0])))
-    return min(1.0, max(0.0, math.fsum(segments[start::2])))
+    return _alternating_mass(cdf(model, np.asarray(h)) if h else np.empty(0), parity)
+
+
+def _alternating_mass(cdf_at_thresholds: np.ndarray, parity: Literal["odd", "even"]) -> float:
+    """The mass of :func:`partition_mass` from the CDF values at the thresholds.
+
+    Sums the alternate CDF differences exactly (``math.fsum``) and clamps
+    the sum into [0, 1].  With no thresholds the whole line is the one odd
+    segment.
+    """
+    segments = np.diff(np.concatenate(([0.0], cdf_at_thresholds, [1.0])))
+    return min(1.0, max(0.0, math.fsum(segments[0 if parity == "odd" else 1 :: 2])))

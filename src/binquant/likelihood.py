@@ -11,14 +11,19 @@ thresholds at level ``a`` are the solutions of ``u(y) = a``; the solver in
 :mod:`binquant.solver` searches over ``a``.
 
 Nothing on the search grid depends on the level, so each :class:`ChannelSpec`
-computes the grid, ``log r`` and ``u`` on it once per grid size and keeps them
-(see :func:`_search_grid`); a level then costs only the sign scan of
-``u - level``.  Every sign change is polished by :func:`_bracketed_secant`,
-the Illinois modified regula falsi (Dowell & Jarratt, BIT 1971): secant steps
-whose stale end is down-weighted, with bisection whenever a secant step would
-leave its bracket, so it converges unconditionally.  The solver narrows its
-bracket on the level with the same routine.  Derivative-based methods are
-deliberately avoided because mixture derivatives are easy to get wrong.
+computes the grid, ``log r`` and ``u`` on it once per grid size and keeps
+them, together with each cell's range of ``u`` and the grid sorted by ``u``
+(see :func:`_search_grid`).  :func:`find_level_sets` takes a whole batch of
+levels: a ``searchsorted`` of every cell's range against the sorted levels
+finds all the crossing cells at once, and all of their brackets are
+polished together by :func:`_bracketed_secant`, the Illinois modified
+regula falsi (Dowell & Jarratt, BIT 1971): secant steps whose stale end is
+down-weighted, with bisection whenever a secant step would leave its
+bracket, so it converges unconditionally.  Every bracket narrows on its own,
+so a level's roots do not depend on the batch it came in.  The solver
+narrows its bracket on the level with the same routine.  Derivative-based
+methods are deliberately avoided because mixture derivatives are easy to get
+wrong.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ __all__ = [
     "classify_monotonicity",
     "translate_log_concavity",
     "find_level_set",
+    "find_level_sets",
 ]
 
 DEFAULT_GRID_POINTS = 4096
@@ -58,6 +64,9 @@ TANGENCY_TOL = 1e-12
 
 #: Root polishing stops once |u(y) - level| or the bracket width drops to this.
 REFINE_TOL = 1e-12
+
+#: Admissible levels lie in (LEVEL_MARGIN, 1 - LEVEL_MARGIN).
+_LEVEL_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -145,15 +154,29 @@ def posterior(spec: ChannelSpec, y):
 
 
 class _Grid(NamedTuple):
-    """The level-independent search grid of one channel; arrays are read-only."""
+    """The level-independent search grid of one channel; arrays are read-only.
+
+    Cell i is [ys[i], ys[i + 1]].  ``cells`` lists the cells in which u
+    takes more than one value and reaches into the admissible levels
+    (1e-9, 1 - 1e-9), the only ones an admissible level can cross;
+    ``lo_u``/``hi_u`` are the smaller and the larger of u at their ends.  ``order`` sorts the grid by u (stably) and ``sorted_u`` is u in
+    that order.  ``grazable`` lists the cells whose u varies by at most
+    4 TANGENCY_TOL and lies near enough to an admissible level to graze one.
+    """
 
     ys: np.ndarray
     log_r: np.ndarray
     u: np.ndarray
+    cells: np.ndarray
+    lo_u: np.ndarray
+    hi_u: np.ndarray
+    order: np.ndarray
+    sorted_u: np.ndarray
+    grazable: np.ndarray
 
 
 def _search_grid(spec: ChannelSpec, grid_points: int) -> _Grid:
-    """The uniform grid over the search window, with log r and u on it.
+    """The uniform grid over the search window, with log r, u and the cell arrays on it.
 
     Computed on first use for each ``grid_points`` and kept on ``spec``.
     """
@@ -162,7 +185,20 @@ def _search_grid(spec: ChannelSpec, grid_points: int) -> _Grid:
     grid = spec._grids.get(grid_points)
     if grid is None:
         ys = np.linspace(spec.search_lo, spec.search_hi, grid_points)
-        grid = _Grid(ys, log_likelihood_ratio(spec, ys), posterior(spec, ys))
+        u = posterior(spec, ys)
+        lo_u, hi_u = np.minimum(u[:-1], u[1:]), np.maximum(u[:-1], u[1:])
+        cells = np.flatnonzero((lo_u < hi_u) & (hi_u > _LEVEL_MARGIN) & (lo_u < 1.0 - _LEVEL_MARGIN))
+        order = np.argsort(u, kind="stable")
+        reach = 2.0 * TANGENCY_TOL
+        grazable = np.flatnonzero(
+            (hi_u - lo_u <= 2.0 * reach)
+            & (hi_u - reach < 1.0 - _LEVEL_MARGIN)
+            & (lo_u + reach > _LEVEL_MARGIN)
+        )
+        grid = _Grid(
+            ys, log_likelihood_ratio(spec, ys), u, cells, lo_u[cells], hi_u[cells], order, u[order],
+            grazable,
+        )
         for arr in grid:
             arr.flags.writeable = False
         spec._grids[grid_points] = grid
@@ -276,8 +312,11 @@ class LevelSet:
 def _bracketed_secant(fn, lo, hi, f_lo, f_hi, xtol: float, ftol: float, max_steps: int):
     """Narrow every bracket [lo, hi] onto a zero of ``fn``, all brackets at once.
 
-    ``fn`` maps an array of points to an array of values; ``f_lo``/``f_hi``
-    are its values at the bracket ends, of opposite signs.  Each step
+    ``fn(x, idx)`` maps an array of points to an array of values, where
+    ``idx`` holds the index (into ``lo``) of the bracket each point belongs
+    to, so each bracket can evaluate its own function; ``f_lo``/``f_hi`` are
+    the values at the bracket ends, of opposite signs.  An end whose value
+    is exactly 0 is its bracket's root, taken before any step.  Each step
     evaluates ``fn`` once per open bracket, at the secant point of its ends
     or at the midpoint when that point is not strictly inside, and keeps the
     sub-bracket with the sign change.  Every point stays at least xtol / 2
@@ -285,15 +324,21 @@ def _bracketed_secant(fn, lo, hi, f_lo, f_hi, xtol: float, ftol: float, max_step
     bracket instead of creeping at it; when the same end moves twice in a
     row, the value kept at the other end is halved (Illinois), so both ends
     converge.  A point with |fn| <= ftol is its bracket's root; a bracket
-    whose width drops to <= xtol returns its midpoint.
+    whose width drops to <= xtol returns its midpoint.  Every bracket
+    narrows independently of the others.
 
     Returns the roots and the number of steps taken; raises
     NotConvergedError when brackets are still open after ``max_steps``.
     """
     lo, hi, f_lo, f_hi = (np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi))
     roots = 0.5 * (lo + hi)
+    open_ = hi - lo > xtol
+    zero = (f_lo == 0.0) | (f_hi == 0.0)
+    if np.count_nonzero(zero):
+        roots[zero] = np.where(f_lo[zero] == 0.0, lo[zero], hi[zero])
+        open_ &= ~zero
     last = np.zeros(lo.shape, dtype=np.int8)  # end moved last: -1 lower, +1 upper
-    active = np.nonzero(hi - lo > xtol)[0]
+    active = np.flatnonzero(open_)
     half = 0.5 * xtol
     steps = 0
     while active.size:
@@ -311,7 +356,7 @@ def _bracketed_secant(fn, lo, hi, f_lo, f_hi, xtol: float, ftol: float, max_step
             an, bn, xn = a[near], b[near], x[near]
             inside = (an < xn) & (xn < bn)
             x[near] = np.where(inside, np.clip(xn, an + half, bn - half), 0.5 * (an + bn))
-        fx = fn(x)
+        fx = fn(x, active)
         steps += 1
         roots[active] = x
 
@@ -331,48 +376,111 @@ def _bracketed_secant(fn, lo, hi, f_lo, f_hi, xtol: float, ftol: float, max_step
     return roots, steps
 
 
-def find_level_set(spec: ChannelSpec, level: float, grid_points: int = DEFAULT_GRID_POINTS) -> LevelSet:
-    """Find every root of u(y) = level by grid bracketing plus secant polishing.
+def _pairs(first, stop):
+    """Every pair (i, j) with first[i] <= j < stop[i], ordered by i, then by j."""
+    owner = np.flatnonzero(stop > first)
+    if not owner.size:
+        return owner, owner
+    count = stop[owner] - first[owner]
+    offsets = np.cumsum(count) - count
+    return np.repeat(owner, count), np.repeat(first[owner] - offsets, count) + np.arange(count.sum())
 
-    The sign of u - level is scanned on the channel's cached uniform grid of
-    ``grid_points`` over the search window; every strict sign change is
-    refined by :func:`_bracketed_secant` until |u(y) - level| <= 1e-12 or the
-    bracket is at most 1e-12 wide.  Roots are returned sorted ascending.
-    Raises NotConvergedError if a bracket is still open after 200 steps.
+
+def _by_level(n_levels: int, level, values) -> list[list]:
+    """``values`` grouped by ``level`` (0 .. n_levels - 1), each group ascending."""
+    if not level.size:
+        return [[]] * n_levels
+    ends = np.cumsum(np.bincount(level, minlength=n_levels)).tolist()
+    values = values[np.lexsort((values, level))].tolist()
+    return [values[i:j] for i, j in zip([0, *ends], ends)]
+
+
+def find_level_sets(
+    spec: ChannelSpec, levels, grid_points: int = DEFAULT_GRID_POINTS
+) -> tuple[LevelSet, ...]:
+    """Every root of u(y) = a for each level a of ``levels``, in input order.
+
+    Cell i of the channel's cached uniform grid of ``grid_points`` over the
+    search window holds a root of level a when u strictly crosses a in it,
+    ``lo_u[i] < a < hi_u[i]``; a ``searchsorted`` of the cached ranges of u
+    of the cells that reach into the admissible levels against the sorted
+    distinct levels finds them all, with no levels x grid array.  The
+    brackets of all levels are refined together by :func:`_bracketed_secant`
+    until |u(y) - level| <= 1e-12 or the bracket is at most 1e-12 wide, each
+    exactly as it would be refined alone.  A grid point where u equals a
+    exactly is a root only if the nearest grid values on either side that
+    differ from a lie on opposite sides of it; a cell whose two ends both lie
+    within TANGENCY_TOL of a is a tangency.  Roots are sorted ascending.
+
+    Raises InvalidSpecError if any level lies outside (1e-9, 1 - 1e-9), and
+    NotConvergedError if a bracket is still open after 200 steps.
     """
-    level = float(level)
-    if not (1e-9 < level < 1.0 - 1e-9):
-        raise InvalidSpecError(f"level must lie in (1e-9, 1 - 1e-9), got {level!r}")
+    levels = np.asarray(levels, dtype=float).ravel()
+    if not levels.size:
+        return ()
+    # NaN fails both comparisons, and it propagates through min and max
+    if not (levels.min() > _LEVEL_MARGIN and levels.max() < 1.0 - _LEVEL_MARGIN):
+        bad = levels[~((levels > _LEVEL_MARGIN) & (levels < 1.0 - _LEVEL_MARGIN))]
+        raise InvalidSpecError(f"level must lie in (1e-9, 1 - 1e-9), got {float(bad[0])!r}")
     grid = _search_grid(spec, grid_points)
-    ys = grid.ys
-    delta = grid.u - level
+    ys, u = grid.ys, grid.u
+    uniq, inverse = np.unique(levels, return_inverse=True)
 
-    signs = np.sign(delta)
-    crossing = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-    grazing = np.nonzero(
-        (np.abs(delta[:-1]) < TANGENCY_TOL) & (np.abs(delta[1:]) < TANGENCY_TOL)
-    )[0]
+    # strict crossings: each cell holds the run of sorted levels inside (lo_u, hi_u)
+    k, lvl = _pairs(np.searchsorted(uniq, grid.lo_u, "right"), np.searchsorted(uniq, grid.hi_u, "left"))
+    cell = grid.cells[k]
+    target = uniq[lvl]
+    roots, _ = _bracketed_secant(
+        lambda y, j: posterior(spec, y) - target[j],
+        ys[cell], ys[cell + 1], u[cell] - target, u[cell + 1] - target,
+        REFINE_TOL, REFINE_TOL, 200,
+    )
 
     # a grid point that hits the level exactly is a root only if the posterior
     # actually crosses there; grazing contacts (flat stretches, tangencies)
     # are diagnostics, not thresholds
-    zero_idx = np.nonzero(delta == 0.0)[0]
-    nonzero_idx = np.nonzero(signs != 0)[0]
-    exact = []
-    for i in zero_idx:
-        k = np.searchsorted(nonzero_idx, i)
-        if 0 < k < nonzero_idx.size and signs[nonzero_idx[k - 1]] != signs[nonzero_idx[k]]:
-            exact.append(ys[i])
-    exact = np.asarray(exact)
+    hit_lvl, pos = _pairs(
+        np.searchsorted(grid.sorted_u, uniq, "left"), np.searchsorted(grid.sorted_u, uniq, "right")
+    )
+    if hit_lvl.size:
+        i = grid.order[pos]
+        change = np.flatnonzero(u[1:] != u[:-1])  # u[j] != u[j + 1]
+        k = np.searchsorted(change, i)
+        sides = (k > 0) & (k < change.size)
+        i, hit_lvl, k = i[sides], hit_lvl[sides], k[sides]
+        a = uniq[hit_lvl]
+        crosses = (u[change[k - 1]] > a) != (u[change[k] + 1] > a)
+        lvl = np.concatenate([lvl, hit_lvl[crosses]])
+        roots = np.concatenate([roots, ys[i[crosses]]])
 
-    roots, _ = _bracketed_secant(
-        lambda y: posterior(spec, y) - level,
-        ys[crossing], ys[crossing + 1], delta[crossing], delta[crossing + 1],
-        REFINE_TOL, REFINE_TOL, 200,
-    )
-    all_roots = np.sort(np.concatenate([roots, exact]))
-    return LevelSet(
-        level=level,
-        roots=tuple(all_roots.tolist()),
-        tangencies=tuple((float(ys[i]), float(ys[i + 1])) for i in grazing),
-    )
+    graze_lvl = graze = np.empty(0, dtype=np.intp)
+    if grid.grazable.size:
+        cells = grid.grazable
+        lo_u, hi_u = np.minimum(u[cells], u[cells + 1]), np.maximum(u[cells], u[cells + 1])
+        reach = 2.0 * TANGENCY_TOL
+        owner, graze_lvl = _pairs(
+            np.searchsorted(uniq, hi_u - reach, "left"), np.searchsorted(uniq, lo_u + reach, "right")
+        )
+        graze = cells[owner]
+        a = uniq[graze_lvl]
+        keep = (np.abs(u[graze] - a) < TANGENCY_TOL) & (np.abs(u[graze + 1] - a) < TANGENCY_TOL)
+        graze_lvl, graze = graze_lvl[keep], graze[keep]
+
+    sets = [
+        LevelSet(
+            level=level,
+            roots=tuple(r),
+            tangencies=tuple((float(ys[i]), float(ys[i + 1])) for i in g),
+        )
+        for level, r, g in zip(
+            uniq.tolist(),
+            _by_level(uniq.size, lvl, roots),
+            _by_level(uniq.size, graze_lvl, graze),
+        )
+    ]
+    return tuple(sets[j] for j in inverse.tolist())
+
+
+def find_level_set(spec: ChannelSpec, level: float, grid_points: int = DEFAULT_GRID_POINTS) -> LevelSet:
+    """The level set u(y) = ``level``: :func:`find_level_sets` on a batch of one."""
+    return find_level_sets(spec, (level,), grid_points)[0]

@@ -9,8 +9,9 @@ the level functionals across the whole admissible range, and
 :func:`structural_checks` validates structural facts of the level
 functionals (mass monotonicity, the derivative relation between the
 correct-decision masses, the product bound) with central finite differences
-and counts the sign changes of the stationarity function.  Both take F and
-the degeneracy verdict from :func:`~binquant.channel.level_functionals`.
+and counts the sign changes of the stationarity function.  Each takes all
+of its levels, F and the degeneracy verdict from one
+:func:`~binquant.channel.level_functionals_batch` call.
 """
 
 from __future__ import annotations
@@ -20,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (
-    ChannelMatrix,
-    _mi_bits,
-    channel_matrix,
-    level_functionals,
-    mutual_information,
-)
+from .channel import _mi_bits, channel_matrix, level_functionals_batch, mutual_information
 from .density import Thresholds, cdf
 from .errors import InvalidSpecError
 from .likelihood import DEFAULT_GRID_POINTS, ChannelSpec
@@ -153,26 +148,26 @@ class SweepRow:
 def sweep_levels(
     spec: ChannelSpec, levels, grid_points: int = DEFAULT_GRID_POINTS
 ) -> list[SweepRow]:
-    """Tabulate the quantizer induced at each level of ``levels``."""
-    rows = []
-    for a in levels:
-        a = float(a)
-        fn = level_functionals(spec, a, grid_points)
-        mi = mutual_information(
-            spec.prior, ChannelMatrix(a11=fn.correct0, a22=fn.correct1)
+    """Tabulate the quantizer induced at each level of ``levels``.
+
+    All levels go through one :func:`~binquant.channel.level_functionals_batch`
+    call; ``mi_bits`` is the mutual information of each level's masses.
+    """
+    fns = level_functionals_batch(spec, levels, grid_points)
+    f = np.array([fn.correct0 for fn in fns])
+    g = np.array([fn.correct1 for fn in fns])
+    return [
+        SweepRow(
+            level=fn.level,
+            correct0=fn.correct0,
+            correct1=fn.correct1,
+            stationarity_value=fn.stationarity_value,
+            mi_bits=mi,
+            n_roots=len(fn.roots),
+            degenerate=math.isnan(fn.stationarity_value),
         )
-        rows.append(
-            SweepRow(
-                level=a,
-                correct0=fn.correct0,
-                correct1=fn.correct1,
-                stationarity_value=fn.stationarity_value,
-                mi_bits=mi,
-                n_roots=len(fn.roots),
-                degenerate=math.isnan(fn.stationarity_value),
-            )
-        )
-    return rows
+        for fn, mi in zip(fns, _mi_bits(spec.prior.p0, f, g).tolist())
+    ]
 
 
 @dataclass(frozen=True)
@@ -211,7 +206,9 @@ def structural_checks(
       peak.
 
     Degenerate levels participate in the mass checks (their masses are exact
-    0/1) and are skipped only by the stationarity check.
+    0/1) and are skipped only by the stationarity check.  The levels and
+    their +- ``fd_step`` neighbours, 3 x 19 by default, go through one
+    :func:`~binquant.channel.level_functionals_batch` call.
     """
     if levels is None:
         levels = np.linspace(0.05, 0.95, 19)
@@ -222,18 +219,14 @@ def structural_checks(
         raise InvalidSpecError("levels +- fd_step must stay inside (0, 1)")
 
     p0, p1 = spec.prior.p0, spec.prior.p1
-    f = np.empty(levels.size)
-    g = np.empty(levels.size)
-    f_prime = np.empty(levels.size)
-    g_prime = np.empty(levels.size)
-    f_stat = np.empty(levels.size)
-    for i, a in enumerate(levels):
-        fn = level_functionals(spec, a, grid_points)
-        f[i], g[i], f_stat[i] = fn.correct0, fn.correct1, fn.stationarity_value
-        hi = level_functionals(spec, a + fd_step, grid_points)
-        lo = level_functionals(spec, a - fd_step, grid_points)
-        f_prime[i] = (hi.correct0 - lo.correct0) / (2.0 * fd_step)
-        g_prime[i] = (hi.correct1 - lo.correct1) / (2.0 * fd_step)
+    fns = level_functionals_batch(
+        spec, np.concatenate([levels, levels + fd_step, levels - fd_step]), grid_points
+    )
+    f, f_hi, f_lo = np.array([fn.correct0 for fn in fns]).reshape(3, -1)
+    g, g_hi, g_lo = np.array([fn.correct1 for fn in fns]).reshape(3, -1)
+    f_stat = np.array([fn.stationarity_value for fn in fns[: levels.size]])
+    f_prime = (f_hi - f_lo) / (2.0 * fd_step)
+    g_prime = (g_hi - g_lo) / (2.0 * fd_step)
 
     checks: dict[str, StructuralCheck] = {}
 

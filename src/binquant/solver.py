@@ -99,10 +99,9 @@ def _candidate_levels(spec: ChannelSpec, cfg: SolverConfig) -> np.ndarray:
     """
     grid = _search_grid(spec, cfg.grid_points)
     edges = 0.5 * (grid.ys[1:] + grid.ys[:-1])
-    order = np.argsort(grid.u, kind="stable")
-    m0 = np.diff(cdf(spec.density0, edges), prepend=0.0, append=1.0)[order]
-    m1 = np.diff(cdf(spec.density1, edges), prepend=0.0, append=1.0)[order]
-    u = np.concatenate(([0.0], grid.u[order], [1.0]))
+    m0 = np.diff(cdf(spec.density0, edges), prepend=0.0, append=1.0)[grid.order]
+    m1 = np.diff(cdf(spec.density1, edges), prepend=0.0, append=1.0)[grid.order]
+    u = np.concatenate(([0.0], grid.sorted_u, [1.0]))
     inside = (u[1:] >= cfg.a_lo) & (u[:-1] <= cfg.a_hi)
     levels = np.clip(0.5 * (u[1:] + u[:-1])[inside], cfg.a_lo, cfg.a_hi)
     a11 = np.concatenate(([0.0], np.cumsum(m0)))
@@ -174,7 +173,7 @@ def solve(spec: ChannelSpec, config: SolverConfig | None = None) -> QuantizerDes
         )
 
     roots, iterations = _bracketed_secant(
-        lambda levels: np.array([stationarity(spec, float(a), cfg.grid_points) for a in levels]),
+        lambda levels, _: np.array([stationarity(spec, float(a), cfg.grid_points) for a in levels]),
         *np.array(brackets).T, cfg.tol_a, 0.0, cfg.max_iter,
     )
     fn = max(

@@ -1,4 +1,4 @@
-"""Shared channel fixtures: the three shipped channels plus an asymmetric-prior one."""
+"""Shared channel fixtures: the shipped channels plus asymmetric-prior and flat ones."""
 
 import math
 from pathlib import Path
@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from binquant import DensityModel, GaussianComponent, Prior, channel_spec
+from binquant.cli import load_config
+from binquant.likelihood import _search_grid
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -53,3 +55,19 @@ def asym_spec():
 def flat_spec():
     """Identical conditionals: the channel carries no information."""
     return channel_spec(Prior(p0=0.5), single_gaussian(0.0, 1.0), single_gaussian(0.0, 1.0))
+
+
+@pytest.fixture(scope="session")
+def two_peaks_spec():
+    """configs/mixture_two_peaks.json: a level-set MI with two peaks."""
+    return load_config(str(CONFIG_DIR / "mixture_two_peaks.json"))[0]
+
+
+BATCH_SPECS = ["example1_spec", "example2_spec", "fig5_spec", "two_peaks_spec", "flat_spec"]
+
+
+def batch_levels(spec, grid_points=4096):
+    """Unsorted levels with duplicates, some exactly equal to grid values of u."""
+    u = _search_grid(spec, grid_points).u
+    on_grid = [a for a in u[[300, 1500, 2047, 2600, 3700]].tolist() if 1e-6 < a < 1.0 - 1e-6]
+    return [0.7, 0.2, 0.5, 0.2, 0.05, 0.95, 0.3205528447713517, *on_grid, 0.7, *on_grid[:1], 0.5]

@@ -12,11 +12,13 @@ from binquant import (
     binary_entropy,
     channel_matrix,
     level_functionals,
+    level_functionals_batch,
     mutual_information,
     stationarity,
 )
-from binquant import density
+from binquant import channel, density
 from binquant.channel import _mi_bits
+from tests.conftest import BATCH_SPECS, batch_levels
 
 PHI_1 = 0.8413447460685429
 EX1_MI = 0.3689172325944581
@@ -135,6 +137,50 @@ class TestMutualInformation:
         got = _mi_bits(prior.p0, a11, a22)
         want = [mutual_information(prior, ChannelMatrix(x, y)) for x, y in zip(a11, a22)]
         assert got.tolist() == want
+
+
+def _fields(fn):
+    """Every field of a LevelFunctionals, with a NaN F made comparable."""
+    f_value = "nan" if np.isnan(fn.stationarity_value) else fn.stationarity_value
+    return (fn.level, fn.correct0, fn.correct1, fn.roots, fn.mapping, f_value)
+
+
+class TestLevelFunctionalsBatch:
+    @pytest.mark.parametrize("name", BATCH_SPECS)
+    def test_batch_equals_each_level_alone(self, name, request):
+        spec = request.getfixturevalue(name)
+        levels = batch_levels(spec)
+        together = level_functionals_batch(spec, levels)
+        assert [_fields(fn) for fn in together] == [_fields(level_functionals(spec, a)) for a in levels]
+        for fn in together:
+            cm = channel_matrix(spec, fn.roots, fn.mapping)
+            assert (fn.correct0, fn.correct1) == (cm.a11, cm.a22)
+
+    def test_exact_grid_hit_and_tangency_in_a_batch(self, example1_spec, flat_spec):
+        for spec, grid_points in ((example1_spec, 4097), (flat_spec, 4096)):
+            levels = [0.3, 0.5, 0.7, 0.5]
+            together = level_functionals_batch(spec, levels, grid_points)
+            alone = [level_functionals(spec, a, grid_points) for a in levels]
+            assert [_fields(fn) for fn in together] == [_fields(fn) for fn in alone]
+
+    def test_one_cdf_call_per_density(self, fig5_spec, flat_spec, monkeypatch):
+        calls = []
+        real_cdf = channel.cdf
+        monkeypatch.setattr(channel, "cdf", lambda model, y: calls.append(np.size(y)) or real_cdf(model, y))
+        fns = level_functionals_batch(fig5_spec, np.linspace(0.05, 0.95, 19))
+        n_roots = sum(len(fn.roots) for fn in fns)
+        assert calls == [n_roots, n_roots]
+        calls.clear()
+        assert len(level_functionals_batch(flat_spec, [0.25, 0.5])) == 2
+        assert calls == []
+
+    def test_out_of_band_level_anywhere_raises(self, example1_spec):
+        for levels in ([0.0, 0.5], [0.5, 1.0], [0.3, 0.5, 1e-12]):
+            with pytest.raises(InvalidSpecError):
+                level_functionals_batch(example1_spec, levels)
+
+    def test_empty_batch(self, example1_spec):
+        assert level_functionals_batch(example1_spec, []) == ()
 
 
 class TestLevelFunctionals:

@@ -13,6 +13,7 @@ from binquant import (
     classify_monotonicity,
     default_search_interval,
     find_level_set,
+    find_level_sets,
     level_functionals,
     likelihood_ratio,
     posterior,
@@ -21,6 +22,7 @@ from binquant import (
 from binquant import likelihood
 from binquant.density import DensityModel, GaussianComponent, Prior
 from binquant.likelihood import _bracketed_secant, _search_grid
+from tests.conftest import BATCH_SPECS, batch_levels
 
 # likelihood ratio of the unequal-variance channel at the equal-ratio pair
 # (-0.5374, 3.5374); mpmath, 30 dps
@@ -234,6 +236,68 @@ class TestLevelSet:
         assert ls.roots == (0.0,)
 
 
+def dense_scan(spec, level, grid_points=4096):
+    """Root count and tangency cells of one level from a full sign scan of the cached u.
+
+    A strict sign change of u - level in a cell is one root; a grid point on
+    the level is one when the nearest points off the level on either side
+    lie on opposite sides of it; a cell with both ends within 1e-12 of the
+    level is a tangency.
+    """
+    grid = _search_grid(spec, grid_points)
+    delta = grid.u - level
+    signs = np.sign(delta)
+    n_roots = int(np.count_nonzero(signs[:-1] * signs[1:] < 0))
+    off = np.flatnonzero(signs != 0)
+    for i in np.flatnonzero(delta == 0.0):
+        k = np.searchsorted(off, i)
+        n_roots += bool(0 < k < off.size and signs[off[k - 1]] != signs[off[k]])
+    near = np.abs(delta) < 1e-12
+    cells = np.flatnonzero(near[:-1] & near[1:])
+    return n_roots, tuple((float(grid.ys[i]), float(grid.ys[i + 1])) for i in cells)
+
+
+class TestBatchedLevelSets:
+    @pytest.mark.parametrize("name", BATCH_SPECS)
+    def test_batch_equals_each_level_alone(self, name, request):
+        spec = request.getfixturevalue(name)
+        levels = batch_levels(spec)
+        together = find_level_sets(spec, levels)
+        assert together == tuple(find_level_set(spec, a) for a in levels)
+        assert [ls.level for ls in together] == levels
+
+    @pytest.mark.parametrize("name", BATCH_SPECS)
+    def test_root_counts_match_a_dense_sign_scan(self, name, request):
+        spec = request.getfixturevalue(name)
+        levels = batch_levels(spec)
+        for a, ls in zip(levels, find_level_sets(spec, levels)):
+            assert (len(ls.roots), ls.tangencies) == dense_scan(spec, a)
+            assert np.all(np.abs(posterior(spec, np.asarray(ls.roots)) - a) <= 1e-9)
+
+    def test_exact_grid_hit_in_a_batch(self, example1_spec):
+        # 4097 points put y = 0.0 on the grid, where u == 0.5 exactly
+        sets = find_level_sets(example1_spec, [0.3, 0.5, 0.7, 0.5], grid_points=4097)
+        assert sets[1].roots == sets[3].roots == (0.0,)
+        assert sets == tuple(find_level_set(example1_spec, a, 4097) for a in (0.3, 0.5, 0.7, 0.5))
+        assert [len(ls.roots) for ls in sets] == [dense_scan(example1_spec, a, 4097)[0] for a in (0.3, 0.5, 0.7, 0.5)]
+
+    def test_tangency_in_a_batch(self, flat_spec):
+        low, half, high = find_level_sets(flat_spec, [0.25, 0.5, 0.75])
+        assert half.roots == () and len(half.tangencies) == 4095
+        assert low.tangencies == high.tangencies == ()
+        assert low.roots == high.roots == ()
+
+    def test_out_of_band_level_anywhere_raises(self, example1_spec):
+        for bad in (0.0, 1.0, 1e-12, float("nan")):
+            for levels in ([bad, 0.3, 0.5], [0.3, bad, 0.5], [0.3, 0.5, bad]):
+                with pytest.raises(InvalidSpecError):
+                    find_level_sets(example1_spec, levels)
+
+    def test_empty_batch(self, example1_spec):
+        assert find_level_sets(example1_spec, []) == ()
+        assert find_level_sets(example1_spec, np.empty(0)) == ()
+
+
 def _fresh_example2():
     """The unequal-variance channel, built anew (not the session fixture)."""
     return channel_spec(
@@ -285,6 +349,11 @@ def _ends(fn, lo, hi):
     return lo, hi, fn(lo), fn(hi)
 
 
+def _pointwise(fn):
+    """``fn`` as _bracketed_secant calls it: with the open brackets' indices, unused here."""
+    return lambda x, idx: fn(x)
+
+
 def _cubic(x):
     return (x - 0.3) ** 3 + 0.01 * (x - 0.3)
 
@@ -296,8 +365,11 @@ class TestBracketedSecant:
         grid = _search_grid(fig5_spec, 4096)
         cells = np.nonzero(np.sign(grid.u[:-1] - level) * np.sign(grid.u[1:] - level) < 0)[0]
         lo, hi = grid.ys[cells], grid.ys[cells + 1]
-        together, steps = _bracketed_secant(fn, *_ends(fn, lo, hi), 1e-12, 1e-12, 200)
-        alone = [_bracketed_secant(fn, *_ends(fn, [a], [b]), 1e-12, 1e-12, 200) for a, b in zip(lo, hi)]
+        together, steps = _bracketed_secant(_pointwise(fn), *_ends(fn, lo, hi), 1e-12, 1e-12, 200)
+        alone = [
+            _bracketed_secant(_pointwise(fn), *_ends(fn, [a], [b]), 1e-12, 1e-12, 200)
+            for a, b in zip(lo, hi)
+        ]
         assert len(together) == 6
         assert together.tolist() == [r[0] for r, _ in alone]
         assert steps == max(s for _, s in alone)
@@ -306,8 +378,39 @@ class TestBracketedSecant:
     def test_exact_zero_is_returned_as_is(self):
         # the first secant point of a line is its zero
         fn = lambda x: x - 0.25
-        roots, steps = _bracketed_secant(fn, *_ends(fn, [0.0], [1.0]), 1e-3, 0.0, 200)
+        roots, steps = _bracketed_secant(_pointwise(fn), *_ends(fn, [0.0], [1.0]), 1e-3, 0.0, 200)
         assert (roots.tolist(), steps) == ([0.25], 1)
+
+    @pytest.mark.parametrize("lo, hi, root", [(0.25, 1.0, 0.25), (0.0, 0.25, 0.25)])
+    def test_exact_zero_at_an_end_closes_the_bracket_with_no_step(self, lo, hi, root):
+        fn = lambda x: x - 0.25
+        calls = []
+
+        def recording(x, idx):
+            calls.append(x.copy())
+            return fn(x)
+
+        ends = _ends(fn, [lo, 0.0], [hi, 1.0])
+        roots, steps = _bracketed_secant(recording, *ends, 1e-10, 0.0, 200)
+        assert roots[0] == root
+        # only the other bracket is ever evaluated
+        assert all(x.size == 1 for x in calls)
+        alone = _bracketed_secant(recording, *_ends(fn, [lo], [hi]), 1e-10, 0.0, 200)
+        assert (alone[0].tolist(), alone[1]) == ([root], 0)
+
+    def test_each_bracket_gets_its_own_indices(self):
+        # two brackets of two different functions, told apart by index
+        shifts = np.array([0.2, 0.7])
+        seen = []
+
+        def fn(x, idx):
+            seen.append(idx.tolist())
+            return np.tanh(5.0 * (x - shifts[idx]))
+
+        lo, hi = np.zeros(2), np.ones(2)
+        roots, _ = _bracketed_secant(fn, lo, hi, fn(lo, np.arange(2)), fn(hi, np.arange(2)), 1e-12, 0.0, 200)
+        assert roots == pytest.approx(shifts, abs=1e-12)
+        assert all(set(ix) <= {0, 1} and ix == sorted(ix) for ix in seen)
 
     @pytest.mark.parametrize(
         "fn, lo, hi, xtol",
@@ -321,7 +424,7 @@ class TestBracketedSecant:
     def test_every_point_stays_half_a_tolerance_inside(self, fn, lo, hi, xtol):
         points = []
 
-        def recording(x):
+        def recording(x, idx):
             points.extend(x.tolist())
             return fn(x)
 
@@ -338,4 +441,4 @@ class TestBracketedSecant:
 
     def test_exhausted_budget_raises(self):
         with pytest.raises(NotConvergedError):
-            _bracketed_secant(_cubic, *_ends(_cubic, [-2.0], [1.0]), 1e-12, 0.0, 3)
+            _bracketed_secant(_pointwise(_cubic), *_ends(_cubic, [-2.0], [1.0]), 1e-12, 0.0, 3)

@@ -1,20 +1,25 @@
 """Brute-force oracle: grid search, level sweeps, and structural checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from binquant import (
+    ChannelMatrix,
     InvalidSpecError,
     cdf,
     channel_matrix,
+    channel_spec,
     grid_search,
+    level_functionals,
     structural_checks,
     mutual_information,
     solve,
     sweep_levels,
 )
+from binquant import likelihood, oracle
 from binquant.channel import _mi_bits
 
 
@@ -192,6 +197,47 @@ class TestSweep:
     def test_three_bump_root_count_at_half(self, fig5_spec):
         (row,) = sweep_levels(fig5_spec, [0.5])
         assert row.n_roots == 6
+
+
+class TestBatchedOracle:
+    def test_sweep_rows_equal_each_level_alone(self, fig5_spec, two_peaks_spec):
+        levels = np.linspace(0.01, 0.99, 99)[::-1]
+        for spec in (fig5_spec, two_peaks_spec):
+            for a, row in zip(levels, sweep_levels(spec, levels)):
+                fn = level_functionals(spec, float(a))
+                mi = mutual_information(spec.prior, ChannelMatrix(fn.correct0, fn.correct1))
+                assert (row.level, row.correct0, row.correct1, row.mi_bits, row.n_roots) == (
+                    fn.level, fn.correct0, fn.correct1, mi, len(fn.roots)
+                )
+                assert row.degenerate == math.isnan(fn.stationarity_value)
+                assert row.degenerate or row.stationarity_value == fn.stationarity_value
+
+    def test_one_batch_per_sweep_and_per_check(self, fig5_spec, monkeypatch):
+        batches, posterior_calls = [], []
+        real_batch, real_posterior = oracle.level_functionals_batch, likelihood.posterior
+        monkeypatch.setattr(
+            oracle, "level_functionals_batch",
+            lambda spec, levels, *args: batches.append(len(levels)) or real_batch(spec, levels, *args),
+        )
+        monkeypatch.setattr(
+            likelihood, "posterior", lambda spec, y: posterior_calls.append(np.size(y)) or real_posterior(spec, y)
+        )
+        sweep_levels(fig5_spec, np.linspace(0.01, 0.99, 99))
+        structural_checks(fig5_spec)
+        assert batches == [99, 57]
+        # one posterior call per polishing round of all brackets together
+        assert len(posterior_calls) <= 20
+
+    def test_a_999_level_sweep_stays_small(self, fig5_spec):
+        spec = channel_spec(fig5_spec.prior, fig5_spec.density0, fig5_spec.density1)
+        tracemalloc.start()
+        try:
+            rows = sweep_levels(spec, np.linspace(0.001, 0.999, 999))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 999
+        assert peak < 8 * 2**20
 
 
 class TestStructuralChecks:

@@ -68,6 +68,14 @@ class TestSolveSymmetric:
         assert design.mapping == "odd_to_zero"
 
 
+    @pytest.mark.parametrize("config", [SolverConfig(a_hi=0.5), SolverConfig(a_lo=0.5)])
+    def test_exact_zero_at_a_bracket_end_takes_no_step(self, example1_spec, config):
+        # the range edge 0.5 is a* itself, where F is exactly 0 by symmetry
+        design = solve(example1_spec, config)
+        assert design.a_star == 0.5
+        assert design.iterations == 0
+
+
 class TestSolveUnequalVariance:
     def test_design(self, example2_spec):
         design = solve(example2_spec)
