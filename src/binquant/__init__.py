@@ -26,7 +26,6 @@ from .density import (
     log_pdf,
     partition_mass,
     pdf,
-    validate_thresholds,
 )
 from .errors import (
     DegenerateChannelError,
@@ -47,7 +46,6 @@ from .likelihood import (
     find_level_set,
     find_level_sets,
     likelihood_ratio,
-    log_likelihood_ratio,
     posterior,
     translate_log_concavity,
 )
@@ -70,7 +68,6 @@ __all__ = [
     "log_pdf",
     "cdf",
     "partition_mass",
-    "validate_thresholds",
     "ChannelSpec",
     "channel_spec",
     "default_search_interval",
@@ -79,7 +76,6 @@ __all__ = [
     "TranslateConcavity",
     "LevelSet",
     "likelihood_ratio",
-    "log_likelihood_ratio",
     "posterior",
     "classify_monotonicity",
     "translate_log_concavity",

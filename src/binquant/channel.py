@@ -167,9 +167,9 @@ def level_functionals_batch(
 ) -> tuple[LevelFunctionals, ...]:
     """Correct-decision masses f, g of the quantizer induced by each level, in input order.
 
-    The level-set roots are the thresholds.  Every root is a strict crossing
-    of u through the level, so the segments alternate between {u < level}
-    and {u >= level}, and only the first one, (-inf, h1), needs a label: the
+    The level-set roots are the thresholds.  Every root is a crossing of u
+    between {u < level} and {u >= level}, so the segments alternate between
+    the two, and only the first one, (-inf, h1), needs a label: the
     posterior at the search window's lower edge, where it has stabilized to
     its tail behavior, decides it.  That edge is the first point of the
     channel's cached search grid, so the label costs no posterior call.  f is

@@ -29,7 +29,6 @@ __all__ = [
     "DensityModel",
     "Prior",
     "Thresholds",
-    "validate_thresholds",
     "pdf",
     "log_pdf",
     "cdf",

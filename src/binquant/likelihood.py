@@ -12,10 +12,12 @@ thresholds at level ``a`` are the solutions of ``u(y) = a``; the solver in
 
 Nothing on the search grid depends on the level, so each :class:`ChannelSpec`
 computes the grid, ``log r`` and ``u`` on it once per grid size and keeps
-them, together with each cell's range of ``u`` and the grid sorted by ``u``
-(see :func:`_search_grid`).  :func:`find_level_sets` takes a whole batch of
-levels: a ``searchsorted`` of every cell's range against the sorted levels
-finds all the crossing cells at once, and all of their brackets are
+them, together with each cell's range of ``u`` (see :func:`_search_grid`).
+A cell holds a root of level ``a`` when exactly one of its two ends lies
+below ``a``, so the segments between roots alternate between {u < a} and
+{u >= a}.  :func:`find_level_sets` takes a whole batch of levels: a
+``searchsorted`` of every cell's range against the sorted levels finds all
+the crossing cells at once, and all of their brackets are
 polished together by :func:`_bracketed_secant`, the Illinois modified
 regula falsi (Dowell & Jarratt, BIT 1971): secant steps whose stale end is
 down-weighted, with bisection whenever a secant step would leave its
@@ -48,7 +50,6 @@ __all__ = [
     "TranslateConcavity",
     "LevelSet",
     "likelihood_ratio",
-    "log_likelihood_ratio",
     "posterior",
     "classify_monotonicity",
     "translate_log_concavity",
@@ -141,6 +142,11 @@ def likelihood_ratio(spec: ChannelSpec, y):
     return np.exp(log_likelihood_ratio(spec, y))
 
 
+def _logistic(spec: ChannelSpec, log_r):
+    """u = 1 / (1 + (p0/p1) exp(log_r)) as a stable logistic, which never overflows."""
+    return expit(math.log(spec.prior.p1 / spec.prior.p0) - np.asarray(log_r))
+
+
 def posterior(spec: ChannelSpec, y):
     """Posterior level u(y) = P(X=1 | Y=y) in (0, 1).
 
@@ -148,8 +154,7 @@ def posterior(spec: ChannelSpec, y):
     ``u = 1 / (1 + (p0/p1) r(y))``, so it never overflows in the tails;
     it is strictly decreasing in ``r``.
     """
-    t = math.log(spec.prior.p1 / spec.prior.p0) - log_likelihood_ratio(spec, y)
-    u = expit(np.asarray(t))
+    u = _logistic(spec, log_likelihood_ratio(spec, y))
     return float(u) if np.ndim(y) == 0 else u
 
 
@@ -159,9 +164,10 @@ class _Grid(NamedTuple):
     Cell i is [ys[i], ys[i + 1]].  ``cells`` lists the cells in which u
     takes more than one value and reaches into the admissible levels
     (1e-9, 1 - 1e-9), the only ones an admissible level can cross;
-    ``lo_u``/``hi_u`` are the smaller and the larger of u at their ends.  ``order`` sorts the grid by u (stably) and ``sorted_u`` is u in
-    that order.  ``grazable`` lists the cells whose u varies by at most
-    4 TANGENCY_TOL and lies near enough to an admissible level to graze one.
+    ``lo_u``/``hi_u`` are the smaller and the larger of u at their ends, so
+    such a cell holds a root of level a exactly when lo_u < a <= hi_u.
+    ``grazable`` lists the cells whose u varies by at most 4 TANGENCY_TOL
+    and lies near enough to an admissible level to graze one.
     """
 
     ys: np.ndarray
@@ -170,8 +176,6 @@ class _Grid(NamedTuple):
     cells: np.ndarray
     lo_u: np.ndarray
     hi_u: np.ndarray
-    order: np.ndarray
-    sorted_u: np.ndarray
     grazable: np.ndarray
 
 
@@ -185,20 +189,17 @@ def _search_grid(spec: ChannelSpec, grid_points: int) -> _Grid:
     grid = spec._grids.get(grid_points)
     if grid is None:
         ys = np.linspace(spec.search_lo, spec.search_hi, grid_points)
-        u = posterior(spec, ys)
+        log_r = log_likelihood_ratio(spec, ys)
+        u = _logistic(spec, log_r)
         lo_u, hi_u = np.minimum(u[:-1], u[1:]), np.maximum(u[:-1], u[1:])
         cells = np.flatnonzero((lo_u < hi_u) & (hi_u > _LEVEL_MARGIN) & (lo_u < 1.0 - _LEVEL_MARGIN))
-        order = np.argsort(u, kind="stable")
         reach = 2.0 * TANGENCY_TOL
         grazable = np.flatnonzero(
             (hi_u - lo_u <= 2.0 * reach)
             & (hi_u - reach < 1.0 - _LEVEL_MARGIN)
             & (lo_u + reach > _LEVEL_MARGIN)
         )
-        grid = _Grid(
-            ys, log_likelihood_ratio(spec, ys), u, cells, lo_u[cells], hi_u[cells], order, u[order],
-            grazable,
-        )
+        grid = _Grid(ys, log_r, u, cells, lo_u[cells], hi_u[cells], grazable)
         for arr in grid:
             arr.flags.writeable = False
         spec._grids[grid_points] = grid
@@ -296,9 +297,9 @@ class LevelSet:
     """All solutions of u(y) = level inside the search window.
 
     ``roots`` are strictly increasing and each satisfies
-    |u(root) - level| <= 1e-9.  Every root is a strict crossing of u through
-    the level, so the segments between roots alternate between {u < level}
-    and {u >= level}.  ``tangencies`` are grid cells where u sits on the
+    |u(root) - level| <= 1e-9.  Every root is a crossing of u between
+    {u < level} and {u >= level}, so the segments between roots alternate
+    between the two.  ``tangencies`` are grid cells where u sits on the
     level at both endpoints (the level grazes u), which are reported as
     diagnostics and never returned as roots: a grazing contact changes the
     partition on a measure-zero set only.
@@ -401,16 +402,19 @@ def find_level_sets(
     """Every root of u(y) = a for each level a of ``levels``, in input order.
 
     Cell i of the channel's cached uniform grid of ``grid_points`` over the
-    search window holds a root of level a when u strictly crosses a in it,
-    ``lo_u[i] < a < hi_u[i]``; a ``searchsorted`` of the cached ranges of u
-    of the cells that reach into the admissible levels against the sorted
-    distinct levels finds them all, with no levels x grid array.  The
-    brackets of all levels are refined together by :func:`_bracketed_secant`
-    until |u(y) - level| <= 1e-12 or the bracket is at most 1e-12 wide, each
-    exactly as it would be refined alone.  A grid point where u equals a
-    exactly is a root only if the nearest grid values on either side that
-    differ from a lie on opposite sides of it; a cell whose two ends both lie
-    within TANGENCY_TOL of a is a tangency.  Roots are sorted ascending.
+    search window holds a root of level a when exactly one of its ends lies
+    below a, ``lo_u[i] < a <= hi_u[i]``, so the segments between roots
+    alternate between {u < a} and {u >= a}.  A ``searchsorted`` of the
+    cached ranges of u of the cells that reach into the admissible levels
+    against the sorted distinct levels finds them all, with no levels x grid
+    array.  The brackets of all levels are refined together by
+    :func:`_bracketed_secant` until |u(y) - level| <= 1e-12 or the bracket
+    is at most 1e-12 wide, each exactly as it would be refined alone; a
+    bracket end where u equals a exactly is its root.  A grid point where u
+    touches a from below closes the brackets on both of its sides there;
+    that pair of equal roots bounds an empty segment and is dropped.  A cell
+    whose two ends both lie within TANGENCY_TOL of a is a tangency.  Roots
+    are sorted ascending.
 
     Raises InvalidSpecError if any level lies outside (1e-9, 1 - 1e-9), and
     NotConvergedError if a bracket is still open after 200 steps.
@@ -426,8 +430,8 @@ def find_level_sets(
     ys, u = grid.ys, grid.u
     uniq, inverse = np.unique(levels, return_inverse=True)
 
-    # strict crossings: each cell holds the run of sorted levels inside (lo_u, hi_u)
-    k, lvl = _pairs(np.searchsorted(uniq, grid.lo_u, "right"), np.searchsorted(uniq, grid.hi_u, "left"))
+    # each cell holds the run of sorted levels in (lo_u, hi_u]
+    k, lvl = _pairs(np.searchsorted(uniq, grid.lo_u, "right"), np.searchsorted(uniq, grid.hi_u, "right"))
     cell = grid.cells[k]
     target = uniq[lvl]
     roots, _ = _bracketed_secant(
@@ -435,23 +439,11 @@ def find_level_sets(
         ys[cell], ys[cell + 1], u[cell] - target, u[cell + 1] - target,
         REFINE_TOL, REFINE_TOL, 200,
     )
-
-    # a grid point that hits the level exactly is a root only if the posterior
-    # actually crosses there; grazing contacts (flat stretches, tangencies)
-    # are diagnostics, not thresholds
-    hit_lvl, pos = _pairs(
-        np.searchsorted(grid.sorted_u, uniq, "left"), np.searchsorted(grid.sorted_u, uniq, "right")
-    )
-    if hit_lvl.size:
-        i = grid.order[pos]
-        change = np.flatnonzero(u[1:] != u[:-1])  # u[j] != u[j + 1]
-        k = np.searchsorted(change, i)
-        sides = (k > 0) & (k < change.size)
-        i, hit_lvl, k = i[sides], hit_lvl[sides], k[sides]
-        a = uniq[hit_lvl]
-        crosses = (u[change[k - 1]] > a) != (u[change[k] + 1] > a)
-        lvl = np.concatenate([lvl, hit_lvl[crosses]])
-        roots = np.concatenate([roots, ys[i[crosses]]])
+    # drop each pair of equal roots: it bounds an empty segment
+    order = np.lexsort((roots, lvl))
+    lvl, roots = lvl[order], roots[order]
+    twins = np.flatnonzero((lvl[1:] == lvl[:-1]) & (roots[1:] == roots[:-1]))
+    lvl, roots = np.delete(lvl, np.r_[twins, twins + 1]), np.delete(roots, np.r_[twins, twins + 1])
 
     graze_lvl = graze = np.empty(0, dtype=np.intp)
     if grid.grazable.size:

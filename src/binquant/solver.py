@@ -98,10 +98,11 @@ def _candidate_levels(spec: ChannelSpec, cfg: SolverConfig) -> np.ndarray:
     resolution.
     """
     grid = _search_grid(spec, cfg.grid_points)
+    order = np.argsort(grid.u, kind="stable")
     edges = 0.5 * (grid.ys[1:] + grid.ys[:-1])
-    m0 = np.diff(cdf(spec.density0, edges), prepend=0.0, append=1.0)[grid.order]
-    m1 = np.diff(cdf(spec.density1, edges), prepend=0.0, append=1.0)[grid.order]
-    u = np.concatenate(([0.0], grid.sorted_u, [1.0]))
+    m0 = np.diff(cdf(spec.density0, edges), prepend=0.0, append=1.0)[order]
+    m1 = np.diff(cdf(spec.density1, edges), prepend=0.0, append=1.0)[order]
+    u = np.concatenate(([0.0], grid.u[order], [1.0]))
     inside = (u[1:] >= cfg.a_lo) & (u[:-1] <= cfg.a_hi)
     levels = np.clip(0.5 * (u[1:] + u[:-1])[inside], cfg.a_lo, cfg.a_hi)
     a11 = np.concatenate(([0.0], np.cumsum(m0)))

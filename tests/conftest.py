@@ -63,6 +63,28 @@ def two_peaks_spec():
     return load_config(str(CONFIG_DIR / "mixture_two_peaks.json"))[0]
 
 
+def shared_channel():
+    """phi0 = N(0, 1)/2 + N(10, 1)/2 and phi1 = N(0, 1)/2 + N(-10, 1)/2, p0 = 0.5.
+
+    Both densities share their N(0, 1) half, so on the default 4096-point
+    grid u is exactly 0.5 on a run of 294 points around 0, above 0.5 left of
+    the run and below it right of the run: the level 0.5 has one root.
+    """
+    half = GaussianComponent(mean=0.0, stddev=1.0, weight=0.5)
+    return channel_spec(
+        Prior(p0=0.5),
+        DensityModel(components=(half, GaussianComponent(mean=10.0, stddev=1.0, weight=0.5))),
+        DensityModel(components=(half, GaussianComponent(mean=-10.0, stddev=1.0, weight=0.5))),
+    )
+
+
+@pytest.fixture(scope="session")
+def shared_spec():
+    """A shared component in both densities: u sits exactly on 0.5 along a run."""
+    return shared_channel()
+
+
+# shared_spec stays out: dense_scan counts every point of its run on 0.5 as a root
 BATCH_SPECS = ["example1_spec", "example2_spec", "fig5_spec", "two_peaks_spec", "flat_spec"]
 
 

@@ -234,6 +234,12 @@ class TestLevelFunctionals:
             assert all(b >= a - 1e-10 for a, b in zip(fs, fs[1:]))
             assert all(b <= a + 1e-10 for a, b in zip(gs, gs[1:]))
 
+    def test_masses_monotone_across_a_run_on_the_level(self, shared_spec):
+        # u == 0.5 exactly on a run of grid points; the run counts as {u >= 0.5}
+        below, on, above = level_functionals_batch(shared_spec, [0.49, 0.5, 0.51])
+        assert below.correct0 <= on.correct0 <= above.correct0
+        assert below.correct1 >= on.correct1 >= above.correct1
+
     def test_derivative_relation(self, example1_spec, example2_spec, asym_spec):
         # central differences: f'(a) = -((1-a) p1 / (a p0)) g'(a)
         step = 1e-5

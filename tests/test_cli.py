@@ -154,6 +154,20 @@ class TestSweepCommand:
         main(args + [str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_run_of_grid_points_on_the_level_is_one_root(self, shared_spec, tmp_path):
+        config, out = tmp_path / "shared.json", tmp_path / "shared.csv"
+        density = lambda model: {"components": [vars(c) for c in model.components]}
+        config.write_text(json.dumps({
+            "prior": {"p0": shared_spec.prior.p0},
+            "phi0": density(shared_spec.density0),
+            "phi1": density(shared_spec.density1),
+        }))
+        assert main(["sweep", "--config", str(config), "--a-min", "0.49", "--a-max", "0.51",
+                     "--steps", "3", "--out", str(out)]) == 0
+        (row,) = [r for r in csv.DictReader(out.open()) if r["a"] == "0.5"]
+        assert row["n_roots"] == "1"
+        assert float(row["mi_bits"]) > 0.0
+
     def test_bad_range_exits_1(self, capsys):
         assert main(["sweep", "--config", EXAMPLE1, "--a-min", "0.9", "--a-max", "0.1",
                      "--steps", "10", "--out", "/tmp/x.csv"]) == 1

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from binquant import (
     InvalidSpecError,
@@ -22,7 +24,7 @@ from binquant import (
 from binquant import likelihood
 from binquant.density import DensityModel, GaussianComponent, Prior
 from binquant.likelihood import _bracketed_secant, _search_grid
-from tests.conftest import BATCH_SPECS, batch_levels
+from tests.conftest import BATCH_SPECS, batch_levels, shared_channel
 
 # likelihood ratio of the unequal-variance channel at the equal-ratio pair
 # (-0.5374, 3.5374); mpmath, 30 dps
@@ -235,6 +237,14 @@ class TestLevelSet:
         ls = find_level_set(example1_spec, 0.5, grid_points=4097)
         assert ls.roots == (0.0,)
 
+    def test_run_of_grid_points_on_the_level_is_one_root(self, shared_spec):
+        # u == 0.5 exactly on 294 grid points, above 0.5 before them and below after
+        u = _search_grid(shared_spec, 4096).u
+        assert np.count_nonzero(u == 0.5) == 294
+        ls = find_level_set(shared_spec, 0.5)
+        assert len(ls.roots) == 1
+        assert ls.roots[0] == pytest.approx(1.4310, abs=1e-4)
+
 
 def dense_scan(spec, level, grid_points=4096):
     """Root count and tangency cells of one level from a full sign scan of the cached u.
@@ -274,12 +284,20 @@ class TestBatchedLevelSets:
             assert (len(ls.roots), ls.tangencies) == dense_scan(spec, a)
             assert np.all(np.abs(posterior(spec, np.asarray(ls.roots)) - a) <= 1e-9)
 
-    def test_exact_grid_hit_in_a_batch(self, example1_spec):
+    def test_exact_grid_hit_in_a_batch(self, example1_spec, example2_spec):
         # 4097 points put y = 0.0 on the grid, where u == 0.5 exactly
         sets = find_level_sets(example1_spec, [0.3, 0.5, 0.7, 0.5], grid_points=4097)
         assert sets[1].roots == sets[3].roots == (0.0,)
         assert sets == tuple(find_level_set(example1_spec, a, 4097) for a in (0.3, 0.5, 0.7, 0.5))
         assert [len(ls.roots) for ls in sets] == [dense_scan(example1_spec, a, 4097)[0] for a in (0.3, 0.5, 0.7, 0.5)]
+        # u of example2 peaks inside the window: at a level equal to its grid
+        # maximum u touches the level from below at one point, and has no roots
+        u = _search_grid(example2_spec, 4096).u
+        peak = int(np.argmax(u))
+        assert 0 < peak < u.size - 1 and np.count_nonzero(u == u[peak]) == 1
+        sets = find_level_sets(example2_spec, [0.3, float(u[peak])])
+        assert sets[1].roots == () and dense_scan(example2_spec, float(u[peak]))[0] == 0
+        assert len(sets[0].roots) == 2
 
     def test_tangency_in_a_batch(self, flat_spec):
         low, half, high = find_level_sets(flat_spec, [0.25, 0.5, 0.75])
@@ -298,6 +316,43 @@ class TestBatchedLevelSets:
         assert find_level_sets(example1_spec, np.empty(0)) == ()
 
 
+def _normalized_mixture(comps):
+    total = sum(w for _, _, w in comps)
+    return DensityModel(tuple(GaussianComponent(m, s, w / total) for m, s, w in comps))
+
+
+_MIXTURE = st.lists(
+    st.tuples(st.floats(-4.0, 4.0), st.floats(0.05, 3.0), st.floats(0.1, 1.0)),
+    min_size=1,
+    max_size=3,
+).map(_normalized_mixture)
+
+_CHANNELS = st.one_of(
+    st.just(shared_channel()),
+    st.builds(lambda p0, d0, d1: channel_spec(Prior(p0=p0), d0, d1), st.floats(0.2, 0.8), _MIXTURE, _MIXTURE),
+)
+
+
+class TestCrossingRule:
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(spec=_CHANNELS, picks=st.lists(st.integers(0, 4095), min_size=1, max_size=6))
+    def test_segments_alternate_at_levels_on_the_grid(self, spec, picks):
+        # levels equal to grid values of u, the strict local extrema included
+        grid = _search_grid(spec, 4096)
+        ys, u = grid.ys, grid.u
+        extrema = 1 + np.flatnonzero((u[1:-1] - u[:-2]) * (u[1:-1] - u[2:]) > 0)
+        levels = [a for a in u[[*picks, *extrema]].tolist() if 1e-9 < a < 1.0 - 1e-9]
+        assume(levels)
+        for a, ls in zip(levels, find_level_sets(spec, levels)):
+            roots = np.asarray(ls.roots)
+            assert np.all(np.diff(roots) > 0)
+            # every grid point off the level lies on the side the alternation
+            # predicts, with the first segment labelled by u[0]
+            off = u != a
+            odd = np.searchsorted(roots, ys[off]) % 2 == 1
+            assert np.array_equal(u[off] < a, (u[0] < a) != odd)
+
+
 def _fresh_example2():
     """The unequal-variance channel, built anew (not the session fixture)."""
     return channel_spec(
@@ -309,15 +364,21 @@ def _fresh_example2():
 
 class TestSearchGridCache:
     def test_equal_specs_each_compute_their_grid_once(self, monkeypatch):
-        full_grid = []
-        real = likelihood.posterior
+        full_grid, full_grid_pdfs = [], []
+        real_log_r, real_log_pdf = likelihood.log_likelihood_ratio, likelihood.log_pdf
 
-        def counting(spec, y):
+        def counting_log_r(spec, y):
             if np.size(y) == 4096:
                 full_grid.append(spec)
-            return real(spec, y)
+            return real_log_r(spec, y)
 
-        monkeypatch.setattr(likelihood, "posterior", counting)
+        def counting_log_pdf(model, y):
+            if np.size(y) == 4096:
+                full_grid_pdfs.append(model)
+            return real_log_pdf(model, y)
+
+        monkeypatch.setattr(likelihood, "log_likelihood_ratio", counting_log_r)
+        monkeypatch.setattr(likelihood, "log_pdf", counting_log_pdf)
         first, second = _fresh_example2(), _fresh_example2()
         assert first == second and first is not second
         for spec in (first, second, first):
@@ -326,6 +387,8 @@ class TestSearchGridCache:
                 level_functionals(spec, level)
             classify_monotonicity(spec)
         assert [id(s) for s in full_grid] == [id(first), id(second)]
+        # one log-pdf call per density per build: u comes from the cached log r
+        assert len(full_grid_pdfs) == 4
 
     def test_alternating_grid_sizes_match_fresh_specs(self, fig5_spec):
         spec = channel_spec(fig5_spec.prior, fig5_spec.density0, fig5_spec.density1)
