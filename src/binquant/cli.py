@@ -107,7 +107,11 @@ def load_config(path: str) -> tuple[ChannelSpec, SolverConfig]:
             for key in ("a_lo", "a_hi", "tol_a", "grid_points", "max_iter"):
                 if key in solver_obj:
                     value = _get(solver_obj, key, f"solver.{key}", expect=float)
-                    solver_kwargs[key] = int(value) if key in ("grid_points", "max_iter") else value
+                    if key in ("grid_points", "max_iter"):
+                        if not value.is_integer():  # also NaN and +-inf
+                            raise ConfigError(f"field 'solver.{key}' must be an integer, got {value!r}")
+                        value = int(value)
+                    solver_kwargs[key] = value
         cfg = SolverConfig(**solver_kwargs)
     except InvalidSpecError as err:
         raise ConfigError(f"config {path!r}: {err}") from err

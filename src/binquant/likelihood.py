@@ -59,10 +59,6 @@ __all__ = [
 
 DEFAULT_GRID_POINTS = 4096
 
-#: Grid cells whose endpoints both sit within this band of the level are
-#: flagged as tangency suspects instead of being refined.
-TANGENCY_TOL = 1e-12
-
 #: Root polishing stops once |u(y) - level| or the bracket width drops to this.
 REFINE_TOL = 1e-12
 
@@ -166,8 +162,6 @@ class _Grid(NamedTuple):
     (1e-9, 1 - 1e-9), the only ones an admissible level can cross;
     ``lo_u``/``hi_u`` are the smaller and the larger of u at their ends, so
     such a cell holds a root of level a exactly when lo_u < a <= hi_u.
-    ``grazable`` lists the cells whose u varies by at most 4 TANGENCY_TOL
-    and lies near enough to an admissible level to graze one.
     """
 
     ys: np.ndarray
@@ -176,7 +170,6 @@ class _Grid(NamedTuple):
     cells: np.ndarray
     lo_u: np.ndarray
     hi_u: np.ndarray
-    grazable: np.ndarray
 
 
 def _search_grid(spec: ChannelSpec, grid_points: int) -> _Grid:
@@ -193,13 +186,7 @@ def _search_grid(spec: ChannelSpec, grid_points: int) -> _Grid:
         u = _logistic(spec, log_r)
         lo_u, hi_u = np.minimum(u[:-1], u[1:]), np.maximum(u[:-1], u[1:])
         cells = np.flatnonzero((lo_u < hi_u) & (hi_u > _LEVEL_MARGIN) & (lo_u < 1.0 - _LEVEL_MARGIN))
-        reach = 2.0 * TANGENCY_TOL
-        grazable = np.flatnonzero(
-            (hi_u - lo_u <= 2.0 * reach)
-            & (hi_u - reach < 1.0 - _LEVEL_MARGIN)
-            & (lo_u + reach > _LEVEL_MARGIN)
-        )
-        grid = _Grid(ys, log_r, u, cells, lo_u[cells], hi_u[cells], grazable)
+        grid = _Grid(ys, log_r, u, cells, lo_u[cells], hi_u[cells])
         for arr in grid:
             arr.flags.writeable = False
         spec._grids[grid_points] = grid
@@ -299,15 +286,12 @@ class LevelSet:
     ``roots`` are strictly increasing and each satisfies
     |u(root) - level| <= 1e-9.  Every root is a crossing of u between
     {u < level} and {u >= level}, so the segments between roots alternate
-    between the two.  ``tangencies`` are grid cells where u sits on the
-    level at both endpoints (the level grazes u), which are reported as
-    diagnostics and never returned as roots: a grazing contact changes the
-    partition on a measure-zero set only.
+    between the two.  Where u meets the level without crossing it, there is
+    no root.
     """
 
     level: float
     roots: Thresholds
-    tangencies: tuple[tuple[float, float], ...] = ()
 
 
 def _bracketed_secant(fn, lo, hi, f_lo, f_hi, xtol: float, ftol: float, max_steps: int):
@@ -387,15 +371,6 @@ def _pairs(first, stop):
     return np.repeat(owner, count), np.repeat(first[owner] - offsets, count) + np.arange(count.sum())
 
 
-def _by_level(n_levels: int, level, values) -> list[list]:
-    """``values`` grouped by ``level`` (0 .. n_levels - 1), each group ascending."""
-    if not level.size:
-        return [[]] * n_levels
-    ends = np.cumsum(np.bincount(level, minlength=n_levels)).tolist()
-    values = values[np.lexsort((values, level))].tolist()
-    return [values[i:j] for i, j in zip([0, *ends], ends)]
-
-
 def find_level_sets(
     spec: ChannelSpec, levels, grid_points: int = DEFAULT_GRID_POINTS
 ) -> tuple[LevelSet, ...]:
@@ -412,8 +387,7 @@ def find_level_sets(
     is at most 1e-12 wide, each exactly as it would be refined alone; a
     bracket end where u equals a exactly is its root.  A grid point where u
     touches a from below closes the brackets on both of its sides there;
-    that pair of equal roots bounds an empty segment and is dropped.  A cell
-    whose two ends both lie within TANGENCY_TOL of a is a tangency.  Roots
+    that pair of equal roots bounds an empty segment and is dropped.  Roots
     are sorted ascending.
 
     Raises InvalidSpecError if any level lies outside (1e-9, 1 - 1e-9), and
@@ -445,31 +419,9 @@ def find_level_sets(
     twins = np.flatnonzero((lvl[1:] == lvl[:-1]) & (roots[1:] == roots[:-1]))
     lvl, roots = np.delete(lvl, np.r_[twins, twins + 1]), np.delete(roots, np.r_[twins, twins + 1])
 
-    graze_lvl = graze = np.empty(0, dtype=np.intp)
-    if grid.grazable.size:
-        cells = grid.grazable
-        lo_u, hi_u = np.minimum(u[cells], u[cells + 1]), np.maximum(u[cells], u[cells + 1])
-        reach = 2.0 * TANGENCY_TOL
-        owner, graze_lvl = _pairs(
-            np.searchsorted(uniq, hi_u - reach, "left"), np.searchsorted(uniq, lo_u + reach, "right")
-        )
-        graze = cells[owner]
-        a = uniq[graze_lvl]
-        keep = (np.abs(u[graze] - a) < TANGENCY_TOL) & (np.abs(u[graze + 1] - a) < TANGENCY_TOL)
-        graze_lvl, graze = graze_lvl[keep], graze[keep]
-
-    sets = [
-        LevelSet(
-            level=level,
-            roots=tuple(r),
-            tangencies=tuple((float(ys[i]), float(ys[i + 1])) for i in g),
-        )
-        for level, r, g in zip(
-            uniq.tolist(),
-            _by_level(uniq.size, lvl, roots),
-            _by_level(uniq.size, graze_lvl, graze),
-        )
-    ]
+    ends = np.cumsum(np.bincount(lvl, minlength=uniq.size)).tolist()
+    roots = roots.tolist()
+    sets = [LevelSet(level, tuple(roots[i:j])) for level, i, j in zip(uniq.tolist(), [0, *ends], ends)]
     return tuple(sets[j] for j in inverse.tolist())
 
 

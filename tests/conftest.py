@@ -84,8 +84,7 @@ def shared_spec():
     return shared_channel()
 
 
-# shared_spec stays out: dense_scan counts every point of its run on 0.5 as a root
-BATCH_SPECS = ["example1_spec", "example2_spec", "fig5_spec", "two_peaks_spec", "flat_spec"]
+BATCH_SPECS = ["example1_spec", "example2_spec", "fig5_spec", "two_peaks_spec", "flat_spec", "shared_spec"]
 
 
 def batch_levels(spec, grid_points=4096):

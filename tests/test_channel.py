@@ -156,7 +156,7 @@ class TestLevelFunctionalsBatch:
             cm = channel_matrix(spec, fn.roots, fn.mapping)
             assert (fn.correct0, fn.correct1) == (cm.a11, cm.a22)
 
-    def test_exact_grid_hit_and_tangency_in_a_batch(self, example1_spec, flat_spec):
+    def test_exact_grid_hit_and_constant_posterior_in_a_batch(self, example1_spec, flat_spec):
         for spec, grid_points in ((example1_spec, 4097), (flat_spec, 4096)):
             levels = [0.3, 0.5, 0.7, 0.5]
             together = level_functionals_batch(spec, levels, grid_points)

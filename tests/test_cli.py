@@ -16,6 +16,15 @@ FIG5 = str(CONFIG_DIR / "fig5.json")
 TWO_PEAKS = str(CONFIG_DIR / "mixture_two_peaks.json")
 
 
+def _single_gaussian_config(solver_fields):
+    return (
+        '{"prior": {"p0": 0.5},'
+        ' "phi0": {"components": [{"mean": -1, "stddev": 1, "weight": 1}]},'
+        ' "phi1": {"components": [{"mean": 1, "stddev": 1, "weight": 1}]},'
+        ' "solver": {%s}}' % solver_fields
+    )
+
+
 class TestConfigLoading:
     def test_shipped_configs_parse(self):
         for path in (EXAMPLE1, EXAMPLE2, FIG5, TWO_PEAKS):
@@ -61,6 +70,24 @@ class TestConfigLoading:
         spec, cfg = load_config(str(path))
         assert (spec.search_lo, spec.search_hi) == (-15.0, 15.0)
         assert (cfg.a_lo, cfg.a_hi, cfg.grid_points) == (0.01, 0.99, 2048)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("grid_points", "NaN"), ("grid_points", "Infinity"), ("max_iter", "-Infinity"), ("grid_points", "4096.7")],
+    )
+    def test_non_integral_count_exits_1_naming_the_field(self, field, value, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(_single_gaussian_config(f'"{field}": {value}'))
+        assert main(["solve", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"solver.{field}" in err
+
+    def test_integral_float_count_is_accepted(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(_single_gaussian_config('"grid_points": 2.5e3, "max_iter": 50.0'))
+        _, cfg = load_config(str(path))
+        assert (cfg.grid_points, cfg.max_iter) == (2500, 50)
+        assert type(cfg.grid_points) is type(cfg.max_iter) is int
 
 
 class TestSolveCommand:

@@ -226,11 +226,10 @@ class TestLevelSet:
         ls = find_level_set(flat_spec, 0.25)
         assert ls.roots == ()
 
-    def test_constant_posterior_at_the_level_is_tangency_not_roots(self, flat_spec):
-        # u is identically 0.5: every cell grazes the level, nothing crosses
+    def test_constant_posterior_at_the_level_has_no_roots(self, flat_spec):
+        # u is identically 0.5: it sits on the level everywhere and never crosses it
         ls = find_level_set(flat_spec, 0.5)
         assert ls.roots == ()
-        assert len(ls.tangencies) > 0
 
     def test_exact_grid_zero_that_crosses_is_a_root(self, example1_spec):
         # 4097 points put y = 0.0 exactly on the grid, where u == 0.5 exactly
@@ -247,24 +246,18 @@ class TestLevelSet:
 
 
 def dense_scan(spec, level, grid_points=4096):
-    """Root count and tangency cells of one level from a full sign scan of the cached u.
+    """Root count of one level by the half-open rule, from a full scan of the cached u.
 
-    A strict sign change of u - level in a cell is one root; a grid point on
-    the level is one when the nearest points off the level on either side
-    lie on opposite sides of it; a cell with both ends within 1e-12 of the
-    level is a tangency.
+    A cell whose two ends differ in u < level is one crossing.  A single grid
+    point where u touches the level from below closes the crossings on both
+    of its sides at the same point: they bound an empty segment, and neither
+    is a root.
     """
-    grid = _search_grid(spec, grid_points)
-    delta = grid.u - level
-    signs = np.sign(delta)
-    n_roots = int(np.count_nonzero(signs[:-1] * signs[1:] < 0))
-    off = np.flatnonzero(signs != 0)
-    for i in np.flatnonzero(delta == 0.0):
-        k = np.searchsorted(off, i)
-        n_roots += bool(0 < k < off.size and signs[off[k - 1]] != signs[off[k]])
-    near = np.abs(delta) < 1e-12
-    cells = np.flatnonzero(near[:-1] & near[1:])
-    return n_roots, tuple((float(grid.ys[i]), float(grid.ys[i + 1])) for i in cells)
+    u = _search_grid(spec, grid_points).u
+    below = u < level
+    crossings = np.count_nonzero(below[:-1] != below[1:])
+    touches = np.count_nonzero(below[:-2] & (u[1:-1] == level) & below[2:])
+    return int(crossings - 2 * touches)
 
 
 class TestBatchedLevelSets:
@@ -281,7 +274,7 @@ class TestBatchedLevelSets:
         spec = request.getfixturevalue(name)
         levels = batch_levels(spec)
         for a, ls in zip(levels, find_level_sets(spec, levels)):
-            assert (len(ls.roots), ls.tangencies) == dense_scan(spec, a)
+            assert len(ls.roots) == dense_scan(spec, a)
             assert np.all(np.abs(posterior(spec, np.asarray(ls.roots)) - a) <= 1e-9)
 
     def test_exact_grid_hit_in_a_batch(self, example1_spec, example2_spec):
@@ -289,20 +282,19 @@ class TestBatchedLevelSets:
         sets = find_level_sets(example1_spec, [0.3, 0.5, 0.7, 0.5], grid_points=4097)
         assert sets[1].roots == sets[3].roots == (0.0,)
         assert sets == tuple(find_level_set(example1_spec, a, 4097) for a in (0.3, 0.5, 0.7, 0.5))
-        assert [len(ls.roots) for ls in sets] == [dense_scan(example1_spec, a, 4097)[0] for a in (0.3, 0.5, 0.7, 0.5)]
+        assert [len(ls.roots) for ls in sets] == [dense_scan(example1_spec, a, 4097) for a in (0.3, 0.5, 0.7, 0.5)]
         # u of example2 peaks inside the window: at a level equal to its grid
         # maximum u touches the level from below at one point, and has no roots
         u = _search_grid(example2_spec, 4096).u
         peak = int(np.argmax(u))
         assert 0 < peak < u.size - 1 and np.count_nonzero(u == u[peak]) == 1
         sets = find_level_sets(example2_spec, [0.3, float(u[peak])])
-        assert sets[1].roots == () and dense_scan(example2_spec, float(u[peak]))[0] == 0
+        assert sets[1].roots == () and dense_scan(example2_spec, float(u[peak])) == 0
         assert len(sets[0].roots) == 2
 
-    def test_tangency_in_a_batch(self, flat_spec):
+    def test_constant_posterior_in_a_batch(self, flat_spec):
         low, half, high = find_level_sets(flat_spec, [0.25, 0.5, 0.75])
-        assert half.roots == () and len(half.tangencies) == 4095
-        assert low.tangencies == high.tangencies == ()
+        assert half.roots == ()
         assert low.roots == high.roots == ()
 
     def test_out_of_band_level_anywhere_raises(self, example1_spec):

@@ -5,8 +5,9 @@ functions, and ``bench/spans.py`` wraps exactly the functions a module lists
 in ``__all__``, so a name dropped from a list silently loses its metric and a
 private helper added to one puts spans inside the grid search's inner loop.
 The ``ast`` checks at the end stand in for a linter: no library module may
-keep an unused import or reach for another module's private helpers beyond
-the few that are shared on purpose.
+keep an unused import or an unlisted top-level name that nothing reads, or
+reach for another module's private helpers beyond the few that are shared on
+purpose.
 """
 
 import ast
@@ -106,6 +107,31 @@ def test_no_unused_import(path):
     module = binquant if path.stem == "__init__" else importlib.import_module(f"binquant.{path.stem}")
     used |= set(getattr(module, "__all__", ()))
     assert sorted(bound for bound, _, _ in _imports(tree) if bound not in used) == []
+
+
+def _module_level_names(tree):
+    """Every function, class or constant a module binds at its top level, dunders aside."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name) and not t.id.startswith("__"))
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.stem)
+def test_no_unread_module_level_name(path):
+    # a name that is neither listed nor read anywhere in the library is dead code
+    read = {
+        node.id
+        for other in LIBRARY
+        for node in ast.walk(ast.parse(other.read_text()))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    module = binquant if path.stem == "__init__" else importlib.import_module(f"binquant.{path.stem}")
+    listed = set(getattr(module, "__all__", ()))
+    tree = ast.parse(path.read_text())
+    assert sorted(name for name in _module_level_names(tree) if name not in listed | read) == []
 
 
 @pytest.mark.parametrize("path", LIBRARY, ids=lambda p: p.stem)
