@@ -11,21 +11,29 @@ thresholds at level ``a`` are the solutions of ``u(y) = a``; the solver in
 :mod:`binquant.solver` searches over ``a``.
 
 Nothing on the search grid depends on the level, so each :class:`ChannelSpec`
-computes the grid, ``log r`` and ``u`` on it once per grid size and keeps
-them, together with each cell's range of ``u`` (see :func:`_search_grid`).
-A cell holds a root of level ``a`` when exactly one of its two ends lies
-below ``a``, so the segments between roots alternate between {u < a} and
-{u >= a}.  :func:`find_level_sets` takes a whole batch of levels: a
-``searchsorted`` of every cell's range against the sorted levels finds all
-the crossing cells at once, and all of their brackets are
-polished together by :func:`_bracketed_secant`, the Illinois modified
-regula falsi (Dowell & Jarratt, BIT 1971): secant steps whose stale end is
-down-weighted, with bisection whenever a secant step would leave its
-bracket, so it converges unconditionally.  Every bracket narrows on its own,
-so a level's roots do not depend on the batch it came in.  The solver
-narrows its bracket on the level with the same routine.  Derivative-based
-methods are deliberately avoided because mixture derivatives are easy to get
-wrong.
+computes the grid, ``log density0``, ``log r`` and ``u`` on it once per grid
+size and keeps them, together with each cell's range of ``u`` (see
+:func:`_search_grid`).  Every root is a crossing of ``u`` between {u < a}
+and {u >= a}, so the segments between roots alternate between the two.
+:func:`find_level_sets` takes a whole batch of levels and decides their
+roots in one of two ways, picked by the channel:
+
+* When each density is a single Gaussian, ``log r`` is the quadratic
+  ``A y^2 + B y + C`` (coefficients kept on the spec), and the roots of each
+  level are those of the quadratic, in closed form.  Where ``u`` touches the
+  level without crossing it (a double root, or none), there is no root.
+* Otherwise a cell holds a root of level ``a`` when exactly one of its two
+  ends lies below ``a``.  A ``searchsorted`` of every cell's range against
+  the sorted levels finds all the crossing cells at once, and all of their
+  brackets are polished together by :func:`_bracketed_secant`, the Illinois
+  modified regula falsi (Dowell & Jarratt, BIT 1971): secant steps whose
+  stale end is down-weighted, with bisection whenever a secant step would
+  leave its bracket, so it converges unconditionally.  Every bracket
+  narrows on its own, so a level's roots do not depend on the batch it came
+  in.  Derivative-based methods are deliberately avoided because mixture
+  derivatives are easy to get wrong.
+
+The solver narrows its bracket on the level with the same secant routine.
 """
 
 from __future__ import annotations
@@ -76,7 +84,9 @@ class ChannelSpec:
     Use :func:`channel_spec` to fill the default window.
 
     Each instance keeps its own search grids (:func:`_search_grid`), so two
-    equal specs built separately each compute theirs once.
+    equal specs built separately each compute theirs once.  It also keeps
+    the coefficients of ``log r`` when that is a quadratic
+    (:func:`_log_r_quadratic`).
     """
 
     prior: Prior
@@ -100,6 +110,7 @@ class ChannelSpec:
                 f"[{lo_req!r}, {hi_req!r}] (all means with a 10-sigma margin)"
             )
         object.__setattr__(self, "_grids", {})
+        object.__setattr__(self, "_log_r_quadratic", _log_r_quadratic(self.density0, self.density1))
 
 
 def default_search_interval(density0: DensityModel, density1: DensityModel) -> tuple[float, float]:
@@ -108,6 +119,19 @@ def default_search_interval(density0: DensityModel, density1: DensityModel) -> t
     means = [c.mean for c in comps]
     smax = max(c.stddev for c in comps)
     return min(means) - 10.0 * smax, max(means) + 10.0 * smax
+
+
+def _log_r_quadratic(density0: DensityModel, density1: DensityModel) -> tuple[float, float, float] | None:
+    """``(A, B, C)`` with log r(y) = A y^2 + B y + C when each density is one Gaussian, else None."""
+    if len(density0.components) != 1 or len(density1.components) != 1:
+        return None
+    (c0,), (c1,) = density0.components, density1.components
+    v0, v1 = c0.stddev * c0.stddev, c1.stddev * c1.stddev
+    return (
+        0.5 / v1 - 0.5 / v0,
+        c0.mean / v0 - c1.mean / v1,
+        0.5 * c1.mean * c1.mean / v1 - 0.5 * c0.mean * c0.mean / v0 + math.log(c1.stddev / c0.stddev),
+    )
 
 
 def channel_spec(
@@ -157,14 +181,19 @@ def posterior(spec: ChannelSpec, y):
 class _Grid(NamedTuple):
     """The level-independent search grid of one channel; arrays are read-only.
 
-    Cell i is [ys[i], ys[i + 1]].  ``cells`` lists the cells in which u
-    takes more than one value and reaches into the admissible levels
-    (1e-9, 1 - 1e-9), the only ones an admissible level can cross;
-    ``lo_u``/``hi_u`` are the smaller and the larger of u at their ends, so
-    such a cell holds a root of level a exactly when lo_u < a <= hi_u.
+    ``log_p0`` is the log-pdf of density0 at ``ys``, which ``log_r`` is
+    computed from and :func:`translate_log_concavity` reads.  Cell i is
+    [ys[i], ys[i + 1]].  ``cells`` lists the cells in which u takes more
+    than one value and reaches into the admissible levels (1e-9, 1 - 1e-9),
+    the only ones an admissible level can cross; ``lo_u``/``hi_u`` are the
+    smaller and the larger of u at their ends, so such a cell holds a root
+    of level a exactly when lo_u < a <= hi_u.  The cell arrays serve
+    mixture channels; :func:`find_level_sets` solves single-Gaussian pairs
+    in closed form.
     """
 
     ys: np.ndarray
+    log_p0: np.ndarray
     log_r: np.ndarray
     u: np.ndarray
     cells: np.ndarray
@@ -173,7 +202,7 @@ class _Grid(NamedTuple):
 
 
 def _search_grid(spec: ChannelSpec, grid_points: int) -> _Grid:
-    """The uniform grid over the search window, with log r, u and the cell arrays on it.
+    """The uniform grid over the search window, with log density0, log r, u and the cell arrays on it.
 
     Computed on first use for each ``grid_points`` and kept on ``spec``.
     """
@@ -182,11 +211,12 @@ def _search_grid(spec: ChannelSpec, grid_points: int) -> _Grid:
     grid = spec._grids.get(grid_points)
     if grid is None:
         ys = np.linspace(spec.search_lo, spec.search_hi, grid_points)
-        log_r = log_likelihood_ratio(spec, ys)
+        log_p0 = log_pdf(spec.density0, ys)
+        log_r = log_p0 - log_pdf(spec.density1, ys)
         u = _logistic(spec, log_r)
         lo_u, hi_u = np.minimum(u[:-1], u[1:]), np.maximum(u[:-1], u[1:])
         cells = np.flatnonzero((lo_u < hi_u) & (hi_u > _LEVEL_MARGIN) & (lo_u < 1.0 - _LEVEL_MARGIN))
-        grid = _Grid(ys, log_r, u, cells, lo_u[cells], hi_u[cells])
+        grid = _Grid(ys, log_p0, log_r, u, cells, lo_u[cells], hi_u[cells])
         for arr in grid:
             arr.flags.writeable = False
         spec._grids[grid_points] = grid
@@ -254,7 +284,7 @@ def translate_log_concavity(spec: ChannelSpec, grid_points: int = DEFAULT_GRID_P
     density0 and density0 is strictly log-concave or log-convex.  Translation
     is tested component-wise after shifting by the mixture-mean difference
     (tolerance 1e-9 per parameter); concavity via second differences of the
-    log-pdf on a uniform grid.
+    log-pdf on the channel's cached search grid.
     """
     d0, d1 = spec.density0, spec.density1
     shift = d1.mean - d0.mean
@@ -269,7 +299,7 @@ def translate_log_concavity(spec: ChannelSpec, grid_points: int = DEFAULT_GRID_P
             for c0, c1 in pairs
         )
 
-    lp = log_pdf(d0, _search_grid(spec, grid_points).ys)
+    lp = _search_grid(spec, grid_points).log_p0
     second = lp[2:] - 2.0 * lp[1:-1] + lp[:-2]
     return TranslateConcavity(
         shift_detected=detected,
@@ -371,24 +401,79 @@ def _pairs(first, stop):
     return np.repeat(owner, count), np.repeat(first[owner] - offsets, count) + np.arange(count.sum())
 
 
+def _quadratic_roots(spec: ChannelSpec, levels: np.ndarray):
+    """Level indices and roots of u(y) = a for the sorted ``levels`` when log r is a quadratic.
+
+    With log r(y) = A y^2 + B y + C, u(y) = a solves A y^2 + B y + c = 0 for
+    c = C - log(p1/p0) - log((1 - a)/a).  Its roots are q/A and c/q with
+    q = -(B + sign(B) sqrt(B^2 - 4 A c)) / 2, which never subtracts nearly
+    equal numbers, or -c/B when A = 0.  Where B^2 - 4 A c <= 0, or the two
+    roots are equal, u touches the level without crossing it: no root.  Only
+    roots inside the search window are kept, in (level, root) order.
+    """
+    quad_a, quad_b, quad_c = spec._log_r_quadratic
+    c = (quad_c - math.log(spec.prior.p1 / spec.prior.p0)) - np.log((1.0 - levels) / levels)
+    # -c/B with B = 0 (identical densities), the NaN of a negative B^2 - 4Ac
+    # and a q/A past the float range all fall outside the window
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if quad_a == 0.0:
+            roots = (-c / quad_b)[:, None]
+        else:
+            disc = quad_b * quad_b - 4.0 * quad_a * c
+            q = -0.5 * (quad_b + np.copysign(np.sqrt(disc), quad_b))
+            roots = np.sort(np.stack((q / quad_a, c / q), axis=1), axis=1)
+            roots[~(disc > 0.0) | (roots[:, 0] == roots[:, 1])] = np.nan
+    keep = (roots >= spec.search_lo) & (roots <= spec.search_hi)
+    return np.nonzero(keep)[0], roots[keep]
+
+
+def _crossing_roots(spec: ChannelSpec, grid: _Grid, levels: np.ndarray):
+    """Level indices and roots of u(y) = a for the sorted ``levels``, by the grid crossing rule.
+
+    Cell i of the cached grid holds a root of level a when exactly one of
+    its ends lies below a, ``lo_u[i] < a <= hi_u[i]``.  A ``searchsorted``
+    of the cached ranges of u of the cells that reach into the admissible
+    levels against the levels finds them all, with no levels x grid array.
+    The brackets of all levels are refined together by
+    :func:`_bracketed_secant` until |u(y) - level| <= 1e-12 or the bracket
+    is at most 1e-12 wide, each exactly as it would be refined alone; a
+    bracket end where u equals a exactly is its root.  A grid point where u
+    touches a from below closes the brackets on both of its sides there;
+    that pair of equal roots bounds an empty segment and is dropped.
+    Returned in (level, root) order.
+    """
+    ys, u = grid.ys, grid.u
+    # each cell holds the run of sorted levels in (lo_u, hi_u]
+    k, lvl = _pairs(np.searchsorted(levels, grid.lo_u, "right"), np.searchsorted(levels, grid.hi_u, "right"))
+    cell = grid.cells[k]
+    target = levels[lvl]
+    roots, _ = _bracketed_secant(
+        lambda y, j: posterior(spec, y) - target[j],
+        ys[cell], ys[cell + 1], u[cell] - target, u[cell + 1] - target,
+        REFINE_TOL, REFINE_TOL, 200,
+    )
+    # drop each pair of equal roots: it bounds an empty segment
+    order = np.lexsort((roots, lvl))
+    lvl, roots = lvl[order], roots[order]
+    twins = np.flatnonzero((lvl[1:] == lvl[:-1]) & (roots[1:] == roots[:-1]))
+    return np.delete(lvl, np.r_[twins, twins + 1]), np.delete(roots, np.r_[twins, twins + 1])
+
+
 def find_level_sets(
     spec: ChannelSpec, levels, grid_points: int = DEFAULT_GRID_POINTS
 ) -> tuple[LevelSet, ...]:
     """Every root of u(y) = a for each level a of ``levels``, in input order.
 
-    Cell i of the channel's cached uniform grid of ``grid_points`` over the
-    search window holds a root of level a when exactly one of its ends lies
-    below a, ``lo_u[i] < a <= hi_u[i]``, so the segments between roots
-    alternate between {u < a} and {u >= a}.  A ``searchsorted`` of the
-    cached ranges of u of the cells that reach into the admissible levels
-    against the sorted distinct levels finds them all, with no levels x grid
-    array.  The brackets of all levels are refined together by
-    :func:`_bracketed_secant` until |u(y) - level| <= 1e-12 or the bracket
-    is at most 1e-12 wide, each exactly as it would be refined alone; a
-    bracket end where u equals a exactly is its root.  A grid point where u
-    touches a from below closes the brackets on both of its sides there;
-    that pair of equal roots bounds an empty segment and is dropped.  Roots
-    are sorted ascending.
+    Every root is a crossing of u between {u < a} and {u >= a}, so the
+    segments between roots alternate between the two; where u meets a
+    without crossing it there is no root.  Roots are sorted ascending and
+    lie in the search window.  The channel picks the path: one Gaussian in
+    each density gives the roots of the quadratic log r in closed form,
+    with no polishing (:func:`_quadratic_roots`); any other channel
+    brackets them on its cached uniform grid of ``grid_points`` over the
+    search window and polishes the roots of all levels together
+    (:func:`_crossing_roots`).  The grid is built, and ``grid_points``
+    checked, on either path: every caller of the level functionals reads it.
 
     Raises InvalidSpecError if any level lies outside (1e-9, 1 - 1e-9), and
     NotConvergedError if a bracket is still open after 200 steps.
@@ -401,23 +486,11 @@ def find_level_sets(
         bad = levels[~((levels > _LEVEL_MARGIN) & (levels < 1.0 - _LEVEL_MARGIN))]
         raise InvalidSpecError(f"level must lie in (1e-9, 1 - 1e-9), got {float(bad[0])!r}")
     grid = _search_grid(spec, grid_points)
-    ys, u = grid.ys, grid.u
     uniq, inverse = np.unique(levels, return_inverse=True)
-
-    # each cell holds the run of sorted levels in (lo_u, hi_u]
-    k, lvl = _pairs(np.searchsorted(uniq, grid.lo_u, "right"), np.searchsorted(uniq, grid.hi_u, "right"))
-    cell = grid.cells[k]
-    target = uniq[lvl]
-    roots, _ = _bracketed_secant(
-        lambda y, j: posterior(spec, y) - target[j],
-        ys[cell], ys[cell + 1], u[cell] - target, u[cell + 1] - target,
-        REFINE_TOL, REFINE_TOL, 200,
-    )
-    # drop each pair of equal roots: it bounds an empty segment
-    order = np.lexsort((roots, lvl))
-    lvl, roots = lvl[order], roots[order]
-    twins = np.flatnonzero((lvl[1:] == lvl[:-1]) & (roots[1:] == roots[:-1]))
-    lvl, roots = np.delete(lvl, np.r_[twins, twins + 1]), np.delete(roots, np.r_[twins, twins + 1])
+    if spec._log_r_quadratic is None:
+        lvl, roots = _crossing_roots(spec, grid, uniq)
+    else:
+        lvl, roots = _quadratic_roots(spec, uniq)
 
     ends = np.cumsum(np.bincount(lvl, minlength=uniq.size)).tolist()
     roots = roots.tolist()

@@ -13,6 +13,7 @@ relative deviation from it is the design's ``stationarity_residual``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +55,8 @@ class SolverConfig:
             raise InvalidSpecError(
                 f"need 0 < a_lo < a_hi < 1, got a_lo={self.a_lo!r}, a_hi={self.a_hi!r}"
             )
-        if not self.tol_a > 0.0:
-            raise InvalidSpecError(f"tol_a must be > 0, got {self.tol_a!r}")
+        if not (math.isfinite(self.tol_a) and self.tol_a > 0.0):
+            raise InvalidSpecError(f"tol_a must be finite and > 0, got {self.tol_a!r}")
         if self.max_iter < 1:
             raise InvalidSpecError(f"max_iter must be >= 1, got {self.max_iter!r}")
         if self.grid_points < 64:

@@ -82,6 +82,16 @@ class TestConfigLoading:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"solver.{field}" in err
 
+    @pytest.mark.parametrize("value", ["Infinity", "NaN"])
+    def test_non_finite_tol_a_exits_1_naming_the_field(self, value, tmp_path, capsys):
+        # an infinite tolerance used to skip every secant step and return an unrefined a*
+        path = tmp_path / "cfg.json"
+        path.write_text(_single_gaussian_config(f'"tol_a": {value}'))
+        assert main(["solve", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "tol_a" in captured.err
+
     def test_integral_float_count_is_accepted(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(_single_gaussian_config('"grid_points": 2.5e3, "max_iter": 50.0'))

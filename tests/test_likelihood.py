@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -19,6 +20,8 @@ from binquant import (
     level_functionals,
     likelihood_ratio,
     posterior,
+    predict_single_threshold,
+    solve,
     translate_log_concavity,
 )
 from binquant import likelihood
@@ -32,31 +35,47 @@ EX2_RATIO_AT_QUOTED = 1.427151568703193
 EX2_POSTERIOR_AT_QUOTED = 0.4120055841977317
 
 
-def quadratic_level_roots(spec, level):
-    """Closed-form roots of u(y) = level for two single-Gaussian densities.
+def reference_level_roots(spec, level):
+    """Roots of u(y) = level in the search window for two single-Gaussian densities, by mpmath.
 
-    log r(y) is an exact quadratic in y, so the level set solves
-    A y^2 + B y + C = log((p1/p0)(1-level)/level).  Used only as a test
-    oracle against the numeric path.
+    Independent of the library's closed form: log r is evaluated from the
+    two Gaussian log-densities at 30 digits, split at its one critical
+    point (where it is monotone on each side), and each piece with a sign
+    change is bisected 120 times, far below double-precision spacing.  Also
+    returns B^2 - 4 A c of the level's quadratic, at the same precision.
     """
-    (c0,) = spec.density0.components
-    (c1,) = spec.density1.components
-    target = math.log((spec.prior.p1 / spec.prior.p0) * (1.0 - level) / level)
-    a = 0.5 / c1.stddev**2 - 0.5 / c0.stddev**2
-    b = c0.mean / c0.stddev**2 - c1.mean / c1.stddev**2
-    c = (
-        0.5 * c1.mean**2 / c1.stddev**2
-        - 0.5 * c0.mean**2 / c0.stddev**2
-        + math.log(c1.stddev / c0.stddev)
-        - target
-    )
-    if abs(a) < 1e-300:
-        return (-c / b,)
-    disc = b * b - 4.0 * a * c
-    if disc <= 0.0:
-        return ()
-    sq = math.sqrt(disc)
-    return tuple(sorted(((-b - sq) / (2 * a), (-b + sq) / (2 * a))))
+    with mpmath.workdps(30):
+        (c0,) = spec.density0.components
+        (c1,) = spec.density1.components
+        m0, s0, m1, s1 = (mpmath.mpf(v) for v in (c0.mean, c0.stddev, c1.mean, c1.stddev))
+        p0 = mpmath.mpf(spec.prior.p0)
+        level = mpmath.mpf(level)
+        target = mpmath.log((1 - p0) / p0 * (1 - level) / level)
+
+        def g(y):
+            return ((y - m1) / s1) ** 2 / 2 - ((y - m0) / s0) ** 2 / 2 + mpmath.log(s1 / s0) - target
+
+        a = 1 / (2 * s1**2) - 1 / (2 * s0**2)
+        b = m0 / s0**2 - m1 / s1**2
+        c = m1**2 / (2 * s1**2) - m0**2 / (2 * s0**2) + mpmath.log(s1 / s0) - target
+        lo, hi = mpmath.mpf(spec.search_lo), mpmath.mpf(spec.search_hi)
+        ends = [lo, hi]
+        if a != 0:
+            vertex = (m1 / s1**2 - m0 / s0**2) / (1 / s1**2 - 1 / s0**2)
+            if lo < vertex < hi:
+                ends = [lo, vertex, hi]
+        roots = []
+        for x0, x1 in zip(ends, ends[1:]):
+            g0 = g(x0)
+            if g0 * g(x1) < 0:
+                for _ in range(120):
+                    mid = (x0 + x1) / 2
+                    if (g(mid) < 0) == (g0 < 0):
+                        x0 = mid
+                    else:
+                        x1 = mid
+                roots.append(float((x0 + x1) / 2))
+        return tuple(roots), b * b - 4 * a * c
 
 
 class TestSpecValidation:
@@ -166,8 +185,8 @@ class TestLevelSet:
         assert len(ls.roots) == 2
         assert ls.roots[0] == pytest.approx(-0.5374, abs=1e-3)
         assert ls.roots[1] == pytest.approx(3.5374, abs=1e-3)
-        # against the closed-form quadratic oracle, much tighter
-        exact = quadratic_level_roots(example2_spec, 0.412)
+        # against the 30-digit reference, much tighter
+        exact, _ = reference_level_roots(example2_spec, 0.412)
         np.testing.assert_allclose(ls.roots, exact, atol=1e-9)
 
     def test_three_bump_six_roots_at_half(self, fig5_spec):
@@ -176,7 +195,7 @@ class TestLevelSet:
     def test_roots_match_quadratic_oracle(self, example2_spec, asym_spec):
         for spec in (example2_spec, asym_spec):
             for level in (0.2, 0.35, 0.5):
-                exact = quadratic_level_roots(spec, level)
+                exact, _ = reference_level_roots(spec, level)
                 got = find_level_set(spec, level).roots
                 assert len(got) == len(exact)
                 np.testing.assert_allclose(got, exact, atol=1e-9)
@@ -277,19 +296,45 @@ class TestBatchedLevelSets:
             assert len(ls.roots) == dense_scan(spec, a)
             assert np.all(np.abs(posterior(spec, np.asarray(ls.roots)) - a) <= 1e-9)
 
-    def test_exact_grid_hit_in_a_batch(self, example1_spec, example2_spec):
+    def test_exact_grid_hit_in_a_batch(self, example1_spec, example2_spec, fig5_spec):
         # 4097 points put y = 0.0 on the grid, where u == 0.5 exactly
         sets = find_level_sets(example1_spec, [0.3, 0.5, 0.7, 0.5], grid_points=4097)
         assert sets[1].roots == sets[3].roots == (0.0,)
         assert sets == tuple(find_level_set(example1_spec, a, 4097) for a in (0.3, 0.5, 0.7, 0.5))
         assert [len(ls.roots) for ls in sets] == [dense_scan(example1_spec, a, 4097) for a in (0.3, 0.5, 0.7, 0.5)]
-        # u of example2 peaks inside the window: at a level equal to its grid
-        # maximum u touches the level from below at one point, and has no roots
-        u = _search_grid(example2_spec, 4096).u
+        # a mixture takes the grid rule: a level equal to u at a grid point where
+        # u is monotone has that point as a root, and at a strict grid maximum of
+        # u the level touches from below there, which bounds no segment
+        grid = _search_grid(fig5_spec, 4096)
+        ys, u = grid.ys, grid.u
+        mono = 2000
+        assert (u[mono - 1] - u[mono]) * (u[mono] - u[mono + 1]) > 0
+        peak = int(1 + np.flatnonzero((u[1:-1] > u[:-2]) & (u[1:-1] > u[2:]))[0])
+        assert np.count_nonzero(u == u[peak]) == 1
+        levels = [float(u[mono]), float(u[peak]), 0.5, float(u[mono])]
+        sets = find_level_sets(fig5_spec, levels)
+        assert ys[mono] in sets[0].roots and sets[3] == sets[0]
+        assert ys[peak] not in sets[1].roots
+        assert sets == tuple(find_level_set(fig5_spec, a) for a in levels)
+        assert [len(ls.roots) for ls in sets] == [dense_scan(fig5_spec, a) for a in levels]
+        # u of example2 peaks inside the window, above its grid maximum: at that
+        # level the grid sees u touch the level from below at one point and
+        # count no crossing, while the closed form finds the two true roots on
+        # both sides of the vertex of log r, inside one grid cell of it
+        grid = _search_grid(example2_spec, 4096)
+        ys, u = grid.ys, grid.u
         peak = int(np.argmax(u))
         assert 0 < peak < u.size - 1 and np.count_nonzero(u == u[peak]) == 1
-        sets = find_level_sets(example2_spec, [0.3, float(u[peak])])
-        assert sets[1].roots == () and dense_scan(example2_spec, float(u[peak])) == 0
+        level = float(u[peak])
+        sets = find_level_sets(example2_spec, [0.3, level])
+        assert dense_scan(example2_spec, level) == 0
+        reference, disc = reference_level_roots(example2_spec, level)
+        assert disc > 0 and len(reference) == 2
+        np.testing.assert_allclose(sets[1].roots, reference, rtol=0.0, atol=1e-9)
+        quad_a, quad_b, _ = example2_spec._log_r_quadratic
+        vertex = -quad_b / (2.0 * quad_a)
+        low, high = sets[1].roots
+        assert vertex - (ys[1] - ys[0]) < low < vertex < high < vertex + (ys[1] - ys[0])
         assert len(sets[0].roots) == 2
 
     def test_constant_posterior_in_a_batch(self, flat_spec):
@@ -345,6 +390,68 @@ class TestCrossingRule:
             assert np.array_equal(u[off] < a, (u[0] < a) != odd)
 
 
+@st.composite
+def _gaussian_pair_levels(draw):
+    """A single-Gaussian channel and levels to solve on it.
+
+    Equal variances (a linear log r) and skewed priors are drawn on purpose,
+    and so are levels within 1e-6 of the extreme value of u at the vertex of
+    log r, on both sides of it, when that vertex lies in the window.
+    """
+    p0 = draw(st.one_of(st.floats(0.02, 0.98), st.sampled_from([0.01, 0.05, 0.95, 0.99])))
+    m0, m1 = draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))
+    s0 = draw(st.floats(0.3, 3.0))
+    s1 = s0 if draw(st.booleans()) else draw(st.floats(0.3, 3.0))
+    spec = channel_spec(
+        Prior(p0=p0),
+        DensityModel((GaussianComponent(m0, s0, 1.0),)),
+        DensityModel((GaussianComponent(m1, s1, 1.0),)),
+    )
+    levels = draw(st.lists(st.floats(0.001, 0.999), min_size=1, max_size=4))
+    if s0 != s1:
+        vertex = (m1 / s1**2 - m0 / s0**2) / (1 / s1**2 - 1 / s0**2)
+        if spec.search_lo < vertex < spec.search_hi:
+            with mpmath.workdps(30):
+                log_r = mpmath.log(mpmath.npdf(vertex, m0, s0) / mpmath.npdf(vertex, m1, s1))
+                extreme = 1 / (1 + p0 / (1 - mpmath.mpf(p0)) * mpmath.exp(log_r))
+                for offset in draw(st.lists(st.floats(1e-9, 1e-6), min_size=1, max_size=2)):
+                    levels += [float(extreme - offset), float(extreme + offset)]
+    return spec, [a for a in levels if 1e-9 < a < 1.0 - 1e-9]
+
+
+class TestClosedFormLevelSets:
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(case=_gaussian_pair_levels())
+    def test_roots_match_an_independent_reference(self, case):
+        spec, levels = case
+        assert spec._log_r_quadratic is not None
+        for a, ls in zip(levels, find_level_sets(spec, levels)):
+            roots = np.asarray(ls.roots)
+            assert np.all(np.diff(roots) > 0)
+            assert np.all((roots >= spec.search_lo) & (roots <= spec.search_hi))
+            assert np.all(np.abs(posterior(spec, roots) - a) <= 1e-9)
+            reference, disc = reference_level_roots(spec, a)
+            assert len(ls.roots) == len(reference)
+            np.testing.assert_allclose(ls.roots, reference, rtol=0.0, atol=1e-9)
+            # no real crossing without a positive discriminant
+            if disc <= 0:
+                assert ls.roots == ()
+
+    def test_mixtures_take_the_grid_path(self, fig5_spec, two_peaks_spec, shared_spec):
+        for spec in (fig5_spec, two_peaks_spec, shared_spec):
+            assert spec._log_r_quadratic is None
+
+    def test_solve_makes_no_posterior_call_after_the_grid_build(self, monkeypatch):
+        spec = _fresh_example2()
+        _search_grid(spec, 4096)
+        calls = []
+        real = likelihood.posterior
+        monkeypatch.setattr(likelihood, "posterior", lambda *args: calls.append(args) or real(*args))
+        design = solve(spec)
+        assert len(design.thresholds) == 2
+        assert calls == []
+
+
 def _fresh_example2():
     """The unequal-variance channel, built anew (not the session fixture)."""
     return channel_spec(
@@ -354,23 +461,23 @@ def _fresh_example2():
     )
 
 
+def _count_full_grid_log_pdfs(monkeypatch):
+    """Ids of the models of every ``likelihood.log_pdf`` call on a whole 4096-point grid."""
+    calls = []
+    real = likelihood.log_pdf
+
+    def counting(model, y):
+        if np.size(y) == 4096:
+            calls.append(id(model))
+        return real(model, y)
+
+    monkeypatch.setattr(likelihood, "log_pdf", counting)
+    return calls
+
+
 class TestSearchGridCache:
     def test_equal_specs_each_compute_their_grid_once(self, monkeypatch):
-        full_grid, full_grid_pdfs = [], []
-        real_log_r, real_log_pdf = likelihood.log_likelihood_ratio, likelihood.log_pdf
-
-        def counting_log_r(spec, y):
-            if np.size(y) == 4096:
-                full_grid.append(spec)
-            return real_log_r(spec, y)
-
-        def counting_log_pdf(model, y):
-            if np.size(y) == 4096:
-                full_grid_pdfs.append(model)
-            return real_log_pdf(model, y)
-
-        monkeypatch.setattr(likelihood, "log_likelihood_ratio", counting_log_r)
-        monkeypatch.setattr(likelihood, "log_pdf", counting_log_pdf)
+        full_grid_pdfs = _count_full_grid_log_pdfs(monkeypatch)
         first, second = _fresh_example2(), _fresh_example2()
         assert first == second and first is not second
         for spec in (first, second, first):
@@ -378,9 +485,20 @@ class TestSearchGridCache:
                 find_level_set(spec, level)
                 level_functionals(spec, level)
             classify_monotonicity(spec)
-        assert [id(s) for s in full_grid] == [id(first), id(second)]
-        # one log-pdf call per density per build: u comes from the cached log r
+            translate_log_concavity(spec)
+        # one log-pdf call per density per build: log r and u come from it
         assert len(full_grid_pdfs) == 4
+        assert full_grid_pdfs == [id(first.density0), id(first.density1), id(second.density0), id(second.density1)]
+
+    @pytest.mark.parametrize("name", ["example2_spec", "fig5_spec"])
+    def test_predict_single_threshold_after_solve_reads_the_grid(self, name, request, monkeypatch):
+        fixture = request.getfixturevalue(name)
+        spec = channel_spec(fixture.prior, fixture.density0, fixture.density1)
+        full_grid_pdfs = _count_full_grid_log_pdfs(monkeypatch)
+        solve(spec)
+        assert len(full_grid_pdfs) == 2
+        assert not predict_single_threshold(spec)
+        assert len(full_grid_pdfs) == 2
 
     def test_alternating_grid_sizes_match_fresh_specs(self, fig5_spec):
         spec = channel_spec(fig5_spec.prior, fig5_spec.density0, fig5_spec.density1)

@@ -10,6 +10,7 @@ from binquant import (
     DegenerateChannelError,
     DensityModel,
     GaussianComponent,
+    InvalidSpecError,
     NoSignChangeError,
     NotConvergedError,
     Prior,
@@ -303,6 +304,9 @@ class TestErrors:
             SolverConfig(a_lo=0.9, a_hi=0.1)
         with pytest.raises(Exception):
             SolverConfig(tol_a=0.0)
+        for tol_a in (float("inf"), float("nan")):
+            with pytest.raises(InvalidSpecError, match="tol_a"):
+                SolverConfig(tol_a=tol_a)
 
 
 class TestPredictions:
