@@ -1,16 +1,17 @@
-"""Brute-force verification of solved quantizer designs.
+"""Exhaustive verification of solved quantizer designs.
 
-:func:`grid_search` does not reuse the solver's level search: it maximizes
-the mutual information by exhaustive enumeration of threshold tuples on a
-uniform grid, with n = 2 and n = 3 sharing one blocked loop (it uses the
-mass and MI formulas of :mod:`binquant.channel`; the check that shares no
-code at all is ``bench/certificate.py``).  :func:`sweep_levels` tabulates
-the level functionals across the whole admissible range, and
-:func:`structural_checks` validates structural facts of the level
-functionals (mass monotonicity, the derivative relation between the
-correct-decision masses, the product bound) with central finite differences
-and counts the sign changes of the stationarity function.  Each takes all
-of its levels, F and the degeneracy verdict from one
+:func:`grid_search` does not reuse the solver's level search: it is
+exhaustive over the threshold tuples of a uniform grid, by convex tile
+bounds, with n = 1, 2 and 3 sharing one code path.  It returns what scoring
+every tuple would, but scores only the tiles of tuples whose bound can reach
+the best score (it uses the mass and MI formulas of :mod:`binquant.channel`;
+the check that shares no code at all is ``bench/certificate.py``).
+:func:`sweep_levels` tabulates the level functionals across the whole
+admissible range, and :func:`structural_checks` validates structural facts
+of the level functionals (mass monotonicity, the derivative relation
+between the correct-decision masses, the product bound) with central finite
+differences and counts the sign changes of the stationarity function.  Each
+takes all of its levels, F and the degeneracy verdict from one
 :func:`~binquant.channel.level_functionals_batch` call.
 """
 
@@ -35,7 +36,17 @@ __all__ = [
     "structural_checks",
 ]
 
-_ROW_BLOCK = 128
+#: Grid points per block, by the number of thresholds: a tile holds up to
+#: 128, 64 and 64 tuples.
+_BLOCK = {1: 128, 2: 8, 3: 4}
+
+#: Tuples scored per chunk of tiles, which bounds the scoring arrays.
+_CHUNK_TUPLES = 1 << 14
+
+#: A tile is pruned once its bound falls below the best score by more than
+#: this (bits).  The rounding of ``_mi_bits`` at a tuple and at a corner is
+#: about 1e-14 bits, so a pruned tuple can neither win nor tie.
+_SLACK_BITS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -43,10 +54,12 @@ class OracleResult:
     """Best quantizer found by exhaustive grid search.
 
     ``best_thresholds`` lies on the search grid.  Relabeling Z leaves
-    I(X;Z) unchanged, so the enumeration scores each tuple under one label
+    I(X;Z) unchanged, so the search scores each tuple under one label
     mapping only; ``best_mi_bits`` is the exact mutual information
     recomputed at the winning thresholds (max over the two label mappings).
-    Ties break to the lexicographically smallest tuple.
+    Ties break to the lexicographically smallest tuple.  ``n_evaluated`` is
+    the number of tuples the search covers, C(grid points, n): every one
+    was either scored or bounded below the best.
     """
 
     best_mi_bits: float
@@ -55,67 +68,141 @@ class OracleResult:
     grid_step: float
 
 
-def _threshold_grid(spec: ChannelSpec, grid_step: float) -> np.ndarray:
-    count = int(math.floor((spec.search_hi - spec.search_lo) / grid_step + 1e-9)) + 1
-    return spec.search_lo + grid_step * np.arange(count)
+def _masses(first, second, last):
+    """(a11, a22) of thresholds whose CDF values are ``(c0, c1)`` pairs.
+
+    Segments (-inf, first) and [second, last) go to Z=0.  An n < 3 tuple
+    passes (0.0, 0.0), the CDFs at -inf, for its missing leading thresholds,
+    which leaves the sums exact: an n = 2 tuple is an n = 3 one with an
+    empty first segment (relabeling Z leaves I(X;Z) unchanged), and an
+    n = 1 tuple one whose first two thresholds are at -inf.  Each mass is
+    non-decreasing in the CDF values it adds and non-increasing in those it
+    subtracts.
+    """
+    (x0, x1), (y0, y1), (z0, z1) = first, second, last
+    return x0 + (z0 - y0), (y1 - x1) + (1.0 - z1)
+
+
+#: The missing leading thresholds of an n-tuple, by n.
+_PAD = {n: [(0.0, 0.0)] * (3 - n) for n in (1, 2, 3)}
+
+
+def _blocks(npts: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """First and last grid index of each block of ``_BLOCK[n]`` consecutive points."""
+    starts = np.arange(0, npts, _BLOCK[n])
+    return starts, np.minimum(starts + _BLOCK[n], npts) - 1
+
+
+def _tile_bounds(p0: float, c0, c1, starts, ends, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The tiles of n thresholds and a bound on the MI score of every tuple in each.
+
+    A tile is a non-decreasing tuple of block indices (an ``(n, tiles)``
+    array) that holds at least one strictly increasing tuple of grid
+    indices.  Only the CDF values ``c0``, ``c1`` at block ends are read.
+    The CDFs are monotone and rounded ``+``/``-`` is too, so the masses
+    (a11, a22) of every tuple in a tile lie in the box between the tile's
+    two extreme corners.  For a fixed input I(X;Z) is convex in the channel
+    (Cover & Thomas, Thm 2.7.4), which is affine in the masses, so the
+    largest ``_mi_bits`` at the four corners of that box, clamped into
+    [0, 1]^2, bounds the tile up to rounding.
+    """
+    # the non-decreasing tuples: each one extended by every block from its last on
+    blocks = np.arange(starts.size)[None]
+    for _ in range(1, n):
+        reps = starts.size - blocks[-1]
+        after = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps - blocks[-1], reps)
+        blocks = np.vstack([np.repeat(blocks, reps, axis=1), after])
+    first, holds = starts[blocks[0]], np.ones(blocks.shape[1], dtype=bool)
+    for m in range(1, n):
+        first = np.maximum(starts[blocks[m]], first + 1)
+        holds &= first <= ends[blocks[m]]
+    blocks = blocks[:, holds]
+
+    # the masses are largest where the CDFs are high at the added first and
+    # last thresholds and low at the subtracted second one
+    rise, fall = (c0[ends], c1[starts]), (c0[starts], c1[ends])
+
+    def corner(slots):
+        masses = _masses(*_PAD[n], *[(v0[b], v1[b]) for (v0, v1), b in zip(slots[3 - n :], blocks)])
+        return [np.clip(m, 0.0, 1.0) for m in masses]
+
+    (a11_hi, a22_hi), (a11_lo, a22_lo) = corner([rise, fall, rise]), corner([fall, rise, fall])
+    bound = np.maximum(
+        np.maximum(_mi_bits(p0, a11_lo, a22_lo), _mi_bits(p0, a11_lo, a22_hi)),
+        np.maximum(_mi_bits(p0, a11_hi, a22_lo), _mi_bits(p0, a11_hi, a22_hi)),
+    )
+    return blocks, bound
 
 
 def grid_search(spec: ChannelSpec, n_thresholds: int, grid_step: float) -> OracleResult:
-    """Exhaustive MI maximization over strictly increasing threshold tuples.
+    """MI maximization, exhaustive over the grid, by convex tile bounds.
 
-    Every n-tuple on the uniform grid over the search window is evaluated
-    once (the label mapping does not change I(X;Z)) and the maximum is kept.
-    ``n_thresholds`` is capped at 3: the enumeration is O((range/step)^n),
-    and anything larger is better exercised through :func:`sweep_levels`.
+    The result is that of scoring every strictly increasing n-tuple on the
+    uniform grid over the search window once (the label mapping does not
+    change I(X;Z)) and keeping the lexicographically first maximum.  Every
+    tile is bounded from the CDFs at block ends (:func:`_tile_bounds`), and
+    tiles are scored in chunks in descending order of bound, the CDFs
+    inside a block being evaluated when a tile that uses it is first
+    scored.  The search stops once the next bound is below the best score
+    by more than ``_SLACK_BITS``, so no tuple left unscored could win or
+    tie.  ``n_thresholds`` is capped at 3: the search is O((range/step)^n)
+    in the worst case, and anything larger is better exercised through
+    :func:`sweep_levels`.
     """
     if n_thresholds not in (1, 2, 3):
         raise InvalidSpecError(f"n_thresholds must be 1, 2, or 3, got {n_thresholds!r}")
-    if not grid_step > 0.0:
-        raise InvalidSpecError(f"grid_step must be > 0, got {grid_step!r}")
+    if not (math.isfinite(grid_step) and grid_step > 0.0):
+        raise InvalidSpecError(f"grid_step must be finite and > 0, got {grid_step!r}")
 
-    grid = _threshold_grid(spec, grid_step)
-    npts = grid.size
-    if npts < n_thresholds:
+    n = n_thresholds
+    npts = int(math.floor((spec.search_hi - spec.search_lo) / grid_step + 1e-9)) + 1
+    if npts < n:
         raise InvalidSpecError("grid has fewer points than requested thresholds")
     p0 = spec.prior.p0
-    c0 = cdf(spec.density0, grid)
-    c1 = cdf(spec.density1, grid)
+    starts, ends = _blocks(npts, n)
+    # grid point k is search_lo + grid_step * k; its CDFs are set when first needed
+    c0, c1 = np.empty(npts), np.empty(npts)
 
-    best_mi = -np.inf
-    best: tuple[int, ...] = ()
-    n_evaluated = 0
+    def fill(idx):
+        y = spec.search_lo + grid_step * idx
+        c0[idx], c1[idx] = cdf(spec.density0, y), cdf(spec.density1, y)
 
-    if n_thresholds == 1:
-        mi = _mi_bits(p0, c0, 1.0 - c1)
-        k = int(np.argmax(mi))
-        best_mi, best = float(mi[k]), (k,)
-        n_evaluated = npts
+    fill(np.union1d(starts, ends))
+    blocks, bound = _tile_bounds(p0, c0, c1, starts, ends, n)
+    order = np.argsort(-bound)
+    bound, blocks = bound[order], blocks[:, order]
 
-    else:
-        # relabeling Z leaves I(X;Z) unchanged, so an n = 2 tuple scores as an
-        # n = 3 one whose first segment (-inf, h_i) is empty: one loop over
-        # row blocks of j against every later k serves both
-        idx = np.arange(npts)
-        if n_thresholds == 2:
-            heads = [((), 0.0, 0.0, 0)]
-        else:
-            heads = [((i,), c0[i], c1[i], i + 1) for i in range(npts - 2)]
-        for head, base0, base1, j0 in heads:
-            for r0 in range(j0, npts - 1, _ROW_BLOCK):
-                r1 = min(r0 + _ROW_BLOCK, npts - 1)
-                rows = idx[r0:r1, None]
-                ks = idx[None, r0 + 1 :]
-                upper = ks > rows
-                a11 = base0 + (c0[ks] - c0[rows])
-                a22 = (c1[rows] - base1) + (1.0 - c1[ks])
-                mi = np.where(upper, _mi_bits(p0, a11, a22), -np.inf)
-                k = int(np.argmax(mi))
-                if mi.flat[k] > best_mi:
-                    best_mi = float(mi.flat[k])
-                    best = (*head, r0 + k // ks.size, r0 + 1 + k % ks.size)
-                n_evaluated += int(upper.sum())
+    size = _BLOCK[n]
+    filled = np.zeros(starts.size, dtype=bool)
+    offsets = np.indices((size,) * n).reshape(n, 1, -1)
+    per_chunk = _CHUNK_TUPLES // size**n
+    best_mi, best = -np.inf, ()
+    # chunks grow from one tile, so that a sharp peak is scored in few tiles
+    c, take = 0, 1
+    while c < bound.size:
+        live = bound[c : c + take] >= best_mi - _SLACK_BITS
+        if not live[0]:
+            break
+        chunk = blocks[:, c : c + take][:, live]
+        c, take = c + take, min(2 * take, per_chunk)
+        todo = np.unique(chunk)
+        todo = todo[~filled[todo]]
+        if todo.size:
+            pts = (starts[todo, None] + np.arange(size)).ravel()
+            fill(pts[pts < npts])
+            filled[todo] = True
+        idx = starts[chunk][:, :, None] + offsets
+        ok = np.all(idx <= ends[chunk][:, :, None], axis=0) & np.all(np.diff(idx, axis=0) > 0, axis=0)
+        idx = idx[:, ok]
+        mi = _mi_bits(p0, *_masses(*_PAD[n], *[(c0[i], c1[i]) for i in idx]))
+        top = mi.max()
+        if top >= best_mi:
+            ties = idx[:, mi == top]
+            winner = tuple(ties[:, np.lexsort(ties[::-1])[0]].tolist())
+            if top > best_mi or winner < best:
+                best_mi, best = top, winner
 
-    thresholds = tuple(float(grid[k]) for k in best)
+    thresholds = tuple(float(spec.search_lo + grid_step * k) for k in best)
     exact = max(
         mutual_information(spec.prior, channel_matrix(spec, thresholds, "odd_to_zero")),
         mutual_information(spec.prior, channel_matrix(spec, thresholds, "even_to_zero")),
@@ -123,7 +210,7 @@ def grid_search(spec: ChannelSpec, n_thresholds: int, grid_step: float) -> Oracl
     return OracleResult(
         best_mi_bits=exact,
         best_thresholds=thresholds,
-        n_evaluated=n_evaluated,
+        n_evaluated=math.comb(npts, n),
         grid_step=grid_step,
     )
 

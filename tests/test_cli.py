@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import pytest
 
@@ -244,6 +245,16 @@ class TestVerifyCommand:
         assert "solver mi_bits        0.386627 (4 thresholds)" in out
         assert "stationarity_single_crossing  FAIL" in out
         assert "verification FAILED" in out
+
+    @pytest.mark.parametrize("step", ["inf", "nan"])
+    def test_non_finite_grid_step_exits_1_naming_the_field(self, step, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["verify", "--config", EXAMPLE1, "--n-thresholds", "1",
+                         "--grid-step", step]) == 1
+        err = capsys.readouterr().err
+        assert "grid_step" in err
+        assert "Warning" not in err
 
     def test_failed_verification_exits_3(self, capsys, monkeypatch):
         def inflated(spec, n, step):

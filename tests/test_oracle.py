@@ -1,13 +1,18 @@
 """Brute-force oracle: grid search, level sweeps, and structural checks."""
 
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binquant import (
     ChannelMatrix,
+    DensityModel,
+    GaussianComponent,
     InvalidSpecError,
     cdf,
     channel_matrix,
@@ -16,6 +21,7 @@ from binquant import (
     level_functionals,
     structural_checks,
     mutual_information,
+    Prior,
     solve,
     sweep_levels,
 )
@@ -29,35 +35,87 @@ def _grid_cdfs(spec, grid_step):
     return count, grid, cdf(spec.density0, grid), cdf(spec.density1, grid)
 
 
-def _brute_force_three(spec, grid_step):
-    """The best n = 3 tuple by a plain triple loop, first maximum kept."""
+def _brute_force_one(spec, grid_step):
+    """The best n = 1 tuple by a plain loop, first maximum kept."""
     count, grid, c0, c1 = _grid_cdfs(spec, grid_step)
     best_mi, best, n_evaluated = -np.inf, (), 0
-    for i in range(count):
-        for j in range(i + 1, count):
-            for k in range(j + 1, count):
-                a11 = c0[i] + (c0[k] - c0[j])
-                a22 = (c1[j] - c1[i]) + (1.0 - c1[k])
-                mi = _mi_bits(spec.prior.p0, a11, a22)
-                n_evaluated += 1
-                if mi > best_mi:
-                    best_mi, best = mi, (i, j, k)
+    for k in range(count):
+        mi = _mi_bits(spec.prior.p0, c0[k], 1.0 - c1[k])
+        n_evaluated += 1
+        if mi > best_mi:
+            best_mi, best = mi, (k,)
     return tuple(float(grid[k]) for k in best), n_evaluated
 
 
 def _brute_force_two(spec, grid_step):
-    """The best n = 2 tuple by a plain double loop under ``odd_to_zero``."""
+    """The best n = 2 tuple by a plain double loop, first maximum kept.
+
+    [h_j, h_k) goes to Z=0, the label mapping under which ``grid_search``
+    scores, so that exact ties break the same way.  The inner loop over k
+    runs as one array expression, whose first maximum is the smallest k.
+    """
     count, grid, c0, c1 = _grid_cdfs(spec, grid_step)
     best_mi, best, n_evaluated = -np.inf, (), 0
-    for j in range(count):
-        for k in range(j + 1, count):
-            a11 = c0[j] + (1.0 - c0[k])
-            a22 = c1[k] - c1[j]
-            mi = _mi_bits(spec.prior.p0, a11, a22)
-            n_evaluated += 1
-            if mi > best_mi:
-                best_mi, best = mi, (j, k)
+    for j in range(count - 1):
+        ks = np.arange(j + 1, count)
+        mi = _mi_bits(spec.prior.p0, c0[ks] - c0[j], c1[j] + (1.0 - c1[ks]))
+        n_evaluated += ks.size
+        if mi.max() > best_mi:
+            best_mi, best = mi.max(), (j, int(ks[np.argmax(mi)]))
     return tuple(float(grid[k]) for k in best), n_evaluated
+
+
+def _brute_force_three(spec, grid_step):
+    """The best n = 3 tuple by a plain triple loop, first maximum kept.
+
+    The inner loop over k runs as one array expression, as in
+    :func:`_brute_force_two`.
+    """
+    count, grid, c0, c1 = _grid_cdfs(spec, grid_step)
+    best_mi, best, n_evaluated = -np.inf, (), 0
+    for i in range(count - 2):
+        for j in range(i + 1, count - 1):
+            ks = np.arange(j + 1, count)
+            a11 = c0[i] + (c0[ks] - c0[j])
+            a22 = (c1[j] - c1[i]) + (1.0 - c1[ks])
+            mi = _mi_bits(spec.prior.p0, a11, a22)
+            n_evaluated += ks.size
+            if mi.max() > best_mi:
+                best_mi, best = mi.max(), (i, j, int(ks[np.argmax(mi)]))
+    return tuple(float(grid[k]) for k in best), n_evaluated
+
+
+BRUTE_FORCE = {1: _brute_force_one, 2: _brute_force_two, 3: _brute_force_three}
+
+
+def _exact_mi(spec, thresholds):
+    return max(
+        mutual_information(spec.prior, channel_matrix(spec, thresholds, mapping))
+        for mapping in ("odd_to_zero", "even_to_zero")
+    )
+
+
+def _assert_equals_plain_loops(spec, n, grid_step):
+    result = grid_search(spec, n, grid_step)
+    thresholds, n_evaluated = BRUTE_FORCE[n](spec, grid_step)
+    assert result.best_thresholds == thresholds
+    assert result.best_mi_bits == _exact_mi(spec, thresholds)
+    assert result.n_evaluated == n_evaluated
+
+
+def _mixture(components):
+    """A mixture of (mean, stddev, raw weight) triples, weights normalized."""
+    total = math.fsum(w for _, _, w in components)
+    weights = [w / total for _, _, w in components[:-1]]
+    weights.append(1.0 - math.fsum(weights))
+    return DensityModel(
+        components=tuple(GaussianComponent(m, s, w) for (m, s, _), w in zip(components, weights))
+    )
+
+
+_COMPONENTS = st.lists(
+    st.tuples(st.floats(-3.0, 3.0), st.floats(0.3, 2.5), st.floats(0.2, 1.0)), min_size=1, max_size=3
+)
 
 
 class TestGridSearch:
@@ -114,14 +172,31 @@ class TestGridSearch:
         ],
     )
     def test_three_thresholds_match_a_triple_loop(self, name, step, n, request):
-        # grid_search scores n = 2 as n = 3 with an empty first segment; the
-        # double loop scores it directly, under the other label mapping
-        spec = request.getfixturevalue(name)
-        result = grid_search(spec, n, step)
-        brute_force = _brute_force_three if n == 3 else _brute_force_two
-        thresholds, n_evaluated = brute_force(spec, step)
-        assert result.best_thresholds == thresholds
-        assert result.n_evaluated == n_evaluated
+        _assert_equals_plain_loops(request.getfixturevalue(name), n, step)
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(
+        p0=st.floats(0.1, 0.9),
+        components0=_COMPONENTS,
+        components1=_COMPONENTS,
+        points=st.integers(20, 120),
+        n=st.sampled_from([1, 2, 3]),
+    )
+    def test_equals_plain_loops(self, p0, components0, components1, points, n):
+        spec = channel_spec(Prior(p0=p0), _mixture(components0), _mixture(components1))
+        if n == 1:
+            points *= 10  # a one-threshold tile spans 128 points; span several
+        _assert_equals_plain_loops(spec, n, (spec.search_hi - spec.search_lo) / (points - 1))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_flat_channel_ties_break_like_plain_loops(self, flat_spec, n):
+        # every score is 0 or a ~1e-17 rounding crumb, so no tile is pruned
+        # and the first maximum decides
+        _assert_equals_plain_loops(flat_spec, n, 0.25)
+
+    def test_tail_ties_break_like_plain_loops(self, example1_spec):
+        # tuples that differ only in a threshold deep in a tail score the same
+        _assert_equals_plain_loops(example1_spec, 3, 0.5)
 
     def test_rejects_bad_arguments(self, example1_spec):
         with pytest.raises(InvalidSpecError):
@@ -130,6 +205,9 @@ class TestGridSearch:
             grid_search(example1_spec, 0, 0.1)
         with pytest.raises(InvalidSpecError):
             grid_search(example1_spec, 1, 0.0)
+        for step in (math.inf, math.nan):
+            with pytest.raises(InvalidSpecError, match="grid_step"):
+                grid_search(example1_spec, 1, step)
 
     def test_evaluation_count(self, example1_spec):
         result = grid_search(example1_spec, 1, 0.01)
@@ -144,6 +222,52 @@ class TestGridSearch:
             design = solve(spec)
             oracle = grid_search(spec, n, step)
             assert design.mi_bits >= oracle.best_mi_bits - 1e-4
+
+
+class TestTileBounds:
+    @pytest.mark.parametrize("name", ["example2_spec", "fig5_spec", "two_peaks_spec"])
+    @pytest.mark.parametrize("n, points", [(1, 600), (2, 120), (3, 40)])
+    def test_every_tile_is_bounded(self, name, n, points, request):
+        spec = request.getfixturevalue(name)
+        count, _, c0, c1 = _grid_cdfs(spec, (spec.search_hi - spec.search_lo) / (points - 1))
+        starts, ends = oracle._blocks(count, n)
+        blocks, bound = oracle._tile_bounds(spec.prior.p0, c0, c1, starts, ends, n)
+        # every increasing tuple, scored as grid_search scores it; a missing
+        # leading threshold indexes an appended CDF value of 0.0
+        tuples = np.array(list(itertools.combinations(range(count), n))).T
+        i, j, k = [np.full(tuples.shape[1], count)] * (3 - n) + list(tuples)
+        c0_at, c1_at = np.append(c0, 0.0), np.append(c1, 0.0)
+        a11 = c0_at[i] + (c0_at[k] - c0_at[j])
+        a22 = (c1_at[j] - c1_at[i]) + (1.0 - c1_at[k])
+        mi = _mi_bits(spec.prior.p0, a11, a22)
+        # the tile of each tuple
+        tile_of = np.full((starts.size,) * n, -1)
+        tile_of[tuple(blocks)] = np.arange(bound.size)
+        tile = tile_of[tuple(np.searchsorted(starts, tuples, side="right") - 1)]
+        assert np.all(tile >= 0)
+        best_in_tile = np.full(bound.size, -np.inf)
+        np.maximum.at(best_in_tile, tile, mi)
+        assert np.all(np.isfinite(best_in_tile))  # no tile is empty
+        assert np.all(best_in_tile <= bound + oracle._SLACK_BITS)
+
+    @pytest.mark.parametrize("n, step", [(1, 0.0005), (2, 0.02), (3, 0.25)])
+    def test_search_stays_small(self, example2_spec, n, step):
+        tracemalloc.start()
+        try:
+            grid_search(example2_spec, n, step)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    def test_one_threshold_cdf_points(self, example2_spec, monkeypatch):
+        # block ends and the blocks of the few tiles near the peak, for both
+        # densities together: not the grid
+        points = []
+        real_cdf = oracle.cdf
+        monkeypatch.setattr(oracle, "cdf", lambda model, y: points.append(np.size(y)) or real_cdf(model, y))
+        result = grid_search(example2_spec, 1, 0.0005)
+        assert sum(points) < result.n_evaluated / 8
 
 
 class TestSweep:
