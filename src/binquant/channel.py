@@ -200,8 +200,8 @@ def _from_level_sets(
     """Level functionals of level sets, with one CDF call per density over all their roots."""
     u_lo = _search_grid(spec, grid_points).u[0]
     roots = np.array([h for ls in sets for h in ls.roots])
-    c0 = cdf(spec.density0, roots) if roots.size else roots
-    c1 = cdf(spec.density1, roots) if roots.size else roots
+    c0 = cdf(spec.density0, roots).tolist() if roots.size else []
+    c1 = cdf(spec.density1, roots).tolist() if roots.size else []
     out = []
     stop = 0
     for ls in sets:

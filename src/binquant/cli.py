@@ -20,6 +20,7 @@ significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -28,7 +29,7 @@ import numpy as np
 from .density import DensityModel, GaussianComponent, Prior
 from .errors import InvalidSpecError, QuantizerError
 from .likelihood import ChannelSpec, channel_spec, classify_monotonicity, translate_log_concavity
-from .oracle import grid_search, structural_checks, sweep_levels
+from .oracle import grid_search, grid_size, structural_checks, sweep_levels
 from .solver import QuantizerDesign, SolverConfig, predict_single_threshold, solve
 
 __all__ = ["ConfigError", "load_config", "main", "cmd_solve", "cmd_sweep", "cmd_verify", "cmd_classify"]
@@ -200,6 +201,7 @@ def cmd_sweep(config_path: str, a_min: float, a_max: float, steps: int, out_csv:
 
 def cmd_verify(config_path: str, n_thresholds: int, grid_step: float) -> int:
     spec, cfg = load_config(config_path)
+    grid_size(spec, n_thresholds, grid_step)  # reject bad oracle arguments before solving
     design = solve(spec, cfg)
     oracle = grid_search(spec, n_thresholds, grid_step)
     checks = structural_checks(spec, grid_points=cfg.grid_points)
@@ -243,8 +245,22 @@ def cmd_classify(config_path: str) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, the config/usage code.
+
+    argparse exits 2 on a usage error, which this CLI reserves for a
+    degenerate channel.  Subparsers are built from the same class.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The CLI parser, built once per process (argparse reads the terminal size per argument)."""
+    parser = _Parser(
         prog="binquant",
         description="Design and certify mutual-information-maximizing binary quantizers.",
     )

@@ -1,12 +1,18 @@
 """Gaussian-mixture conditional densities with exact partition masses.
 
 Each conditional density of the channel output is a finite Gaussian mixture.
+:func:`pdf`, :func:`log_pdf` and :func:`cdf` evaluate it component-major:
+the points form one row, each of the k components a row of a ``(k, points)``
+array, and the sum or log-sum-exp over components reduces along axis 0,
+adding the rows in sequence.  (A reduction over a short trailing
+component axis costs several times more.)
+
 All probability masses are computed in closed form through the normal CDF
 (error function), never by quadrature: :func:`partition_mass` evaluates the
-CDF once at every threshold and sums the differences over alternate
-segments (:func:`_alternating_mass`, which also serves the batched level
-functionals of :mod:`binquant.channel`), so masses are exact to
-floating-point rounding and the two parities always add up to the total
+CDF once at every threshold, and :func:`_alternating_mass`, which also
+serves the batched level functionals of :mod:`binquant.channel`, sums the
+alternating CDF values with ``math.fsum``.  Every term is exact, so each
+mass is rounded once, and the two parities always add up to the total
 mass.
 
 The second Gaussian parameter throughout this package is the *standard
@@ -63,9 +69,12 @@ class GaussianComponent:
 class DensityModel:
     """A finite Gaussian mixture; weights must sum to 1 within 1e-12.
 
-    The component parameters are also held as read-only arrays, built once
-    here: ``_mus``, ``_sigmas``, ``_weights`` and ``_log_coef``, the
-    per-component constant log w - log sigma - log sqrt(2 pi) of the log-pdf.
+    The component parameters are also held as read-only ``(k, 1)`` column
+    arrays, built once here: ``_mus``, ``_sigmas``, ``_weights`` and
+    ``_log_coef``, the per-component constant log w - log sigma -
+    log sqrt(2 pi) of the log-pdf.  They broadcast against a row of points
+    into the component-major layout of :func:`pdf`, :func:`log_pdf` and
+    :func:`cdf`.
     """
 
     components: tuple[GaussianComponent, ...]
@@ -78,9 +87,9 @@ class DensityModel:
         total = math.fsum(c.weight for c in comps)
         if abs(total - 1.0) > 1e-12:
             raise InvalidSpecError(f"component weights must sum to 1, got {total!r}")
-        mus = np.array([c.mean for c in comps])
-        sigmas = np.array([c.stddev for c in comps])
-        weights = np.array([c.weight for c in comps])
+        mus = np.array([[c.mean] for c in comps])
+        sigmas = np.array([[c.stddev] for c in comps])
+        weights = np.array([[c.weight] for c in comps])
         log_coef = -np.log(sigmas) - _LOG_SQRT_2PI + np.log(weights)
         for name, arr in (
             ("_mus", mus), ("_sigmas", sigmas), ("_weights", weights), ("_log_coef", log_coef)
@@ -120,29 +129,35 @@ def validate_thresholds(thresholds) -> Thresholds:
     return h
 
 
+def _z(model: DensityModel, y) -> np.ndarray:
+    """``y`` standardized by each component, component-major: shape ``(k, y.size)``."""
+    return (np.asarray(y, dtype=float).ravel() - model._mus) / model._sigmas
+
+
+def _shaped(vals: np.ndarray, y):
+    """``vals`` as a ``float`` for scalar ``y``, else as an array of ``y``'s shape."""
+    return float(vals[0]) if np.ndim(y) == 0 else vals.reshape(np.shape(y))
+
+
 def pdf(model: DensityModel, y):
     """Mixture density at ``y`` (scalar or array): sum_k w_k N(y; mu_k, sigma_k)."""
-    z = (np.asarray(y, dtype=float)[..., None] - model._mus) / model._sigmas
-    vals = np.sum(np.exp(model._log_coef - 0.5 * z * z), axis=-1)
-    return float(vals) if np.ndim(y) == 0 else vals
+    z = _z(model, y)
+    return _shaped(np.sum(np.exp(model._log_coef - 0.5 * z * z), axis=0), y)
 
 
 def log_pdf(model: DensityModel, y):
     """Log of the mixture density, computed in log-space (no tail underflow)."""
-    z = (np.asarray(y, dtype=float)[..., None] - model._mus) / model._sigmas
+    z = _z(model, y)
     comp_logs = -0.5 * z * z + model._log_coef
-    # log-sum-exp over the component axis; comp_logs is always finite
-    top = comp_logs.max(axis=-1, keepdims=True)
-    vals = top[..., 0] + np.log(np.exp(comp_logs - top).sum(axis=-1))
-    return float(vals) if np.ndim(y) == 0 else vals
+    # log-sum-exp over the components; comp_logs is always finite
+    top = comp_logs.max(axis=0)
+    return _shaped(top + np.log(np.exp(comp_logs - top).sum(axis=0)), y)
 
 
 def cdf(model: DensityModel, y):
     """Mixture CDF at ``y``; accepts +-inf (limits 0 and 1)."""
     # means and stddevs are finite, so +-inf inputs give +-inf z, which ndtr maps to 1/0 exactly
-    z = (np.asarray(y, dtype=float)[..., None] - model._mus) / model._sigmas
-    vals = np.sum(model._weights * ndtr(z), axis=-1)
-    return float(vals) if np.ndim(y) == 0 else vals
+    return _shaped(np.sum(model._weights * ndtr(_z(model, y)), axis=0), y)
 
 
 def partition_mass(
@@ -160,15 +175,21 @@ def partition_mass(
     if parity not in ("odd", "even"):
         raise InvalidSpecError(f"parity must be 'odd' or 'even', got {parity!r}")
     h = validate_thresholds(thresholds)
-    return _alternating_mass(cdf(model, np.asarray(h)) if h else np.empty(0), parity)
+    return _alternating_mass(cdf(model, np.asarray(h)).tolist() if h else [], parity)
 
 
-def _alternating_mass(cdf_at_thresholds: np.ndarray, parity: Literal["odd", "even"]) -> float:
+def _alternating_mass(cdf_at_thresholds: list[float], parity: Literal["odd", "even"]) -> float:
     """The mass of :func:`partition_mass` from the CDF values at the thresholds.
 
-    Sums the alternate CDF differences exactly (``math.fsum``) and clamps
-    the sum into [0, 1].  With no thresholds the whole line is the one odd
-    segment.
+    With CDF values c1 <= ... <= cn the odd segments hold
+    c1 - c2 + c3 - ... (+ 1 when n is even), and the even ones 1 minus
+    that.  Both are summed from these exact terms by ``math.fsum``, so the
+    mass is rounded once, and clamped into [0, 1].  With no thresholds the
+    whole line is the one odd segment.
     """
-    segments = np.diff(np.concatenate(([0.0], cdf_at_thresholds, [1.0])))
-    return min(1.0, max(0.0, math.fsum(segments[0 if parity == "odd" else 1 :: 2])))
+    c = cdf_at_thresholds
+    odd = c[::2] + [-v for v in c[1::2]]
+    if len(c) % 2 == 0:
+        odd.append(1.0)
+    mass = math.fsum(odd) if parity == "odd" else math.fsum([1.0] + [-v for v in odd])
+    return min(1.0, max(0.0, mass))

@@ -134,6 +134,23 @@ def _tile_bounds(p0: float, c0, c1, starts, ends, n: int) -> tuple[np.ndarray, n
     return blocks, bound
 
 
+def grid_size(spec: ChannelSpec, n_thresholds: int, grid_step: float) -> int:
+    """Points of the uniform grid :func:`grid_search` would search.
+
+    Raises InvalidSpecError for the arguments it rejects: ``n_thresholds``
+    outside {1, 2, 3}, a ``grid_step`` that is not finite and positive, or
+    a grid with fewer points than thresholds.
+    """
+    if n_thresholds not in (1, 2, 3):
+        raise InvalidSpecError(f"n_thresholds must be 1, 2, or 3, got {n_thresholds!r}")
+    if not (math.isfinite(grid_step) and grid_step > 0.0):
+        raise InvalidSpecError(f"grid_step must be finite and > 0, got {grid_step!r}")
+    npts = int(math.floor((spec.search_hi - spec.search_lo) / grid_step + 1e-9)) + 1
+    if npts < n_thresholds:
+        raise InvalidSpecError("grid has fewer points than requested thresholds")
+    return npts
+
+
 def grid_search(spec: ChannelSpec, n_thresholds: int, grid_step: float) -> OracleResult:
     """MI maximization, exhaustive over the grid, by convex tile bounds.
 
@@ -149,15 +166,8 @@ def grid_search(spec: ChannelSpec, n_thresholds: int, grid_step: float) -> Oracl
     in the worst case, and anything larger is better exercised through
     :func:`sweep_levels`.
     """
-    if n_thresholds not in (1, 2, 3):
-        raise InvalidSpecError(f"n_thresholds must be 1, 2, or 3, got {n_thresholds!r}")
-    if not (math.isfinite(grid_step) and grid_step > 0.0):
-        raise InvalidSpecError(f"grid_step must be finite and > 0, got {grid_step!r}")
-
     n = n_thresholds
-    npts = int(math.floor((spec.search_hi - spec.search_lo) / grid_step + 1e-9)) + 1
-    if npts < n:
-        raise InvalidSpecError("grid has fewer points than requested thresholds")
+    npts = grid_size(spec, n, grid_step)
     p0 = spec.prior.p0
     starts, ends = _blocks(npts, n)
     # grid point k is search_lo + grid_step * k; its CDFs are set when first needed

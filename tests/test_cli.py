@@ -256,6 +256,19 @@ class TestVerifyCommand:
         assert "grid_step" in err
         assert "Warning" not in err
 
+    @pytest.mark.parametrize("args, field", [
+        (["--n-thresholds", "4"], "n_thresholds"),
+        (["--grid-step", "inf"], "grid_step"),
+        (["--n-thresholds", "2", "--grid-step", "1000"], "fewer points"),
+    ])
+    def test_oracle_arguments_are_checked_before_solving(self, args, field, capsys, monkeypatch):
+        def no_solve(spec, cfg):
+            raise AssertionError("solve ran before the oracle arguments were checked")
+
+        monkeypatch.setattr(cli, "solve", no_solve)
+        assert main(["verify", "--config", EXAMPLE1, *args]) == 1
+        assert field in capsys.readouterr().err
+
     def test_failed_verification_exits_3(self, capsys, monkeypatch):
         def inflated(spec, n, step):
             return OracleResult(
@@ -282,3 +295,52 @@ class TestClassifyCommand:
     def test_three_bump(self, capsys):
         assert main(["classify", "--config", FIG5]) == 0
         assert "NonMonotonic" in capsys.readouterr().out
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, named", [
+        (["solve"], "--config"),
+        (["verify", "--config", EXAMPLE1, "--n-thresholds", "abc"], "--n-thresholds"),
+    ])
+    def test_usage_error_exits_1_naming_the_argument(self, argv, named, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: binquant")
+        assert named in err.splitlines()[-1]
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--help"])
+        assert exc.value.code == 0
+        assert "--steps" in capsys.readouterr().out
+
+    def test_one_parser_serves_a_sequence_of_calls(self, tmp_path, capsys):
+        # solve, a usage error, then sweep in one process, each as it runs with a new parser
+        calls = [
+            ["solve", "--config", EXAMPLE2, "--format", "json"],
+            ["sweep", "--config", EXAMPLE1, "--steps", "x", "--out", str(tmp_path / "bad.csv")],
+            ["sweep", "--config", FIG5, "--steps", "7", "--out", str(tmp_path / "sweep.csv")],
+        ]
+
+        def run(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            csv_out = tmp_path / "sweep.csv"
+            return code, out, err, csv_out.read_text() if csv_out.exists() else None
+
+        cli._build_parser.cache_clear()
+        shared = [run(argv) for argv in calls]
+        assert cli._build_parser() is cli._build_parser()
+        fresh = []
+        for argv in calls:
+            (tmp_path / "sweep.csv").unlink(missing_ok=True)
+            cli._build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert shared == fresh
+        assert [code for code, *_ in shared] == [0, 1, 0]
+        assert "--steps" in shared[1][2]

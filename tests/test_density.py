@@ -1,9 +1,13 @@
 """Gaussian-mixture density evaluation and exact partition masses."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binquant import (
     DensityModel,
@@ -15,6 +19,7 @@ from binquant import (
     partition_mass,
     pdf,
 )
+from binquant.density import _alternating_mass
 
 INF = math.inf
 
@@ -174,3 +179,93 @@ class TestPartitionMass:
     def test_rejects_unknown_parity(self):
         with pytest.raises(InvalidSpecError):
             partition_mass(STD_NORMAL, (0.0,), "all")
+
+
+def _mixture(k: int) -> DensityModel:
+    """A k-component mixture with spread means, stddevs and unequal weights."""
+    rng = np.random.default_rng(100 + k)
+    raw = rng.uniform(0.2, 1.0, size=k)
+    weights = raw / raw.sum()
+    weights[-1] = 1.0 - math.fsum(weights[:-1])
+    return DensityModel(
+        components=tuple(
+            GaussianComponent(float(m), float(s), float(w))
+            for m, s, w in zip(rng.uniform(-4.0, 4.0, size=k), rng.uniform(0.05, 2.5, size=k), weights)
+        )
+    )
+
+
+def _loop_pdf(model, y):
+    y = np.asarray(y, dtype=float)
+    total = None
+    for c, log_coef in zip(model.components, model._log_coef.ravel()):
+        z = (y - c.mean) / c.stddev
+        term = np.exp(log_coef - 0.5 * z * z)
+        total = term if total is None else total + term
+    return total
+
+
+def _loop_log_pdf(model, y):
+    y = np.asarray(y, dtype=float)
+    logs = []
+    for c, log_coef in zip(model.components, model._log_coef.ravel()):
+        z = (y - c.mean) / c.stddev
+        logs.append(-0.5 * z * z + log_coef)
+    top = logs[0]
+    for v in logs[1:]:
+        top = np.maximum(top, v)
+    total = np.exp(logs[0] - top)
+    for v in logs[1:]:
+        total = total + np.exp(v - top)
+    return top + np.log(total)
+
+
+def _loop_cdf(model, y):
+    y = np.asarray(y, dtype=float)
+    total = None
+    for c in model.components:
+        term = c.weight * ndtr((y - c.mean) / c.stddev)
+        total = term if total is None else total + term
+    return total
+
+
+KERNELS = [(pdf, _loop_pdf), (log_pdf, _loop_log_pdf), (cdf, _loop_cdf)]
+
+
+class TestComponentMajorKernels:
+    """The kernels reduce over a leading component axis; a loop adding one
+    component at a time gives the same floats."""
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("kernel, loop", KERNELS, ids=["pdf", "log_pdf", "cdf"])
+    def test_equals_a_loop_over_components(self, kernel, loop, k):
+        model = _mixture(k)
+        ys = np.linspace(-9.0, 9.0, 301)
+        for y in (0.37, np.float64(-1.25), np.array(2.5), ys, ys[:300].reshape(20, 15)):
+            got, want = kernel(model, y), loop(model, y)
+            if np.ndim(y) == 0:
+                assert type(got) is float
+                assert got == float(want)
+            else:
+                assert got.shape == np.shape(y)
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_cdf_at_infinities(self, k):
+        model = _mixture(k)
+        assert (cdf(model, -INF), cdf(model, INF)) == (0.0, 1.0)
+        got = cdf(model, np.array([-INF, 0.5, INF]))
+        assert np.array_equal(got, _loop_cdf(model, np.array([-INF, 0.5, INF])))
+        assert (got[0], got[2]) == (0.0, 1.0)
+
+
+_PROBABILITY = st.floats(min_value=0.0, max_value=1.0, allow_subnormal=True)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_PROBABILITY, min_size=0, max_size=9).map(sorted))
+def test_alternating_mass_is_the_exact_sum_rounded_once(c):
+    # odd segments: c1 - c2 + c3 - ... (+ 1 when the count is even); even: 1 minus that
+    odd = sum((Fraction(v) * (-1) ** i for i, v in enumerate(c)), Fraction(1 - len(c) % 2))
+    assert _alternating_mass(c, "odd") == float(odd)
+    assert _alternating_mass(c, "even") == float(1 - odd)
