@@ -10,7 +10,6 @@ a single threshold is provably enough.
 from .channel import (
     ChannelMatrix,
     LevelFunctionals,
-    binary_entropy,
     channel_matrix,
     level_functionals,
     level_functionals_batch,
@@ -24,8 +23,6 @@ from .density import (
     Thresholds,
     cdf,
     log_pdf,
-    partition_mass,
-    pdf,
 )
 from .errors import (
     DegenerateChannelError,
@@ -42,7 +39,6 @@ from .likelihood import (
     TranslateConcavity,
     channel_spec,
     classify_monotonicity,
-    default_search_interval,
     find_level_set,
     find_level_sets,
     likelihood_ratio,
@@ -64,13 +60,10 @@ __all__ = [
     "DensityModel",
     "Prior",
     "Thresholds",
-    "pdf",
     "log_pdf",
     "cdf",
-    "partition_mass",
     "ChannelSpec",
     "channel_spec",
-    "default_search_interval",
     "Monotonicity",
     "MonotonicityReport",
     "TranslateConcavity",
@@ -84,7 +77,6 @@ __all__ = [
     "ChannelMatrix",
     "LevelFunctionals",
     "channel_matrix",
-    "binary_entropy",
     "mutual_information",
     "level_functionals",
     "level_functionals_batch",

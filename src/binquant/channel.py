@@ -8,7 +8,9 @@ giving the correct-decision masses
     f(a) = mass of density0 on {u < a},   g(a) = mass of density1 on {u >= a},
 
 both computed from the CDFs at the level-set roots (no quadrature), by the
-same alternate-segment sum as :func:`channel_matrix`.
+same alternate-segment sum as :func:`channel_matrix`.  This module is the
+one place that turns CDF values into masses: one CDF call per density over
+all the thresholds, and one ``math.fsum`` of exact terms per mass.
 :func:`level_functionals_batch` takes a batch of levels: one
 :func:`~binquant.likelihood.find_level_sets` call and one CDF call per
 density over the roots of all of them; :func:`level_functionals` is a batch
@@ -37,7 +39,7 @@ from typing import Literal
 import numpy as np
 from scipy.special import entr
 
-from .density import Thresholds, _alternating_mass, cdf, partition_mass
+from .density import Thresholds, cdf
 from .errors import DegenerateChannelError, InvalidSpecError
 from .likelihood import DEFAULT_GRID_POINTS, ChannelSpec, LevelSet, Prior, _search_grid
 from .likelihood import find_level_set, find_level_sets
@@ -47,7 +49,6 @@ __all__ = [
     "ChannelMatrix",
     "LevelFunctionals",
     "channel_matrix",
-    "binary_entropy",
     "mutual_information",
     "level_functionals",
     "level_functionals_batch",
@@ -109,6 +110,49 @@ class LevelFunctionals:
             )
 
 
+def validate_thresholds(thresholds) -> Thresholds:
+    """Check that thresholds are finite and strictly increasing; return a tuple."""
+    h = tuple(float(t) for t in thresholds)
+    for t in h:
+        if not math.isfinite(t):
+            raise InvalidSpecError(f"thresholds must be finite, got {t!r}")
+    for lo, hi in zip(h, h[1:]):
+        if not lo < hi:
+            raise InvalidSpecError(f"thresholds must be strictly increasing, got {h!r}")
+    return h
+
+
+def _alternating_mass(cdf_at_thresholds: list[float], odd: bool) -> float:
+    """Mass on the odd (or else even) segments of the partition by thresholds h1 < ... < hn.
+
+    The thresholds split the line into n + 1 segments; the odd ones are
+    (-inf, h1), [h2, h3), ... and the even ones [h1, h2), [h3, h4), ....
+    With CDF values c1 <= ... <= cn the odd segments hold
+    c1 - c2 + c3 - ... (+ 1 when n is even), and the even ones 1 minus
+    that.  Both are summed from these exact terms by ``math.fsum``, so the
+    mass is rounded once, and clamped into [0, 1]; the two parities always
+    add up to 1.  With no thresholds the whole line is the one odd segment.
+    """
+    c = cdf_at_thresholds
+    terms = c[::2] + [-v for v in c[1::2]]
+    if len(c) % 2 == 0:
+        terms.append(1.0)
+    mass = math.fsum(terms) if odd else math.fsum([1.0] + [-v for v in terms])
+    return min(1.0, max(0.0, mass))
+
+
+def _cdfs(spec: ChannelSpec, points: np.ndarray) -> tuple[list[float], list[float]]:
+    """Both conditional CDFs at ``points``: one call per density, and none for no points."""
+    if not points.size:
+        return [], []
+    return cdf(spec.density0, points).tolist(), cdf(spec.density1, points).tolist()
+
+
+def _correct_masses(c0: list[float], c1: list[float], odd_first: bool) -> tuple[float, float]:
+    """(a11, a22) from both CDFs at the thresholds; ``odd_first`` sends the odd segments to Z=0."""
+    return _alternating_mass(c0, odd=odd_first), _alternating_mass(c1, odd=not odd_first)
+
+
 def channel_matrix(spec: ChannelSpec, thresholds: Thresholds, mapping: Mapping) -> ChannelMatrix:
     """The 2x2 channel induced by alternating segments of a threshold vector.
 
@@ -116,14 +160,10 @@ def channel_matrix(spec: ChannelSpec, thresholds: Thresholds, mapping: Mapping) 
     (-inf, h1)) to Z=0; ``even_to_zero`` sends them to Z=1.  With no
     thresholds everything lands in the single (odd) segment.
     """
-    if mapping == "odd_to_zero":
-        a11 = partition_mass(spec.density0, thresholds, "odd")
-        a22 = partition_mass(spec.density1, thresholds, "even")
-    elif mapping == "even_to_zero":
-        a11 = partition_mass(spec.density0, thresholds, "even")
-        a22 = partition_mass(spec.density1, thresholds, "odd")
-    else:
+    if mapping not in ("odd_to_zero", "even_to_zero"):
         raise InvalidSpecError(f"unknown mapping {mapping!r}")
+    c0, c1 = _cdfs(spec, np.array(validate_thresholds(thresholds)))
+    a11, a22 = _correct_masses(c0, c1, mapping == "odd_to_zero")
     return ChannelMatrix(a11=a11, a22=a22)
 
 
@@ -149,12 +189,6 @@ def _mi_bits(p0: float, a11, a22):
     p1 = 1.0 - p0
     q0 = p0 * a11 + p1 * (1.0 - a22)
     return np.maximum(0.0, _h2(q0) - p0 * _h2(a11) - p1 * _h2(a22))
-
-
-def binary_entropy(w):
-    """H2(w) in bits for a scalar or an array, with 0 log 0 := 0."""
-    h = _h2(w)
-    return float(h) if h.ndim == 0 else h
 
 
 def mutual_information(prior: Prior, matrix: ChannelMatrix) -> float:
@@ -199,16 +233,13 @@ def _from_level_sets(
 ) -> tuple[LevelFunctionals, ...]:
     """Level functionals of level sets, with one CDF call per density over all their roots."""
     u_lo = _search_grid(spec, grid_points).u[0]
-    roots = np.array([h for ls in sets for h in ls.roots])
-    c0 = cdf(spec.density0, roots).tolist() if roots.size else []
-    c1 = cdf(spec.density1, roots).tolist() if roots.size else []
+    c0, c1 = _cdfs(spec, np.array([h for ls in sets for h in ls.roots]))
     out = []
     stop = 0
     for ls in sets:
         start, stop = stop, stop + len(ls.roots)
         odd_first = u_lo < ls.level
-        a11 = _alternating_mass(c0[start:stop], "odd" if odd_first else "even")
-        a22 = _alternating_mass(c1[start:stop], "even" if odd_first else "odd")
+        a11, a22 = _correct_masses(c0[start:stop], c1[start:stop], odd_first)
         out.append(
             LevelFunctionals(
                 level=ls.level, correct0=a11, correct1=a22, roots=ls.roots,

@@ -1,19 +1,13 @@
-"""Gaussian-mixture conditional densities with exact partition masses.
+"""Gaussian-mixture conditional densities: the mixture model and its kernels.
 
 Each conditional density of the channel output is a finite Gaussian mixture.
-:func:`pdf`, :func:`log_pdf` and :func:`cdf` evaluate it component-major:
-the points form one row, each of the k components a row of a ``(k, points)``
-array, and the sum or log-sum-exp over components reduces along axis 0,
-adding the rows in sequence.  (A reduction over a short trailing
-component axis costs several times more.)
-
-All probability masses are computed in closed form through the normal CDF
-(error function), never by quadrature: :func:`partition_mass` evaluates the
-CDF once at every threshold, and :func:`_alternating_mass`, which also
-serves the batched level functionals of :mod:`binquant.channel`, sums the
-alternating CDF values with ``math.fsum``.  Every term is exact, so each
-mass is rounded once, and the two parities always add up to the total
-mass.
+:func:`log_pdf` and :func:`cdf` evaluate it component-major: the points
+form one row, each of the k components a row of a ``(k, points)`` array,
+and the sum or log-sum-exp over components reduces along axis 0, adding
+the rows in sequence.  (A reduction over a short trailing component axis
+costs several times more.)  The CDF is closed form through the normal CDF
+(error function); :mod:`binquant.channel` turns its values at the
+thresholds into probability masses, never by quadrature.
 
 The second Gaussian parameter throughout this package is the *standard
 deviation*, not the variance.
@@ -23,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 from scipy.special import ndtr
@@ -35,10 +28,8 @@ __all__ = [
     "DensityModel",
     "Prior",
     "Thresholds",
-    "pdf",
     "log_pdf",
     "cdf",
-    "partition_mass",
 ]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -73,8 +64,7 @@ class DensityModel:
     arrays, built once here: ``_mus``, ``_sigmas``, ``_weights`` and
     ``_log_coef``, the per-component constant log w - log sigma -
     log sqrt(2 pi) of the log-pdf.  They broadcast against a row of points
-    into the component-major layout of :func:`pdf`, :func:`log_pdf` and
-    :func:`cdf`.
+    into the component-major layout of :func:`log_pdf` and :func:`cdf`.
     """
 
     components: tuple[GaussianComponent, ...]
@@ -117,18 +107,6 @@ class Prior:
         return 1.0 - self.p0
 
 
-def validate_thresholds(thresholds) -> Thresholds:
-    """Check that thresholds are finite and strictly increasing; return a tuple."""
-    h = tuple(float(t) for t in thresholds)
-    for t in h:
-        if not math.isfinite(t):
-            raise InvalidSpecError(f"thresholds must be finite, got {t!r}")
-    for lo, hi in zip(h, h[1:]):
-        if not lo < hi:
-            raise InvalidSpecError(f"thresholds must be strictly increasing, got {h!r}")
-    return h
-
-
 def _z(model: DensityModel, y) -> np.ndarray:
     """``y`` standardized by each component, component-major: shape ``(k, y.size)``."""
     return (np.asarray(y, dtype=float).ravel() - model._mus) / model._sigmas
@@ -137,12 +115,6 @@ def _z(model: DensityModel, y) -> np.ndarray:
 def _shaped(vals: np.ndarray, y):
     """``vals`` as a ``float`` for scalar ``y``, else as an array of ``y``'s shape."""
     return float(vals[0]) if np.ndim(y) == 0 else vals.reshape(np.shape(y))
-
-
-def pdf(model: DensityModel, y):
-    """Mixture density at ``y`` (scalar or array): sum_k w_k N(y; mu_k, sigma_k)."""
-    z = _z(model, y)
-    return _shaped(np.sum(np.exp(model._log_coef - 0.5 * z * z), axis=0), y)
 
 
 def log_pdf(model: DensityModel, y):
@@ -158,38 +130,3 @@ def cdf(model: DensityModel, y):
     """Mixture CDF at ``y``; accepts +-inf (limits 0 and 1)."""
     # means and stddevs are finite, so +-inf inputs give +-inf z, which ndtr maps to 1/0 exactly
     return _shaped(np.sum(model._weights * ndtr(_z(model, y)), axis=0), y)
-
-
-def partition_mass(
-    model: DensityModel,
-    thresholds: Thresholds,
-    parity: Literal["odd", "even"],
-) -> float:
-    """Mass of ``model`` on alternating segments of the threshold partition.
-
-    ``n`` thresholds split the line into ``n + 1`` contiguous segments.
-    ``parity="odd"`` selects the 1st, 3rd, 5th, ... segments, i.e.
-    (-inf, h1), [h2, h3), ...; ``parity="even"`` selects [h1, h2), [h3, h4),
-    and so on.  The two parities always sum to the total mass.
-    """
-    if parity not in ("odd", "even"):
-        raise InvalidSpecError(f"parity must be 'odd' or 'even', got {parity!r}")
-    h = validate_thresholds(thresholds)
-    return _alternating_mass(cdf(model, np.asarray(h)).tolist() if h else [], parity)
-
-
-def _alternating_mass(cdf_at_thresholds: list[float], parity: Literal["odd", "even"]) -> float:
-    """The mass of :func:`partition_mass` from the CDF values at the thresholds.
-
-    With CDF values c1 <= ... <= cn the odd segments hold
-    c1 - c2 + c3 - ... (+ 1 when n is even), and the even ones 1 minus
-    that.  Both are summed from these exact terms by ``math.fsum``, so the
-    mass is rounded once, and clamped into [0, 1].  With no thresholds the
-    whole line is the one odd segment.
-    """
-    c = cdf_at_thresholds
-    odd = c[::2] + [-v for v in c[1::2]]
-    if len(c) % 2 == 0:
-        odd.append(1.0)
-    mass = math.fsum(odd) if parity == "odd" else math.fsum([1.0] + [-v for v in odd])
-    return min(1.0, max(0.0, mass))

@@ -15,13 +15,10 @@ class DegenerateChannelError(QuantizerError):
     """The correct-decision masses sit at machine 0/1, so the stationarity
     function has no usable value at this level (logs would be unbounded).
 
-    Carries the offending level and masses so callers can move inward.
+    The message names the offending level and masses.
     """
 
     def __init__(self, level: float, correct0: float, correct1: float):
-        self.level = level
-        self.correct0 = correct0
-        self.correct1 = correct1
         super().__init__(
             f"degenerate channel at level a={level!r}: f={correct0!r}, g={correct1!r} "
             f"within 1e-12 of {{0, 1}}"
@@ -30,12 +27,8 @@ class DegenerateChannelError(QuantizerError):
 
 class NoSignChangeError(QuantizerError):
     """No + to - sign change of the stationarity function can be bracketed
-    in the admissible level range, so no optimum can be narrowed.
-    ``diagnosis`` explains why."""
-
-    def __init__(self, diagnosis: str):
-        self.diagnosis = diagnosis
-        super().__init__(diagnosis)
+    in the admissible level range, so no optimum can be narrowed; the
+    message explains why."""
 
 
 class NotConvergedError(QuantizerError):

@@ -48,6 +48,13 @@ _CHUNK_TUPLES = 1 << 14
 #: about 1e-14 bits, so a pruned tuple can neither win nor tie.
 _SLACK_BITS = 1e-12
 
+#: Array elements a grid search may hold: its CDF values and tile indices.
+_GRID_BUDGET = 1 << 25
+
+#: The levels :func:`structural_checks` validates, and its finite-difference step.
+_CHECK_LEVELS = np.linspace(0.05, 0.95, 19)
+_FD_STEP = 1e-5
+
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -65,7 +72,6 @@ class OracleResult:
     best_mi_bits: float
     best_thresholds: Thresholds
     n_evaluated: int
-    grid_step: float
 
 
 def _masses(first, second, last):
@@ -138,16 +144,26 @@ def grid_size(spec: ChannelSpec, n_thresholds: int, grid_step: float) -> int:
     """Points of the uniform grid :func:`grid_search` would search.
 
     Raises InvalidSpecError for the arguments it rejects: ``n_thresholds``
-    outside {1, 2, 3}, a ``grid_step`` that is not finite and positive, or
-    a grid with fewer points than thresholds.
+    outside {1, 2, 3}, a ``grid_step`` that is not finite and positive, a
+    grid with fewer points than thresholds, or one whose search would hold
+    more than ``_GRID_BUDGET`` array elements: 2 CDF values per point and n
+    block indices per tile, C(blocks + n - 1, n) tiles.  The count comes
+    from the grid size alone, before anything is allocated.
     """
-    if n_thresholds not in (1, 2, 3):
-        raise InvalidSpecError(f"n_thresholds must be 1, 2, or 3, got {n_thresholds!r}")
+    n = n_thresholds
+    if n not in (1, 2, 3):
+        raise InvalidSpecError(f"n_thresholds must be 1, 2, or 3, got {n!r}")
     if not (math.isfinite(grid_step) and grid_step > 0.0):
         raise InvalidSpecError(f"grid_step must be finite and > 0, got {grid_step!r}")
-    npts = int(math.floor((spec.search_hi - spec.search_lo) / grid_step + 1e-9)) + 1
-    if npts < n_thresholds:
+    # capped, so that a step too fine for any budget needs no huge (or infinite) count
+    npts = int(math.floor(min((spec.search_hi - spec.search_lo) / grid_step + 1e-9, _GRID_BUDGET))) + 1
+    if npts < n:
         raise InvalidSpecError("grid has fewer points than requested thresholds")
+    if 2 * npts + n * math.comb(-(-npts // _BLOCK[n]) + n - 1, n) > _GRID_BUDGET:
+        raise InvalidSpecError(
+            f"grid_step {grid_step!r} is too fine for n_thresholds={n}: the grid search "
+            f"would hold more than {_GRID_BUDGET} array elements"
+        )
     return npts
 
 
@@ -221,7 +237,6 @@ def grid_search(spec: ChannelSpec, n_thresholds: int, grid_step: float) -> Oracl
         best_mi_bits=exact,
         best_thresholds=thresholds,
         n_evaluated=math.comb(npts, n),
-        grid_step=grid_step,
     )
 
 
@@ -277,15 +292,10 @@ class StructuralCheck:
     tolerance: float
 
 
-def structural_checks(
-    spec: ChannelSpec,
-    levels=None,
-    fd_step: float = 1e-5,
-    grid_points: int = DEFAULT_GRID_POINTS,
-) -> dict[str, StructuralCheck]:
+def structural_checks(spec: ChannelSpec, grid_points: int = DEFAULT_GRID_POINTS) -> dict[str, StructuralCheck]:
     """Numerically validate the structural facts of the level functionals.
 
-    On the level grid (default 0.05, 0.10, ..., 0.95):
+    On the levels 0.05, 0.10, ..., 0.95 (``_CHECK_LEVELS``):
 
     * ``monotone_masses`` - f non-decreasing, g non-increasing (slack 1e-10);
     * ``mass_sum_lower_bound`` - f + g >= 1 (slack 1e-9);
@@ -303,18 +313,11 @@ def structural_checks(
       peak.
 
     Degenerate levels participate in the mass checks (their masses are exact
-    0/1) and are skipped only by the stationarity check.  The levels and
-    their +- ``fd_step`` neighbours, 3 x 19 by default, go through one
+    0/1) and are skipped only by the stationarity check.  The 19 levels and
+    their +- ``_FD_STEP`` neighbours go through one
     :func:`~binquant.channel.level_functionals_batch` call.
     """
-    if levels is None:
-        levels = np.linspace(0.05, 0.95, 19)
-    levels = np.sort(np.asarray([float(a) for a in levels]))
-    if not fd_step > 0.0:
-        raise InvalidSpecError(f"fd_step must be > 0, got {fd_step!r}")
-    if levels[0] - fd_step <= 1e-9 or levels[-1] + fd_step >= 1.0 - 1e-9:
-        raise InvalidSpecError("levels +- fd_step must stay inside (0, 1)")
-
+    levels, fd_step = _CHECK_LEVELS, _FD_STEP
     p0, p1 = spec.prior.p0, spec.prior.p1
     fns = level_functionals_batch(
         spec, np.concatenate([levels, levels + fd_step, levels - fd_step]), grid_points

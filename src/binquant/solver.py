@@ -22,7 +22,7 @@ from .channel import ChannelMatrix, Mapping, _mi_bits, level_functionals, mutual
 from .channel import stationarity
 from .density import Thresholds, cdf
 from .errors import DegenerateChannelError, InvalidSpecError, NoSignChangeError
-from .likelihood import ChannelSpec, Monotonicity, _bracketed_secant, _search_grid
+from .likelihood import DEFAULT_GRID_POINTS, ChannelSpec, Monotonicity, _bracketed_secant, _search_grid
 from .likelihood import classify_monotonicity, likelihood_ratio, translate_log_concavity
 
 __all__ = ["SolverConfig", "QuantizerDesign", "solve", "predict_single_threshold"]
@@ -48,7 +48,7 @@ class SolverConfig:
     a_hi: float = 1.0 - 1e-6
     tol_a: float = 1e-10
     max_iter: int = 200
-    grid_points: int = 4096
+    grid_points: int = DEFAULT_GRID_POINTS
 
     def __post_init__(self):
         if not (0.0 < self.a_lo < self.a_hi < 1.0):
@@ -197,7 +197,7 @@ def solve(spec: ChannelSpec, config: SolverConfig | None = None) -> QuantizerDes
     )
 
 
-def predict_single_threshold(spec: ChannelSpec, grid_points: int = 4096) -> bool:
+def predict_single_threshold(spec: ChannelSpec, grid_points: int = DEFAULT_GRID_POINTS) -> bool:
     """Predict, before solving, whether one threshold suffices.
 
     True when the likelihood ratio is strictly monotone, or when density1 is

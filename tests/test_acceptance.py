@@ -34,7 +34,6 @@ from binquant import (
 
 REGRESSION_SEED = 20250809
 
-PROPERTY_LEVELS = np.linspace(0.05, 0.95, 19)
 
 # Optimum of example2 (p0 = 0.5, phi0 = N(-1, sd sqrt(5)), phi1 = N(1, 1)),
 # derived with mpmath at 30 digits and no binquant code: log r is quadratic,
@@ -137,7 +136,7 @@ def test_criterion_5_property_suite(example1_spec, example2_spec, fig5_spec):
     worst_by_check = {}
     all_ok = True
     for spec in (example1_spec, example2_spec, fig5_spec):
-        checks = structural_checks(spec, levels=PROPERTY_LEVELS)
+        checks = structural_checks(spec)
         for check in checks.values():
             all_ok &= check.passed
             prev = worst_by_check.get(check.name, 0.0)

@@ -9,15 +9,14 @@ from binquant import (
     DegenerateChannelError,
     InvalidSpecError,
     Prior,
-    binary_entropy,
     channel_matrix,
     level_functionals,
     level_functionals_batch,
     mutual_information,
     stationarity,
 )
-from binquant import channel, density
-from binquant.channel import _mi_bits
+from binquant import channel
+from binquant.channel import _h2, _mi_bits
 from tests.conftest import BATCH_SPECS, batch_levels
 
 PHI_1 = 0.8413447460685429
@@ -52,8 +51,8 @@ class TestChannelMatrix:
 
     def test_constant_quantizer_makes_no_cdf_call(self, example2_spec, fig5_spec, monkeypatch):
         calls = []
-        real_cdf = density.cdf
-        monkeypatch.setattr(density, "cdf", lambda *args: calls.append(args) or real_cdf(*args))
+        real_cdf = channel.cdf
+        monkeypatch.setattr(channel, "cdf", lambda *args: calls.append(args) or real_cdf(*args))
         for spec in (example2_spec, fig5_spec):
             odd = channel_matrix(spec, (), "odd_to_zero")
             even = channel_matrix(spec, (), "even_to_zero")
@@ -62,6 +61,8 @@ class TestChannelMatrix:
         # the counter does see the calls a non-empty threshold vector makes
         channel_matrix(example2_spec, (0.0,), "odd_to_zero")
         assert len(calls) == 2
+        # as an array, which the benchmark's span wrapper counts as points
+        assert all(isinstance(y, np.ndarray) and y.tolist() == [0.0] for _, y in calls)
 
     def test_mapping_swap_complements_the_matrix(self, example2_spec):
         odd = channel_matrix(example2_spec, (-0.5, 2.0), "odd_to_zero")
@@ -107,27 +108,27 @@ class TestMutualInformation:
 
     def test_bounds(self, asym_spec):
         rng = np.random.default_rng(23)
-        cap = binary_entropy(asym_spec.prior.p0)
+        cap = mutual_information(asym_spec.prior, ChannelMatrix(1.0, 1.0))
         for _ in range(50):
             h = tuple(np.sort(rng.uniform(-10.0, 10.0, size=rng.integers(1, 5))))
             mi = mutual_information(asym_spec.prior, channel_matrix(asym_spec, h, "odd_to_zero"))
             assert 0.0 <= mi <= cap + 1e-12
 
     def test_binary_entropy_edges(self):
-        assert binary_entropy(0.0) == 0.0
-        assert binary_entropy(1.0) == 0.0
-        assert binary_entropy(0.5) == 1.0
+        assert _h2(0.0) == 0.0
+        assert _h2(1.0) == 0.0
+        assert _h2(0.5) == 1.0
 
     def test_binary_entropy_on_an_array_matches_scalars(self):
         w = np.array([0.0, 1e-300, 1e-9, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0 - 1e-9, 1.0])
-        got = binary_entropy(w)
+        got = _h2(w)
         assert isinstance(got, np.ndarray) and got.shape == w.shape
-        assert got.tolist() == [binary_entropy(float(x)) for x in w]
+        assert got.tolist() == [float(_h2(float(x))) for x in w]
 
     def test_binary_entropy_outside_the_unit_interval_is_zero(self):
         # grid-search masses such as c0[i] + 1 - c0[j] can round past 1
-        assert binary_entropy(np.nextafter(1.0, 2.0)) == 0.0
-        assert binary_entropy(-1e-300) == 0.0
+        assert _h2(np.nextafter(1.0, 2.0)) == 0.0
+        assert _h2(-1e-300) == 0.0
 
     def test_array_formula_matches_mutual_information(self, asym_spec):
         rng = np.random.default_rng(29)

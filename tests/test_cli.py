@@ -7,7 +7,7 @@ import warnings
 import pytest
 
 import binquant.cli as cli
-from binquant import OracleResult, solve
+from binquant import OracleResult, oracle, solve
 from binquant.cli import load_config, main
 from tests.conftest import CONFIG_DIR
 
@@ -260,20 +260,24 @@ class TestVerifyCommand:
         (["--n-thresholds", "4"], "n_thresholds"),
         (["--grid-step", "inf"], "grid_step"),
         (["--n-thresholds", "2", "--grid-step", "1000"], "fewer points"),
+        # grids over the array budget: 28.0 M tiles at the default step 0.01,
+        # 2.2e13 points, and a window over the step that is inf
+        (["--n-thresholds", "3"], "grid_step 0.01 is too fine"),
+        (["--n-thresholds", "1", "--grid-step", "1e-12"], "grid_step 1e-12 is too fine"),
+        (["--n-thresholds", "1", "--grid-step", "5e-324"], "grid_step 5e-324 is too fine"),
     ])
     def test_oracle_arguments_are_checked_before_solving(self, args, field, capsys, monkeypatch):
-        def no_solve(spec, cfg):
-            raise AssertionError("solve ran before the oracle arguments were checked")
+        def fail(*_):
+            raise AssertionError("solve or the grid search ran before the oracle arguments were checked")
 
-        monkeypatch.setattr(cli, "solve", no_solve)
+        monkeypatch.setattr(cli, "solve", fail)
+        monkeypatch.setattr(oracle, "_tile_bounds", fail)
         assert main(["verify", "--config", EXAMPLE1, *args]) == 1
         assert field in capsys.readouterr().err
 
     def test_failed_verification_exits_3(self, capsys, monkeypatch):
         def inflated(spec, n, step):
-            return OracleResult(
-                best_mi_bits=1.0, best_thresholds=(0.0,), n_evaluated=1, grid_step=step
-            )
+            return OracleResult(best_mi_bits=1.0, best_thresholds=(0.0,), n_evaluated=1)
 
         monkeypatch.setattr(cli, "grid_search", inflated)
         assert main(["verify", "--config", EXAMPLE1, "--n-thresholds", "1",

@@ -1,4 +1,4 @@
-"""Gaussian-mixture density evaluation and exact partition masses."""
+"""Gaussian-mixture density evaluation, and the exact partition masses built from its CDF."""
 
 import math
 from fractions import Fraction
@@ -15,11 +15,11 @@ from binquant import (
     InvalidSpecError,
     Prior,
     cdf,
+    channel_matrix,
+    channel_spec,
     log_pdf,
-    partition_mass,
-    pdf,
 )
-from binquant.density import _alternating_mass
+from binquant.channel import _alternating_mass
 
 INF = math.inf
 
@@ -43,6 +43,20 @@ THREE_BUMP_AT_M3 = 0.3568248900731743
 # Phi(2.5374) and Phi(1), mpmath
 PHI_2_5374 = 0.9944160365434726
 PHI_1 = 0.8413447460685429
+
+
+def _segment_mass(model, thresholds, parity):
+    """Mass of ``model`` on the odd or even segments of the threshold partition.
+
+    It is a11 of the channel with ``model`` as density0 whose Z=0 segments
+    are those of ``parity``.
+    """
+    spec = channel_spec(Prior(0.5), model, STD_NORMAL)
+    return channel_matrix(spec, thresholds, f"{parity}_to_zero").a11
+
+
+def _pdf(model, y):
+    return math.exp(log_pdf(model, y))
 
 
 class TestValidation:
@@ -75,26 +89,26 @@ class TestValidation:
 
 class TestPdf:
     def test_standard_normal_peak(self):
-        assert pdf(STD_NORMAL, 0.0) == pytest.approx(PEAK, abs=1e-12)
+        assert _pdf(STD_NORMAL, 0.0) == pytest.approx(PEAK, abs=1e-12)
 
     def test_shift_invariance(self):
-        assert pdf(SHIFTED, -1.0) == pytest.approx(PEAK, abs=1e-12)
+        assert _pdf(SHIFTED, -1.0) == pytest.approx(PEAK, abs=1e-12)
 
     def test_three_bump_mixture_value(self):
         # distant components contribute < 1e-6; the frozen value includes them
-        assert pdf(THREE_BUMP, -3.0) == pytest.approx(THREE_BUMP_AT_M3, rel=1e-12)
+        assert _pdf(THREE_BUMP, -3.0) == pytest.approx(THREE_BUMP_AT_M3, rel=1e-12)
 
     def test_nonnegative_and_finite_on_wide_grid(self):
         ys = np.linspace(-60.0, 60.0, 2001)
         for model in ALL_MODELS:
-            vals = pdf(model, ys)
+            vals = np.exp(log_pdf(model, ys))
             assert np.all(np.isfinite(vals))
             assert np.all(vals >= 0.0)
 
     def test_log_pdf_matches_log_of_pdf(self):
         ys = np.linspace(-8.0, 8.0, 101)
         for model in ALL_MODELS:
-            np.testing.assert_allclose(log_pdf(model, ys), np.log(pdf(model, ys)), rtol=1e-12)
+            np.testing.assert_allclose(log_pdf(model, ys), np.log(_loop_pdf(model, ys)), rtol=1e-12)
 
     def test_log_pdf_finite_deep_in_tails(self):
         assert math.isfinite(log_pdf(STD_NORMAL, 40.0))
@@ -127,58 +141,59 @@ class TestIntervalMass:
         for model in ALL_MODELS:
             pts = np.sort(rng.uniform(-12.0, 12.0, size=30))
             for a, b, c in zip(pts, pts[10:], pts[20:]):
-                lhs = partition_mass(model, (a, b), "even") + partition_mass(model, (b, c), "even")
-                assert lhs == pytest.approx(partition_mass(model, (a, c), "even"), abs=1e-12)
+                lhs = _segment_mass(model, (a, b), "even") + _segment_mass(model, (b, c), "even")
+                assert lhs == pytest.approx(_segment_mass(model, (a, c), "even"), abs=1e-12)
 
     def test_monotone_in_upper_bound(self):
         rng = np.random.default_rng(11)
         for model in ALL_MODELS:
             a = -4.0
             uppers = np.sort(rng.uniform(-4.0, 8.0, size=20))
-            masses = [partition_mass(model, (a, b), "even") for b in uppers]
+            masses = [_segment_mass(model, (a, b), "even") for b in uppers]
             assert all(m1 <= m2 + 1e-15 for m1, m2 in zip(masses, masses[1:]))
 
     def test_normalization_within_1e9_of_one(self):
         # wide-interval check of the unit-integral invariant
         for model in ALL_MODELS:
-            assert abs(partition_mass(model, (-1e6, 1e6), "even") - 1.0) <= 1e-9
+            assert abs(_segment_mass(model, (-1e6, 1e6), "even") - 1.0) <= 1e-9
 
 
 class TestPartitionMass:
     def test_single_threshold_halves_standard_normal(self):
-        assert partition_mass(STD_NORMAL, (0.0,), "odd") == pytest.approx(0.5, abs=1e-12)
+        assert _segment_mass(STD_NORMAL, (0.0,), "odd") == pytest.approx(0.5, abs=1e-12)
 
     def test_two_threshold_tail_mass(self):
         # mass of the heavy density outside (-0.5374, 3.5374)
-        got = partition_mass(HEAVY, (-0.5374, 3.5374), "odd")
+        got = _segment_mass(HEAVY, (-0.5374, 3.5374), "odd")
         assert got == pytest.approx(0.6031682311650414, abs=1e-12)
 
     def test_two_threshold_middle_mass(self):
-        got = partition_mass(UNIT_AT_1, (-0.5374, 3.5374), "even")
+        got = _segment_mass(UNIT_AT_1, (-0.5374, 3.5374), "even")
         assert got == pytest.approx(0.9323183433489574, abs=1e-12)
 
     def test_no_thresholds(self):
         for model in ALL_MODELS:
-            assert partition_mass(model, (), "odd") == 1.0
-            assert partition_mass(model, (), "even") == 0.0
+            assert _segment_mass(model, (), "odd") == 1.0
+            assert _segment_mass(model, (), "even") == 0.0
 
     def test_parities_sum_to_one(self):
         rng = np.random.default_rng(3)
         for model in ALL_MODELS:
             for n in (1, 2, 3, 5, 8):
                 h = tuple(np.sort(rng.uniform(-10.0, 10.0, size=n)))
-                total = partition_mass(model, h, "odd") + partition_mass(model, h, "even")
+                total = _segment_mass(model, h, "odd") + _segment_mass(model, h, "even")
                 assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_non_increasing(self):
         with pytest.raises(InvalidSpecError):
-            partition_mass(STD_NORMAL, (1.0, 1.0), "odd")
+            _segment_mass(STD_NORMAL, (1.0, 1.0), "odd")
         with pytest.raises(InvalidSpecError):
-            partition_mass(STD_NORMAL, (2.0, 1.0), "even")
+            _segment_mass(STD_NORMAL, (2.0, 1.0), "even")
 
     def test_rejects_unknown_parity(self):
+        spec = channel_spec(Prior(0.5), STD_NORMAL, STD_NORMAL)
         with pytest.raises(InvalidSpecError):
-            partition_mass(STD_NORMAL, (0.0,), "all")
+            channel_matrix(spec, (0.0,), "all")
 
 
 def _mixture(k: int) -> DensityModel:
@@ -229,7 +244,7 @@ def _loop_cdf(model, y):
     return total
 
 
-KERNELS = [(pdf, _loop_pdf), (log_pdf, _loop_log_pdf), (cdf, _loop_cdf)]
+KERNELS = [(log_pdf, _loop_log_pdf), (cdf, _loop_cdf)]
 
 
 class TestComponentMajorKernels:
@@ -237,7 +252,7 @@ class TestComponentMajorKernels:
     component at a time gives the same floats."""
 
     @pytest.mark.parametrize("k", range(1, 7))
-    @pytest.mark.parametrize("kernel, loop", KERNELS, ids=["pdf", "log_pdf", "cdf"])
+    @pytest.mark.parametrize("kernel, loop", KERNELS, ids=["log_pdf", "cdf"])
     def test_equals_a_loop_over_components(self, kernel, loop, k):
         model = _mixture(k)
         ys = np.linspace(-9.0, 9.0, 301)
@@ -267,5 +282,5 @@ _PROBABILITY = st.floats(min_value=0.0, max_value=1.0, allow_subnormal=True)
 def test_alternating_mass_is_the_exact_sum_rounded_once(c):
     # odd segments: c1 - c2 + c3 - ... (+ 1 when the count is even); even: 1 minus that
     odd = sum((Fraction(v) * (-1) ** i for i, v in enumerate(c)), Fraction(1 - len(c) % 2))
-    assert _alternating_mass(c, "odd") == float(odd)
-    assert _alternating_mass(c, "even") == float(1 - odd)
+    assert _alternating_mass(c, odd=True) == float(odd)
+    assert _alternating_mass(c, odd=False) == float(1 - odd)

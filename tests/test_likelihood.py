@@ -14,7 +14,6 @@ from binquant import (
     NotConvergedError,
     channel_spec,
     classify_monotonicity,
-    default_search_interval,
     find_level_set,
     find_level_sets,
     level_functionals,
@@ -80,7 +79,7 @@ def reference_level_roots(spec, level):
 
 class TestSpecValidation:
     def test_default_search_interval_margin(self, example2_spec):
-        lo, hi = default_search_interval(example2_spec.density0, example2_spec.density1)
+        lo, hi = likelihood.default_search_interval(example2_spec.density0, example2_spec.density1)
         assert lo == pytest.approx(-1.0 - 10.0 * math.sqrt(5.0))
         assert hi == pytest.approx(1.0 + 10.0 * math.sqrt(5.0))
         assert (example2_spec.search_lo, example2_spec.search_hi) == (lo, hi)

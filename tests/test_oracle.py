@@ -209,6 +209,24 @@ class TestGridSearch:
             with pytest.raises(InvalidSpecError, match="grid_step"):
                 grid_search(example1_spec, 1, step)
 
+    def test_grid_over_the_budget_is_rejected_before_allocating(
+        self, example1_spec, example2_spec, monkeypatch
+    ):
+        # the benchmark's oracle grids on example2 and the README's n = 2 example fit the budget
+        width = example2_spec.search_hi - example2_spec.search_lo
+        for n, points in ((1, 100_001), (2, 1001), (3, 81)):
+            assert oracle.grid_size(example2_spec, n, width / (points - 1)) == points
+        assert oracle.grid_size(example2_spec, 2, 0.02) == 2337
+
+        def fail(*_):
+            raise AssertionError("an oversized grid got past the budget check")
+
+        monkeypatch.setattr(oracle, "_blocks", fail)
+        # 28.0 M tiles of 3 thresholds; 2.2e13 points; a window over the step that is inf
+        for n, step in ((3, 0.01), (1, 1e-12), (1, 5e-324)):
+            with pytest.raises(InvalidSpecError, match="grid_step .* too fine"):
+                grid_search(example1_spec, n, step)
+
     def test_evaluation_count(self, example1_spec):
         result = grid_search(example1_spec, 1, 0.01)
         assert result.n_evaluated == 2201  # 22-wide window, step 0.01, inclusive
@@ -384,7 +402,3 @@ class TestStructuralChecks:
 
     def test_asymmetric_prior_passes(self, asym_spec):
         assert all(c.passed for c in structural_checks(asym_spec).values())
-
-    def test_rejects_fd_step_leaving_unit_interval(self, example1_spec):
-        with pytest.raises(InvalidSpecError):
-            structural_checks(example1_spec, levels=[0.5], fd_step=0.6)
