@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.special import entr
 
 from .density import Thresholds, cdf
 from .errors import DegenerateChannelError, InvalidSpecError
@@ -57,8 +56,6 @@ __all__ = [
 ]
 
 Mapping = Literal["odd_to_zero", "even_to_zero"]
-
-_LN2 = math.log(2.0)
 
 #: Correct-decision masses within this band of {0, 1} make the stationarity
 #: logs unbounded: ``LevelFunctionals.stationarity_value`` is NaN there, and
@@ -168,13 +165,22 @@ def channel_matrix(spec: ChannelSpec, thresholds: Thresholds, mapping: Mapping) 
 
 
 def _h2(w):
-    """H2(w) in bits, elementwise, with 0 log 0 := 0; w outside (0, 1) gives 0.
+    """H2(w) = -(w log2 w + (1 - w) log2(1 - w)) in bits, elementwise; 0 for w outside (0, 1).
 
-    Masses formed by sums such as c0[i] + 1 - c0[j] can round to 1 + 2^-52,
-    where a bare entr(1 - w) would be -inf, so the mask is not optional.
+    Both logs come from numpy's vectorized ``log2`` (not scipy's ``entr``,
+    a scalar loop), so an element gives the same float alone as inside an
+    array.  0 log 0 := 0 at w = 0 and w = 1, and every w outside (0, 1)
+    gives exactly 0 too: masses formed by sums such as c0[i] + 1 - c0[j]
+    can round to 1 + 2^-52, where the formula would take the log of a
+    negative number, so the mask is not optional.  (In floating point,
+    w < 1 exactly when 1 - w > 0.)
     """
     w = np.asarray(w, dtype=float)
-    return np.where((w > 0.0) & (w < 1.0), entr(w) + entr(1.0 - w), 0.0) / _LN2
+    v = 1.0 - w
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = w * np.log2(w)
+        h += v * np.log2(v)
+    return np.where((w > 0.0) & (v > 0.0), -h, 0.0)
 
 
 def _mi_bits(p0: float, a11, a22):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _mi_bits, channel_matrix, level_functionals_batch, mutual_information
+from .channel import _h2, _mi_bits, channel_matrix, level_functionals_batch, mutual_information
 from .density import Thresholds, cdf
 from .errors import InvalidSpecError
 from .likelihood import DEFAULT_GRID_POINTS, ChannelSpec
@@ -45,11 +45,22 @@ _CHUNK_TUPLES = 1 << 14
 
 #: A tile is pruned once its bound falls below the best score by more than
 #: this (bits).  The rounding of ``_mi_bits`` at a tuple and at a corner is
-#: about 1e-14 bits, so a pruned tuple can neither win nor tie.
+#: about 1e-14 bits (a tuple scored at most 5e-15 above its tile's bound on
+#: the shipped configs), so a pruned tuple can neither win nor tie.
 _SLACK_BITS = 1e-12
 
-#: Array elements a grid search may hold: its CDF values and tile indices.
-_GRID_BUDGET = 1 << 25
+#: Bytes a grid search may hold at its peak, as :func:`_search_bytes` counts them.
+_BYTE_BUDGET = 1 << 28
+
+#: Peak bytes per tile, by n: tile indices, corner masses, their entropies
+#: and bounds.  Measured with ``tracemalloc`` as 195, 162 and 170 on grids
+#: of 10^3 to 10^6 tiles.
+_TILE_BYTES = {1: 200, 2: 170, 3: 180}
+
+#: Peak bytes per tuple of a full scoring chunk, beyond the tile arrays:
+#: its grid indices, masses and entropies (at most 1.3 MiB measured for
+#: ``_CHUNK_TUPLES`` tuples on a flat channel, where no tile is pruned).
+_CHUNK_TUPLE_BYTES = 128
 
 #: The levels :func:`structural_checks` validates, and its finite-difference step.
 _CHECK_LEVELS = np.linspace(0.05, 0.95, 19)
@@ -110,7 +121,10 @@ def _tile_bounds(p0: float, c0, c1, starts, ends, n: int) -> tuple[np.ndarray, n
     two extreme corners.  For a fixed input I(X;Z) is convex in the channel
     (Cover & Thomas, Thm 2.7.4), which is affine in the masses, so the
     largest ``_mi_bits`` at the four corners of that box, clamped into
-    [0, 1]^2, bounds the tile up to rounding.
+    [0, 1]^2, bounds the tile up to rounding.  The bound is computed term by
+    term, bit for bit as four ``_mi_bits`` calls would give it, but the
+    entropy of each of the four corner masses is computed once: 8 entropy
+    passes per tile, one corner's array at a time.
     """
     # the non-decreasing tuples: each one extended by every block from its last on
     blocks = np.arange(starts.size)[None]
@@ -133,11 +147,35 @@ def _tile_bounds(p0: float, c0, c1, starts, ends, n: int) -> tuple[np.ndarray, n
         return [np.clip(m, 0.0, 1.0) for m in masses]
 
     (a11_hi, a22_hi), (a11_lo, a22_lo) = corner([rise, fall, rise]), corner([fall, rise, fall])
-    bound = np.maximum(
-        np.maximum(_mi_bits(p0, a11_lo, a22_lo), _mi_bits(p0, a11_lo, a22_hi)),
-        np.maximum(_mi_bits(p0, a11_hi, a22_lo), _mi_bits(p0, a11_hi, a22_hi)),
-    )
+    # _mi_bits at each corner, term by term, with the entropy of each corner
+    # mass taken once; q0 = p0 a11 + p1 (1 - a22) sums an X=0 and an X=1 part
+    p1 = 1.0 - p0
+    x1 = [(p1 * (1.0 - a22), p1 * _h2(a22)) for a22 in (a22_lo, a22_hi)]
+    bound = np.zeros(blocks.shape[1])
+    for a11 in (a11_lo, a11_hi):
+        q0_x0, h_x0 = p0 * a11, p0 * _h2(a11)
+        for q0_x1, h_x1 in x1:
+            np.maximum(bound, _h2(q0_x0 + q0_x1) - h_x0 - h_x1, out=bound)
     return blocks, bound
+
+
+def _search_bytes(spec: ChannelSpec, npts: int, n: int) -> int:
+    """An upper bound on the bytes :func:`grid_search` holds at its peak on ``npts`` points.
+
+    The sum of the two CDF values per point, the arrays of
+    C(blocks + n - 1, n) tiles (``_TILE_BYTES``), one full scoring chunk
+    (``_CHUNK_TUPLE_BYTES``), and the two ``(components, points)`` arrays
+    of one CDF call, which evaluates at most a chunk's points or both ends
+    of every block.
+    """
+    blocks = -(-npts // _BLOCK[n])
+    components = max(len(spec.density0.components), len(spec.density1.components))
+    return (
+        16 * npts
+        + _TILE_BYTES[n] * math.comb(blocks + n - 1, n)
+        + _CHUNK_TUPLE_BYTES * _CHUNK_TUPLES
+        + 16 * components * max(_CHUNK_TUPLES, 2 * blocks)
+    )
 
 
 def grid_size(spec: ChannelSpec, n_thresholds: int, grid_step: float) -> int:
@@ -146,9 +184,8 @@ def grid_size(spec: ChannelSpec, n_thresholds: int, grid_step: float) -> int:
     Raises InvalidSpecError for the arguments it rejects: ``n_thresholds``
     outside {1, 2, 3}, a ``grid_step`` that is not finite and positive, a
     grid with fewer points than thresholds, or one whose search would hold
-    more than ``_GRID_BUDGET`` array elements: 2 CDF values per point and n
-    block indices per tile, C(blocks + n - 1, n) tiles.  The count comes
-    from the grid size alone, before anything is allocated.
+    more than ``_BYTE_BUDGET`` bytes (:func:`_search_bytes`).  The count
+    comes from the grid size alone, before anything is allocated.
     """
     n = n_thresholds
     if n not in (1, 2, 3):
@@ -156,13 +193,14 @@ def grid_size(spec: ChannelSpec, n_thresholds: int, grid_step: float) -> int:
     if not (math.isfinite(grid_step) and grid_step > 0.0):
         raise InvalidSpecError(f"grid_step must be finite and > 0, got {grid_step!r}")
     # capped, so that a step too fine for any budget needs no huge (or infinite) count
-    npts = int(math.floor(min((spec.search_hi - spec.search_lo) / grid_step + 1e-9, _GRID_BUDGET))) + 1
+    cap = _BYTE_BUDGET // 16
+    npts = int(math.floor(min((spec.search_hi - spec.search_lo) / grid_step + 1e-9, cap))) + 1
     if npts < n:
         raise InvalidSpecError("grid has fewer points than requested thresholds")
-    if 2 * npts + n * math.comb(-(-npts // _BLOCK[n]) + n - 1, n) > _GRID_BUDGET:
+    if _search_bytes(spec, npts, n) > _BYTE_BUDGET:
         raise InvalidSpecError(
             f"grid_step {grid_step!r} is too fine for n_thresholds={n}: the grid search "
-            f"would hold more than {_GRID_BUDGET} array elements"
+            f"would hold more than {_BYTE_BUDGET >> 20} MiB"
         )
     return npts
 

@@ -1,7 +1,13 @@
 """Induced channel matrix, mutual information, level functionals, stationarity."""
 
+import math
+import sys
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from binquant import (
     ChannelMatrix,
@@ -31,6 +37,22 @@ QUOTED_MI = 0.2572337701445018
 EX2_F_AT_02 = 0.322037244142
 EX2_F_AT_06 = -0.818761998518
 EX2_A_STAR = 0.3205528447713517
+
+#: Floats in (0, 1): anywhere, subnormal, and within 2^-33 of 1.
+_UNIT = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(math.ulp(0.0), sys.float_info.min),
+    st.integers(1, 2**20).map(lambda k: 1.0 - k * 2.0**-53),
+)
+#: Masses outside (0, 1) that rounded sums produce, whose entropy is 0.
+_OUTSIDE = st.sampled_from([0.0, 1.0, math.nextafter(1.0, 2.0), -1e-300, -0.0, 1.5])
+
+
+def _h2_mpmath(w: float) -> float:
+    """H2 of the float w, in bits, at 30 digits."""
+    with mpmath.workdps(30):
+        x = mpmath.mpf(w)
+        return float(-(x * mpmath.log(x, 2) + (1 - x) * mpmath.log(1 - x, 2)))
 
 
 class TestChannelMatrix:
@@ -129,6 +151,22 @@ class TestMutualInformation:
         # grid-search masses such as c0[i] + 1 - c0[j] can round past 1
         assert _h2(np.nextafter(1.0, 2.0)) == 0.0
         assert _h2(-1e-300) == 0.0
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(w=_UNIT)
+    def test_binary_entropy_is_accurate(self, w):
+        assert abs(float(_h2(w)) - _h2_mpmath(w)) <= 4e-16
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(values=st.lists(st.one_of(_UNIT, _OUTSIDE), min_size=41, max_size=41))
+    def test_binary_entropy_of_every_array_length_matches_scalars(self, values):
+        # lengths 0 to 40 run through every tail of the vectorized log, at two alignments
+        w = np.array(values)
+        scalars = [float(_h2(x)) for x in values]
+        for start in (0, 1):
+            for length in range(41 - start):
+                got = _h2(w[start : start + length])
+                assert got.tolist() == scalars[start : start + length]
 
     def test_array_formula_matches_mutual_information(self, asym_spec):
         rng = np.random.default_rng(29)

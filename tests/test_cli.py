@@ -260,7 +260,7 @@ class TestVerifyCommand:
         (["--n-thresholds", "4"], "n_thresholds"),
         (["--grid-step", "inf"], "grid_step"),
         (["--n-thresholds", "2", "--grid-step", "1000"], "fewer points"),
-        # grids over the array budget: 28.0 M tiles at the default step 0.01,
+        # grids over the byte budget: 28.0 M tiles at the default step 0.01,
         # 2.2e13 points, and a window over the step that is inf
         (["--n-thresholds", "3"], "grid_step 0.01 is too fine"),
         (["--n-thresholds", "1", "--grid-step", "1e-12"], "grid_step 1e-12 is too fine"),

@@ -268,6 +268,52 @@ class TestTileBounds:
         assert np.all(np.isfinite(best_in_tile))  # no tile is empty
         assert np.all(best_in_tile <= bound + oracle._SLACK_BITS)
 
+    @pytest.mark.parametrize("name", ["example2_spec", "fig5_spec", "two_peaks_spec"])
+    @pytest.mark.parametrize("n, points", [(1, 3000), (2, 400), (3, 120)])
+    def test_bound_is_the_largest_mi_at_four_corners(self, name, n, points, request):
+        spec = request.getfixturevalue(name)
+        count, _, c0, c1 = _grid_cdfs(spec, (spec.search_hi - spec.search_lo) / (points - 1))
+        starts, ends = oracle._blocks(count, n)
+        blocks, bound = oracle._tile_bounds(spec.prior.p0, c0, c1, starts, ends, n)
+        # the CDFs at the start and at the end of each threshold's block; a
+        # missing leading threshold sits at -inf, where both CDFs are 0
+        at = [np.zeros((2, 2, blocks.shape[1]))] * (3 - n) + [
+            np.array([[c0[starts[b]], c1[starts[b]]], [c0[ends[b]], c1[ends[b]]]]) for b in blocks
+        ]
+        (i0, i1), (j0, j1), (k0, k1) = [(s[:, 0], s[:, 1]) for s in at]  # (block start, end) per CDF
+        # a11 = c0(i) + c0(k) - c0(j) is high with i, k at their block ends and
+        # j at its start; a22 = c1(j) - c1(i) + 1 - c1(k) the other way round
+        a11 = [np.clip(i0[e] + (k0[e] - j0[1 - e]), 0.0, 1.0) for e in (0, 1)]
+        a22 = [np.clip((j1[e] - i1[1 - e]) + (1.0 - k1[1 - e]), 0.0, 1.0) for e in (0, 1)]
+        p0 = spec.prior.p0
+        want = np.maximum(
+            np.maximum(_mi_bits(p0, a11[0], a22[0]), _mi_bits(p0, a11[0], a22[1])),
+            np.maximum(_mi_bits(p0, a11[1], a22[0]), _mi_bits(p0, a11[1], a22[1])),
+        )
+        assert bound.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "name, n, points",
+        [
+            # no tile of the flat channel is pruned, so every scoring chunk is full
+            *[("flat_spec", n, points) for n, points in ((1, 20_001), (2, 401), (3, 81))],
+            # the tile arrays outgrow the chunks
+            *[("fig5_spec", n, points) for n, points in ((1, 100_001), (2, 1001), (3, 161))],
+            *[("fig5_spec", n, points) for n, points in ((1, 1_000_001), (2, 4001), (3, 401))],
+        ],
+    )
+    def test_peak_memory_is_within_the_counted_bytes(self, name, n, points, request):
+        spec = request.getfixturevalue(name)
+        step = (spec.search_hi - spec.search_lo) / (points - 1)
+        assert oracle.grid_size(spec, n, step) == points
+        tracemalloc.start()
+        try:
+            grid_search(spec, n, step)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= oracle._search_bytes(spec, points, n)
+
     @pytest.mark.parametrize("n, step", [(1, 0.0005), (2, 0.02), (3, 0.25)])
     def test_search_stays_small(self, example2_spec, n, step):
         tracemalloc.start()
