@@ -39,7 +39,7 @@ from typing import Literal
 import numpy as np
 
 from .density import Thresholds, cdf
-from .errors import DegenerateChannelError, InvalidSpecError
+from .errors import DegenerateChannelError, InvalidSpecError, QuantizerError
 from .likelihood import DEFAULT_GRID_POINTS, ChannelSpec, LevelSet, Prior, _search_grid
 from .likelihood import find_level_set, find_level_sets
 
@@ -88,8 +88,9 @@ class LevelFunctionals:
     segments go to Z=0, so (f, g) is the diagonal of
     ``channel_matrix(spec, roots, mapping)``.  ``stationarity_value`` is
     F(a), or NaN when f or g is within DEGENERACY_EPS of {0, 1}.  f + g >= 1
-    always holds for a level-set quantizer, and is enforced here (violation
-    means the segment assignment is broken).
+    always holds for a level-set quantizer, and is enforced here: a
+    violation means the level set or its segment labels are wrong, which
+    raises QuantizerError (not InvalidSpecError: the spec is valid).
     """
 
     level: float
@@ -101,9 +102,9 @@ class LevelFunctionals:
 
     def __post_init__(self):
         if self.correct0 + self.correct1 < 1.0 - 1e-9:
-            raise InvalidSpecError(
-                f"correct-decision masses must satisfy f + g >= 1, got "
-                f"f={self.correct0!r}, g={self.correct1!r} at level {self.level!r}"
+            raise QuantizerError(
+                f"inconsistent level set at level a={float(self.level)!r}: "
+                f"f={float(self.correct0)!r}, g={float(self.correct1)!r} violate f + g >= 1"
             )
 
 
@@ -281,10 +282,9 @@ def stationarity(spec: ChannelSpec, level: float, grid_points: int = DEFAULT_GRI
     F is the scalar factor in dI/da = p0 f'(a) F(a): it is positive while
     raising the level gains information and negative while it loses it, so
     every + to - zero of F is a local maximum of the mutual information.
-    (F is monotone when the posterior has a single extremum; for multimodal
-    posteriors it can jump upward where a new dip joins the level set, and
-    it can have several + to - zeros.)  The zeros are invariant to the log
-    base.
+    F can jump upward where a new dip of the posterior joins the level set,
+    and it can have several + to - zeros.  The zeros are invariant to the
+    log base.
 
     Raises DegenerateChannelError when f or g is within 1e-12 of {0, 1},
     signalling that the level must move inward.

@@ -12,8 +12,8 @@ A channel config is one JSON document::
     }
 
 Exit codes are a stable contract: 0 success, 1 config/usage error,
-2 degenerate or information-free channel (nothing to solve), 3 verification
-failure.  Machine output (JSON, CSV) is lossless; human-readable text uses 6
+2 degenerate or information-free channel (nothing to solve) or another
+solver error, 3 verification failure.  Machine output (JSON, CSV) is lossless; human-readable text uses 6
 significant digits.
 """
 

@@ -20,7 +20,7 @@ class DegenerateChannelError(QuantizerError):
 
     def __init__(self, level: float, correct0: float, correct1: float):
         super().__init__(
-            f"degenerate channel at level a={level!r}: f={correct0!r}, g={correct1!r} "
+            f"degenerate channel at level a={float(level)!r}: f={float(correct0)!r}, g={float(correct1)!r} "
             f"within 1e-12 of {{0, 1}}"
         )
 

@@ -11,8 +11,8 @@ thresholds at level ``a`` are the solutions of ``u(y) = a``; the solver in
 :mod:`binquant.solver` searches over ``a``.
 
 Nothing on the search grid depends on the level, so each :class:`ChannelSpec`
-computes the grid, ``log density0``, ``log r`` and ``u`` on it once per grid
-size and keeps them, together with each cell's range of ``u`` (see
+computes the grid, ``log r`` and ``u`` on it once per grid size and keeps
+them, together with each cell's range of ``u`` (see
 :func:`_search_grid`).  Every root is a crossing of ``u`` between {u < a}
 and {u >= a}, so the segments between roots alternate between the two.
 :func:`find_level_sets` takes a whole batch of levels and decides their
@@ -181,19 +181,16 @@ def posterior(spec: ChannelSpec, y):
 class _Grid(NamedTuple):
     """The level-independent search grid of one channel; arrays are read-only.
 
-    ``log_p0`` is the log-pdf of density0 at ``ys``, which ``log_r`` is
-    computed from and :func:`translate_log_concavity` reads.  Cell i is
-    [ys[i], ys[i + 1]].  ``cells`` lists the cells in which u takes more
-    than one value and reaches into the admissible levels (1e-9, 1 - 1e-9),
-    the only ones an admissible level can cross; ``lo_u``/``hi_u`` are the
-    smaller and the larger of u at their ends, so such a cell holds a root
-    of level a exactly when lo_u < a <= hi_u.  The cell arrays serve
+    Cell i is [ys[i], ys[i + 1]].  ``cells`` lists the cells in which u
+    takes more than one value and reaches into the admissible levels (1e-9,
+    1 - 1e-9), the only ones an admissible level can cross; ``lo_u``/``hi_u``
+    are the smaller and the larger of u at their ends, so such a cell holds
+    a root of level a exactly when lo_u < a <= hi_u.  The cell arrays serve
     mixture channels; :func:`find_level_sets` solves single-Gaussian pairs
     in closed form.
     """
 
     ys: np.ndarray
-    log_p0: np.ndarray
     log_r: np.ndarray
     u: np.ndarray
     cells: np.ndarray
@@ -202,7 +199,7 @@ class _Grid(NamedTuple):
 
 
 def _search_grid(spec: ChannelSpec, grid_points: int) -> _Grid:
-    """The uniform grid over the search window, with log density0, log r, u and the cell arrays on it.
+    """The uniform grid over the search window, with log r, u and the cell arrays on it.
 
     Computed on first use for each ``grid_points`` and kept on ``spec``.
     """
@@ -211,12 +208,11 @@ def _search_grid(spec: ChannelSpec, grid_points: int) -> _Grid:
     grid = spec._grids.get(grid_points)
     if grid is None:
         ys = np.linspace(spec.search_lo, spec.search_hi, grid_points)
-        log_p0 = log_pdf(spec.density0, ys)
-        log_r = log_p0 - log_pdf(spec.density1, ys)
+        log_r = log_likelihood_ratio(spec, ys)
         u = _logistic(spec, log_r)
         lo_u, hi_u = np.minimum(u[:-1], u[1:]), np.maximum(u[:-1], u[1:])
         cells = np.flatnonzero((lo_u < hi_u) & (hi_u > _LEVEL_MARGIN) & (lo_u < 1.0 - _LEVEL_MARGIN))
-        grid = _Grid(ys, log_p0, log_r, u, cells, lo_u[cells], hi_u[cells])
+        grid = _Grid(ys, log_r, u, cells, lo_u[cells], hi_u[cells])
         for arr in grid:
             arr.flags.writeable = False
         spec._grids[grid_points] = grid
@@ -280,11 +276,12 @@ class TranslateConcavity:
 def translate_log_concavity(spec: ChannelSpec, grid_points: int = DEFAULT_GRID_POINTS) -> TranslateConcavity:
     """Detect the shifted-density structure that guarantees a single threshold.
 
-    A single-threshold quantizer is optimal when density1 is a translate of
-    density0 and density0 is strictly log-concave or log-convex.  Translation
-    is tested component-wise after shifting by the mixture-mean difference
-    (tolerance 1e-9 per parameter); concavity via second differences of the
-    log-pdf on the channel's cached search grid.
+    When density1 is a translate of density0 and density0 is strictly
+    log-concave or log-convex, the likelihood ratio is strictly monotone,
+    so a single-threshold quantizer is optimal.  Translation is tested
+    component-wise after shifting by the mixture-mean difference (tolerance
+    1e-9 per parameter); concavity via second differences of the log-pdf
+    of density0 on the points of the channel's search grid.
     """
     d0, d1 = spec.density0, spec.density1
     shift = d1.mean - d0.mean
@@ -299,7 +296,7 @@ def translate_log_concavity(spec: ChannelSpec, grid_points: int = DEFAULT_GRID_P
             for c0, c1 in pairs
         )
 
-    lp = _search_grid(spec, grid_points).log_p0
+    lp = log_pdf(d0, _search_grid(spec, grid_points).ys)
     second = lp[2:] - 2.0 * lp[1:-1] + lp[:-2]
     return TranslateConcavity(
         shift_detected=detected,

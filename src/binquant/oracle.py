@@ -4,14 +4,16 @@
 exhaustive over the threshold tuples of a uniform grid, by convex tile
 bounds, with n = 1, 2 and 3 sharing one code path.  It returns what scoring
 every tuple would, but scores only the tiles of tuples whose bound can reach
-the best score (it uses the mass and MI formulas of :mod:`binquant.channel`;
-the check that shares no code at all is ``bench/certificate.py``).
-:func:`sweep_levels` tabulates the level functionals across the whole
-admissible range, and :func:`structural_checks` validates structural facts
-of the level functionals (mass monotonicity, the derivative relation
-between the correct-decision masses, the product bound) with central finite
-differences and counts the sign changes of the stationarity function.  Each
-takes all of its levels, F and the degeneracy verdict from one
+the best score.  It forms the masses of tuples and tile corners with its own
+alternating CDF sums (:func:`_masses`) and scores them with the MI formula
+of :mod:`binquant.channel`; the check that shares no code at all is
+``bench/certificate.py``.  :func:`sweep_levels` tabulates the level
+functionals across the whole admissible range, and
+:func:`structural_checks` validates structural facts of the level
+functionals with central finite differences: mass monotonicity, the
+derivative relation between the correct-decision masses, and the sign of
+the stationarity function against the slope of the mutual information.
+Each takes all of its levels, F and the degeneracy verdict from one
 :func:`~binquant.channel.level_functionals_batch` call.
 """
 
@@ -65,6 +67,10 @@ _CHUNK_TUPLE_BYTES = 128
 #: The levels :func:`structural_checks` validates, and its finite-difference step.
 _CHECK_LEVELS = np.linspace(0.05, 0.95, 19)
 _FD_STEP = 1e-5
+
+#: A change of I(X;Z) over +- ``_FD_STEP`` smaller than this (bits) has no
+#: sign that :func:`structural_checks` compares with F's.
+_SLOPE_FLOOR_BITS = 1e-10
 
 
 @dataclass(frozen=True)
@@ -333,26 +339,24 @@ class StructuralCheck:
 def structural_checks(spec: ChannelSpec, grid_points: int = DEFAULT_GRID_POINTS) -> dict[str, StructuralCheck]:
     """Numerically validate the structural facts of the level functionals.
 
-    On the levels 0.05, 0.10, ..., 0.95 (``_CHECK_LEVELS``):
+    On the levels 0.05, 0.10, ..., 0.95 (``_CHECK_LEVELS``), with central
+    differences over +- ``_FD_STEP``:
 
     * ``monotone_masses`` - f non-decreasing, g non-increasing (slack 1e-10);
-    * ``mass_sum_lower_bound`` - f + g >= 1 (slack 1e-9);
-    * ``derivative_relation`` - central differences satisfy
-      f'(a) = -((1-a) p1 / (a p0)) g'(a) within relative 1e-3;
-    * ``crossterm_product_bound`` - with A = (p0 f + p1(1-g))(p0(1-f) + p1 g)
-      and B = p0 f(1-f) + p1 g(1-g), A >= B (slack 1e-12);
-    * ``stationarity_single_crossing`` - F changes sign exactly once across
-      the evaluable levels (positive below the optimum, negative above);
-      the worst violation is |sign changes - 1|.  F itself is monotone
-      only when the posterior has a single extremum; at levels where new
-      posterior dips join the level set it can jump upward, and a channel
-      whose mutual information has two peaks over the level fails this
-      check.  The solver does not rely on it: it brackets every candidate
-      peak.
+    * ``derivative_relation`` - f'(a) = -r g'(a) with r = (1-a) p1 / (a p0),
+      compared as mass changes: |df + r dg| less an allowance of
+      4 eps (1 + r) for the rounding of the four masses, relative to the
+      larger of |df| and |r dg|, within 1e-3;
+    * ``stationarity_slope_sign`` - dI/da = p0 f'(a) F(a) with f' >= 0, so
+      F(a) has the sign of I(a + step) - I(a - step) wherever that change
+      exceeds ``_SLOPE_FLOOR_BITS``; the worst violation is the number of
+      levels where the two signs disagree.  F may change sign more than
+      once (the solver brackets every + to - zero), so this compares signs
+      level by level rather than counting sign changes.
 
-    Degenerate levels participate in the mass checks (their masses are exact
-    0/1) and are skipped only by the stationarity check.  The 19 levels and
-    their +- ``_FD_STEP`` neighbours go through one
+    Degenerate levels take part in the mass checks (their masses are exact
+    0/1) and are skipped by the sign check, where F is NaN.  The 19 levels
+    and their neighbours go through one
     :func:`~binquant.channel.level_functionals_batch` call.
     """
     levels, fd_step = _CHECK_LEVELS, _FD_STEP
@@ -360,11 +364,10 @@ def structural_checks(spec: ChannelSpec, grid_points: int = DEFAULT_GRID_POINTS)
     fns = level_functionals_batch(
         spec, np.concatenate([levels, levels + fd_step, levels - fd_step]), grid_points
     )
-    f, f_hi, f_lo = np.array([fn.correct0 for fn in fns]).reshape(3, -1)
-    g, g_hi, g_lo = np.array([fn.correct1 for fn in fns]).reshape(3, -1)
+    fs = np.array([fn.correct0 for fn in fns]).reshape(3, -1)
+    gs = np.array([fn.correct1 for fn in fns]).reshape(3, -1)
+    (f, f_hi, f_lo), (g, g_hi, g_lo) = fs, gs
     f_stat = np.array([fn.stationarity_value for fn in fns[: levels.size]])
-    f_prime = (f_hi - f_lo) / (2.0 * fd_step)
-    g_prime = (g_hi - g_lo) / (2.0 * fd_step)
 
     checks: dict[str, StructuralCheck] = {}
 
@@ -378,19 +381,15 @@ def structural_checks(spec: ChannelSpec, grid_points: int = DEFAULT_GRID_POINTS)
     )
     add("monotone_masses", worst_mono, 1e-10)
 
-    add("mass_sum_lower_bound", max(0.0, float(np.max(1.0 - (f + g)))), 1e-9)
+    ratio = (1.0 - levels) * p1 / (levels * p0)
+    df, predicted = f_hi - f_lo, -ratio * (g_hi - g_lo)
+    excess = np.abs(df - predicted) - 4.0 * np.finfo(float).eps * (1.0 + ratio)
+    scale = np.maximum(np.abs(df), np.abs(predicted))
+    relative = np.divide(excess, scale, out=np.zeros_like(excess), where=excess > 0.0)
+    add("derivative_relation", float(np.max(relative)), 1e-3)
 
-    predicted = -((1.0 - levels) * p1 / (levels * p0)) * g_prime
-    scale = np.maximum(np.maximum(np.abs(f_prime), np.abs(predicted)), 1e-12)
-    add("derivative_relation", float(np.max(np.abs(f_prime - predicted) / scale)), 1e-3)
-
-    cross_a = (p0 * f + p1 * (1.0 - g)) * (p0 * (1.0 - f) + p1 * g)
-    cross_b = p0 * f * (1.0 - f) + p1 * g * (1.0 - g)
-    add("crossterm_product_bound", max(0.0, float(np.max(cross_b - cross_a))), 1e-12)
-
-    stat = f_stat[np.isfinite(f_stat)]
-    signs = np.sign(stat[np.abs(stat) > 0.0])
-    crossings = int(np.sum(signs[1:] != signs[:-1])) if signs.size > 1 else 0
-    add("stationarity_single_crossing", float(abs(crossings - 1)), 0.0)
+    rise = np.subtract(*_mi_bits(p0, fs[1:], gs[1:]))  # I(a + step) - I(a - step)
+    compared = np.isfinite(f_stat) & (np.abs(rise) > _SLOPE_FLOOR_BITS)
+    add("stationarity_slope_sign", float(np.sum(np.sign(f_stat[compared]) != np.sign(rise[compared]))), 0.0)
 
     return checks

@@ -23,7 +23,7 @@ from .channel import stationarity
 from .density import Thresholds, cdf
 from .errors import DegenerateChannelError, InvalidSpecError, NoSignChangeError
 from .likelihood import DEFAULT_GRID_POINTS, ChannelSpec, Monotonicity, _bracketed_secant, _search_grid
-from .likelihood import classify_monotonicity, likelihood_ratio, translate_log_concavity
+from .likelihood import classify_monotonicity, likelihood_ratio
 
 __all__ = ["SolverConfig", "QuantizerDesign", "solve", "predict_single_threshold"]
 
@@ -200,13 +200,13 @@ def solve(spec: ChannelSpec, config: SolverConfig | None = None) -> QuantizerDes
 def predict_single_threshold(spec: ChannelSpec, grid_points: int = DEFAULT_GRID_POINTS) -> bool:
     """Predict, before solving, whether one threshold suffices.
 
-    True when the likelihood ratio is strictly monotone, or when density1 is
-    a translate of density0 and density0 is strictly log-concave or
-    log-convex.  A true prediction is confirmed by :func:`solve` returning
-    exactly one threshold.
+    True when the likelihood ratio is strictly monotone: every level set is
+    then one point, so one threshold is optimal (the paper's theorem).  A
+    density1 that is a translate of a strictly log-concave or log-convex
+    density0 is a corollary, as its ratio is strictly monotone.  Also true
+    for a flat ratio (identical densities), where no quantizer carries
+    information.  On any other channel a true prediction is confirmed by
+    :func:`solve` returning exactly one threshold.
     """
     mono = classify_monotonicity(spec, grid_points)
-    if mono.verdict in (Monotonicity.STRICTLY_INCREASING, Monotonicity.STRICTLY_DECREASING):
-        return True
-    shape = translate_log_concavity(spec, grid_points)
-    return shape.shift_detected and (shape.log_concave or shape.log_convex)
+    return mono.flat or mono.verdict is not Monotonicity.NON_MONOTONIC

@@ -30,6 +30,7 @@ from binquant import (
     structural_checks,
     predict_single_threshold,
     solve,
+    sweep_levels,
 )
 
 REGRESSION_SEED = 20250809
@@ -131,16 +132,34 @@ def test_criterion_4_six_root_level_set(fig5_spec):
     assert ok
 
 
+def _sweep_properties(spec) -> dict[str, tuple[float, float]]:
+    """The product bound and the one sign change of F on 0.05, ..., 0.95: (worst violation, tolerance).
+
+    With A = (p0 f + p1 (1-g)) (p0 (1-f) + p1 g) and B = p0 f (1-f) + p1 g (1-g),
+    A >= B; F changes sign once on these channels, from + to - at the optimum.
+    """
+    rows = sweep_levels(spec, np.linspace(0.05, 0.95, 19))
+    p0, p1 = spec.prior.p0, spec.prior.p1
+    f, g = np.array([r.correct0 for r in rows]), np.array([r.correct1 for r in rows])
+    cross_a = (p0 * f + p1 * (1.0 - g)) * (p0 * (1.0 - f) + p1 * g)
+    cross_b = p0 * f * (1.0 - f) + p1 * g * (1.0 - g)
+    signs = np.sign([r.stationarity_value for r in rows if not r.degenerate and r.stationarity_value != 0.0])
+    return {
+        "crossterm_product_bound": (max(0.0, float(np.max(cross_b - cross_a))), 1e-12),
+        "stationarity_single_crossing": (abs(int(np.sum(signs[1:] != signs[:-1])) - 1), 0.0),
+    }
+
+
 def test_criterion_5_property_suite(example1_spec, example2_spec, fig5_spec):
     t0 = time.perf_counter()
     worst_by_check = {}
     all_ok = True
     for spec in (example1_spec, example2_spec, fig5_spec):
-        checks = structural_checks(spec)
-        for check in checks.values():
-            all_ok &= check.passed
-            prev = worst_by_check.get(check.name, 0.0)
-            worst_by_check[check.name] = max(prev, check.worst_violation)
+        results = {c.name: (c.worst_violation, c.tolerance) for c in structural_checks(spec).values()}
+        results.update(_sweep_properties(spec))
+        for name, (worst, tolerance) in results.items():
+            all_ok &= worst <= tolerance
+            worst_by_check[name] = max(worst_by_check.get(name, 0.0), worst)
     elapsed = time.perf_counter() - t0
     ok = all_ok and elapsed < 30.0
     worst = max(worst_by_check.values())

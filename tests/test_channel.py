@@ -14,7 +14,9 @@ from binquant import (
     posterior,
     DegenerateChannelError,
     InvalidSpecError,
+    LevelFunctionals,
     Prior,
+    QuantizerError,
     channel_matrix,
     level_functionals,
     level_functionals_batch,
@@ -255,6 +257,12 @@ class TestLevelFunctionals:
         fn = level_functionals(example2_spec, 0.999)
         assert fn.correct0 >= 0.999
         assert fn.correct1 <= 1e-9
+
+    def test_masses_summing_below_one_are_a_quantizer_error(self):
+        # no valid spec gives f + g < 1, so this is not a spec error (CLI exit 1)
+        with pytest.raises(QuantizerError, match=r"at level a=0\.3: f=0\.25, g=0\.5 violate f \+ g >= 1") as err:
+            LevelFunctionals(0.3, 0.25, 0.5, roots=(0.0,), mapping="odd_to_zero", stationarity_value=math.nan)
+        assert not isinstance(err.value, InvalidSpecError)
 
     def test_mass_sum_lower_bound(self, example1_spec, example2_spec, fig5_spec, asym_spec):
         for spec in (example1_spec, example2_spec, fig5_spec, asym_spec):

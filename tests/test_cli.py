@@ -3,11 +3,12 @@
 import csv
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 
 import binquant.cli as cli
-from binquant import OracleResult, oracle, solve
+from binquant import OracleResult, channel, oracle, solve
 from binquant.cli import load_config, main
 from tests.conftest import CONFIG_DIR
 
@@ -15,6 +16,16 @@ EXAMPLE1 = str(CONFIG_DIR / "example1.json")
 EXAMPLE2 = str(CONFIG_DIR / "example2.json")
 FIG5 = str(CONFIG_DIR / "fig5.json")
 TWO_PEAKS = str(CONFIG_DIR / "mixture_two_peaks.json")
+SHIPPED = [EXAMPLE1, EXAMPLE2, FIG5, TWO_PEAKS]
+# generated channels (bench/workloads.candidate) whose correct designs an
+# earlier set of structural checks failed
+VERIFY_CHANNELS = [
+    str(Path(__file__).parent / "data" / "verify" / f"{name}.json")
+    for name in (
+        "solve-6-mix02-1", "solve-8-mix03", "tabulate-2-mix01-1",  # f' ~ 1e-11
+        "solve-1-mix02", "solve-3-mix04", "tabulate-2-mix09-1",  # F changes sign 3 times
+    )
+]
 
 
 def _single_gaussian_config(solver_fields):
@@ -145,6 +156,26 @@ class TestSolveCommand:
         assert main(["solve", "--config", str(path)]) == 2
         assert "no information" in capsys.readouterr().err
 
+    def test_degenerate_channel_message_names_plain_floats(self, tmp_path, capsys):
+        path = tmp_path / "separated.json"
+        path.write_text(
+            '{"prior": {"p0": 0.5},'
+            ' "phi0": {"components": [{"mean": -7.5, "stddev": 1, "weight": 1}]},'
+            ' "phi1": {"components": [{"mean": 7.5, "stddev": 1, "weight": 1}]}}'
+        )
+        assert main(["solve", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "degenerate channel at level a=0.49" in err
+        assert "np.float64" not in err
+
+    def test_inconsistent_level_set_exits_2(self, capsys, monkeypatch):
+        # masses with f + g < 1 mean a wrong level set, not a bad config
+        monkeypatch.setattr(channel, "_correct_masses", lambda c0, c1, odd_first: (0.25, 0.5))
+        assert main(["solve", "--config", EXAMPLE2]) == 2
+        err = capsys.readouterr().err
+        assert "inconsistent level set at level a=" in err
+        assert "f=0.25, g=0.5" in err
+
     def test_config_error_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("not json")
@@ -237,14 +268,19 @@ class TestVerifyCommand:
         gap_line = next(line for line in out.splitlines() if "gap" in line)
         assert float(gap_line.split()[4]) > 1e-3
 
-    def test_second_stationary_level_fails_the_crossing_check(self, capsys):
-        # F has two + to - zeros on this channel, and the check says so
+    def test_second_stationary_level_passes(self, capsys):
+        # F has two + to - zeros on this channel; the solver brackets both
         assert main(["verify", "--config", TWO_PEAKS, "--n-thresholds", "1",
-                     "--grid-step", "0.5"]) == 3
+                     "--grid-step", "0.5"]) == 0
         out = capsys.readouterr().out
         assert "solver mi_bits        0.386627 (4 thresholds)" in out
-        assert "stationarity_single_crossing  FAIL" in out
-        assert "verification FAILED" in out
+        assert "stationarity_slope_sign       PASS" in out
+        assert "verification PASSED" in out
+
+    @pytest.mark.parametrize("config", SHIPPED + VERIFY_CHANNELS, ids=lambda p: Path(p).stem)
+    def test_correct_designs_pass_at_default_arguments(self, config, capsys):
+        assert main(["verify", "--config", config]) == 0
+        assert "verification PASSED" in capsys.readouterr().out
 
     @pytest.mark.parametrize("step", ["inf", "nan"])
     def test_non_finite_grid_step_exits_1_naming_the_field(self, step, capsys):

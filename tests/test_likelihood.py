@@ -173,6 +173,30 @@ class TestTranslateConcavity:
         assert not translate_log_concavity(fig5_spec).shift_detected
 
 
+@st.composite
+def _translates(draw):
+    """A channel whose density1 is density0 shifted by at least 1e-3: one or two components."""
+    weight = draw(st.floats(0.1, 0.9))
+    weights = draw(st.sampled_from([(1.0,), (weight, 1.0 - weight)]))
+    comps = [(draw(st.floats(-3.0, 3.0)), draw(st.floats(0.3, 3.0)), w) for w in weights]
+    shift = draw(st.one_of(st.floats(-5.0, -1e-3), st.floats(1e-3, 5.0)))
+
+    def density(offset):
+        return DensityModel(tuple(GaussianComponent(m + offset, sd, w) for m, sd, w in comps))
+
+    return channel_spec(Prior(p0=draw(st.floats(0.1, 0.9))), density(0.0), density(shift))
+
+
+class TestSingleThresholdTheorem:
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(spec=_translates())
+    def test_log_concave_or_convex_translate_has_a_strictly_monotone_ratio(self, spec):
+        # so predicting one threshold from the ratio alone covers the translate case
+        shape = translate_log_concavity(spec)
+        assume(shape.shift_detected and (shape.log_concave or shape.log_convex))
+        assert classify_monotonicity(spec).verdict is not Monotonicity.NON_MONOTONIC
+
+
 class TestLevelSet:
     def test_symmetry_forces_midpoint_root(self, example1_spec):
         ls = find_level_set(example1_spec, 0.5)
@@ -484,10 +508,14 @@ class TestSearchGridCache:
                 find_level_set(spec, level)
                 level_functionals(spec, level)
             classify_monotonicity(spec)
-            translate_log_concavity(spec)
         # one log-pdf call per density per build: log r and u come from it
         assert len(full_grid_pdfs) == 4
         assert full_grid_pdfs == [id(first.density0), id(first.density1), id(second.density0), id(second.density1)]
+        # the concavity verdict takes one density0 log-pdf on the grid per call
+        full_grid_pdfs.clear()
+        for spec in (first, second, first):
+            translate_log_concavity(spec)
+        assert full_grid_pdfs == [id(first.density0), id(second.density0), id(first.density0)]
 
     @pytest.mark.parametrize("name", ["example2_spec", "fig5_spec"])
     def test_predict_single_threshold_after_solve_reads_the_grid(self, name, request, monkeypatch):

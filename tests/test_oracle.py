@@ -1,5 +1,6 @@
 """Brute-force oracle: grid search, level sweeps, and structural checks."""
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -25,7 +26,7 @@ from binquant import (
     solve,
     sweep_levels,
 )
-from binquant import likelihood, oracle
+from binquant import channel, likelihood, oracle
 from binquant.channel import _mi_bits
 
 
@@ -428,19 +429,48 @@ class TestBatchedOracle:
         assert peak < 8 * 2**20
 
 
+_SHIPPED_SPECS = ("example1_spec", "example2_spec", "fig5_spec", "two_peaks_spec")
+
+
+def _failed_checks(request):
+    """Names of the structural checks that fail, per shipped channel."""
+    return [
+        sorted(c.name for c in structural_checks(request.getfixturevalue(name)).values() if not c.passed)
+        for name in _SHIPPED_SPECS
+    ]
+
+
 class TestStructuralChecks:
     def test_all_pass_on_example_channels(self, example1_spec, example2_spec, fig5_spec):
         for spec in (example1_spec, example2_spec, fig5_spec):
             checks = structural_checks(spec)
-            assert set(checks) == {
-                "monotone_masses",
-                "mass_sum_lower_bound",
-                "derivative_relation",
-                "crossterm_product_bound",
-                "stationarity_single_crossing",
-            }
+            assert set(checks) == {"monotone_masses", "derivative_relation", "stationarity_slope_sign"}
             for check in checks.values():
                 assert check.passed, f"{check.name}: worst={check.worst_violation}"
+
+    # each check must fail when the quantity it checks is broken
+
+    def test_negated_stationarity_fails_the_slope_sign(self, request, monkeypatch):
+        real = channel._stationarity_from_masses
+        monkeypatch.setattr(channel, "_stationarity_from_masses", lambda *args: -real(*args))
+        assert all("stationarity_slope_sign" in failed for failed in _failed_checks(request))
+
+    def test_roots_of_a_nearby_level_fail_the_derivative_relation(self, request, monkeypatch):
+        # each level gets the roots of level + 1e-3
+        real = channel.find_level_sets
+
+        def moved(spec, levels, grid_points):
+            levels = np.asarray(levels, dtype=float)
+            sets = real(spec, levels + 1e-3, grid_points)
+            return tuple(dataclasses.replace(ls, level=a) for a, ls in zip(levels.tolist(), sets))
+
+        monkeypatch.setattr(channel, "find_level_sets", moved)
+        assert all("derivative_relation" in failed for failed in _failed_checks(request))
+
+    def test_swapped_masses_fail_monotonicity(self, request, monkeypatch):
+        real = channel._correct_masses
+        monkeypatch.setattr(channel, "_correct_masses", lambda *args: real(*args)[::-1])
+        assert all("monotone_masses" in failed for failed in _failed_checks(request))
 
     def test_symmetric_channel_violations_are_tiny(self, example1_spec):
         checks = structural_checks(example1_spec)

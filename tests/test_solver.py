@@ -22,6 +22,7 @@ from binquant import (
     predict_single_threshold,
     solve,
     structural_checks,
+    sweep_levels,
 )
 from binquant import solver
 from binquant.cli import load_config
@@ -210,9 +211,14 @@ class TestTwoPeakMixture:
     def test_structural_checks_count_the_crossings(self, spec):
         # F on 0.05, 0.10, ..., 0.95 changes sign three times: + to - in
         # (0.05, 0.10), - to + in (0.15, 0.20), where two roots join the level
-        # set, and + to - in (0.65, 0.70)
-        check = structural_checks(spec)["stationarity_single_crossing"]
-        assert (check.passed, check.worst_violation) == (False, 2.0)
+        # set, and + to - in (0.65, 0.70); every structural check holds
+        rows = [row for row in sweep_levels(spec, np.linspace(0.05, 0.95, 19)) if not row.degenerate]
+        signs = np.sign([row.stationarity_value for row in rows])
+        changes = np.flatnonzero(signs[1:] != signs[:-1])
+        assert [rows[i].level for i in changes] == pytest.approx([0.05, 0.15, 0.65])
+        assert [rows[i + 1].level for i in changes] == pytest.approx([0.10, 0.20, 0.70])
+        assert signs[changes].tolist() == [1.0, -1.0, 1.0]
+        assert all(check.passed for check in structural_checks(spec).values())
 
 
 def _cell_bound_bits(p0, comps0, comps1, cells=2**16):
