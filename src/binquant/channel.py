@@ -229,10 +229,14 @@ def level_functionals(
 ) -> LevelFunctionals:
     """The level functionals at ``level``: :func:`level_functionals_batch` on a batch of one.
 
-    Its level set comes from :func:`~binquant.likelihood.find_level_set`, so
-    a traced run counts one level-set call per single level.
+    Its level set comes from :func:`~binquant.likelihood.find_level_set`; the
+    spec keeps the last result per grid size and returns it for that level.
     """
-    return _from_level_sets(spec, (find_level_set(spec, level, grid_points),), grid_points)[0]
+    last = spec._last_functionals.get(grid_points)
+    if last is None or last.level != level:
+        sets = (find_level_set(spec, level, grid_points),)
+        last = spec._last_functionals[grid_points] = _from_level_sets(spec, sets, grid_points)[0]
+    return last
 
 
 def _from_level_sets(

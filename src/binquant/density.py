@@ -117,13 +117,26 @@ def _shaped(vals: np.ndarray, y):
     return float(vals[0]) if np.ndim(y) == 0 else vals.reshape(np.shape(y))
 
 
-def log_pdf(model: DensityModel, y):
-    """Log of the mixture density, computed in log-space (no tail underflow)."""
+def _log_sum_exp(model: DensityModel, y):
+    """``z``, the component densities over the largest, their sum, and the log-pdf."""
     z = _z(model, y)
     comp_logs = -0.5 * z * z + model._log_coef
     # log-sum-exp over the components; comp_logs is always finite
     top = comp_logs.max(axis=0)
-    return _shaped(top + np.log(np.exp(comp_logs - top).sum(axis=0)), y)
+    rel = np.exp(comp_logs - top)
+    total = rel.sum(axis=0)
+    return z, rel, total, top + np.log(total)
+
+
+def log_pdf(model: DensityModel, y):
+    """Log of the mixture density, computed in log-space (no tail underflow)."""
+    return _shaped(_log_sum_exp(model, y)[3], y)
+
+
+def _log_pdf_slope(model: DensityModel, y):
+    """:func:`log_pdf` and its d/dy: the component slopes -z/sigma, weighted by share of the density."""
+    z, rel, total, log_p = _log_sum_exp(model, y)
+    return _shaped(log_p, y), _shaped((-1.0 / model._sigmas.ravel()) @ (rel * z) / total, y)
 
 
 def cdf(model: DensityModel, y):

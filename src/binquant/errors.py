@@ -32,6 +32,6 @@ class NoSignChangeError(QuantizerError):
 
 
 class NotConvergedError(QuantizerError):
-    """A bracketed secant search ran out of steps with a bracket still open:
-    the search over the level (``max_iter`` secant steps, narrowing to
-    ``tol_a``) or the polishing of level-set roots (200 steps per level)."""
+    """A bracketed search ran out of steps with a bracket still open: the
+    search over the level (``max_iter`` steps per bracket, narrowing to
+    ``tol_a``) or the polishing of level-set roots (200 steps per batch)."""

@@ -11,8 +11,8 @@ thresholds at level ``a`` are the solutions of ``u(y) = a``; the solver in
 :mod:`binquant.solver` searches over ``a``.
 
 Nothing on the search grid depends on the level, so each :class:`ChannelSpec`
-computes the grid, ``log r`` and ``u`` on it once per grid size and keeps
-them, together with each cell's range of ``u`` (see
+computes the grid, ``log r``, ``u`` and its slope ``du/dy`` on it once per
+grid size and keeps them, together with each cell's range of ``u`` (see
 :func:`_search_grid`).  Every root is a crossing of ``u`` between {u < a}
 and {u >= a}, so the segments between roots alternate between the two.
 :func:`find_level_sets` takes a whole batch of levels and decides their
@@ -25,15 +25,12 @@ roots in one of two ways, picked by the channel:
 * Otherwise a cell holds a root of level ``a`` when exactly one of its two
   ends lies below ``a``.  A ``searchsorted`` of every cell's range against
   the sorted levels finds all the crossing cells at once, and all of their
-  brackets are polished together by :func:`_bracketed_secant`, the Illinois
-  modified regula falsi (Dowell & Jarratt, BIT 1971): secant steps whose
-  stale end is down-weighted, with bisection whenever a secant step would
-  leave its bracket, so it converges unconditionally.  Every bracket
-  narrows on its own, so a level's roots do not depend on the batch it came
-  in.  Derivative-based methods are deliberately avoided because mixture
-  derivatives are easy to get wrong.
-
-The solver narrows its bracket on the level with the same secant routine.
+  brackets are polished together by :func:`_newton_polish`: safeguarded
+  Newton steps from the inverse cubic-Hermite point of each cell (built
+  from ``u`` and ``du/dy`` at its ends), the first with that interpolant's
+  slope.  Only the bracket and ``|u - a|`` decide when a root is done, so a
+  wrong slope can cost steps but cannot move a root.  Every bracket narrows
+  on its own, so a level's roots do not depend on the batch it came in.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import expit
 
-from .density import DensityModel, Prior, Thresholds, log_pdf
+from .density import DensityModel, Prior, Thresholds, _log_pdf_slope, log_pdf
 from .errors import InvalidSpecError, NotConvergedError
 
 __all__ = [
@@ -84,8 +81,9 @@ class ChannelSpec:
     Use :func:`channel_spec` to fill the default window.
 
     Each instance keeps its own search grids (:func:`_search_grid`), so two
-    equal specs built separately each compute theirs once.  It also keeps
-    the coefficients of ``log r`` when that is a quadratic
+    equal specs built separately each compute theirs once, and the last
+    :func:`~binquant.channel.level_functionals` per grid size.  It also
+    keeps the coefficients of ``log r`` when that is a quadratic
     (:func:`_log_r_quadratic`).
     """
 
@@ -110,6 +108,7 @@ class ChannelSpec:
                 f"[{lo_req!r}, {hi_req!r}] (all means with a 10-sigma margin)"
             )
         object.__setattr__(self, "_grids", {})
+        object.__setattr__(self, "_last_functionals", {})
         object.__setattr__(self, "_log_r_quadratic", _log_r_quadratic(self.density0, self.density1))
 
 
@@ -181,25 +180,26 @@ def posterior(spec: ChannelSpec, y):
 class _Grid(NamedTuple):
     """The level-independent search grid of one channel; arrays are read-only.
 
-    Cell i is [ys[i], ys[i + 1]].  ``cells`` lists the cells in which u
-    takes more than one value and reaches into the admissible levels (1e-9,
-    1 - 1e-9), the only ones an admissible level can cross; ``lo_u``/``hi_u``
-    are the smaller and the larger of u at their ends, so such a cell holds
-    a root of level a exactly when lo_u < a <= hi_u.  The cell arrays serve
-    mixture channels; :func:`find_level_sets` solves single-Gaussian pairs
-    in closed form.
+    Cell i is [ys[i], ys[i + 1]], and ``du`` is du/dy.  ``cells`` lists the
+    cells in which u takes more than one value and reaches into the
+    admissible levels (1e-9, 1 - 1e-9), the only ones a level can cross;
+    ``lo_u``/``hi_u`` are the smaller and the larger of u at their ends, so
+    such a cell holds a root of level a exactly when lo_u < a <= hi_u.  The
+    cell arrays serve mixture channels; :func:`find_level_sets` solves
+    single-Gaussian pairs in closed form.
     """
 
     ys: np.ndarray
     log_r: np.ndarray
     u: np.ndarray
+    du: np.ndarray
     cells: np.ndarray
     lo_u: np.ndarray
     hi_u: np.ndarray
 
 
 def _search_grid(spec: ChannelSpec, grid_points: int) -> _Grid:
-    """The uniform grid over the search window, with log r, u and the cell arrays on it.
+    """The uniform grid over the search window, with log r, u, du/dy and the cell arrays on it.
 
     Computed on first use for each ``grid_points`` and kept on ``spec``.
     """
@@ -208,11 +208,14 @@ def _search_grid(spec: ChannelSpec, grid_points: int) -> _Grid:
     grid = spec._grids.get(grid_points)
     if grid is None:
         ys = np.linspace(spec.search_lo, spec.search_hi, grid_points)
-        log_r = log_likelihood_ratio(spec, ys)
+        log_p0, slope0 = _log_pdf_slope(spec.density0, ys)
+        log_p1, slope1 = _log_pdf_slope(spec.density1, ys)
+        log_r = log_p0 - log_p1
         u = _logistic(spec, log_r)
+        du = u * (u - 1.0) * (slope0 - slope1)
         lo_u, hi_u = np.minimum(u[:-1], u[1:]), np.maximum(u[:-1], u[1:])
         cells = np.flatnonzero((lo_u < hi_u) & (hi_u > _LEVEL_MARGIN) & (lo_u < 1.0 - _LEVEL_MARGIN))
-        grid = _Grid(ys, log_r, u, cells, lo_u[cells], hi_u[cells])
+        grid = _Grid(ys, log_r, u, du, cells, lo_u[cells], hi_u[cells])
         for arr in grid:
             arr.flags.writeable = False
         spec._grids[grid_points] = grid
@@ -321,70 +324,67 @@ class LevelSet:
     roots: Thresholds
 
 
-def _bracketed_secant(fn, lo, hi, f_lo, f_hi, xtol: float, ftol: float, max_steps: int):
+def _newton_polish(fn, lo, hi, f_lo, f_hi, d_lo, d_hi, xtol: float, ftol: float, max_steps: int):
     """Narrow every bracket [lo, hi] onto a zero of ``fn``, all brackets at once.
 
-    ``fn(x, idx)`` maps an array of points to an array of values, where
-    ``idx`` holds the index (into ``lo``) of the bracket each point belongs
-    to, so each bracket can evaluate its own function; ``f_lo``/``f_hi`` are
-    the values at the bracket ends, of opposite signs.  An end whose value
-    is exactly 0 is its bracket's root, taken before any step.  Each step
-    evaluates ``fn`` once per open bracket, at the secant point of its ends
-    or at the midpoint when that point is not strictly inside, and keeps the
-    sub-bracket with the sign change.  Every point stays at least xtol / 2
-    inside its bracket, so an end that has reached the zero closes the
-    bracket instead of creeping at it; when the same end moves twice in a
-    row, the value kept at the other end is halved (Illinois), so both ends
-    converge.  A point with |fn| <= ftol is its bracket's root; a bracket
-    whose width drops to <= xtol returns its midpoint.  Every bracket
-    narrows independently of the others.
+    ``fn(x, idx)`` maps points to values, ``idx`` holding the index (into
+    ``lo``) of each point's bracket; ``f_lo``/``f_hi``, of opposite signs,
+    and ``d_lo``/``d_hi`` are its values and slopes at the bracket ends.
+    An end where ``fn`` is exactly 0 is the root, with no step.  The first
+    point is the inverse cubic-Hermite point of the ends (else the linear
+    one); each later one a Newton step, with the interpolant's slope for
+    the first step and the secant slope of the last two points after it,
+    or the midpoint when the step leaves the bracket or is not at most half
+    the step before the last (as in ``rtsafe``).  Each step evaluates
+    ``fn`` once per open bracket, at least xtol / 2 inside it, and keeps
+    the sub-bracket with the sign change.  A point with |fn| <= ftol is a
+    root; a bracket at most xtol wide gives its midpoint.  So a wrong slope
+    costs steps, never a root, and every bracket narrows on its own.
 
     Returns the roots and the number of steps taken; raises
     NotConvergedError when brackets are still open after ``max_steps``.
     """
-    lo, hi, f_lo, f_hi = (np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi))
-    roots = 0.5 * (lo + hi)
-    open_ = hi - lo > xtol
-    zero = (f_lo == 0.0) | (f_hi == 0.0)
-    if np.count_nonzero(zero):
-        roots[zero] = np.where(f_lo[zero] == 0.0, lo[zero], hi[zero])
-        open_ &= ~zero
-    last = np.zeros(lo.shape, dtype=np.int8)  # end moved last: -1 lower, +1 upper
-    active = np.flatnonzero(open_)
-    half = 0.5 * xtol
-    steps = 0
-    while active.size:
-        if steps == max_steps:
-            raise NotConvergedError(
-                f"bracketed secant search used all {max_steps} steps with "
-                f"{active.size} bracket(s) still wider than {xtol:g} "
-                f"(widest {np.max(hi[active] - lo[active]):.3e})"
-            )
-        a, b, fa, fb = lo[active], hi[active], f_lo[active], f_hi[active]
-        # an open bracket's ends keep strictly opposite signs: fb - fa != 0
-        x = b - fb * (b - a) / (fb - fa)
-        near = ~((a + half < x) & (x < b - half))
-        if np.count_nonzero(near):
-            an, bn, xn = a[near], b[near], x[near]
-            inside = (an < xn) & (xn < bn)
-            x[near] = np.where(inside, np.clip(xn, an + half, bn - half), 0.5 * (an + bn))
-        fx = fn(x, active)
-        steps += 1
-        roots[active] = x
-
-        move_lo = np.sign(fx) == np.sign(fa)
-        at_lo, at_hi = active[move_lo], active[~move_lo]
-        f_hi[at_lo[last[at_lo] == -1]] *= 0.5
-        f_lo[at_hi[last[at_hi] == 1]] *= 0.5
-        lo[at_lo], f_lo[at_lo], last[at_lo] = x[move_lo], fx[move_lo], -1
-        hi[at_hi], f_hi[at_hi], last[at_hi] = x[~move_lo], fx[~move_lo], 1
-
-        hit = np.abs(fx) <= ftol
-        narrow = hi[active] - lo[active] <= xtol
-        if np.count_nonzero(narrow):
-            mid = active[narrow & ~hit]
-            roots[mid] = 0.5 * (lo[mid] + hi[mid])
-        active = active[~(hit | narrow)]
+    lo, hi, f_lo, f_hi, d_lo, d_hi = (np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi, d_lo, d_hi))
+    roots = np.where(f_lo == 0.0, lo, np.where(f_hi == 0.0, hi, 0.5 * (lo + hi)))
+    # the open brackets' state, compacted as they close
+    idx = np.flatnonzero((f_lo != 0.0) & (f_hi != 0.0) & (hi - lo > xtol))
+    a, b, fp, d0, d1 = lo[idx], hi[idx], f_lo[idx], d_lo[idx], d_hi[idx]
+    xp, h, df = a, b - a, f_hi[idx] - fp
+    rising, half = df > 0.0, 0.5 * xtol
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # inverse cubic Hermite interpolation of y(fn) at fn = 0, with dy/dfn = 1 / slope at the ends
+        secant, s = df / h, -fp / df
+        t = s * s * (3.0 - 2.0 * s) + s * (1.0 - s) * ((1.0 - s) * secant / d0 - s * secant / d1)
+        x = np.clip(a + h * np.where((0.0 < t) & (t < 1.0), t, s), a + half, b - half)
+        # the interpolant's slope at x; (xp, fp) is the point evaluated before x, first the lower end
+        t = (x - a) / h
+        slope = d0 + t * (6.0 * secant - 4.0 * d0 - 2.0 * d1 + t * (3.0 * (d0 + d1) - 6.0 * secant))
+        steps, last, before = 0, h, h
+        while idx.size:
+            if steps == max_steps:
+                raise NotConvergedError(
+                    f"bracketed Newton polishing used all {max_steps} steps with "
+                    f"{idx.size} bracket(s) still wider than {xtol:g} (widest {np.max(b - a):.3e})"
+                )
+            fx, steps = fn(x, idx), steps + 1
+            roots[idx] = x
+            move_lo = (fx > 0.0) != rising
+            a, b = np.where(move_lo, x, a), np.where(move_lo, b, x)
+            hit = np.abs(fx) <= ftol
+            done = hit | (b - a <= xtol)
+            if np.count_nonzero(done):
+                mid = done & ~hit
+                roots[idx[mid]] = 0.5 * (a[mid] + b[mid])
+                idx, x, fx, a, b, xp, fp, slope, rising, last, before = (
+                    v[~done] for v in (idx, x, fx, a, b, xp, fp, slope, rising, last, before)
+                )
+            if steps > 1:
+                slope = (fx - fp) / (x - xp)
+            newton = x - fx / slope
+            inside = (a < newton) & (newton < b)
+            newton = np.clip(newton, a + half, b - half)
+            newton = np.where(inside & (np.abs(newton - x) <= 0.5 * before), newton, 0.5 * (a + b))
+            xp, fp, x, before, last = x, fx, newton, last, np.abs(newton - x)
     return roots, steps
 
 
@@ -432,7 +432,7 @@ def _crossing_roots(spec: ChannelSpec, grid: _Grid, levels: np.ndarray):
     of the cached ranges of u of the cells that reach into the admissible
     levels against the levels finds them all, with no levels x grid array.
     The brackets of all levels are refined together by
-    :func:`_bracketed_secant` until |u(y) - level| <= 1e-12 or the bracket
+    :func:`_newton_polish` until |u(y) - level| <= 1e-12 or the bracket
     is at most 1e-12 wide, each exactly as it would be refined alone; a
     bracket end where u equals a exactly is its root.  A grid point where u
     touches a from below closes the brackets on both of its sides there;
@@ -444,9 +444,9 @@ def _crossing_roots(spec: ChannelSpec, grid: _Grid, levels: np.ndarray):
     k, lvl = _pairs(np.searchsorted(levels, grid.lo_u, "right"), np.searchsorted(levels, grid.hi_u, "right"))
     cell = grid.cells[k]
     target = levels[lvl]
-    roots, _ = _bracketed_secant(
+    roots, _ = _newton_polish(
         lambda y, j: posterior(spec, y) - target[j],
-        ys[cell], ys[cell + 1], u[cell] - target, u[cell + 1] - target,
+        ys[cell], ys[cell + 1], u[cell] - target, u[cell + 1] - target, grid.du[cell], grid.du[cell + 1],
         REFINE_TOL, REFINE_TOL, 200,
     )
     # drop each pair of equal roots: it bounds an empty segment

@@ -1,11 +1,12 @@
-"""Sorted-cell candidate search and bracketed secant solver for the optimal binary quantizer.
+"""Sorted-cell candidate search and bracketed level search for the optimal binary quantizer.
 
 The optimal quantizer is the full root set of u(y) = a* for one level a*, so
 every candidate is a prefix of the search grid's cells sorted by posterior
 level (Burshtein et al., Ann. Stat. 1992; Kurkoski & Yagi, IEEE T-IT 2014).
 The stationarity function F may change sign from + to - more than once, so
-:func:`solve` brackets F around each MI peak of those prefixes.  The grid
-only ranks: every reported number comes from one
+:func:`solve` brackets F around each MI peak of those prefixes and narrows
+each bracket by Chandrupatla's inverse-quadratic search.  The grid only
+ranks: every reported number comes from one
 :func:`~binquant.channel.level_functionals` call at a*, where every
 threshold carries the likelihood ratio r* = (p1/p0)(1 - a*)/a*; the worst
 relative deviation from it is the design's ``stationarity_residual``.
@@ -21,8 +22,8 @@ import numpy as np
 from .channel import ChannelMatrix, Mapping, _mi_bits, level_functionals, mutual_information
 from .channel import stationarity
 from .density import Thresholds, cdf
-from .errors import DegenerateChannelError, InvalidSpecError, NoSignChangeError
-from .likelihood import DEFAULT_GRID_POINTS, ChannelSpec, Monotonicity, _bracketed_secant, _search_grid
+from .errors import DegenerateChannelError, InvalidSpecError, NoSignChangeError, NotConvergedError
+from .likelihood import DEFAULT_GRID_POINTS, ChannelSpec, Monotonicity, _search_grid
 from .likelihood import classify_monotonicity, likelihood_ratio
 
 __all__ = ["SolverConfig", "QuantizerDesign", "solve", "predict_single_threshold"]
@@ -39,9 +40,9 @@ class SolverConfig:
     """Level-search parameters; the defaults solve all shipped channels < 1 s.
 
     ``[a_lo, a_hi]`` is the admissible level range, ``tol_a`` the width the
-    bracketed secant search narrows each sign-change bracket to,
-    ``max_iter`` its budget of secant steps, and ``grid_points`` the size of
-    the search grid that ranks candidates and brackets the level-set roots.
+    level search narrows each sign-change bracket to, ``max_iter`` its
+    budget of steps per bracket, and ``grid_points`` the size of the search
+    grid that ranks candidates and brackets the level-set roots.
     """
 
     a_lo: float = 1e-6
@@ -130,14 +131,46 @@ def _bracket_end(spec: ChannelSpec, cfg: SolverConfig, level: float, step: float
         step *= 2.0
 
 
+def _chandrupatla(fn, lo: float, hi: float, f_lo: float, f_hi: float, xtol: float, max_steps: int):
+    """Narrow the bracket [lo, hi] of a sign change of ``fn`` to ``xtol``; returns (level, steps).
+
+    Chandrupatla's method (Adv. Eng. Software 28, 1997): each step evaluates
+    ``fn`` at least xtol / 4 inside the bracket, at the inverse quadratic
+    point of the last three points where that is monotone, else at the
+    midpoint (first, the secant point).  An end where ``fn`` is 0 takes no
+    step; else it stops at a zero or a bracket at most ``xtol`` wide, and
+    returns the last point evaluated.  Raises NotConvergedError past
+    ``max_steps``.
+    """
+    if f_lo == 0.0:
+        return lo, 0
+    # x1 is the last point evaluated, [x1, x2] the bracket and x3 the point dropped from it
+    x1, f1, x2, f2, t, steps = hi, f_hi, lo, f_lo, f_hi / (f_hi - f_lo), 0
+    while f1 != 0.0 and abs(x2 - x1) > xtol:
+        if steps == max_steps:
+            raise NotConvergedError(f"level search used all {max_steps} steps, [{float(x1)!r}, {float(x2)!r}] open")
+        t_min = 0.25 * xtol / abs(x2 - x1)
+        x = x1 + min(max(t, t_min), 1.0 - t_min) * (x2 - x1)
+        fx, steps = fn(x), steps + 1
+        if (fx > 0.0) == (f1 > 0.0):
+            x1, f1, x3, f3 = x, fx, x1, f1
+        else:
+            x1, f1, x2, f2, x3, f3 = x, fx, x1, f1, x2, f2
+        xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+        t = 0.5
+        if phi * phi < xi and (1.0 - phi) ** 2 < 1.0 - xi:
+            t = f1 / (f2 - f1) * f3 / (f2 - f3) + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2)
+    return x1, steps
+
+
 def solve(spec: ChannelSpec, config: SolverConfig | None = None) -> QuantizerDesign:
     """Find the optimal binary quantizer for ``spec``.
 
     (1) Rank the sorted-cell quantizers and take the candidate levels
     (:func:`_candidate_levels`); (2) bracket a + to - sign change of F
-    around each, from +- BRACKET_HALF_WIDTH outward; (3) narrow all brackets
-    together to ``tol_a`` with the shared bracketed secant routine, whose
-    steps ``iterations`` counts; (4) keep the narrowed level whose level
+    around each, from +- BRACKET_HALF_WIDTH outward; (3) narrow each bracket
+    to ``tol_a`` by :func:`_chandrupatla`, whose steps over all brackets
+    ``iterations`` counts; (4) keep the narrowed level whose level
     functionals give the largest mutual information.  Every F evaluation,
     bracket ends included, goes through
     :func:`~binquant.channel.stationarity`.
@@ -174,12 +207,12 @@ def solve(spec: ChannelSpec, config: SolverConfig | None = None) -> QuantizerDes
             "the mutual information is highest at its edge; widen the range"
         )
 
-    roots, iterations = _bracketed_secant(
-        lambda levels, _: np.array([stationarity(spec, float(a), cfg.grid_points) for a in levels]),
-        *np.array(brackets).T, cfg.tol_a, 0.0, cfg.max_iter,
-    )
+    searched = [
+        _chandrupatla(lambda a: stationarity(spec, a, cfg.grid_points), *bracket, cfg.tol_a, cfg.max_iter)
+        for bracket in brackets
+    ]
     fn = max(
-        (level_functionals(spec, float(a), cfg.grid_points) for a in roots),
+        (level_functionals(spec, a, cfg.grid_points) for a, _ in searched),
         key=lambda fn: _mi_bits(spec.prior.p0, fn.correct0, fn.correct1),
     )
     matrix = ChannelMatrix(a11=fn.correct0, a22=fn.correct1)
@@ -193,7 +226,7 @@ def solve(spec: ChannelSpec, config: SolverConfig | None = None) -> QuantizerDes
         channel=matrix,
         mi_bits=mutual_information(spec.prior, matrix),
         stationarity_residual=float(np.max(np.abs(ratios - r_star), initial=0.0) / r_star),
-        iterations=iterations,
+        iterations=sum(steps for _, steps in searched),
     )
 
 

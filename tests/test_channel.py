@@ -18,6 +18,7 @@ from binquant import (
     Prior,
     QuantizerError,
     channel_matrix,
+    channel_spec,
     level_functionals,
     level_functionals_batch,
     mutual_information,
@@ -225,6 +226,20 @@ class TestLevelFunctionalsBatch:
 
 
 class TestLevelFunctionals:
+    def test_the_last_level_per_grid_size_is_kept(self, fig5_spec, monkeypatch):
+        spec = channel_spec(fig5_spec.prior, fig5_spec.density0, fig5_spec.density1)
+        fresh = lambda a, n: level_functionals(channel_spec(spec.prior, spec.density0, spec.density1), a, n)
+        level_sets = []
+        real = channel.find_level_set
+        monkeypatch.setattr(channel, "find_level_set", lambda *args: level_sets.append(args[1:]) or real(*args))
+        asked = [(0.5, 4096), (0.5, 4096), (0.5, 8192), (0.5, 4096), (0.3, 4096), (0.5, 8192), (0.5, 4096)]
+        got = [level_functionals(spec, a, n) for a, n in asked]
+        # a level set only where the level differs from the last one of its grid size
+        assert level_sets == [(0.5, 4096), (0.5, 8192), (0.3, 4096), (0.5, 4096)]
+        assert got[1] is got[0] and got[3] is got[0] and got[5] is got[2]
+        monkeypatch.setattr(channel, "find_level_set", real)
+        assert [_fields(fn) for fn in got] == [_fields(fresh(a, n)) for a, n in asked]
+
     def test_symmetric_channel_at_half(self, example1_spec):
         fn = level_functionals(example1_spec, 0.5)
         assert fn.correct0 == pytest.approx(PHI_1, abs=1e-11)

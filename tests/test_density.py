@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -20,6 +21,7 @@ from binquant import (
     log_pdf,
 )
 from binquant.channel import _alternating_mass
+from binquant.density import _log_pdf_slope
 
 INF = math.inf
 
@@ -272,6 +274,77 @@ class TestComponentMajorKernels:
         got = cdf(model, np.array([-INF, 0.5, INF]))
         assert np.array_equal(got, _loop_cdf(model, np.array([-INF, 0.5, INF])))
         assert (got[0], got[2]) == (0.0, 1.0)
+
+
+def _mp_log_pdf_slope(model, y):
+    """log p(y), d/dy log p(y) and the scale sum_k share_k |z_k| / sigma_k, at 30 digits."""
+    with mpmath.workdps(30):
+        y = mpmath.mpf(y)
+        terms = []
+        for c in model.components:
+            mu, sd = mpmath.mpf(c.mean), mpmath.mpf(c.stddev)
+            z = (y - mu) / sd
+            terms.append((c.weight * mpmath.exp(-z * z / 2) / (sd * mpmath.sqrt(2 * mpmath.pi)), z / sd))
+        total = mpmath.fsum(p for p, _ in terms)
+        slope = -mpmath.fsum(p * zs for p, zs in terms) / total
+        scale = mpmath.fsum(p * abs(zs) for p, zs in terms) / total
+        return float(mpmath.log(total)), float(slope), float(scale)
+
+
+def _two_peaks_phi0(narrow_sd):
+    return DensityModel(components=(GaussianComponent(-1.0, 1.0, 0.9), GaussianComponent(20.0, narrow_sd, 0.1)))
+
+
+#: Each density of the shipped configs, and of their variants with a 3e-4 component, with points
+#: across it, in both far tails, and where one component's weight underflows.
+SLOPE_CASES = {
+    "example1": (STD_NORMAL, [-40.0, -8.0, -1.0, 0.0, 0.3, 2.5, 9.0, 40.0]),
+    "example2_phi0": (HEAVY, [-90.0, -12.0, -1.0, 0.7, 3.5374, 25.0, 90.0]),
+    "fig5_phi0": (THREE_BUMP, [-60.0, -3.0, -1.6, -0.4, 0.0, 1.5, 2.9, 3.0, 12.0, 60.0]),
+    "two_peaks_phi0": (_two_peaks_phi0(3e-3), [-30.0, -1.0, 8.0, 19.99, 19.999, 20.0, 20.002, 20.03, 21.0, 45.0]),
+    "two_peaks_sd3e-4_phi0": (
+        _two_peaks_phi0(3e-4), [-30.0, 8.0, 19.9, 19.999, 19.9997, 20.0, 20.0001, 20.0004, 20.003, 20.1, 45.0]
+    ),
+    "narrow_pair": (
+        DensityModel(components=(GaussianComponent(-0.5, 3e-4, 0.5), GaussianComponent(0.5, 3e-4, 0.5))),
+        [-2.0, -0.5003, -0.5, -0.4999, 0.0, 0.4996, 0.5, 0.5002, 2.0],
+    ),
+}
+
+
+class TestLogPdfSlope:
+    """``_log_pdf_slope``: the log-mixture of :func:`log_pdf` and its y-derivative, from one kernel."""
+
+    @pytest.mark.parametrize("name", sorted(SLOPE_CASES))
+    def test_matches_30_digit_reference(self, name):
+        model, points = SLOPE_CASES[name]
+        log_p, slope = _log_pdf_slope(model, np.array(points))
+        for y, got_log, got_slope in zip(points, log_p, slope):
+            want_log, want_slope, scale = _mp_log_pdf_slope(model, y)
+            assert got_log == pytest.approx(want_log, rel=1e-13, abs=1e-13)
+            # the slope is a weighted mean of the component slopes -z/sigma: rounding scales with their size
+            assert abs(got_slope - want_slope) <= 1e-13 * scale + 1e-300
+
+    @pytest.mark.parametrize("name", sorted(SLOPE_CASES))
+    def test_matches_central_differences(self, name):
+        model, points = SLOPE_CASES[name]
+        sd_min = min(c.stddev for c in model.components)
+        h = 1e-4 * sd_min
+        ys = np.array(points)
+        _, slope = _log_pdf_slope(model, ys)
+        central = (log_pdf(model, ys + h) - log_pdf(model, ys - h)) / (2.0 * h)
+        scale = np.array([_mp_log_pdf_slope(model, y)[2] for y in points])
+        assert np.all(np.abs(slope - central) <= 1e-6 * (scale + 1.0 / sd_min))
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_log_pdf_is_the_kernels_first_value(self, k):
+        model = _mixture(k)
+        ys = np.linspace(-9.0, 9.0, 301)
+        for y in (0.37, ys, ys[:300].reshape(20, 15)):
+            log_p, slope = _log_pdf_slope(model, y)
+            assert np.shape(log_p) == np.shape(slope) == np.shape(y)
+            assert np.array_equal(log_p, log_pdf(model, y))
+            assert np.array_equal(log_p, _loop_log_pdf(model, y))
 
 
 _PROBABILITY = st.floats(min_value=0.0, max_value=1.0, allow_subnormal=True)

@@ -1,6 +1,7 @@
 """Likelihood ratio, posterior level, classification, and level-set roots."""
 
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -24,9 +25,10 @@ from binquant import (
     translate_log_concavity,
 )
 from binquant import likelihood
+from binquant.cli import load_config
 from binquant.density import DensityModel, GaussianComponent, Prior
-from binquant.likelihood import _bracketed_secant, _search_grid
-from tests.conftest import BATCH_SPECS, batch_levels, shared_channel
+from binquant.likelihood import _newton_polish, _search_grid
+from tests.conftest import BATCH_SPECS, CONFIG_DIR, batch_levels, shared_channel
 
 # likelihood ratio of the unequal-variance channel at the equal-ratio pair
 # (-0.5374, 3.5374); mpmath, 30 dps
@@ -485,16 +487,21 @@ def _fresh_example2():
 
 
 def _count_full_grid_log_pdfs(monkeypatch):
-    """Ids of the models of every ``likelihood.log_pdf`` call on a whole 4096-point grid."""
+    """Ids of the models of every log-pdf evaluation on a whole 4096-point grid.
+
+    Counts both kernels ``likelihood`` evaluates mixtures with: ``log_pdf``
+    and ``_log_pdf_slope``, which builds the search grid.
+    """
     calls = []
-    real = likelihood.log_pdf
+    for name in ("log_pdf", "_log_pdf_slope"):
+        real = getattr(likelihood, name)
 
-    def counting(model, y):
-        if np.size(y) == 4096:
-            calls.append(id(model))
-        return real(model, y)
+        def counting(model, y, real=real):
+            if np.size(y) == 4096:
+                calls.append(id(model))
+            return real(model, y)
 
-    monkeypatch.setattr(likelihood, "log_pdf", counting)
+        monkeypatch.setattr(likelihood, name, counting)
     return calls
 
 
@@ -508,7 +515,7 @@ class TestSearchGridCache:
                 find_level_set(spec, level)
                 level_functionals(spec, level)
             classify_monotonicity(spec)
-        # one log-pdf call per density per build: log r and u come from it
+        # one log-pdf-and-slope call per density per build: log r, u and du/dy come from it
         assert len(full_grid_pdfs) == 4
         assert full_grid_pdfs == [id(first.density0), id(first.density1), id(second.density0), id(second.density1)]
         # the concavity verdict takes one density0 log-pdf on the grid per call
@@ -543,14 +550,19 @@ class TestSearchGridCache:
                 arr[0] = 0.0
 
 
-def _ends(fn, lo, hi):
-    """Bracket arrays and fn at their ends, as _bracketed_secant takes them."""
+def _ends(fn, lo, hi, slope=None):
+    """Bracket arrays, and fn and its slope at their ends, as _newton_polish takes them.
+
+    The slope defaults to a central difference of ``fn``.
+    """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    return lo, hi, fn(lo), fn(hi)
+    if slope is None:
+        slope = lambda x: (fn(x + 1e-7) - fn(x - 1e-7)) / 2e-7
+    return lo, hi, fn(lo), fn(hi), slope(lo), slope(hi)
 
 
 def _pointwise(fn):
-    """``fn`` as _bracketed_secant calls it: with the open brackets' indices, unused here."""
+    """``fn`` as _newton_polish calls it: with the open brackets' indices, unused here."""
     return lambda x, idx: fn(x)
 
 
@@ -559,16 +571,20 @@ def _cubic(x):
 
 
 class TestBracketedSecant:
+    """The bracketed polishing of level-set roots, :func:`_newton_polish`."""
+
     def test_brackets_narrowed_together_match_each_alone(self, fig5_spec):
         level = 0.5
         fn = lambda y: posterior(fig5_spec, y) - level
         grid = _search_grid(fig5_spec, 4096)
         cells = np.nonzero(np.sign(grid.u[:-1] - level) * np.sign(grid.u[1:] - level) < 0)[0]
-        lo, hi = grid.ys[cells], grid.ys[cells + 1]
-        together, steps = _bracketed_secant(_pointwise(fn), *_ends(fn, lo, hi), 1e-12, 1e-12, 200)
+        # brackets of u - level, with the cached slopes of u at their ends
+        brackets = [grid.ys[cells], grid.ys[cells + 1], grid.u[cells] - level, grid.u[cells + 1] - level,
+                    grid.du[cells], grid.du[cells + 1]]
+        together, steps = _newton_polish(_pointwise(fn), *brackets, 1e-12, 1e-12, 200)
         alone = [
-            _bracketed_secant(_pointwise(fn), *_ends(fn, [a], [b]), 1e-12, 1e-12, 200)
-            for a, b in zip(lo, hi)
+            _newton_polish(_pointwise(fn), *(v[i : i + 1] for v in brackets), 1e-12, 1e-12, 200)
+            for i in range(brackets[0].size)
         ]
         assert len(together) == 6
         assert together.tolist() == [r[0] for r, _ in alone]
@@ -576,9 +592,9 @@ class TestBracketedSecant:
         assert np.all(np.abs(fn(together)) <= 1e-9)
 
     def test_exact_zero_is_returned_as_is(self):
-        # the first secant point of a line is its zero
+        # the inverse cubic-Hermite point of a line is its zero
         fn = lambda x: x - 0.25
-        roots, steps = _bracketed_secant(_pointwise(fn), *_ends(fn, [0.0], [1.0]), 1e-3, 0.0, 200)
+        roots, steps = _newton_polish(_pointwise(fn), *_ends(fn, [0.0], [1.0], np.ones_like), 1e-3, 0.0, 200)
         assert (roots.tolist(), steps) == ([0.25], 1)
 
     @pytest.mark.parametrize("lo, hi, root", [(0.25, 1.0, 0.25), (0.0, 0.25, 0.25)])
@@ -591,11 +607,11 @@ class TestBracketedSecant:
             return fn(x)
 
         ends = _ends(fn, [lo, 0.0], [hi, 1.0])
-        roots, steps = _bracketed_secant(recording, *ends, 1e-10, 0.0, 200)
+        roots, steps = _newton_polish(recording, *ends, 1e-10, 0.0, 200)
         assert roots[0] == root
         # only the other bracket is ever evaluated
         assert all(x.size == 1 for x in calls)
-        alone = _bracketed_secant(recording, *_ends(fn, [lo], [hi]), 1e-10, 0.0, 200)
+        alone = _newton_polish(recording, *_ends(fn, [lo], [hi]), 1e-10, 0.0, 200)
         assert (alone[0].tolist(), alone[1]) == ([root], 0)
 
     def test_each_bracket_gets_its_own_indices(self):
@@ -608,14 +624,16 @@ class TestBracketedSecant:
             return np.tanh(5.0 * (x - shifts[idx]))
 
         lo, hi = np.zeros(2), np.ones(2)
-        roots, _ = _bracketed_secant(fn, lo, hi, fn(lo, np.arange(2)), fn(hi, np.arange(2)), 1e-12, 0.0, 200)
+        slopes = lambda x: 5.0 / np.cosh(5.0 * (x - shifts)) ** 2
+        both = np.arange(2)
+        roots, _ = _newton_polish(fn, lo, hi, fn(lo, both), fn(hi, both), slopes(lo), slopes(hi), 1e-12, 0.0, 200)
         assert roots == pytest.approx(shifts, abs=1e-12)
         assert all(set(ix) <= {0, 1} and ix == sorted(ix) for ix in seen)
 
     @pytest.mark.parametrize(
         "fn, lo, hi, xtol",
         [
-            (lambda x: x - 1e-15, 0.0, 1.0, 1e-6),  # secant point hugs the lower end
+            (lambda x: x - 1e-15, 0.0, 1.0, 1e-6),  # the zero hugs the lower end
             (lambda x: 1.0 - 1e-15 - x, 0.0, 1.0, 1e-6),  # ... and the upper end
             (_cubic, -2.0, 1.0, 1e-10),
             (lambda x: np.tanh(50.0 * (x - 0.7)), -2.0, 1.0, 1e-12),
@@ -629,11 +647,14 @@ class TestBracketedSecant:
             return fn(x)
 
         f_lo = float(fn(np.array([lo]))[0])
-        _bracketed_secant(recording, *_ends(fn, [lo], [hi]), xtol, 0.0, 200)
+        _newton_polish(recording, *_ends(fn, [lo], [hi]), xtol, 0.0, 200)
         assert points
         for x in points:
             assert lo + 0.5 * xtol <= x <= hi - 0.5 * xtol
-            if (float(fn(np.array([x]))[0]) > 0.0) == (f_lo > 0.0):
+            fx = float(fn(np.array([x]))[0])
+            if fx == 0.0:
+                lo = hi = x  # an exact zero is the root: no point may follow it
+            elif (fx > 0.0) == (f_lo > 0.0):
                 lo = x
             else:
                 hi = x
@@ -641,4 +662,77 @@ class TestBracketedSecant:
 
     def test_exhausted_budget_raises(self):
         with pytest.raises(NotConvergedError):
-            _bracketed_secant(_pointwise(_cubic), *_ends(_cubic, [-2.0], [1.0]), 1e-12, 0.0, 3)
+            _newton_polish(_pointwise(_cubic), *_ends(_cubic, [-2.0], [1.0]), 1e-12, 0.0, 3)
+
+
+def _two_peaks_narrow():
+    """configs/mixture_two_peaks.json with its narrow component's stddev cut from 3e-3 to 3e-4."""
+    spec = load_config(str(CONFIG_DIR / "mixture_two_peaks.json"))[0]
+    wide, narrow = spec.density0.components
+    density0 = DensityModel((wide, GaussianComponent(narrow.mean, 3e-4, narrow.weight)))
+    return channel_spec(spec.prior, density0, spec.density1)
+
+
+#: Mixture channels and their total root count over the 99 sweep levels on the 4096-point grid.
+ROOT_COUNT_CHANNELS = {
+    "mixture_two_peaks": 362,
+    "mixture_two_peaks_sd3e-4": 164,
+    "solve-1-mix02": 137,
+    "solve-3-mix04": 354,
+    "solve-6-mix02-1": 412,
+    "solve-8-mix03": 173,
+    "tabulate-2-mix01-1": 302,
+    "tabulate-2-mix09-1": 218,
+}
+
+SWEEP_LEVELS = np.linspace(0.01, 0.99, 99)
+
+VERIFY_DATA = Path(__file__).resolve().parent / "data" / "verify"
+
+
+def _root_count_channel(name):
+    if name == "mixture_two_peaks":
+        return load_config(str(CONFIG_DIR / "mixture_two_peaks.json"))[0]
+    if name == "mixture_two_peaks_sd3e-4":
+        return _two_peaks_narrow()
+    return load_config(str(VERIFY_DATA / f"{name}.json"))[0]
+
+
+def _meets_the_stop_rule(spec, level, roots):
+    """|u - level| <= 1e-12 at each root, or a sign change of u - level within 1e-12 of it."""
+    roots = np.asarray(roots)
+    near = np.abs(posterior(spec, roots) - level) <= 1e-12
+    across = (posterior(spec, roots - 1e-12) - level) * (posterior(spec, roots + 1e-12) - level) <= 0.0
+    return bool(np.all(near | across))
+
+
+class TestPolishRobustness:
+    """The slope only steers the polishing: the bracket and |u - a| decide where it stops."""
+
+    @pytest.mark.parametrize("name", sorted(ROOT_COUNT_CHANNELS))
+    def test_root_counts_and_stop_rule_at_99_levels(self, name):
+        spec = _root_count_channel(name)
+        u = _search_grid(spec, 4096).u
+        sets = find_level_sets(spec, SWEEP_LEVELS)
+        assert sum(len(ls.roots) for ls in sets) == ROOT_COUNT_CHANNELS[name]
+        for ls in sets:
+            # one root per cell whose ends lie on the two sides of the level
+            assert len(ls.roots) == np.count_nonzero((u[:-1] < ls.level) != (u[1:] < ls.level))
+            assert _meets_the_stop_rule(spec, ls.level, ls.roots)
+
+    @pytest.mark.parametrize(
+        "distort",
+        [lambda d: 10.0 * d, lambda d: -d, np.zeros_like, lambda d: np.full_like(d, np.nan)],
+        ids=["scaled_by_10", "negated", "zero", "nan"],
+    )
+    @pytest.mark.parametrize("name", ["mixture_two_peaks", "mixture_two_peaks_sd3e-4", "solve-3-mix04"])
+    def test_wrong_slopes_cost_steps_not_roots(self, name, distort):
+        spec = _root_count_channel(name)
+        grid = _search_grid(spec, 4096)
+        expected = find_level_sets(spec, SWEEP_LEVELS)
+        spec._grids[4096] = grid._replace(du=distort(grid.du))
+        sets = find_level_sets(spec, SWEEP_LEVELS)
+        for ls, want in zip(sets, expected):
+            assert len(ls.roots) == len(want.roots)
+            assert _meets_the_stop_rule(spec, ls.level, ls.roots)
+            np.testing.assert_allclose(ls.roots, want.roots, rtol=0.0, atol=1e-9)

@@ -86,7 +86,7 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
 LIBRARY = sorted((Path(__file__).resolve().parent.parent / "src" / "binquant").glob("*.py"))
 
 #: The private helpers that are shared between library modules on purpose.
-SHARED_PRIVATE = {"_search_grid", "_mi_bits", "_h2", "_bracketed_secant"}
+SHARED_PRIVATE = {"_search_grid", "_mi_bits", "_h2", "_log_pdf_slope"}
 
 
 def _imports(tree):

@@ -24,7 +24,7 @@ from binquant import (
     structural_checks,
     sweep_levels,
 )
-from binquant import solver
+from binquant import channel, solver
 from binquant.cli import load_config
 from tests.conftest import CONFIG_DIR, single_gaussian
 
@@ -155,7 +155,7 @@ class TestVerifyStationarity:
 
 
 class TestSearchBudget:
-    """Two bracket ends plus the secant steps: at most 12 F evaluations per solve."""
+    """Two bracket ends plus the search steps: at most 8 F evaluations per solve."""
 
     @pytest.mark.parametrize(
         "name, a_star",
@@ -163,8 +163,9 @@ class TestSearchBudget:
     )
     def test_stationarity_calls(self, name, a_star, request, monkeypatch):
         design, calls = self._solve_counting_f(request.getfixturevalue(name), monkeypatch)
-        assert len(calls) <= 12
-        assert design.iterations <= len(calls) - 2
+        # one bracket: its two ends and four inverse-quadratic steps
+        assert len(calls) == 6
+        assert design.iterations == len(calls) - 2
         assert design.a_star == pytest.approx(a_star, abs=1e-8)
 
     def test_a_jagged_top_costs_one_bracket(self, monkeypatch):
@@ -173,7 +174,7 @@ class TestSearchBudget:
         # staircase with 155 flat local maxima
         spec = channel_spec(Prior(p0=0.48), single_gaussian(3.7, 0.7), single_gaussian(-1.6, 0.2))
         design, calls = self._solve_counting_f(spec, monkeypatch)
-        assert len(calls) <= 12
+        assert len(calls) <= 8
         assert design.mi_bits == pytest.approx(0.998845487, abs=1e-9)
 
     @staticmethod
@@ -182,6 +183,73 @@ class TestSearchBudget:
         real = solver.stationarity
         monkeypatch.setattr(solver, "stationarity", lambda *args: calls.append(args) or real(*args))
         return solve(spec), calls
+
+
+def _recording(fn, points):
+    """``fn`` appending each point it is called at to ``points``."""
+    return lambda x: points.append(x) or fn(x)
+
+
+def _cubic(x):
+    return (x - 0.3) ** 3 + 0.01 * (x - 0.3)
+
+
+class TestChandrupatla:
+    """The level search of one bracket, :func:`solver._chandrupatla`."""
+
+    def test_a_lines_zero_is_found_in_one_step(self):
+        # the first, secant, point of a line is its zero
+        fn = lambda x: x - 0.25
+        assert solver._chandrupatla(fn, 0.0, 1.0, fn(0.0), fn(1.0), 1e-3, 200) == (0.25, 1)
+
+    @pytest.mark.parametrize("lo, hi", [(0.25, 1.0), (0.0, 0.25)])
+    def test_exact_zero_at_an_end_takes_no_step(self, lo, hi):
+        fn = lambda x: x - 0.25
+        points = []
+        assert solver._chandrupatla(_recording(fn, points), lo, hi, fn(lo), fn(hi), 1e-10, 200) == (0.25, 0)
+        assert points == []
+
+    @pytest.mark.parametrize(
+        "fn, lo, hi, xtol",
+        [
+            (lambda x: x - 1e-15, 0.0, 1.0, 1e-6),  # the zero hugs the lower end
+            (lambda x: 1.0 - 1e-15 - x, 0.0, 1.0, 1e-6),  # ... and the upper end
+            (_cubic, -2.0, 1.0, 1e-10),
+            (lambda x: np.tanh(50.0 * (x - 0.7)), -2.0, 1.0, 1e-12),
+            (lambda x: np.sign(x - 0.3) + x - 0.3, 0.0, 1.0, 1e-10),  # a jump across zero
+        ],
+    )
+    def test_every_point_stays_a_quarter_tolerance_inside(self, fn, lo, hi, xtol):
+        points = []
+        level, steps = solver._chandrupatla(_recording(fn, points), lo, hi, fn(lo), fn(hi), xtol, 200)
+        assert len(points) == steps > 0
+        f_lo = fn(lo)
+        for x in points:
+            assert lo + 0.25 * xtol <= x <= hi - 0.25 * xtol
+            if fn(x) == 0.0:
+                lo = hi = x  # an exact zero is the root: no point may follow it
+            elif (fn(x) > 0.0) == (f_lo > 0.0):
+                lo = x
+            else:
+                hi = x
+        # the search returns the last point it evaluated, an end of a bracket at most xtol wide
+        assert level == points[-1] and level in (lo, hi)
+        assert hi - lo <= xtol
+
+    def test_exhausted_budget_raises(self):
+        with pytest.raises(NotConvergedError):
+            solver._chandrupatla(_cubic, -2.0, 1.0, _cubic(-2.0), _cubic(1.0), 1e-12, 3)
+
+    def test_the_design_is_read_from_the_last_level_evaluated(self, fig5_spec, monkeypatch):
+        spec = channel_spec(fig5_spec.prior, fig5_spec.density0, fig5_spec.density1)
+        levels, level_sets = [], []
+        real_f, real_set = solver.stationarity, channel.find_level_set
+        monkeypatch.setattr(solver, "stationarity", lambda s, a, n: levels.append(a) or real_f(s, a, n))
+        monkeypatch.setattr(channel, "find_level_set", lambda *args: level_sets.append(args) or real_set(*args))
+        design = solve(spec)
+        # one level set per F evaluation, and none more for the design
+        assert design.a_star == levels[-1]
+        assert len(level_sets) == len(levels)
 
 
 class TestTwoPeakMixture:
