@@ -22,12 +22,16 @@ is the scalar factor in
 so its zeros are the stationary levels of the mutual information: a zero
 where F falls from positive to negative is a local maximum.  F can have
 more than one such zero, so the solver brackets one per candidate peak and
-compares their mutual information.
+compares their mutual information.  :func:`stationarity` takes a batch of
+levels the same way, which is how the solver evaluates all its brackets
+in one call per round; the spec keeps the level sets of its last batch, so
+the design read at a* by :func:`level_functionals` polishes no root again.
 
 A level whose f or g lies within DEGENERACY_EPS of {0, 1} is degenerate: F
-is unbounded there.  :func:`level_functionals` is the one place that decides
-this (its ``stationarity_value`` is NaN), and :func:`stationarity` is the one
-function that raises DegenerateChannelError for it.
+is unbounded there.  The level functionals are the one place that decides
+this (their ``stationarity_value`` is NaN); :func:`stationarity` returns
+that NaN for a batch of levels, and is the one function that raises
+DegenerateChannelError for it, for a single level.
 """
 
 from __future__ import annotations
@@ -229,14 +233,11 @@ def level_functionals(
 ) -> LevelFunctionals:
     """The level functionals at ``level``: :func:`level_functionals_batch` on a batch of one.
 
-    Its level set comes from :func:`~binquant.likelihood.find_level_set`; the
-    spec keeps the last result per grid size and returns it for that level.
+    Its level set comes from :func:`~binquant.likelihood.find_level_set`,
+    which returns the one the last :func:`stationarity` batch of this grid
+    size found when that batch holds the level.
     """
-    last = spec._last_functionals.get(grid_points)
-    if last is None or last.level != level:
-        sets = (find_level_set(spec, level, grid_points),)
-        last = spec._last_functionals[grid_points] = _from_level_sets(spec, sets, grid_points)[0]
-    return last
+    return _from_level_sets(spec, (find_level_set(spec, level, grid_points),), grid_points)[0]
 
 
 def _from_level_sets(
@@ -277,7 +278,7 @@ def _stationarity_from_masses(prior: Prior, level: float, f: float, g: float) ->
     )
 
 
-def stationarity(spec: ChannelSpec, level: float, grid_points: int = DEFAULT_GRID_POINTS) -> float:
+def stationarity(spec: ChannelSpec, level, grid_points: int = DEFAULT_GRID_POINTS):
     """The stationarity function F at ``level`` (natural logs).
 
         F(a) = log(f/(1-f)) - (a/(1-a)) log(g/(1-g))
@@ -290,10 +291,21 @@ def stationarity(spec: ChannelSpec, level: float, grid_points: int = DEFAULT_GRI
     and it can have several + to - zeros.  The zeros are invariant to the
     log base.
 
-    Raises DegenerateChannelError when f or g is within 1e-12 of {0, 1},
-    signalling that the level must move inward.
+    ``level`` may be an array: F at each level, in order, as a float array
+    that holds NaN at degenerate levels, each element equal to the call on
+    that level alone.  The whole batch takes one
+    :func:`~binquant.likelihood.find_level_sets` call and one CDF call per
+    density, and the spec keeps its level sets, one batch per grid size,
+    for :func:`~binquant.likelihood.find_level_set`.  A scalar level gives
+    a float, and raises DegenerateChannelError when f or g is within 1e-12
+    of {0, 1}, signalling that the level must move inward.
     """
-    fn = level_functionals(spec, level, grid_points)
+    levels = np.asarray(level, dtype=float)
+    sets = spec._last_level_sets[grid_points] = find_level_sets(spec, levels, grid_points)
+    fns = _from_level_sets(spec, sets, grid_points)
+    if levels.ndim:
+        return np.array([fn.stationarity_value for fn in fns])
+    (fn,) = fns
     if math.isnan(fn.stationarity_value):
         raise DegenerateChannelError(level, fn.correct0, fn.correct1)
     return fn.stationarity_value

@@ -33,5 +33,6 @@ class NoSignChangeError(QuantizerError):
 
 class NotConvergedError(QuantizerError):
     """A bracketed search ran out of steps with a bracket still open: the
-    search over the level (``max_iter`` steps per bracket, narrowing to
-    ``tol_a``) or the polishing of level-set roots (200 steps per batch)."""
+    search over the level (``max_iter`` narrowing rounds, each narrowing
+    every bracket toward ``tol_a``) or the polishing of level-set roots (200
+    steps per batch)."""

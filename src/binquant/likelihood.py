@@ -81,9 +81,10 @@ class ChannelSpec:
     Use :func:`channel_spec` to fill the default window.
 
     Each instance keeps its own search grids (:func:`_search_grid`), so two
-    equal specs built separately each compute theirs once, and the last
-    :func:`~binquant.channel.level_functionals` per grid size.  It also
-    keeps the coefficients of ``log r`` when that is a quadratic
+    equal specs built separately each compute theirs once, and the level
+    sets of the last :func:`~binquant.channel.stationarity` batch per grid
+    size, which :func:`find_level_set` returns.  It also keeps the
+    coefficients of ``log r`` when that is a quadratic
     (:func:`_log_r_quadratic`).
     """
 
@@ -108,7 +109,7 @@ class ChannelSpec:
                 f"[{lo_req!r}, {hi_req!r}] (all means with a 10-sigma margin)"
             )
         object.__setattr__(self, "_grids", {})
-        object.__setattr__(self, "_last_functionals", {})
+        object.__setattr__(self, "_last_level_sets", {})
         object.__setattr__(self, "_log_r_quadratic", _log_r_quadratic(self.density0, self.density1))
 
 
@@ -496,5 +497,13 @@ def find_level_sets(
 
 
 def find_level_set(spec: ChannelSpec, level: float, grid_points: int = DEFAULT_GRID_POINTS) -> LevelSet:
-    """The level set u(y) = ``level``: :func:`find_level_sets` on a batch of one."""
+    """The level set u(y) = ``level``: :func:`find_level_sets` on a batch of one.
+
+    When the last :func:`~binquant.channel.stationarity` batch of this grid
+    size holds the level, its level set is returned, which equals the
+    batch of one.
+    """
+    for level_set in spec._last_level_sets.get(grid_points, ()):
+        if level_set.level == level:
+            return level_set
     return find_level_sets(spec, (level,), grid_points)[0]

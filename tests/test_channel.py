@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from binquant import (
     ChannelMatrix,
+    find_level_set,
     posterior,
     DegenerateChannelError,
     InvalidSpecError,
@@ -24,7 +25,7 @@ from binquant import (
     mutual_information,
     stationarity,
 )
-from binquant import channel
+from binquant import channel, likelihood
 from binquant.channel import _h2, _mi_bits
 from tests.conftest import BATCH_SPECS, batch_levels
 
@@ -226,18 +227,29 @@ class TestLevelFunctionalsBatch:
 
 
 class TestLevelFunctionals:
-    def test_the_last_level_per_grid_size_is_kept(self, fig5_spec, monkeypatch):
+    def test_the_last_batch_per_grid_size_is_kept(self, fig5_spec, monkeypatch):
         spec = channel_spec(fig5_spec.prior, fig5_spec.density0, fig5_spec.density1)
         fresh = lambda a, n: level_functionals(channel_spec(spec.prior, spec.density0, spec.density1), a, n)
         level_sets = []
-        real = channel.find_level_set
-        monkeypatch.setattr(channel, "find_level_set", lambda *args: level_sets.append(args[1:]) or real(*args))
-        asked = [(0.5, 4096), (0.5, 4096), (0.5, 8192), (0.5, 4096), (0.3, 4096), (0.5, 8192), (0.5, 4096)]
+        real = likelihood.find_level_sets
+        monkeypatch.setattr(likelihood, "find_level_sets", lambda *args: level_sets.append(args[1:]) or real(*args))
+        stationarity(spec, np.array([0.5, 0.3]), 4096)
+        stationarity(spec, np.array([0.5]), 8192)
+        asked = [(0.5, 4096), (0.5, 4096), (0.5, 8192), (0.3, 4096), (0.7, 4096), (0.5, 8192), (0.7, 4096)]
         got = [level_functionals(spec, a, n) for a, n in asked]
-        # a level set only where the level differs from the last one of its grid size
-        assert level_sets == [(0.5, 4096), (0.5, 8192), (0.3, 4096), (0.5, 4096)]
-        assert got[1] is got[0] and got[3] is got[0] and got[5] is got[2]
-        monkeypatch.setattr(channel, "find_level_set", real)
+        # a level set only where the level is not in the last batch of its grid size, every time
+        assert level_sets == [((0.7,), 4096), ((0.7,), 4096)]
+        kept = [find_level_set(spec, a, n) for a, n in asked]
+        assert kept[1] is kept[0] and kept[5] is kept[2] and kept[4] is not kept[6]
+        assert got[1].roots is got[0].roots and got[5].roots is got[2].roots
+        # a new batch replaces the last one of its grid size only
+        stationarity(spec, 0.7, 4096)
+        level_sets.clear()
+        assert find_level_set(spec, 0.7, 4096) is find_level_set(spec, 0.7, 4096)
+        assert find_level_set(spec, 0.5, 8192) is kept[2]
+        find_level_set(spec, 0.5, 4096)
+        assert level_sets == [((0.5,), 4096)]
+        monkeypatch.setattr(likelihood, "find_level_sets", real)
         assert [_fields(fn) for fn in got] == [_fields(fresh(a, n)) for a, n in asked]
 
     def test_symmetric_channel_at_half(self, example1_spec):
@@ -356,6 +368,28 @@ class TestStationarity:
         for level in (0.8, 0.9, 0.95):
             with pytest.raises(DegenerateChannelError):
                 stationarity(example2_spec, level)
+
+    @pytest.mark.parametrize("name", ["example2_spec", "fig5_spec", "two_peaks_spec", "flat_spec"])
+    def test_an_array_call_equals_the_scalar_calls(self, name, request):
+        # NaN exactly where the scalar call raises: above sup u = 0.7866 on
+        # example2, at the extreme levels, and everywhere on the flat channel
+        spec = request.getfixturevalue(name)
+        levels = np.array([*batch_levels(spec), 1e-8, 0.8, 0.95, 1.0 - 1e-8])
+        together = stationarity(spec, levels)
+        alone = []
+        for level in levels.tolist():
+            try:
+                alone.append(stationarity(spec, level))
+            except DegenerateChannelError:
+                alone.append("degenerate")
+        assert isinstance(together, np.ndarray) and together.shape == levels.shape
+        assert [v if math.isfinite(v) else "degenerate" for v in together.tolist()] == alone
+        assert not np.isinf(together).any()
+        assert all(type(v) is float for v in alone if v != "degenerate")
+        if name == "flat_spec":
+            assert alone == ["degenerate"] * levels.size
+        else:
+            assert "degenerate" in alone and alone.count("degenerate") < levels.size
 
     def test_flat_channel_always_degenerate(self, flat_spec):
         for level in (0.2, 0.5, 0.8):

@@ -1,5 +1,8 @@
-"""End-to-end solver: the bracketed level search, design assembly, and the equal-ratio certificate."""
+"""End-to-end solver: the batched level search, design assembly, and the equal-ratio certificate."""
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from binquant import (
+    ChannelMatrix,
     DegenerateChannelError,
     DensityModel,
     GaussianComponent,
@@ -17,14 +21,17 @@ from binquant import (
     SolverConfig,
     channel_spec,
     grid_search,
+    level_functionals,
     likelihood_ratio,
+    mutual_information,
     posterior,
     predict_single_threshold,
     solve,
+    stationarity,
     structural_checks,
     sweep_levels,
 )
-from binquant import channel, solver
+from binquant import channel, likelihood, solver
 from binquant.cli import load_config
 from tests.conftest import CONFIG_DIR, single_gaussian
 
@@ -155,7 +162,7 @@ class TestVerifyStationarity:
 
 
 class TestSearchBudget:
-    """Two bracket ends plus the search steps: at most 8 F evaluations per solve."""
+    """Round 0 plus the narrowing rounds: at most 5 F batches per solve."""
 
     @pytest.mark.parametrize(
         "name, a_star",
@@ -163,9 +170,9 @@ class TestSearchBudget:
     )
     def test_stationarity_calls(self, name, a_star, request, monkeypatch):
         design, calls = self._solve_counting_f(request.getfixturevalue(name), monkeypatch)
-        # one bracket: its two ends and four inverse-quadratic steps
-        assert len(calls) == 6
-        assert design.iterations == len(calls) - 2
+        # one bracket from round 0, then two narrowing rounds
+        assert len(calls) <= 3
+        assert design.iterations == len(calls) - 1
         assert design.a_star == pytest.approx(a_star, abs=1e-8)
 
     def test_a_jagged_top_costs_one_bracket(self, monkeypatch):
@@ -174,7 +181,7 @@ class TestSearchBudget:
         # staircase with 155 flat local maxima
         spec = channel_spec(Prior(p0=0.48), single_gaussian(3.7, 0.7), single_gaussian(-1.6, 0.2))
         design, calls = self._solve_counting_f(spec, monkeypatch)
-        assert len(calls) <= 8
+        assert len(calls) <= 5
         assert design.mi_bits == pytest.approx(0.998845487, abs=1e-9)
 
     @staticmethod
@@ -185,29 +192,34 @@ class TestSearchBudget:
         return solve(spec), calls
 
 
-def _recording(fn, points):
-    """``fn`` appending each point it is called at to ``points``."""
-    return lambda x: points.append(x) or fn(x)
+def _recording(fn, rounds):
+    """A batch form of the scalar ``fn`` that appends the levels of each call to ``rounds``."""
+    return lambda levels: rounds.append(levels.tolist()) or np.array([fn(x) for x in levels])
 
 
 def _cubic(x):
     return (x - 0.3) ** 3 + 0.01 * (x - 0.3)
 
 
-class TestChandrupatla:
-    """The level search of one bracket, :func:`solver._chandrupatla`."""
+def _opened(fn, lo, hi):
+    """A bracket as :func:`solver._narrow` takes it, with no third level."""
+    return (lo, fn(lo), hi, fn(hi), math.nan, math.nan)
 
-    def test_a_lines_zero_is_found_in_one_step(self):
+
+class TestBatchedSearch:
+    """The batched level search, :func:`solver._bracket` and :func:`solver._narrow`."""
+
+    def test_a_lines_zero_is_found_in_one_round(self):
         # the first, secant, point of a line is its zero
-        fn = lambda x: x - 0.25
-        assert solver._chandrupatla(fn, 0.0, 1.0, fn(0.0), fn(1.0), 1e-3, 200) == (0.25, 1)
+        fn, rounds = lambda x: x - 0.25, []
+        assert solver._narrow(_recording(fn, rounds), [_opened(fn, 0.0, 1.0)], 1e-3, 200) == ([0.25], [], 1)
+        assert len(rounds) == 1
 
-    @pytest.mark.parametrize("lo, hi", [(0.25, 1.0), (0.0, 0.25)])
-    def test_exact_zero_at_an_end_takes_no_step(self, lo, hi):
-        fn = lambda x: x - 0.25
-        points = []
-        assert solver._chandrupatla(_recording(fn, points), lo, hi, fn(lo), fn(hi), 1e-10, 200) == (0.25, 0)
-        assert points == []
+    @pytest.mark.parametrize("other_end", [1.0, 0.0])
+    def test_exact_zero_at_an_end_takes_no_round(self, other_end):
+        fn, rounds = lambda x: x - 0.25, []
+        assert solver._narrow(_recording(fn, rounds), [_opened(fn, 0.25, other_end)], 1e-10, 200) == ([0.25], [], 0)
+        assert rounds == []
 
     @pytest.mark.parametrize(
         "fn, lo, hi, xtol",
@@ -219,37 +231,132 @@ class TestChandrupatla:
             (lambda x: np.sign(x - 0.3) + x - 0.3, 0.0, 1.0, 1e-10),  # a jump across zero
         ],
     )
-    def test_every_point_stays_a_quarter_tolerance_inside(self, fn, lo, hi, xtol):
-        points = []
-        level, steps = solver._chandrupatla(_recording(fn, points), lo, hi, fn(lo), fn(hi), xtol, 200)
-        assert len(points) == steps > 0
+    def test_every_level_stays_a_quarter_tolerance_inside(self, fn, lo, hi, xtol):
+        rounds = []
+        (level,), degenerate, n_rounds = solver._narrow(_recording(fn, rounds), [_opened(fn, lo, hi)], xtol, 200)
+        assert degenerate == [] and len(rounds) == n_rounds > 0
         f_lo = fn(lo)
-        for x in points:
-            assert lo + 0.25 * xtol <= x <= hi - 0.25 * xtol
-            if fn(x) == 0.0:
-                lo = hi = x  # an exact zero is the root: no point may follow it
-            elif (fn(x) > 0.0) == (f_lo > 0.0):
-                lo = x
-            else:
-                hi = x
-        # the search returns the last point it evaluated, an end of a bracket at most xtol wide
-        assert level == points[-1] and level in (lo, hi)
+        for levels in rounds:
+            assert lo < hi
+            for x in levels:
+                assert lo + 0.25 * xtol <= x <= hi - 0.25 * xtol
+            # the sign change now lies between two adjacent levels
+            ends = sorted([lo, *levels, hi])
+            j = next(j for j, x in enumerate(ends) if fn(x) == 0.0 or (fn(x) > 0.0) != (f_lo > 0.0))
+            lo, hi = (ends[j], ends[j]) if fn(ends[j]) == 0.0 else (ends[j - 1], ends[j])
+        # the search returns an end of a bracket at most xtol wide, evaluated in the last round
+        assert level in (lo, hi) and level in rounds[-1]
         assert hi - lo <= xtol
 
-    def test_exhausted_budget_raises(self):
-        with pytest.raises(NotConvergedError):
-            solver._chandrupatla(_cubic, -2.0, 1.0, _cubic(-2.0), _cubic(1.0), 1e-12, 3)
+    def test_brackets_narrowed_together_equal_each_alone(self):
+        fns = [_cubic, lambda x: -np.tanh(50.0 * (x - 0.7)), lambda x: x - 1e-15]
+        brackets = [_opened(fns[0], -2.0, 1.0), _opened(fns[1], -2.0, 1.0), _opened(fns[2], 0.0, 1.0)]
+        alone = [solver._narrow(_recording(fn, []), [b], 1e-10, 200) for fn, b in zip(fns, brackets)]
+        # the three functions moved 0, 10 and 20 apart: the nearest multiple of 10 picks one
+        offsets = [0.0, 10.0, 20.0]
+        shifted = lambda x: fns[round(x / 10.0)](x - 10.0 * round(x / 10.0))
+        together = solver._narrow(
+            _recording(shifted, []),
+            [(x1 + d, f1, x2 + d, f2, x3, f3) for d, (x1, f1, x2, f2, x3, f3) in zip(offsets, brackets)],
+            1e-10,
+            200,
+        )
+        assert together[2] == max(n for _, _, n in alone)
+        assert sorted(together[0]) == pytest.approx(sorted(lv + d for d, ((lv,), _, _) in zip(offsets, alone)), abs=1e-9)
 
-    def test_the_design_is_read_from_the_last_level_evaluated(self, fig5_spec, monkeypatch):
+    def test_exhausted_budget_raises(self):
+        with pytest.raises(NotConvergedError, match="all 3 rounds"):
+            solver._narrow(_cubic, [_opened(_cubic, -2.0, 1.0)], 1e-12, 3)
+
+    def test_ends_that_do_not_bracket_move_out_in_shared_rounds(self):
+        # candidate 0.5 has the zero at 0.25 below it, 0.95 has none before the edge
+        fn, rounds = lambda x: 0.25 - x, []
+        brackets, degenerate = solver._bracket(_recording(fn, rounds), np.array([0.5, 0.95]), 0.0, 1.0)
+        w = solver.BRACKET_HALF_WIDTH
+        assert rounds[0] == pytest.approx([0.5 - w, 0.5, 0.5 + w, 0.95 - w, 0.95, 0.95 + w])
+        # both move down: 0.5 - 2w, - 4w, ... and 0.95 - 2w, - 4w, ..., one call per round
+        assert rounds[1] == pytest.approx([0.5 - 2 * w, 0.95 - 2 * w])
+        assert [len(levels) for levels in rounds[1:]] == [2, 2, 2, 2, 2, 1, 1]
+        (x1, f1, x2, f2, x3, f3), (y1, g1, y2, g2, y3, g3) = brackets
+        assert (x1, x2, x3) == pytest.approx((0.5 - 16 * w, 0.5 - 32 * w, 0.5 - 8 * w))
+        assert (y1, y2, y3) == pytest.approx((0.95 - 64 * w, 0.0, 0.95 - 32 * w))
+        assert f1 < 0.0 < f2 and g1 < 0.0 < g2 and degenerate == []
+
+    def test_a_nan_at_a_candidates_level_drops_it(self):
+        # NaN below 0.2: 0.1 and 0.205 are dropped in round 0 at their lowest
+        # NaN level, 0.3 once its lower end, moving out, reaches 0.14
+        fn = lambda x: np.where(x < 0.2, np.nan, 0.15 - x)
+        brackets, degenerate = solver._bracket(fn, np.array([0.1, 0.205, 0.3]), 0.0, 1.0)
+        assert brackets == [] and degenerate == pytest.approx([0.09, 0.195, 0.14])
+
+    def test_the_design_is_read_from_the_last_level_batch(self, fig5_spec, monkeypatch):
         spec = channel_spec(fig5_spec.prior, fig5_spec.density0, fig5_spec.density1)
-        levels, level_sets = [], []
-        real_f, real_set = solver.stationarity, channel.find_level_set
+        levels, batches = [], []
+        real_f = solver.stationarity
         monkeypatch.setattr(solver, "stationarity", lambda s, a, n: levels.append(a) or real_f(s, a, n))
-        monkeypatch.setattr(channel, "find_level_set", lambda *args: level_sets.append(args) or real_set(*args))
+        for module in (channel, likelihood):
+            real_sets = module.find_level_sets
+            monkeypatch.setattr(module, "find_level_sets", lambda *args, real=real_sets: batches.append(args) or real(*args))
         design = solve(spec)
-        # one level set per F evaluation, and none more for the design
-        assert design.a_star == levels[-1]
-        assert len(level_sets) == len(levels)
+        # one level-set batch per F batch, and none more for the design
+        assert design.a_star in levels[-1].tolist()
+        assert len(batches) == len(levels)
+
+
+def _two_peaks_optimum(a_lo, a_hi):
+    """a*, the thresholds and the MI in bits of ``configs/mixture_two_peaks.json``, at 30 digits.
+
+    Shares no code with binquant.  The roots of u(y) = a are bracketed by a
+    float scan of the log-likelihood ratio (spacing 1e-3, and 1e-5 across the
+    sigma = 3e-3 spike at 20) and polished by ``mpmath.findroot``; each
+    segment between roots goes to Z = 0 where u < a at a point inside it,
+    and a* is the zero of F in [a_lo, a_hi].
+    """
+    mp = mpmath.mp
+    comps0, comps1 = [(-1.0, 1.0, 0.9), (20.0, 0.003, 0.1)], [(0.0, 5.0, 1.0)]
+    ys = np.union1d(np.linspace(-60.0, 80.0, 140_001), np.linspace(19.9, 20.1, 20_001))
+
+    def log_density(comps, y):
+        return np.logaddexp.reduce(
+            [np.log(w / (s * math.sqrt(2.0 * math.pi))) - 0.5 * ((y - m) / s) ** 2 for m, s, w in comps], axis=0
+        )
+
+    log_r = log_density(comps1, ys) - log_density(comps0, ys)  # u > a exactly where log_r > log(a / (1 - a))
+
+    with mpmath.workdps(30):
+        p0 = p1 = mp.mpf(1) / 2
+
+        def u(y):
+            d0 = sum(w * mpmath.npdf(y, m, s) for m, s, w in comps0)
+            d1 = sum(w * mpmath.npdf(y, m, s) for m, s, w in comps1)
+            return p1 * d1 / (p0 * d0 + p1 * d1)
+
+        def design(a):
+            side = log_r > float(mpmath.log(a / (1 - a)))
+            cells = np.flatnonzero(side[1:] != side[:-1])
+            roots = [mpmath.findroot(lambda y: u(y) - a, (ys[i], ys[i + 1]), solver="anderson") for i in cells]
+            edges = [-mp.inf, *roots, mp.inf]
+            f = g = mp.zero
+            for lo, hi in zip(edges, edges[1:]):
+                inside = hi - 1 if lo == -mp.inf else lo + 1 if hi == mp.inf else (lo + hi) / 2
+                if u(inside) < a:
+                    f += sum(w * (mpmath.ncdf(hi, m, s) - mpmath.ncdf(lo, m, s)) for m, s, w in comps0)
+                else:
+                    g += sum(w * (mpmath.ncdf(hi, m, s) - mpmath.ncdf(lo, m, s)) for m, s, w in comps1)
+            return roots, f, g
+
+        def stationarity_value(a):
+            _, f, g = design(a)
+            q0, q1 = p0 * f + p1 * (1 - g), p0 * (1 - f) + p1 * g
+            return mpmath.log(f / (1 - f)) - a / (1 - a) * mpmath.log(g / (1 - g)) - mpmath.log(q0 / q1) / (1 - a)
+
+        def h2(w):
+            return -(w * mpmath.log(w, 2) + (1 - w) * mpmath.log(1 - w, 2))
+
+        a_star = mpmath.findroot(stationarity_value, (mp.mpf(a_lo), mp.mpf(a_hi)), solver="anderson")
+        roots, f, g = design(a_star)
+        mi = h2(p0 * f + p1 * (1 - g)) - p0 * h2(f) - p1 * h2(g)
+        return float(a_star), [float(h) for h in roots], float(mi)
 
 
 class TestTwoPeakMixture:
@@ -263,6 +370,14 @@ class TestTwoPeakMixture:
         design = solve(spec)
         assert design.mi_bits >= 0.38662
         assert design.a_star == pytest.approx(0.69730, abs=1e-4)
+
+    def test_design_equals_a_30_digit_reference(self, spec):
+        a_star, thresholds, mi = _two_peaks_optimum(0.6970, 0.6976)
+        design = solve(spec)
+        assert design.a_star == pytest.approx(a_star, abs=1e-8)
+        assert len(design.thresholds) == len(thresholds) == 4
+        np.testing.assert_allclose(design.thresholds, thresholds, rtol=0.0, atol=1e-7)
+        assert design.mi_bits == pytest.approx(mi, abs=1e-9)
 
     def test_the_higher_of_two_brackets_wins(self, spec, monkeypatch):
         # one candidate at each + to - zero of F, the lower peak's first
@@ -342,8 +457,9 @@ class TestGlobalOptimum:
             DensityModel(tuple(GaussianComponent(*c) for c in comps)) for comps in (comps0, comps1)
         )
         bound, err0, err1 = _cell_bound_bits(p0, comps0, comps1)
+        spec = channel_spec(Prior(p0=p0), density0, density1)
         try:
-            design = solve(channel_spec(Prior(p0=p0), density0, density1))
+            design = solve(spec)
         except NoSignChangeError:
             assert bound <= 1e-9  # only a channel that carries no information
             return
@@ -352,6 +468,14 @@ class TestGlobalOptimum:
             assert min(err0, err1) <= 1e-9
             return
         assert design.mi_bits >= bound - 1e-9
+        # whatever path the search took, it stopped on a + to - zero of F, a
+        # local maximum of I(X;Z): one F batch, whose level sets the MI reads
+        a, tol = design.a_star, SolverConfig().tol_a
+        values = stationarity(spec, np.array([a - tol, a + tol, a - 1e-6, a + 1e-6]))
+        assert values[0] >= 0.0 >= values[1]
+        for level in (a - 1e-6, a + 1e-6):
+            fn = level_functionals(spec, level)
+            assert design.mi_bits >= mutual_information(spec.prior, ChannelMatrix(fn.correct0, fn.correct1)) - 1e-15
 
 
 class TestErrors:
@@ -371,7 +495,8 @@ class TestErrors:
 
     def test_iteration_budget_enforced(self, example2_spec):
         with pytest.raises(NotConvergedError):
-            solve(example2_spec, SolverConfig(max_iter=3))
+            # example2 takes two narrowing rounds
+            solve(example2_spec, SolverConfig(max_iter=1))
 
     def test_config_validation(self):
         with pytest.raises(Exception):
