@@ -33,6 +33,6 @@ class NoSignChangeError(QuantizerError):
 
 class NotConvergedError(QuantizerError):
     """A bracketed search ran out of steps with a bracket still open: the
-    search over the level (``max_iter`` narrowing rounds, each narrowing
-    every bracket toward ``tol_a``) or the polishing of level-set roots (200
-    steps per batch)."""
+    level search next to one candidate (``max_iter`` narrowing rounds, each
+    narrowing its bracket toward ``tol_a``) or the polishing of level-set
+    roots (200 steps per batch)."""

@@ -67,6 +67,9 @@ DEFAULT_GRID_POINTS = 4096
 #: Root polishing stops once |u(y) - level| or the bracket width drops to this.
 REFINE_TOL = 1e-12
 
+#: A search grid is flat when no step of log r on it is larger than this in magnitude.
+_FLAT_LOG_R_STEP = 1e-12
+
 #: Admissible levels lie in (LEVEL_MARGIN, 1 - LEVEL_MARGIN).
 _LEVEL_MARGIN = 1e-9
 
@@ -187,7 +190,9 @@ class _Grid(NamedTuple):
     ``lo_u``/``hi_u`` are the smaller and the larger of u at their ends, so
     such a cell holds a root of level a exactly when lo_u < a <= hi_u.  The
     cell arrays serve mixture channels; :func:`find_level_sets` solves
-    single-Gaussian pairs in closed form.
+    single-Gaussian pairs in closed form.  ``flat`` is the one flatness
+    verdict: every step of log r is at most _FLAT_LOG_R_STEP, so u is
+    constant up to rounding, and no cell is kept (no level has a root).
     """
 
     ys: np.ndarray
@@ -197,6 +202,7 @@ class _Grid(NamedTuple):
     cells: np.ndarray
     lo_u: np.ndarray
     hi_u: np.ndarray
+    flat: bool
 
 
 def _search_grid(spec: ChannelSpec, grid_points: int) -> _Grid:
@@ -215,9 +221,12 @@ def _search_grid(spec: ChannelSpec, grid_points: int) -> _Grid:
         u = _logistic(spec, log_r)
         du = u * (u - 1.0) * (slope0 - slope1)
         lo_u, hi_u = np.minimum(u[:-1], u[1:]), np.maximum(u[:-1], u[1:])
-        cells = np.flatnonzero((lo_u < hi_u) & (hi_u > _LEVEL_MARGIN) & (lo_u < 1.0 - _LEVEL_MARGIN))
-        grid = _Grid(ys, log_r, u, du, cells, lo_u[cells], hi_u[cells])
-        for arr in grid:
+        flat = bool(np.all(np.abs(np.diff(log_r)) <= _FLAT_LOG_R_STEP))
+        # on a flat grid u differs from point to point by rounding alone, so no cell holds a root
+        crossing = (lo_u < hi_u) & (hi_u > _LEVEL_MARGIN) & (lo_u < 1.0 - _LEVEL_MARGIN)
+        cells = np.flatnonzero(crossing & (not flat))
+        grid = _Grid(ys, log_r, u, du, cells, lo_u[cells], hi_u[cells], flat)
+        for arr in grid[:-1]:
             arr.flags.writeable = False
         spec._grids[grid_points] = grid
     return grid
@@ -248,17 +257,18 @@ def classify_monotonicity(spec: ChannelSpec, grid_points: int = DEFAULT_GRID_POI
     """Classify the likelihood ratio as strictly monotone or not.
 
     Evaluates log r(y) on a uniform grid over the search window and checks
-    the sign of successive finite differences.  Differences smaller than
-    1e-12 in magnitude (the double-precision noise floor for log-pdf
-    differences) count as violations of strictness.
+    the sign of successive finite differences.  Differences at most
+    _FLAT_LOG_R_STEP in magnitude (the double-precision noise floor for
+    log-pdf differences) count as violations of strictness; ``flat`` is the
+    search grid's verdict (:func:`_search_grid`).
     """
-    diffs = np.diff(_search_grid(spec, grid_points).log_r)
-    if np.all(diffs > 1e-12):
+    grid = _search_grid(spec, grid_points)
+    diffs = np.diff(grid.log_r)
+    if np.all(diffs > _FLAT_LOG_R_STEP):
         return MonotonicityReport(Monotonicity.STRICTLY_INCREASING, grid_points)
-    if np.all(diffs < -1e-12):
+    if np.all(diffs < -_FLAT_LOG_R_STEP):
         return MonotonicityReport(Monotonicity.STRICTLY_DECREASING, grid_points)
-    flat = bool(np.all(np.abs(diffs) <= 1e-12))
-    return MonotonicityReport(Monotonicity.NON_MONOTONIC, grid_points, flat=flat)
+    return MonotonicityReport(Monotonicity.NON_MONOTONIC, grid_points, flat=grid.flat)
 
 
 @dataclass(frozen=True)

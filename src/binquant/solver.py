@@ -4,30 +4,26 @@ The optimal quantizer is the full root set of u(y) = a* for one level a*, so
 every candidate is a prefix of the search grid's cells sorted by posterior
 level (Burshtein et al., Ann. Stat. 1992; Kurkoski & Yagi, IEEE T-IT 2014).
 The stationarity function F may change sign from + to - more than once, so
-:func:`solve` brackets F next to each MI peak of those prefixes and narrows
-all brackets together by Chandrupatla's inverse-quadratic search.  Each
-round of the search is one :func:`~binquant.channel.stationarity` call on a
-batch of levels: round 0 takes c and c +- BRACKET_HALF_WIDTH for every
-candidate c, and each narrowing round the next point of every open bracket
-with two guards tol_a / 2 to either side, so the round that lands within
-tol_a / 2 of the zero also closes the bracket (three rounds on each shipped
-channel but the symmetric one, which takes one).  The grid only ranks:
-every reported number comes from one
-:func:`~binquant.channel.level_functionals` call at a*, whose level set the
-last batch found, where every threshold carries the likelihood ratio
-r* = (p1/p0)(1 - a*)/a*; the worst relative deviation from it is the
-design's ``stationarity_residual``.
+:func:`solve` runs one level search next to each MI peak of those prefixes,
+which brackets a + to - change of F and narrows the bracket by
+Chandrupatla's inverse-quadratic search; one batching loop runs all of them
+in shared rounds, each one :func:`~binquant.channel.stationarity` call
+(three on each shipped channel but the symmetric one, which takes one).
+The grid only ranks: every reported number comes from one
+:func:`~binquant.channel.level_functionals` call at a*, where every
+threshold carries the likelihood ratio r* = (p1/p0)(1 - a*)/a*; the worst
+relative deviation from it is the design's ``stationarity_residual``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelMatrix, Mapping, _mi_bits, level_functionals, mutual_information
-from .channel import stationarity
+from .channel import ChannelMatrix, Mapping, _mi_bits, level_functionals, mutual_information, stationarity
 from .density import Thresholds, cdf
 from .errors import InvalidSpecError, NoSignChangeError, NotConvergedError
 from .likelihood import DEFAULT_GRID_POINTS, ChannelSpec, Monotonicity, _search_grid
@@ -47,8 +43,8 @@ class SolverConfig:
     """Level-search parameters; the defaults solve all shipped channels < 1 s.
 
     ``[a_lo, a_hi]`` is the admissible level range, ``tol_a`` the width the
-    level search narrows each sign-change bracket to, ``max_iter`` its
-    budget of narrowing rounds (each narrows all open brackets), and
+    level search narrows each sign-change bracket to, ``max_iter`` the
+    budget of narrowing rounds of each candidate's search, and
     ``grid_points`` the size of the search grid that ranks candidates and
     brackets the level-set roots.
     """
@@ -81,8 +77,9 @@ class QuantizerDesign:
     ``stationarity_residual`` the worst relative deviation
     max_i |r(h_i) - r*| / r* actually measured.  ``mi_bits`` is recomputed
     from exact partition masses at the final thresholds, never interpolated.
-    ``iterations`` is the number of narrowing rounds of the level search
-    (0 when F was exactly 0 at a level that round 0 evaluated).
+    ``iterations`` is the number of rounds of the level search after round
+    0, that is :func:`~binquant.channel.stationarity` calls - 1 (walk and
+    narrowing rounds, shared by all candidates; 0 when round 0 settled all).
     """
 
     a_star: float
@@ -127,52 +124,6 @@ def _candidate_levels(spec: ChannelSpec, cfg: SolverConfig) -> np.ndarray:
     return np.array([levels[g[np.argmax(mi[g])]] for g in np.split(near_best, cuts) if g.size])
 
 
-def _bracket(fn, candidates, a_lo: float, a_hi: float):
-    """Brackets of a + to - sign change of ``fn`` next to each candidate level.
-
-    ``fn`` maps an array of levels to its values, NaN where it has none.
-    Round 0 evaluates it at c - w, c and c + w for every candidate c (w =
-    BRACKET_HALF_WIDTH, clipped to [a_lo, a_hi]).  A zero at c is the root;
-    else the sign of fn(c) says on which side of c the change lies, and an
-    end on that side that does not bracket it moves out to c +- 2w, 4w, ...
-    in later rounds, one call for all candidates still moving, until it
-    does.  A candidate is dropped when that end reaches the range's edge
-    without a sign change, or when fn is NaN at one of its levels.
-
-    Returns the brackets as ``(x1, f1, x2, f2, x3, f3)``: [x1, x2] holds the
-    change, x1 is a zero of fn (f1 = 0) or the end nearer c, and x3 the
-    level evaluated next to x1 outside the bracket (NaN if none); and, for
-    each candidate dropped at a NaN, its lowest level where fn is NaN.
-    """
-    w = BRACKET_HALF_WIDTH
-    grid = np.clip(np.add.outer(candidates, [-w, 0.0, w]), a_lo, a_hi)
-    rows = zip(grid.tolist(), fn(grid.ravel()).reshape(grid.shape).tolist())
-    brackets, degenerate, moving = [], [], []
-    for (left, c, right), (f_left, f_c, f_right) in rows:
-        if math.isnan(f_left + f_c + f_right):
-            degenerate.append(next(a for a, v in ((left, f_left), (c, f_c), (right, f_right)) if math.isnan(v)))
-        elif f_c == 0.0:
-            brackets.append((c, 0.0, right, f_right, math.nan, math.nan))
-        elif f_c > 0.0:  # (c, step, inner end, the level beyond it, the end being tried)
-            moving.append((c, w, (c, f_c), (left, f_left), (right, f_right)))
-        else:
-            moving.append((c, -w, (c, f_c), (right, f_right), (left, f_left)))
-    while moving:
-        walk = []
-        for c, step, inner, beyond, (probe, f_probe) in moving:
-            if math.isnan(f_probe):
-                degenerate.append(probe)
-            elif f_probe == 0.0:
-                brackets.append((probe, 0.0, *inner, math.nan, math.nan))
-            elif (f_probe > 0.0) != (step > 0.0):
-                brackets.append((*inner, probe, f_probe, *beyond))
-            elif probe not in (a_lo, a_hi):
-                walk.append((c, 2.0 * step, (probe, f_probe), inner, min(max(c + 2.0 * step, a_lo), a_hi)))
-        values = fn(np.array([entry[-1] for entry in walk])).tolist() if walk else []
-        moving = [(*entry[:-1], (entry[-1], value)) for entry, value in zip(walk, values)]
-    return brackets, degenerate
-
-
 def _chandrupatla_t(x1: float, f1: float, x2: float, f2: float, x3: float, f3: float) -> float:
     """Chandrupatla's point (Adv. Eng. Software 28, 1997), as the fraction t of the way from x1 to x2.
 
@@ -188,99 +139,123 @@ def _chandrupatla_t(x1: float, f1: float, x2: float, f2: float, x3: float, f3: f
     return 0.5
 
 
-def _narrow(fn, brackets, xtol: float, max_rounds: int):
-    """Narrow every bracket of :func:`_bracket` to ``xtol``, all of them in each call of ``fn``.
+def _candidate_search(c: float, a_lo: float, a_hi: float, xtol: float, max_rounds: int):
+    """The level search next to the candidate level ``c``: a generator that :func:`_search` runs.
 
-    A round evaluates fn, in one call, at each open bracket's Chandrupatla
-    point x (:func:`_chandrupatla_t`) and at the guards x +- xtol / 2, every
-    level at least xtol / 4 inside its bracket (a guard closer to an end is
-    left out).  The sign change then lies between two adjacent levels, so
-    the round in which x lands within xtol / 2 of a zero also closes its
-    bracket.  A bracket closes at an exact zero, or once it is at most
-    ``xtol`` wide, at the end evaluated last (of two evaluated together,
-    the one where |fn| is smaller), which it keeps as x1; a bracket whose
-    x1 is a zero of fn takes no round.  A bracket that meets a NaN is
-    dropped.
-
-    Returns the level of each bracket not dropped, the levels where fn was
-    NaN, and the number of rounds; raises NotConvergedError when a bracket
-    is still open after ``max_rounds`` rounds.
+    Each round it yields the levels it needs and is sent F at them.  Round 0
+    takes c - w, c and c + w (w = BRACKET_HALF_WIDTH, clipped to [a_lo,
+    a_hi]).  A zero at c is the root; else the sign of F(c) says on which
+    side the + to - change lies, and the end on that side moves out to
+    c +- 2w, 4w, ..., a level a round, until it brackets the change.  Each
+    narrowing round then takes the Chandrupatla point x
+    (:func:`_chandrupatla_t`) and the guards x +- xtol / 2, every level at
+    least xtol / 4 inside the bracket, so the round in which x lands within
+    xtol / 2 of a zero also closes it.  x1 is the end nearer c after the
+    walk, then the end a round evaluated (of two, the one where |F| is
+    smaller); x3 is the level before x1 in the walk, then the far guard
+    beyond x1, else the old end there.  Returns ``("level", a)`` for a zero
+    or for x1 once the bracket is at most ``xtol`` wide, and ``("edge",
+    a)`` when the walk reached the edge a with no sign change; raises
+    NotConvergedError past ``max_rounds`` narrowing rounds.
     """
-    levels, degenerate, rounds = [], [], 0
-    open_brackets = brackets
-    while True:
-        still = []
-        for x1, f1, x2, f2, x3, f3 in open_brackets:
-            if f1 == 0.0 or abs(x2 - x1) <= xtol:
-                levels.append(x1)
-            else:
-                still.append((x1, f1, x2, f2, x3, f3))
-        if not still:
-            return levels, degenerate, rounds
+    w = BRACKET_HALF_WIDTH
+    left, right = max(c - w, a_lo), min(c + w, a_hi)
+    f_left, f_c, f_right = yield [left, c, right]
+    if f_c == 0.0:
+        return "level", c
+    inner, step, ends = (c, f_c), math.copysign(w, f_c), [(left, f_left), (right, f_right)]
+    beyond, (x, fx) = ends if f_c > 0.0 else ends[::-1]
+    while fx != 0.0 and (fx > 0.0) == (step > 0.0):
+        if x in (a_lo, a_hi):
+            return "edge", x
+        step, beyond, inner = 2.0 * step, inner, (x, fx)
+        x = min(max(c + step, a_lo), a_hi)
+        (fx,) = yield [x]
+    if fx == 0.0:
+        return "level", x
+    (x1, f1), (x2, f2), (x3, f3) = inner, (x, fx), beyond
+    for rounds in itertools.count():
+        if abs(x2 - x1) <= xtol:
+            return "level", x1
         if rounds == max_rounds:
-            widest = max(abs(b[2] - b[0]) for b in still)
             raise NotConvergedError(
-                f"level search used all {max_rounds} rounds with {len(still)} bracket(s) "
-                f"still wider than {xtol:g} (widest {widest:.3e})"
+                f"level search next to {c:.6g} used all {max_rounds} rounds with its bracket "
+                f"still wider than {xtol:g} ({abs(x2 - x1):.3e} wide)"
             )
-        points = []
-        for x1, f1, x2, f2, x3, f3 in still:
-            t_min = 0.25 * xtol / abs(x2 - x1)
-            x = x1 + min(max(_chandrupatla_t(x1, f1, x2, f2, x3, f3), t_min), 1.0 - t_min) * (x2 - x1)
-            inner_lo, inner_hi = min(x1, x2) + 0.25 * xtol, max(x1, x2) - 0.25 * xtol
-            points.append([p for p in (x - 0.5 * xtol, x, x + 0.5 * xtol) if p == x or inner_lo <= p <= inner_hi])
-        values = fn(np.array([p for pts in points for p in pts])).tolist()
-        rounds += 1
-        open_brackets, stop = [], 0
-        for (x1, f1, x2, f2, _, _), pts in zip(still, points):
-            start, stop = stop, stop + len(pts)
-            seq = sorted([(x1, f1), (x2, f2), *zip(pts, values[start:stop])])
-            nan = [a for a, v in seq if math.isnan(v)]
+        t_min = 0.25 * xtol / abs(x2 - x1)
+        x = x1 + min(max(_chandrupatla_t(x1, f1, x2, f2, x3, f3), t_min), 1.0 - t_min) * (x2 - x1)
+        inner_lo, inner_hi = min(x1, x2) + 0.25 * xtol, max(x1, x2) - 0.25 * xtol
+        points = [p for p in (x - 0.5 * xtol, x, x + 0.5 * xtol) if p == x or inner_lo <= p <= inner_hi]
+        seq = sorted([(x1, f1), (x2, f2), *zip(points, (yield points))])
+        # the first level where F is 0 or has the other sign than at the lower end
+        j = next(j for j, (_, v) in enumerate(seq) if v == 0.0 or (v > 0.0) != (seq[0][1] > 0.0))
+        if seq[j][1] == 0.0:
+            return "level", seq[j][0]
+        k = min((k for k in (j - 1, j) if 0 < k < len(seq) - 1), key=lambda k: abs(seq[k][1]))
+        beyond = min(1, k - 1) if k < j else max(len(seq) - 2, k + 1)
+        (x1, f1), (x2, f2), (x3, f3) = seq[k], seq[2 * j - 1 - k], seq[beyond]
+
+
+def _search(fn, searches):
+    """Run the level searches of all candidates together, one call of ``fn`` per round.
+
+    ``fn`` maps an array of levels to F at each, NaN where F has none.  Each
+    round puts the levels of every live search (:func:`_candidate_search`)
+    into one call and sends each search its values; a search with a NaN
+    among them is dropped as ``("nan", a)`` at its lowest such level a.
+    Searches leave the batch when done, so each outcome equals that of its
+    search run alone.  Returns the outcomes, in order, and the number of
+    rounds after round 0 (calls of ``fn`` - 1).
+    """
+    outcomes = [None] * len(searches)
+    asking = {i: next(search) for i, search in enumerate(searches)}
+    for rounds in itertools.count():
+        values = iter(fn(np.array([a for levels in asking.values() for a in levels])).tolist())
+        batch, asking = asking, {}
+        for i, levels in batch.items():
+            f = [next(values) for _ in levels]
+            nan = [a for a, v in zip(levels, f) if math.isnan(v)]
             if nan:
-                degenerate.append(nan[0])
+                outcomes[i] = ("nan", min(nan))
                 continue
-            # the first level where fn is 0 or has the other sign than at the lower end
-            j = next(j for j, (_, v) in enumerate(seq) if v == 0.0 or (v > 0.0) != (seq[0][1] > 0.0))
-            if seq[j][1] == 0.0:
-                open_brackets.append((*seq[j], *seq[j - 1], math.nan, math.nan))
-                continue
-            # x1: the end evaluated in this round (of two, where |fn| is smaller); x3: the level
-            # of this round farthest outside the bracket beyond x1, else the old end there
-            k = min((k for k in (j - 1, j) if 0 < k < len(seq) - 1), key=lambda k: abs(seq[k][1]))
-            beyond = min(1, k - 1) if k < j else max(len(seq) - 2, k + 1)
-            open_brackets.append((*seq[k], *seq[2 * j - 1 - k], *seq[beyond]))
+            try:
+                asking[i] = searches[i].send(f)
+            except StopIteration as done:
+                outcomes[i] = done.value
+        if not asking:
+            return outcomes, rounds
 
 
 def solve(spec: ChannelSpec, config: SolverConfig | None = None) -> QuantizerDesign:
     """Find the optimal binary quantizer for ``spec``.
 
     (1) Rank the sorted-cell quantizers and take the candidate levels
-    (:func:`_candidate_levels`); (2) bracket a + to - sign change of F next
-    to each (:func:`_bracket`); (3) narrow all brackets to ``tol_a`` together
-    (:func:`_narrow`), whose rounds ``iterations`` counts; (4) keep the
-    narrowed level whose level functionals give the largest mutual
-    information.  Each round of (2) and (3) is one
-    :func:`~binquant.channel.stationarity` call on the levels of all
-    candidates, and the spec keeps that call's level sets, so the design at
-    a* polishes no root again.
+    (:func:`_candidate_levels`); (2) run one level search next to each
+    (:func:`_candidate_search`), all in shared rounds of one
+    :func:`~binquant.channel.stationarity` call each (:func:`_search`),
+    whose rounds after round 0 ``iterations`` counts; (3) keep the level
+    whose level functionals give the largest mutual information.  The spec
+    keeps the level sets of the last call, so a design at a level of the
+    last round polishes no root again.
 
     Raises NoSignChangeError when no candidate can be bracketed (the best
     level in range is at its edge, or identical conditional densities carry
-    no information), NotConvergedError past ``max_iter`` narrowing rounds,
-    and DegenerateChannelError when no candidate is left and F was
-    degenerate at one of its levels.
+    no information), NotConvergedError when a search is still open after
+    ``max_iter`` narrowing rounds, and DegenerateChannelError when no
+    candidate is left and F was degenerate at one of its levels.
     """
     cfg = config or SolverConfig()
-    f = lambda levels: stationarity(spec, levels, cfg.grid_points)
-    brackets, degenerate = _bracket(f, _candidate_levels(spec, cfg), cfg.a_lo, cfg.a_hi)
-    levels, degenerate_inside, rounds = _narrow(f, brackets, cfg.tol_a, cfg.max_iter)
+    candidates = _candidate_levels(spec, cfg).tolist()
+    searches = [_candidate_search(c, cfg.a_lo, cfg.a_hi, cfg.tol_a, cfg.max_iter) for c in candidates]
+    outcomes, rounds = _search(lambda levels: stationarity(spec, levels, cfg.grid_points), searches)
+    levels = [a for kind, a in outcomes if kind == "level"]
     if not levels:
         if classify_monotonicity(spec, cfg.grid_points).flat:
             raise NoSignChangeError(
                 "the posterior level is constant, so the channel carries no "
                 "information (mutual information is identically 0)"
             )
-        degenerate += degenerate_inside
+        degenerate = [a for kind, a in outcomes if kind == "nan"]
         if degenerate:
             stationarity(spec, degenerate[-1], cfg.grid_points)  # a scalar level raises DegenerateChannelError
         raise NoSignChangeError(

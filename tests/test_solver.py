@@ -1,6 +1,7 @@
 """End-to-end solver: the batched level search, design assembly, and the equal-ratio certificate."""
 
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -20,6 +21,8 @@ from binquant import (
     Prior,
     SolverConfig,
     channel_spec,
+    classify_monotonicity,
+    find_level_set,
     grid_search,
     level_functionals,
     likelihood_ratio,
@@ -34,6 +37,10 @@ from binquant import (
 from binquant import channel, likelihood, solver
 from binquant.cli import load_config
 from tests.conftest import CONFIG_DIR, single_gaussian
+
+SHIPPED_AND_VERIFY_CONFIGS = sorted(CONFIG_DIR.glob("*.json")) + sorted(
+    (Path(__file__).resolve().parent / "data" / "verify").glob("*.json")
+)
 
 # independently verified optima (mpmath, 30 dps, closed-form level sets)
 EX2_A_STAR = 0.3205528447713517
@@ -162,7 +169,7 @@ class TestVerifyStationarity:
 
 
 class TestSearchBudget:
-    """Round 0 plus the narrowing rounds: at most 5 F batches per solve."""
+    """Round 0 plus two narrowing rounds: at most 3 F batches per solve on the shipped channels."""
 
     @pytest.mark.parametrize(
         "name, a_star",
@@ -184,12 +191,18 @@ class TestSearchBudget:
         assert len(calls) <= 5
         assert design.mi_bits == pytest.approx(0.998845487, abs=1e-9)
 
+    @pytest.mark.parametrize("path", SHIPPED_AND_VERIFY_CONFIGS, ids=lambda path: path.stem)
+    def test_iterations_count_the_rounds_after_round_0(self, path, monkeypatch):
+        spec, cfg = load_config(str(path))
+        design, calls = self._solve_counting_f(spec, monkeypatch, cfg)
+        assert design.iterations == len(calls) - 1
+
     @staticmethod
-    def _solve_counting_f(spec, monkeypatch):
+    def _solve_counting_f(spec, monkeypatch, config=None):
         calls = []
         real = solver.stationarity
         monkeypatch.setattr(solver, "stationarity", lambda *args: calls.append(args) or real(*args))
-        return solve(spec), calls
+        return solve(spec, config), calls
 
 
 def _recording(fn, rounds):
@@ -201,93 +214,149 @@ def _cubic(x):
     return (x - 0.3) ** 3 + 0.01 * (x - 0.3)
 
 
-def _opened(fn, lo, hi):
-    """A bracket as :func:`solver._narrow` takes it, with no third level."""
-    return (lo, fn(lo), hi, fn(hi), math.nan, math.nan)
+def _searched(fn, candidates, a_lo, a_hi, xtol=1e-10, max_rounds=200, rounds=None, logs=None):
+    """:func:`solver._search` of one :func:`solver._candidate_search` per candidate, F = ``fn``.
+
+    ``rounds`` gets the levels of each call of ``fn``; ``logs``, one list
+    per candidate, the levels its search yields in each of its own rounds.
+    """
+    searches = [solver._candidate_search(c, a_lo, a_hi, xtol, max_rounds) for c in candidates]
+    if logs is not None:
+        searches = [_logged(search, log) for search, log in zip(searches, logs)]
+    return solver._search(_recording(fn, [] if rounds is None else rounds), searches)
+
+
+def _logged(search, log):
+    """``search``, appending the levels it yields in each of its own rounds to ``log``."""
+    values = None
+    try:
+        while True:
+            log.append(search.send(values))
+            values = yield log[-1]
+    except StopIteration as done:
+        return done.value
 
 
 class TestBatchedSearch:
-    """The batched level search, :func:`solver._bracket` and :func:`solver._narrow`."""
+    """Level search: :func:`solver._candidate_search` for one candidate, :func:`solver._search` for all."""
 
     def test_a_lines_zero_is_found_in_one_round(self):
-        # the first, secant, point of a line is its zero
-        fn, rounds = lambda x: x - 0.25, []
-        assert solver._narrow(_recording(fn, rounds), [_opened(fn, 0.0, 1.0)], 1e-3, 200) == ([0.25], [], 1)
-        assert len(rounds) == 1
-
-    @pytest.mark.parametrize("other_end", [1.0, 0.0])
-    def test_exact_zero_at_an_end_takes_no_round(self, other_end):
-        fn, rounds = lambda x: x - 0.25, []
-        assert solver._narrow(_recording(fn, rounds), [_opened(fn, 0.25, other_end)], 1e-10, 200) == ([0.25], [], 0)
-        assert rounds == []
+        # round 0 brackets the zero in [0.245, 0.255]; the first narrowing point of a line is its zero
+        fn, rounds = lambda x: 0.25 - x, []
+        assert _searched(fn, [0.255], 0.0, 1.0, 1e-3, rounds=rounds) == ([("level", 0.25)], 1)
+        assert len(rounds) == 2
 
     @pytest.mark.parametrize(
-        "fn, lo, hi, xtol",
-        [
-            (lambda x: x - 1e-15, 0.0, 1.0, 1e-6),  # the zero hugs the lower end
-            (lambda x: 1.0 - 1e-15 - x, 0.0, 1.0, 1e-6),  # ... and the upper end
-            (_cubic, -2.0, 1.0, 1e-10),
-            (lambda x: np.tanh(50.0 * (x - 0.7)), -2.0, 1.0, 1e-12),
-            (lambda x: np.sign(x - 0.3) + x - 0.3, 0.0, 1.0, 1e-10),  # a jump across zero
-        ],
+        "steps, walk_rounds", [(0, 0), (1, 0), (-1, 0), (-2, 1)], ids=["c", "c+w", "c-w", "c-2w"]
     )
-    def test_every_level_stays_a_quarter_tolerance_inside(self, fn, lo, hi, xtol):
+    def test_exact_zero_at_an_end_takes_no_round(self, steps, walk_rounds):
+        # F is exactly 0 at c, at c + w, at c - w (round 0) or at c - 2w (the walk's first level)
+        c, w = 0.5, solver.BRACKET_HALF_WIDTH
+        zero = c + steps * w
+        fn, rounds = lambda x: zero - x, []
+        assert _searched(fn, [c], 0.0, 1.0, rounds=rounds) == ([("level", zero)], walk_rounds)
+        assert [len(levels) for levels in rounds] == [3] + [1] * walk_rounds
+
+    @pytest.mark.parametrize(
+        "fn, c, a_lo, a_hi, xtol",
+        [
+            (lambda x: 1e-15 - x, 0.95, 0.0, 1.0, 1e-6),  # the walk ends at 0, where the zero hugs the end
+            (lambda x: 1.0 - 1e-15 - x, 0.05, 0.0, 1.0, 1e-6),  # ... and at 1
+            (lambda x: -_cubic(x), 0.95, -2.0, 1.0, 1e-10),
+            (lambda x: -np.tanh(50.0 * (x - 0.7)), -1.9, -2.0, 1.0, 1e-12),
+            (lambda x: -(np.sign(x - 0.3) + x - 0.3), 0.95, 0.0, 1.0, 1e-10),  # a jump across zero
+        ],
+        ids=["hugs-lower-end", "hugs-upper-end", "cubic", "tanh", "jump"],
+    )
+    def test_every_level_stays_a_quarter_tolerance_inside(self, fn, c, a_lo, a_hi, xtol):
         rounds = []
-        (level,), degenerate, n_rounds = solver._narrow(_recording(fn, rounds), [_opened(fn, lo, hi)], xtol, 200)
-        assert degenerate == [] and len(rounds) == n_rounds > 0
-        f_lo = fn(lo)
+        [(kind, level)], n_rounds = _searched(fn, [c], a_lo, a_hi, xtol, rounds=rounds)
+        assert kind == "level" and len(rounds) == n_rounds + 1
+        seen, bracket, narrowing = [], None, 0
         for levels in rounds:
-            assert lo < hi
-            for x in levels:
-                assert lo + 0.25 * xtol <= x <= hi - 0.25 * xtol
-            # the sign change now lies between two adjacent levels
-            ends = sorted([lo, *levels, hi])
-            j = next(j for j, x in enumerate(ends) if fn(x) == 0.0 or (fn(x) > 0.0) != (f_lo > 0.0))
-            lo, hi = (ends[j], ends[j]) if fn(ends[j]) == 0.0 else (ends[j - 1], ends[j])
+            if bracket is not None:
+                narrowing += 1
+                lo, hi = bracket
+                for x in levels:
+                    assert lo + 0.25 * xtol <= x <= hi - 0.25 * xtol
+            # once F falls from + to - between two adjacent levels evaluated, they bracket the zero
+            seen = sorted(seen + levels)
+            j = next((j for j, x in enumerate(seen) if fn(x) <= 0.0), 0)
+            if j:
+                bracket = (seen[j], seen[j]) if fn(seen[j]) == 0.0 else (seen[j - 1], seen[j])
+        lo, hi = bracket
         # the search returns an end of a bracket at most xtol wide, evaluated in the last round
-        assert level in (lo, hi) and level in rounds[-1]
+        assert narrowing > 0 and level in (lo, hi) and level in rounds[-1]
         assert hi - lo <= xtol
 
     def test_brackets_narrowed_together_equal_each_alone(self):
-        fns = [_cubic, lambda x: -np.tanh(50.0 * (x - 0.7)), lambda x: x - 1e-15]
-        brackets = [_opened(fns[0], -2.0, 1.0), _opened(fns[1], -2.0, 1.0), _opened(fns[2], 0.0, 1.0)]
-        alone = [solver._narrow(_recording(fn, []), [b], 1e-10, 200) for fn, b in zip(fns, brackets)]
+        cases = [
+            (lambda x: -_cubic(x), 0.95, -2.0, 1.0),
+            (lambda x: np.tanh(50.0 * (0.7 - x)), -1.9, -2.0, 1.0),
+            (lambda x: 1e-15 - x, 0.95, 0.0, 1.0),
+        ]
+        alone = [_searched(fn, [c], a_lo, a_hi) for fn, c, a_lo, a_hi in cases]
         # the three functions moved 0, 10 and 20 apart: the nearest multiple of 10 picks one
         offsets = [0.0, 10.0, 20.0]
-        shifted = lambda x: fns[round(x / 10.0)](x - 10.0 * round(x / 10.0))
-        together = solver._narrow(
-            _recording(shifted, []),
-            [(x1 + d, f1, x2 + d, f2, x3, f3) for d, (x1, f1, x2, f2, x3, f3) in zip(offsets, brackets)],
-            1e-10,
-            200,
+        shifted = lambda x: cases[round(x / 10.0)][0](x - 10.0 * round(x / 10.0))
+        moved = [(c + d, a_lo + d, a_hi + d) for d, (_, c, a_lo, a_hi) in zip(offsets, cases)]
+        searches = [solver._candidate_search(c, a_lo, a_hi, 1e-10, 200) for c, a_lo, a_hi in moved]
+        outcomes, n_rounds = solver._search(_recording(shifted, []), searches)
+        assert n_rounds == max(n for _, n in alone)
+        assert [kind for kind, _ in outcomes] == ["level"] * 3
+        assert [a - d for d, (_, a) in zip(offsets, outcomes)] == pytest.approx(
+            [a for ((_, a),), _ in alone], abs=1e-9
         )
-        assert together[2] == max(n for _, _, n in alone)
-        assert sorted(together[0]) == pytest.approx(sorted(lv + d for d, ((lv,), _, _) in zip(offsets, alone)), abs=1e-9)
+
+    def test_a_search_that_walks_shares_rounds_with_one_that_narrows(self):
+        # F falls from + to - at 0.25 and at 0.8: round 0 brackets the first
+        # next to 0.255, while 0.95 walks down to 0.79 in four more rounds
+        fn, w = (lambda x: -(x - 0.25) * (x - 0.5) * (x - 0.8)), solver.BRACKET_HALF_WIDTH
+        candidates, logs, rounds = (0.255, 0.95), [[], []], []
+        outcomes, n_rounds = _searched(fn, candidates, 0.0, 1.0, rounds=rounds, logs=logs)
+        assert logs[1][1:5] == [[0.95 - k * w] for k in (2, 4, 8, 16)]
+        # round 1 holds the first narrowing levels of 0.255 and the first walk level of 0.95
+        assert len(logs[0][1]) == 3 and rounds[1] == logs[0][1] + logs[1][1]
+        assert n_rounds == len(rounds) - 1 == max(len(log) for log in logs) - 1
+        # each search's own levels and its outcome equal those of the search run alone
+        for c, log, outcome in zip(candidates, logs, outcomes):
+            alone_log = []
+            assert _searched(fn, [c], 0.0, 1.0, logs=[alone_log]) == ([outcome], len(log) - 1)
+            assert alone_log == log
+        assert [kind for kind, _ in outcomes] == ["level", "level"]
+        assert [a for _, a in outcomes] == pytest.approx([0.25, 0.8], abs=1e-10)
 
     def test_exhausted_budget_raises(self):
         with pytest.raises(NotConvergedError, match="all 3 rounds"):
-            solver._narrow(_cubic, [_opened(_cubic, -2.0, 1.0)], 1e-12, 3)
+            _searched(lambda x: -_cubic(x), [0.95], -2.0, 1.0, 1e-12, 3)
 
     def test_ends_that_do_not_bracket_move_out_in_shared_rounds(self):
-        # candidate 0.5 has the zero at 0.25 below it, 0.95 has none before the edge
-        fn, rounds = lambda x: 0.25 - x, []
-        brackets, degenerate = solver._bracket(_recording(fn, rounds), np.array([0.5, 0.95]), 0.0, 1.0)
-        w = solver.BRACKET_HALF_WIDTH
-        assert rounds[0] == pytest.approx([0.5 - w, 0.5, 0.5 + w, 0.95 - w, 0.95, 0.95 + w])
-        # both move down: 0.5 - 2w, - 4w, ... and 0.95 - 2w, - 4w, ..., one call per round
-        assert rounds[1] == pytest.approx([0.5 - 2 * w, 0.95 - 2 * w])
-        assert [len(levels) for levels in rounds[1:]] == [2, 2, 2, 2, 2, 1, 1]
-        (x1, f1, x2, f2, x3, f3), (y1, g1, y2, g2, y3, g3) = brackets
-        assert (x1, x2, x3) == pytest.approx((0.5 - 16 * w, 0.5 - 32 * w, 0.5 - 8 * w))
-        assert (y1, y2, y3) == pytest.approx((0.95 - 64 * w, 0.0, 0.95 - 32 * w))
-        assert f1 < 0.0 < f2 and g1 < 0.0 < g2 and degenerate == []
+        # the zero 0.25 lies below both candidates; 0.95's walk reaches the range's edge 0 first
+        fn, w, xtol = (lambda x: (0.25 - x) * (1.0 + x)), solver.BRACKET_HALF_WIDTH, 1e-10
+        candidates, logs = (0.5, 0.95), [[], []]
+        outcomes, _ = _searched(fn, candidates, 0.0, 1.0, xtol, logs=logs)
+        for c, log, walk in zip(candidates, logs, (5, 7)):
+            # round 0, then the lower end moves out to c - 2w, c - 4w, ..., one level a round
+            assert log[0] == [c - w, c, c + w]
+            assert log[1 : walk + 1] == [[max(c - 2**k * w, 0.0)] for k in range(1, walk + 1)]
+            # the bracket: x1 the walk's level before the last, x2 the last, x3 the one before x1
+            x1, x2, x3 = log[walk - 1][0], log[walk][0], log[walk - 2][0]
+            assert fn(x1) < 0.0 < fn(x2)
+            x = x1 + solver._chandrupatla_t(x1, fn(x1), x2, fn(x2), x3, fn(x3)) * (x2 - x1)
+            assert log[walk + 1] == [x - 0.5 * xtol, x, x + 0.5 * xtol]
+        assert outcomes == [("level", pytest.approx(0.25, abs=1e-10))] * 2
+
+    def test_a_walk_that_reaches_the_edge_gives_the_edge(self):
+        assert _searched(lambda x: 2.0 - x, [0.5], 0.0, 1.0) == ([("edge", 1.0)], 6)
 
     def test_a_nan_at_a_candidates_level_drops_it(self):
         # NaN below 0.2: 0.1 and 0.205 are dropped in round 0 at their lowest
         # NaN level, 0.3 once its lower end, moving out, reaches 0.14
         fn = lambda x: np.where(x < 0.2, np.nan, 0.15 - x)
-        brackets, degenerate = solver._bracket(fn, np.array([0.1, 0.205, 0.3]), 0.0, 1.0)
-        assert brackets == [] and degenerate == pytest.approx([0.09, 0.195, 0.14])
+        searches = [solver._candidate_search(c, 0.0, 1.0, 1e-10, 200) for c in (0.1, 0.205, 0.3)]
+        outcomes, n_rounds = solver._search(fn, searches)
+        assert [kind for kind, _ in outcomes] == ["nan"] * 3 and n_rounds == 4
+        assert [a for _, a in outcomes] == pytest.approx([0.09, 0.195, 0.14])
 
     def test_the_design_is_read_from_the_last_level_batch(self, fig5_spec, monkeypatch):
         spec = channel_spec(fig5_spec.prior, fig5_spec.density0, fig5_spec.density1)
@@ -458,8 +527,11 @@ class TestGlobalOptimum:
         )
         bound, err0, err1 = _cell_bound_bits(p0, comps0, comps1)
         spec = channel_spec(Prior(p0=p0), density0, density1)
+        calls = []
         try:
-            design = solve(spec)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(solver, "stationarity", lambda *args: calls.append(args) or stationarity(*args))
+                design = solve(spec)
         except NoSignChangeError:
             assert bound <= 1e-9  # only a channel that carries no information
             return
@@ -468,6 +540,7 @@ class TestGlobalOptimum:
             assert min(err0, err1) <= 1e-9
             return
         assert design.mi_bits >= bound - 1e-9
+        assert design.iterations == len(calls) - 1
         # whatever path the search took, it stopped on a + to - zero of F, a
         # local maximum of I(X;Z): one F batch, whose level sets the MI reads
         a, tol = design.a_star, SolverConfig().tol_a
@@ -487,6 +560,17 @@ class TestErrors:
         # F < 0 on the whole admissible range above the optimum
         with pytest.raises(NoSignChangeError):
             solve(example2_spec, SolverConfig(a_lo=0.5, a_hi=0.7))
+
+    def test_identical_densities_written_as_a_mixture_have_no_level_set(self):
+        # u is 0.5 up to rounding, which crosses the level 0.5 in many grid cells
+        half = GaussianComponent(mean=0.0, stddev=2.0, weight=0.5)
+        spec = channel_spec(Prior(p0=0.5), single_gaussian(0.0, 2.0), DensityModel((half, half)))
+        assert classify_monotonicity(spec).flat
+        assert find_level_set(spec, 0.5).roots == ()
+        (row,) = sweep_levels(spec, [0.5])
+        assert row.degenerate and row.n_roots == 0
+        with pytest.raises(NoSignChangeError, match="no information"):
+            solve(spec)
 
     def test_separated_densities_are_degenerate(self):
         spec = channel_spec(Prior(p0=0.5), single_gaussian(-10.0, 1.0), single_gaussian(10.0, 1.0))
