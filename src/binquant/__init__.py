@@ -12,7 +12,6 @@ from .channel import (
     LevelFunctionals,
     channel_matrix,
     level_functionals,
-    level_functionals_batch,
     mutual_information,
     stationarity,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "channel_matrix",
     "mutual_information",
     "level_functionals",
-    "level_functionals_batch",
     "stationarity",
     "SolverConfig",
     "QuantizerDesign",

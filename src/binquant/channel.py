@@ -8,30 +8,26 @@ giving the correct-decision masses
     f(a) = mass of density0 on {u < a},   g(a) = mass of density1 on {u >= a},
 
 both computed from the CDFs at the level-set roots (no quadrature), by the
-same alternate-segment sum as :func:`channel_matrix`.  This module is the
-one place that turns CDF values into masses: one CDF call per density over
-all the thresholds, and one ``math.fsum`` of exact terms per mass.
-:func:`level_functionals_batch` takes a batch of levels: one
-:func:`~binquant.likelihood.find_level_sets` call and one CDF call per
-density over the roots of all of them; :func:`level_functionals` is a batch
-of one.  The stationarity function returned by :func:`stationarity`
-is the scalar factor in
+same alternate-segment sum as :func:`channel_matrix`: one CDF call per
+density over all the thresholds, and one ``math.fsum`` of exact terms per
+mass.  (The solver's candidate ranking sums the cell masses of its sorted
+grid itself.)  :func:`level_functionals` takes one level or a batch, which
+costs one :func:`~binquant.likelihood.find_level_sets` call and one CDF
+call per density over all its roots.  The stationarity function F is the
+scalar factor in
 
     d I(X;Z)_a / da = p0 * f'(a) * F(a),
 
-so its zeros are the stationary levels of the mutual information: a zero
-where F falls from positive to negative is a local maximum.  F can have
-more than one such zero, so the solver brackets one per candidate peak and
-compares their mutual information.  :func:`stationarity` takes a batch of
-levels the same way, which is how the solver evaluates all its brackets
-in one call per round; the spec keeps the level sets of its last batch, so
-the design read at a* by :func:`level_functionals` polishes no root again.
+so a zero where F falls from positive to negative is a local maximum of
+the mutual information.  F can have several, so the solver brackets one
+per candidate peak, evaluating all its brackets in one :func:`stationarity`
+call per round: the F column of a :func:`level_functionals` batch.  The
+spec keeps the level sets of its last batch, so the design read at a*
+polishes no root again.
 
 A level whose f or g lies within DEGENERACY_EPS of {0, 1} is degenerate: F
-is unbounded there.  The level functionals are the one place that decides
-this (their ``stationarity_value`` is NaN); :func:`stationarity` returns
-that NaN for a batch of levels, and is the one function that raises
-DegenerateChannelError for it, for a single level.
+is unbounded there, the level functionals give it as NaN, and
+:func:`stationarity` raises DegenerateChannelError for a single level.
 """
 
 from __future__ import annotations
@@ -44,7 +40,7 @@ import numpy as np
 
 from .density import Thresholds, cdf
 from .errors import DegenerateChannelError, InvalidSpecError, QuantizerError
-from .likelihood import DEFAULT_GRID_POINTS, ChannelSpec, LevelSet, Prior, _search_grid
+from .likelihood import DEFAULT_GRID_POINTS, ChannelSpec, Prior, _search_grid
 from .likelihood import find_level_set, find_level_sets
 
 __all__ = [
@@ -54,7 +50,6 @@ __all__ = [
     "channel_matrix",
     "mutual_information",
     "level_functionals",
-    "level_functionals_batch",
     "stationarity",
     "DEGENERACY_EPS",
 ]
@@ -207,43 +202,30 @@ def mutual_information(prior: Prior, matrix: ChannelMatrix) -> float:
     return float(_mi_bits(prior.p0, matrix.a11, matrix.a22))
 
 
-def level_functionals_batch(
-    spec: ChannelSpec, levels, grid_points: int = DEFAULT_GRID_POINTS
-) -> tuple[LevelFunctionals, ...]:
-    """Correct-decision masses f, g of the quantizer induced by each level, in input order.
+def level_functionals(spec: ChannelSpec, level, grid_points: int = DEFAULT_GRID_POINTS):
+    """Correct-decision masses f, g of the quantizer induced by ``level``, and F from them.
 
-    The level-set roots are the thresholds.  Every root is a crossing of u
-    between {u < level} and {u >= level}, so the segments alternate between
-    the two, and only the first one, (-inf, h1), needs a label: the
-    posterior at the search window's lower edge, where it has stabilized to
-    its tail behavior, decides it.  That edge is the first point of the
-    channel's cached search grid, so the label costs no posterior call.  f is
-    then a11 and g is a22 of the induced channel, as
-    ``channel_matrix(spec, roots, mapping)`` gives them, and F is taken from
-    them.  The level sets of the whole batch come from one
-    :func:`~binquant.likelihood.find_level_sets` call, and the CDF of each
-    density is evaluated once, at the roots of all levels.  Boundary points
-    (u = level) carry no mass.
+    A single level gives one :class:`LevelFunctionals`, whose level set
+    comes from :func:`~binquant.likelihood.find_level_set`.  An array of
+    levels gives a tuple of them, in input order, from one
+    :func:`~binquant.likelihood.find_level_sets` call and one CDF call per
+    density over all their roots; the spec keeps those level sets as its
+    last batch of this grid size, which
+    :func:`~binquant.likelihood.find_level_set` reads.
+
+    The level-set roots are the thresholds, and the segments between them
+    alternate between {u < level} and {u >= level}, so only the first one,
+    (-inf, h1), needs a label: the posterior at the first point of the
+    channel's cached search grid, where it has stabilized to its tail
+    behavior, decides it, with no posterior call.  f and g are then a11 and
+    a22 of ``channel_matrix(spec, roots, mapping)``, and F is taken from
+    them.  Boundary points (u = level) carry no mass.
     """
-    return _from_level_sets(spec, find_level_sets(spec, levels, grid_points), grid_points)
-
-
-def level_functionals(
-    spec: ChannelSpec, level: float, grid_points: int = DEFAULT_GRID_POINTS
-) -> LevelFunctionals:
-    """The level functionals at ``level``: :func:`level_functionals_batch` on a batch of one.
-
-    Its level set comes from :func:`~binquant.likelihood.find_level_set`,
-    which returns the one the last :func:`stationarity` batch of this grid
-    size found when that batch holds the level.
-    """
-    return _from_level_sets(spec, (find_level_set(spec, level, grid_points),), grid_points)[0]
-
-
-def _from_level_sets(
-    spec: ChannelSpec, sets: tuple[LevelSet, ...], grid_points: int
-) -> tuple[LevelFunctionals, ...]:
-    """Level functionals of level sets, with one CDF call per density over all their roots."""
+    single = np.ndim(level) == 0
+    if single:
+        sets = (find_level_set(spec, level, grid_points),)
+    else:
+        sets = spec._last_level_sets[grid_points] = find_level_sets(spec, level, grid_points)
     u_lo = _search_grid(spec, grid_points).u[0]
     c0, c1 = _cdfs(spec, np.array([h for ls in sets for h in ls.roots]))
     out = []
@@ -259,7 +241,7 @@ def _from_level_sets(
                 stationarity_value=_stationarity_from_masses(spec.prior, ls.level, a11, a22),
             )
         )
-    return tuple(out)
+    return out[0] if single else tuple(out)
 
 
 def _stationarity_from_masses(prior: Prior, level: float, f: float, g: float) -> float:
@@ -291,19 +273,13 @@ def stationarity(spec: ChannelSpec, level, grid_points: int = DEFAULT_GRID_POINT
     and it can have several + to - zeros.  The zeros are invariant to the
     log base.
 
-    ``level`` may be an array: F at each level, in order, as a float array
-    that holds NaN at degenerate levels, each element equal to the call on
-    that level alone.  The whole batch takes one
-    :func:`~binquant.likelihood.find_level_sets` call and one CDF call per
-    density, and the spec keeps its level sets, one batch per grid size,
-    for :func:`~binquant.likelihood.find_level_set`.  A scalar level gives
-    a float, and raises DegenerateChannelError when f or g is within 1e-12
-    of {0, 1}, signalling that the level must move inward.
+    F is the ``stationarity_value`` column of one :func:`level_functionals`
+    batch.  An array of levels gives F at each, in order, NaN at degenerate
+    levels; a scalar level gives a float, and raises DegenerateChannelError
+    when f or g is within 1e-12 of {0, 1}: the level must move inward.
     """
-    levels = np.asarray(level, dtype=float)
-    sets = spec._last_level_sets[grid_points] = find_level_sets(spec, levels, grid_points)
-    fns = _from_level_sets(spec, sets, grid_points)
-    if levels.ndim:
+    fns = level_functionals(spec, np.atleast_1d(level), grid_points)
+    if np.ndim(level):
         return np.array([fn.stationarity_value for fn in fns])
     (fn,) = fns
     if math.isnan(fn.stationarity_value):

@@ -20,6 +20,7 @@ significant digits.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -101,21 +102,26 @@ def load_config(path: str) -> tuple[ChannelSpec, SolverConfig]:
             search_lo = _get(search, "lo", "search.lo", expect=float)
             search_hi = _get(search, "hi", "search.hi", expect=float)
         spec = channel_spec(prior, density0, density1, search_lo, search_hi)
-
-        solver_kwargs = {}
-        if "solver" in raw:
-            solver_obj = _get(raw, "solver", "solver")
-            for key in ("a_lo", "a_hi", "tol_a", "grid_points", "max_iter"):
-                if key in solver_obj:
-                    value = _get(solver_obj, key, f"solver.{key}", expect=float)
-                    if key in ("grid_points", "max_iter"):
-                        if not value.is_integer():  # also NaN and +-inf
-                            raise ConfigError(f"field 'solver.{key}' must be an integer, got {value!r}")
-                        value = int(value)
-                    solver_kwargs[key] = value
-        cfg = SolverConfig(**solver_kwargs)
     except InvalidSpecError as err:
         raise ConfigError(f"config {path!r}: {err}") from err
+
+    solver_obj = _get(raw, "solver", "solver") if "solver" in raw else {}
+    defaults = {field.name: field.default for field in dataclasses.fields(SolverConfig)}
+    solver_kwargs = {}
+    for key in solver_obj:
+        if key not in defaults:
+            raise ConfigError(f"unknown field 'solver.{key}' (known: {', '.join(defaults)})")
+        value = _get(solver_obj, key, f"solver.{key}", expect=float)
+        if type(defaults[key]) is int:
+            if not value.is_integer():  # also NaN and +-inf
+                raise ConfigError(f"field 'solver.{key}' must be an integer, got {value!r}")
+            value = int(value)
+        solver_kwargs[key] = value
+    try:
+        cfg = SolverConfig(**solver_kwargs)
+    except InvalidSpecError as err:
+        # every SolverConfig message starts with the name of the field it rejects
+        raise ConfigError(f"config {path!r}: solver.{err}") from err
     return spec, cfg
 
 

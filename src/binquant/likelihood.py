@@ -64,6 +64,9 @@ __all__ = [
 
 DEFAULT_GRID_POINTS = 4096
 
+#: Search grids hold at least 64 and at most this many points (8 MiB per grid array).
+MAX_GRID_POINTS = 2**20
+
 #: Root polishing stops once |u(y) - level| or the bracket width drops to this.
 REFINE_TOL = 1e-12
 
@@ -85,8 +88,8 @@ class ChannelSpec:
 
     Each instance keeps its own search grids (:func:`_search_grid`), so two
     equal specs built separately each compute theirs once, and the level
-    sets of the last :func:`~binquant.channel.stationarity` batch per grid
-    size, which :func:`find_level_set` returns.  It also keeps the
+    sets of the last :func:`~binquant.channel.level_functionals` batch per
+    grid size, which :func:`find_level_set` returns.  It also keeps the
     coefficients of ``log r`` when that is a quadratic
     (:func:`_log_r_quadratic`).
     """
@@ -210,8 +213,8 @@ def _search_grid(spec: ChannelSpec, grid_points: int) -> _Grid:
 
     Computed on first use for each ``grid_points`` and kept on ``spec``.
     """
-    if grid_points < 64:
-        raise InvalidSpecError(f"grid_points must be >= 64, got {grid_points}")
+    if not 64 <= grid_points <= MAX_GRID_POINTS:
+        raise InvalidSpecError(f"grid_points must lie in [64, {MAX_GRID_POINTS}], got {grid_points!r}")
     grid = spec._grids.get(grid_points)
     if grid is None:
         ys = np.linspace(spec.search_lo, spec.search_hi, grid_points)
@@ -324,11 +327,24 @@ def translate_log_concavity(spec: ChannelSpec, grid_points: int = DEFAULT_GRID_P
 class LevelSet:
     """All solutions of u(y) = level inside the search window.
 
-    ``roots`` are strictly increasing and each satisfies
-    |u(root) - level| <= 1e-9.  Every root is a crossing of u between
-    {u < level} and {u >= level}, so the segments between roots alternate
-    between the two.  Where u meets the level without crossing it, there is
-    no root.
+    ``roots`` are strictly increasing.  Every root is a crossing of u
+    between {u < level} and {u >= level}, so the segments between roots
+    alternate between the two.  Where u meets the level without crossing
+    it, there is no root.
+
+    Each path bounds a root's error in y, not |u(root) - level|: next to a
+    narrow component a root 4e-12 from the exact one can have
+    |u(root) - level| > 1e-8.
+
+    * Closed form (one Gaussian per density): within
+      2 eps (M / |d log r/dy| + |y|) of the exact root y, with eps the
+      double epsilon and M = sum_i (|y| + |mu_i|)^2 / (2 sigma_i^2) +
+      |log(sigma1/sigma0)| + |log(p1/p0)| + |log((1 - a)/a)| the size of
+      the terms that log r and the level are rounded from.
+    * Grid path (mixtures): polishing stops in a bracket at most 1e-12
+      wide across which the computed u - level changes sign, or where the
+      computed |u - level| <= 1e-12: within max(1e-12, 1e-12 / |du/dy|)
+      of the exact root, up to the rounding of u.
     """
 
     level: float
@@ -509,10 +525,13 @@ def find_level_sets(
 def find_level_set(spec: ChannelSpec, level: float, grid_points: int = DEFAULT_GRID_POINTS) -> LevelSet:
     """The level set u(y) = ``level``: :func:`find_level_sets` on a batch of one.
 
-    When the last :func:`~binquant.channel.stationarity` batch of this grid
-    size holds the level, its level set is returned, which equals the
-    batch of one.
+    When the last :func:`~binquant.channel.level_functionals` batch of this
+    grid size holds the level, its level set is returned, which equals the
+    batch of one.  Raises InvalidSpecError when ``level`` is not a scalar:
+    a batch of levels goes to :func:`find_level_sets`.
     """
+    if np.ndim(level):
+        raise InvalidSpecError(f"find_level_set takes one level, got {level!r}; use find_level_sets for a batch")
     for level_set in spec._last_level_sets.get(grid_points, ()):
         if level_set.level == level:
             return level_set

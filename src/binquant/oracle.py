@@ -14,7 +14,7 @@ functionals with central finite differences: mass monotonicity, the
 derivative relation between the correct-decision masses, and the sign of
 the stationarity function against the slope of the mutual information.
 Each takes all of its levels, F and the degeneracy verdict from one
-:func:`~binquant.channel.level_functionals_batch` call.
+:func:`~binquant.channel.level_functionals` batch.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _h2, _mi_bits, channel_matrix, level_functionals_batch, mutual_information
+from .channel import _h2, _mi_bits, channel_matrix, level_functionals, mutual_information
 from .density import Thresholds, cdf
 from .errors import InvalidSpecError
 from .likelihood import DEFAULT_GRID_POINTS, ChannelSpec
@@ -306,10 +306,10 @@ def sweep_levels(
 ) -> list[SweepRow]:
     """Tabulate the quantizer induced at each level of ``levels``.
 
-    All levels go through one :func:`~binquant.channel.level_functionals_batch`
-    call; ``mi_bits`` is the mutual information of each level's masses.
+    All levels go through one :func:`~binquant.channel.level_functionals`
+    batch; ``mi_bits`` is the mutual information of each level's masses.
     """
-    fns = level_functionals_batch(spec, levels, grid_points)
+    fns = level_functionals(spec, np.atleast_1d(levels), grid_points)
     f = np.array([fn.correct0 for fn in fns])
     g = np.array([fn.correct1 for fn in fns])
     return [
@@ -357,13 +357,11 @@ def structural_checks(spec: ChannelSpec, grid_points: int = DEFAULT_GRID_POINTS)
     Degenerate levels take part in the mass checks (their masses are exact
     0/1) and are skipped by the sign check, where F is NaN.  The 19 levels
     and their neighbours go through one
-    :func:`~binquant.channel.level_functionals_batch` call.
+    :func:`~binquant.channel.level_functionals` batch.
     """
     levels, fd_step = _CHECK_LEVELS, _FD_STEP
     p0, p1 = spec.prior.p0, spec.prior.p1
-    fns = level_functionals_batch(
-        spec, np.concatenate([levels, levels + fd_step, levels - fd_step]), grid_points
-    )
+    fns = level_functionals(spec, np.concatenate([levels, levels + fd_step, levels - fd_step]), grid_points)
     fs = np.array([fn.correct0 for fn in fns]).reshape(3, -1)
     gs = np.array([fn.correct1 for fn in fns]).reshape(3, -1)
     (f, f_hi, f_lo), (g, g_hi, g_lo) = fs, gs

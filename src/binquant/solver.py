@@ -26,7 +26,7 @@ import numpy as np
 from .channel import ChannelMatrix, Mapping, _mi_bits, level_functionals, mutual_information, stationarity
 from .density import Thresholds, cdf
 from .errors import InvalidSpecError, NoSignChangeError, NotConvergedError
-from .likelihood import DEFAULT_GRID_POINTS, ChannelSpec, Monotonicity, _search_grid
+from .likelihood import DEFAULT_GRID_POINTS, MAX_GRID_POINTS, ChannelSpec, Monotonicity, _search_grid
 from .likelihood import classify_monotonicity, likelihood_ratio
 
 __all__ = ["SolverConfig", "QuantizerDesign", "solve", "predict_single_threshold"]
@@ -46,7 +46,8 @@ class SolverConfig:
     level search narrows each sign-change bracket to, ``max_iter`` the
     budget of narrowing rounds of each candidate's search, and
     ``grid_points`` the size of the search grid that ranks candidates and
-    brackets the level-set roots.
+    brackets the level-set roots, at most MAX_GRID_POINTS.  Each error
+    message starts with the name of the field it rejects.
     """
 
     a_lo: float = 1e-6
@@ -56,16 +57,16 @@ class SolverConfig:
     grid_points: int = DEFAULT_GRID_POINTS
 
     def __post_init__(self):
-        if not (0.0 < self.a_lo < self.a_hi < 1.0):
-            raise InvalidSpecError(
-                f"need 0 < a_lo < a_hi < 1, got a_lo={self.a_lo!r}, a_hi={self.a_hi!r}"
-            )
+        if not 0.0 < self.a_hi < 1.0:
+            raise InvalidSpecError(f"a_hi must lie in (0, 1), got {self.a_hi!r}")
+        if not 0.0 < self.a_lo < self.a_hi:
+            raise InvalidSpecError(f"a_lo must lie in (0, a_hi = {self.a_hi!r}), got {self.a_lo!r}")
         if not (math.isfinite(self.tol_a) and self.tol_a > 0.0):
             raise InvalidSpecError(f"tol_a must be finite and > 0, got {self.tol_a!r}")
         if self.max_iter < 1:
             raise InvalidSpecError(f"max_iter must be >= 1, got {self.max_iter!r}")
-        if self.grid_points < 64:
-            raise InvalidSpecError(f"grid_points must be >= 64, got {self.grid_points!r}")
+        if not 64 <= self.grid_points <= MAX_GRID_POINTS:
+            raise InvalidSpecError(f"grid_points must lie in [64, {MAX_GRID_POINTS}], got {self.grid_points!r}")
 
 
 @dataclass(frozen=True)
@@ -128,8 +129,8 @@ def _chandrupatla_t(x1: float, f1: float, x2: float, f2: float, x3: float, f3: f
     """Chandrupatla's point (Adv. Eng. Software 28, 1997), as the fraction t of the way from x1 to x2.
 
     The inverse quadratic point of the three levels where that is monotone
-    on the bracket, else the midpoint; the secant point when x3 is missing
-    or fn does not have the same sign there as at x1.
+    on the bracket, else the midpoint; the secant point when F does not
+    have the same sign at x3 as at x1.
     """
     if not f1 * f3 > 0.0:
         return f1 / (f1 - f2)

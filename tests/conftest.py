@@ -84,6 +84,16 @@ def shared_spec():
     return shared_channel()
 
 
+def fresh_copy(spec):
+    """An equal spec with nothing cached: no search grid and no last batch of level sets.
+
+    A single-level call on a shared fixture can read the level sets of an
+    earlier batch, so a batch is compared with single-level calls on a
+    fresh copy.
+    """
+    return channel_spec(spec.prior, spec.density0, spec.density1, spec.search_lo, spec.search_hi)
+
+
 BATCH_SPECS = ["example1_spec", "example2_spec", "fig5_spec", "two_peaks_spec", "flat_spec", "shared_spec"]
 
 

@@ -21,13 +21,12 @@ from binquant import (
     channel_matrix,
     channel_spec,
     level_functionals,
-    level_functionals_batch,
     mutual_information,
     stationarity,
 )
 from binquant import channel, likelihood
 from binquant.channel import _h2, _mi_bits
-from tests.conftest import BATCH_SPECS, batch_levels
+from tests.conftest import BATCH_SPECS, batch_levels, fresh_copy
 
 PHI_1 = 0.8413447460685429
 EX1_MI = 0.3689172325944581
@@ -193,8 +192,9 @@ class TestLevelFunctionalsBatch:
     def test_batch_equals_each_level_alone(self, name, request):
         spec = request.getfixturevalue(name)
         levels = batch_levels(spec)
-        together = level_functionals_batch(spec, levels)
-        assert [_fields(fn) for fn in together] == [_fields(level_functionals(spec, a)) for a in levels]
+        together = level_functionals(spec, levels)
+        alone = fresh_copy(spec)
+        assert [_fields(fn) for fn in together] == [_fields(level_functionals(alone, a)) for a in levels]
         for fn in together:
             cm = channel_matrix(spec, fn.roots, fn.mapping)
             assert (fn.correct0, fn.correct1) == (cm.a11, cm.a22)
@@ -202,28 +202,28 @@ class TestLevelFunctionalsBatch:
     def test_exact_grid_hit_and_constant_posterior_in_a_batch(self, example1_spec, flat_spec):
         for spec, grid_points in ((example1_spec, 4097), (flat_spec, 4096)):
             levels = [0.3, 0.5, 0.7, 0.5]
-            together = level_functionals_batch(spec, levels, grid_points)
-            alone = [level_functionals(spec, a, grid_points) for a in levels]
+            together = level_functionals(spec, levels, grid_points)
+            alone = [level_functionals(fresh_copy(spec), a, grid_points) for a in levels]
             assert [_fields(fn) for fn in together] == [_fields(fn) for fn in alone]
 
     def test_one_cdf_call_per_density(self, fig5_spec, flat_spec, monkeypatch):
         calls = []
         real_cdf = channel.cdf
         monkeypatch.setattr(channel, "cdf", lambda model, y: calls.append(np.size(y)) or real_cdf(model, y))
-        fns = level_functionals_batch(fig5_spec, np.linspace(0.05, 0.95, 19))
+        fns = level_functionals(fig5_spec, np.linspace(0.05, 0.95, 19))
         n_roots = sum(len(fn.roots) for fn in fns)
         assert calls == [n_roots, n_roots]
         calls.clear()
-        assert len(level_functionals_batch(flat_spec, [0.25, 0.5])) == 2
+        assert len(level_functionals(flat_spec, [0.25, 0.5])) == 2
         assert calls == []
 
     def test_out_of_band_level_anywhere_raises(self, example1_spec):
         for levels in ([0.0, 0.5], [0.5, 1.0], [0.3, 0.5, 1e-12]):
             with pytest.raises(InvalidSpecError):
-                level_functionals_batch(example1_spec, levels)
+                level_functionals(example1_spec, levels)
 
     def test_empty_batch(self, example1_spec):
-        assert level_functionals_batch(example1_spec, []) == ()
+        assert level_functionals(example1_spec, []) == ()
 
 
 class TestLevelFunctionals:
@@ -251,6 +251,26 @@ class TestLevelFunctionals:
         assert level_sets == [((0.5,), 4096)]
         monkeypatch.setattr(likelihood, "find_level_sets", real)
         assert [_fields(fn) for fn in got] == [_fields(fresh(a, n)) for a, n in asked]
+
+    def test_a_list_of_levels_is_a_batch(self, fig5_spec):
+        # a list used to give the functionals of its first level alone
+        spec = fresh_copy(fig5_spec)
+        together = level_functionals(spec, [0.3, 0.5])
+        assert isinstance(together, tuple) and len(together) == 2
+        alone = [level_functionals(fresh_copy(spec), a) for a in (0.3, 0.5)]
+        assert [_fields(fn) for fn in together] == [_fields(fn) for fn in alone]
+        assert isinstance(level_functionals(spec, np.float64(0.3)), LevelFunctionals)
+
+    def test_find_level_set_rejects_a_batch(self, fig5_spec):
+        # a list used to give the level set of its first level, or a numpy ValueError after a batch
+        spec = fresh_copy(fig5_spec)
+        for levels in ([0.3, 0.5], np.array([0.3, 0.5]), [0.3]):
+            with pytest.raises(InvalidSpecError, match="find_level_sets"):
+                find_level_set(spec, levels)
+        stationarity(spec, np.array([0.3, 0.5]))
+        for levels in ([0.3, 0.5], np.array([0.3, 0.5]), [0.3]):
+            with pytest.raises(InvalidSpecError, match="find_level_sets"):
+                find_level_set(spec, levels)
 
     def test_symmetric_channel_at_half(self, example1_spec):
         fn = level_functionals(example1_spec, 0.5)
@@ -310,7 +330,7 @@ class TestLevelFunctionals:
 
     def test_masses_monotone_across_a_run_on_the_level(self, shared_spec):
         # u == 0.5 exactly on a run of grid points; the run counts as {u >= 0.5}
-        below, on, above = level_functionals_batch(shared_spec, [0.49, 0.5, 0.51])
+        below, on, above = level_functionals(shared_spec, [0.49, 0.5, 0.51])
         assert below.correct0 <= on.correct0 <= above.correct0
         assert below.correct1 >= on.correct1 >= above.correct1
 

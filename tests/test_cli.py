@@ -111,6 +111,34 @@ class TestConfigLoading:
         assert (cfg.grid_points, cfg.max_iter) == (2500, 50)
         assert type(cfg.grid_points) is type(cfg.max_iter) is int
 
+    @pytest.mark.parametrize("value", ["1e12", "1e300"])
+    def test_oversized_grid_exits_1_naming_the_field(self, value, tmp_path, capsys):
+        # 1e12 points used to end in a numpy allocation error, 1e300 in "Maximum allowed size exceeded"
+        path = tmp_path / "cfg.json"
+        path.write_text(_single_gaussian_config(f'"grid_points": {value}'))
+        assert main(["solve", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "solver.grid_points" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_largest_grid_is_accepted(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(_single_gaussian_config(f'"grid_points": {2**20}'))
+        assert load_config(str(path))[1].grid_points == 2**20
+        path.write_text(_single_gaussian_config(f'"grid_points": {2**20 + 1}'))
+        with pytest.raises(cli.ConfigError, match="solver.grid_points"):
+            load_config(str(path))
+
+    def test_unknown_solver_field_exits_1_naming_it(self, tmp_path, capsys):
+        # a misspelt tol_a used to be ignored, and the solve ran with the default
+        path = tmp_path / "cfg.json"
+        path.write_text(_single_gaussian_config('"tol": 1e-3'))
+        assert main(["solve", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "'solver.tol'" in captured.err
+
 
 class TestSolveCommand:
     def test_text_output(self, capsys):

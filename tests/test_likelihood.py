@@ -28,7 +28,7 @@ from binquant import likelihood
 from binquant.cli import load_config
 from binquant.density import DensityModel, GaussianComponent, Prior
 from binquant.likelihood import _newton_polish, _search_grid
-from tests.conftest import BATCH_SPECS, CONFIG_DIR, batch_levels, shared_channel
+from tests.conftest import BATCH_SPECS, CONFIG_DIR, batch_levels, fresh_copy, shared_channel
 
 # likelihood ratio of the unequal-variance channel at the equal-ratio pair
 # (-0.5374, 3.5374); mpmath, 30 dps
@@ -310,7 +310,8 @@ class TestBatchedLevelSets:
         spec = request.getfixturevalue(name)
         levels = batch_levels(spec)
         together = find_level_sets(spec, levels)
-        assert together == tuple(find_level_set(spec, a) for a in levels)
+        alone = fresh_copy(spec)
+        assert together == tuple(find_level_set(alone, a) for a in levels)
         assert [ls.level for ls in together] == levels
 
     @pytest.mark.parametrize("name", BATCH_SPECS)
@@ -325,7 +326,7 @@ class TestBatchedLevelSets:
         # 4097 points put y = 0.0 on the grid, where u == 0.5 exactly
         sets = find_level_sets(example1_spec, [0.3, 0.5, 0.7, 0.5], grid_points=4097)
         assert sets[1].roots == sets[3].roots == (0.0,)
-        assert sets == tuple(find_level_set(example1_spec, a, 4097) for a in (0.3, 0.5, 0.7, 0.5))
+        assert sets == tuple(find_level_set(fresh_copy(example1_spec), a, 4097) for a in (0.3, 0.5, 0.7, 0.5))
         assert [len(ls.roots) for ls in sets] == [dense_scan(example1_spec, a, 4097) for a in (0.3, 0.5, 0.7, 0.5)]
         # a mixture takes the grid rule: a level equal to u at a grid point where
         # u is monotone has that point as a root, and at a strict grid maximum of
@@ -340,7 +341,7 @@ class TestBatchedLevelSets:
         sets = find_level_sets(fig5_spec, levels)
         assert ys[mono] in sets[0].roots and sets[3] == sets[0]
         assert ys[peak] not in sets[1].roots
-        assert sets == tuple(find_level_set(fig5_spec, a) for a in levels)
+        assert sets == tuple(find_level_set(fresh_copy(fig5_spec), a) for a in levels)
         assert [len(ls.roots) for ls in sets] == [dense_scan(fig5_spec, a) for a in levels]
         # u of example2 peaks inside the window, above its grid maximum: at that
         # level the grid sees u touch the level from below at one point and
@@ -461,6 +462,29 @@ class TestClosedFormLevelSets:
             # no real crossing without a positive discriminant
             if disc <= 0:
                 assert ls.roots == ()
+
+    def test_root_error_is_bounded_in_y_next_to_a_narrow_component(self):
+        # u is steep here: roots 3.8e-12 from the exact ones have |u - a| = 1.36e-8
+        m0, s0, m1, s1 = 4.927594244707205, 0.0003216987682510348, 2.4770407629303737, 2.7393810165026125
+        spec = channel_spec(
+            Prior(p0=0.7868845056304776),
+            DensityModel((GaussianComponent(m0, s0, 1.0),)),
+            DensityModel((GaussianComponent(m1, s1, 1.0),)),
+        )
+        level = 0.56
+        roots = find_level_set(spec, level).roots
+        exact, _ = reference_level_roots(spec, level)
+        assert len(roots) == len(exact) == 2
+        with mpmath.workdps(30):
+            p0, a = mpmath.mpf(spec.prior.p0), mpmath.mpf(level)
+            logs = abs(mpmath.log(s1 / s0)) + abs(mpmath.log((1 - p0) / p0)) + abs(mpmath.log((1 - a) / a))
+            for root, y in zip(roots, map(mpmath.mpf, exact)):
+                size = (abs(y) + abs(m0)) ** 2 / (2 * s0**2) + (abs(y) + abs(m1)) ** 2 / (2 * s1**2) + logs
+                slope = abs((y - m1) / s1**2 - (y - m0) / s0**2)
+                bound = 2 * np.finfo(float).eps * (size / slope + abs(y))
+                assert abs(root - y) <= bound <= 2e-11
+                u = 1 / (1 + p0 / (1 - p0) * mpmath.npdf(root, m0, s0) / mpmath.npdf(root, m1, s1))
+                assert abs(u - a) > 1e-8
 
     def test_mixtures_take_the_grid_path(self, fig5_spec, two_peaks_spec, shared_spec):
         for spec in (fig5_spec, two_peaks_spec, shared_spec):

@@ -144,6 +144,17 @@ class TestSolveThreeBump:
         assert design.stationarity_residual <= 1e-6
         assert design.mapping == "even_to_zero"
 
+    def test_design_equals_a_30_digit_reference(self, fig5_spec):
+        comps0 = [(0.0, math.sqrt(0.3), 0.3), (-3.0, math.sqrt(0.2), 0.4), (3.0, math.sqrt(0.1), 0.3)]
+        ys = np.linspace(-40.0, 40.0, 80_001)
+        a_star, thresholds, mi = _mpmath_optimum(0.5, comps0, [(-2.0, 3.0, 1.0)], ys, 0.655, 0.657)
+        design = solve(fig5_spec)
+        assert design.a_star == pytest.approx(a_star, abs=1e-8)
+        assert len(design.thresholds) == len(thresholds) == 6
+        np.testing.assert_allclose(design.thresholds, thresholds, rtol=0.0, atol=1e-7)
+        assert design.mi_bits == pytest.approx(mi, abs=1e-9)
+        assert mi == pytest.approx(0.2301662756, abs=1e-10)
+
     def test_all_thresholds_share_one_ratio(self, fig5_spec):
         design = solve(fig5_spec)
         residual, ratios = _equal_ratio_residual(fig5_spec, design)
@@ -372,28 +383,30 @@ class TestBatchedSearch:
         assert len(batches) == len(levels)
 
 
-def _two_peaks_optimum(a_lo, a_hi):
-    """a*, the thresholds and the MI in bits of ``configs/mixture_two_peaks.json``, at 30 digits.
+def _mpmath_optimum(p0, comps0, comps1, ys, a_lo, a_hi):
+    """a*, the thresholds and the MI in bits of a Gaussian-mixture channel, at 30 digits.
 
-    Shares no code with binquant.  The roots of u(y) = a are bracketed by a
-    float scan of the log-likelihood ratio (spacing 1e-3, and 1e-5 across the
-    sigma = 3e-3 spike at 20) and polished by ``mpmath.findroot``; each
-    segment between roots goes to Z = 0 where u < a at a point inside it,
-    and a* is the zero of F in [a_lo, a_hi].
+    Shares no code with binquant.  ``comps0``/``comps1`` are the
+    ``(mean, stddev, weight)`` components of each density.  The roots of
+    u(y) = a are bracketed by a float scan of the log-likelihood ratio on
+    the points ``ys``, which must be fine enough that no two roots share a
+    cell, and polished by ``mpmath.findroot``; each segment between roots
+    goes to Z = 0 where u < a at a point inside it, and a* is the zero of F
+    in [a_lo, a_hi].
     """
     mp = mpmath.mp
-    comps0, comps1 = [(-1.0, 1.0, 0.9), (20.0, 0.003, 0.1)], [(0.0, 5.0, 1.0)]
-    ys = np.union1d(np.linspace(-60.0, 80.0, 140_001), np.linspace(19.9, 20.1, 20_001))
 
     def log_density(comps, y):
         return np.logaddexp.reduce(
             [np.log(w / (s * math.sqrt(2.0 * math.pi))) - 0.5 * ((y - m) / s) ** 2 for m, s, w in comps], axis=0
         )
 
-    log_r = log_density(comps1, ys) - log_density(comps0, ys)  # u > a exactly where log_r > log(a / (1 - a))
+    # u > a exactly where log_r > log(a p0 / ((1 - a) p1))
+    log_r = log_density(comps1, ys) - log_density(comps0, ys)
 
     with mpmath.workdps(30):
-        p0 = p1 = mp.mpf(1) / 2
+        p0 = mp.mpf(p0)
+        p1 = 1 - p0
 
         def u(y):
             d0 = sum(w * mpmath.npdf(y, m, s) for m, s, w in comps0)
@@ -401,7 +414,7 @@ def _two_peaks_optimum(a_lo, a_hi):
             return p1 * d1 / (p0 * d0 + p1 * d1)
 
         def design(a):
-            side = log_r > float(mpmath.log(a / (1 - a)))
+            side = log_r > float(mpmath.log(a * p0 / ((1 - a) * p1)))
             cells = np.flatnonzero(side[1:] != side[:-1])
             roots = [mpmath.findroot(lambda y: u(y) - a, (ys[i], ys[i + 1]), solver="anderson") for i in cells]
             edges = [-mp.inf, *roots, mp.inf]
@@ -441,7 +454,10 @@ class TestTwoPeakMixture:
         assert design.a_star == pytest.approx(0.69730, abs=1e-4)
 
     def test_design_equals_a_30_digit_reference(self, spec):
-        a_star, thresholds, mi = _two_peaks_optimum(0.6970, 0.6976)
+        # spacing 1e-3, and 1e-5 across the sigma = 3e-3 spike at 20
+        ys = np.union1d(np.linspace(-60.0, 80.0, 140_001), np.linspace(19.9, 20.1, 20_001))
+        comps0, comps1 = [(-1.0, 1.0, 0.9), (20.0, 0.003, 0.1)], [(0.0, 5.0, 1.0)]
+        a_star, thresholds, mi = _mpmath_optimum(0.5, comps0, comps1, ys, 0.6970, 0.6976)
         design = solve(spec)
         assert design.a_star == pytest.approx(a_star, abs=1e-8)
         assert len(design.thresholds) == len(thresholds) == 4
