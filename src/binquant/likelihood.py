@@ -10,27 +10,31 @@ a strictly decreasing one-to-one function of ``r``.  Candidate quantizer
 thresholds at level ``a`` are the solutions of ``u(y) = a``; the solver in
 :mod:`binquant.solver` searches over ``a``.
 
-Nothing on the search grid depends on the level, so each :class:`ChannelSpec`
-computes the grid, ``log r``, ``u`` and its slope ``du/dy`` on it once per
-grid size and keeps them, together with each cell's range of ``u`` (see
-:func:`_search_grid`).  Every root is a crossing of ``u`` between {u < a}
-and {u >= a}, so the segments between roots alternate between the two.
-:func:`find_level_sets` takes a whole batch of levels and decides their
-roots in one of two ways, picked by the channel:
+The channel picks one of two ways to answer every question about ``u``:
 
 * When each density is a single Gaussian, ``log r`` is the quadratic
-  ``A y^2 + B y + C`` (coefficients kept on the spec), and the roots of each
-  level are those of the quadratic, in closed form.  Where ``u`` touches the
-  level without crossing it (a double root, or none), there is no root.
-* Otherwise a cell holds a root of level ``a`` when exactly one of its two
-  ends lies below ``a``.  A ``searchsorted`` of every cell's range against
-  the sorted levels finds all the crossing cells at once, and all of their
-  brackets are polished together by :func:`_newton_polish`: safeguarded
-  Newton steps from the inverse cubic-Hermite point of each cell (built
-  from ``u`` and ``du/dy`` at its ends), the first with that interpolant's
-  slope.  Only the bracket and ``|u - a|`` decide when a root is done, so a
-  wrong slope can cost steps but cannot move a root.  Every bracket narrows
-  on its own, so a level's roots do not depend on the batch it came in.
+  ``A y^2 + B y + C`` (coefficients kept on the spec), and nothing needs a
+  grid: the roots of each level are those of the quadratic, in closed form
+  (where ``u`` touches the level without crossing it, a double root or
+  none, there is no root), ``u`` at the window's ends and at the vertex of
+  ``log r`` is its range, and the steps of ``log r`` between grid points,
+  linear in the cell midpoint, are decided by the first and last cell.
+* A mixture channel reads a search grid, which depends on no level, so
+  each :class:`ChannelSpec` computes it, ``log r``, ``u`` and its slope
+  ``du/dy`` on it once per grid size and keeps them, together with each
+  cell's range of ``u`` (see :func:`_search_grid`).  A cell holds a root
+  of level ``a`` when exactly one of its two ends lies below ``a``.  A
+  ``searchsorted`` of every cell's range against the sorted levels finds
+  all the crossing cells of a batch at once, and all of their brackets are
+  polished together by :func:`_newton_polish`: safeguarded Newton steps
+  from the inverse cubic-Hermite point of each cell (built from ``u`` and
+  ``du/dy`` at its ends), the first with that interpolant's slope.  Only
+  the bracket and ``|u - a|`` decide when a root is done, so a wrong slope
+  can cost steps but cannot move a root.  Every bracket narrows on its
+  own, so a level's roots do not depend on the batch it came in.
+
+Every root is a crossing of ``u`` between {u < a} and {u >= a}, so the
+segments between roots alternate between the two.
 """
 
 from __future__ import annotations
@@ -67,6 +71,11 @@ DEFAULT_GRID_POINTS = 4096
 #: Search grids hold at least 64 and at most this many points (8 MiB per grid array).
 MAX_GRID_POINTS = 2**20
 
+#: A mixture grid adds _NARROW_POINTS points over mean +- _NARROW_SIGMAS stddevs
+#: of every component narrower than _NARROW_SIGMAS uniform grid spacings.
+_NARROW_SIGMAS = 8.0
+_NARROW_POINTS = 129
+
 #: Root polishing stops once |u(y) - level| or the bracket width drops to this.
 REFINE_TOL = 1e-12
 
@@ -86,8 +95,9 @@ class ChannelSpec:
     10-standard-deviation margin, beyond which the tails carry < 1e-20 mass.
     Use :func:`channel_spec` to fill the default window.
 
-    Each instance keeps its own search grids (:func:`_search_grid`), so two
-    equal specs built separately each compute theirs once, and the level
+    Each instance keeps its own search grids (:func:`_search_grid`; mixture
+    channels only), so two equal specs built separately each compute theirs
+    once, and the level
     sets of the last :func:`~binquant.channel.level_functionals` batch per
     grid size, which :func:`find_level_set` returns.  It also keeps the
     coefficients of ``log r`` when that is a quadratic
@@ -173,6 +183,23 @@ def _logistic(spec: ChannelSpec, log_r):
     return expit(math.log(spec.prior.p1 / spec.prior.p0) - np.asarray(log_r))
 
 
+def _quadratic_u(spec: ChannelSpec, y):
+    """u(y) of a single-Gaussian pair, from its quadratic log r = A y^2 + B y + C."""
+    quad_a, quad_b, quad_c = spec._log_r_quadratic
+    y = np.asarray(y, dtype=float)
+    return _logistic(spec, (quad_a * y + quad_b) * y + quad_c)
+
+
+def _check_grid_points(grid_points) -> None:
+    """Raise InvalidSpecError unless ``grid_points`` lies in [64, MAX_GRID_POINTS].
+
+    The message gives the value to 6 significant digits, so a huge one
+    stays short.
+    """
+    if not 64 <= grid_points <= MAX_GRID_POINTS:
+        raise InvalidSpecError(f"grid_points must lie in [64, {MAX_GRID_POINTS}], got {grid_points:.6g}")
+
+
 def posterior(spec: ChannelSpec, y):
     """Posterior level u(y) = P(X=1 | Y=y) in (0, 1).
 
@@ -185,16 +212,18 @@ def posterior(spec: ChannelSpec, y):
 
 
 class _Grid(NamedTuple):
-    """The level-independent search grid of one channel; arrays are read-only.
+    """The level-independent search grid of a mixture channel; arrays are read-only.
 
-    Cell i is [ys[i], ys[i + 1]], and ``du`` is du/dy.  ``cells`` lists the
-    cells in which u takes more than one value and reaches into the
-    admissible levels (1e-9, 1 - 1e-9), the only ones a level can cross;
-    ``lo_u``/``hi_u`` are the smaller and the larger of u at their ends, so
-    such a cell holds a root of level a exactly when lo_u < a <= hi_u.  The
-    cell arrays serve mixture channels; :func:`find_level_sets` solves
-    single-Gaussian pairs in closed form.  ``flat`` is the one flatness
-    verdict: every step of log r is at most _FLAT_LOG_R_STEP, so u is
+    It ranks the candidate levels of :func:`~binquant.solver.solve`,
+    brackets the level-set roots and classifies the monotonicity of r, for
+    mixture channels only: single-Gaussian pairs are scanned and classified
+    in closed form, and never build one.  Cell i is [ys[i], ys[i + 1]], and
+    ``du`` is du/dy.  ``cells`` lists the cells in which u takes more than
+    one value and reaches into the admissible levels (1e-9, 1 - 1e-9), the
+    only ones a level can cross; ``lo_u``/``hi_u`` are the smaller and the
+    larger of u at their ends, so such a cell holds a root of level a
+    exactly when lo_u < a <= hi_u.  ``flat`` is the one flatness verdict
+    of the cells: every step of log r is at most _FLAT_LOG_R_STEP, so u is
     constant up to rounding, and no cell is kept (no level has a root).
     """
 
@@ -209,15 +238,29 @@ class _Grid(NamedTuple):
 
 
 def _search_grid(spec: ChannelSpec, grid_points: int) -> _Grid:
-    """The uniform grid over the search window, with log r, u, du/dy and the cell arrays on it.
+    """The search grid of a mixture channel, with log r, u, du/dy and the cell arrays on it.
 
-    Computed on first use for each ``grid_points`` and kept on ``spec``.
+    ``grid_points`` uniform points over the search window, and, so that a
+    component narrower than the uniform spacing cannot hide its roots
+    between two points, 129 more over mean +- 8 stddevs of every component
+    whose stddev is below 8 uniform spacings (1/8 stddev apart).  Computed
+    on first use for each ``grid_points`` and kept on ``spec``.  The
+    library builds it for mixture channels only; a single-Gaussian pair
+    gets the uniform points alone.
     """
-    if not 64 <= grid_points <= MAX_GRID_POINTS:
-        raise InvalidSpecError(f"grid_points must lie in [64, {MAX_GRID_POINTS}], got {grid_points!r}")
+    _check_grid_points(grid_points)
     grid = spec._grids.get(grid_points)
     if grid is None:
         ys = np.linspace(spec.search_lo, spec.search_hi, grid_points)
+        if spec._log_r_quadratic is None:
+            reach = _NARROW_SIGMAS * (ys[1] - ys[0])
+            narrow = [
+                np.linspace(c.mean - _NARROW_SIGMAS * c.stddev, c.mean + _NARROW_SIGMAS * c.stddev, _NARROW_POINTS)
+                for c in spec.density0.components + spec.density1.components
+                if c.stddev < reach
+            ]
+            if narrow:
+                ys = np.union1d(ys, np.concatenate(narrow))
         log_p0, slope0 = _log_pdf_slope(spec.density0, ys)
         log_p1, slope1 = _log_pdf_slope(spec.density1, ys)
         log_r = log_p0 - log_p1
@@ -245,10 +288,10 @@ class Monotonicity(enum.Enum):
 class MonotonicityReport:
     """Numerical monotonicity verdict for the likelihood ratio.
 
-    This is a finite-grid verdict, not a proof, so the grid resolution it was
-    established on travels with it.  ``flat`` marks the degenerate case where
-    the log-ratio is constant to within the strictness threshold everywhere
-    (identical densities).
+    This is a finite-grid verdict, not a proof, so the number of uniform
+    grid points it was established on travels with it.  ``flat`` marks the
+    degenerate case where the log-ratio is constant to within the
+    strictness threshold everywhere (identical densities).
     """
 
     verdict: Monotonicity
@@ -259,19 +302,28 @@ class MonotonicityReport:
 def classify_monotonicity(spec: ChannelSpec, grid_points: int = DEFAULT_GRID_POINTS) -> MonotonicityReport:
     """Classify the likelihood ratio as strictly monotone or not.
 
-    Evaluates log r(y) on a uniform grid over the search window and checks
-    the sign of successive finite differences.  Differences at most
-    _FLAT_LOG_R_STEP in magnitude (the double-precision noise floor for
-    log-pdf differences) count as violations of strictness; ``flat`` is the
-    search grid's verdict (:func:`_search_grid`).
+    Checks the sign of the steps of log r(y) between successive points of
+    the search grid.  Steps at most _FLAT_LOG_R_STEP in magnitude (the
+    double-precision noise floor for log-pdf differences) count as
+    violations of strictness; ``flat`` says that every step is one, the
+    search grid's verdict (:func:`_search_grid`).  A single-Gaussian pair
+    builds no grid: on a cell of width h and midpoint m of the uniform
+    ``grid_points`` grid its step is exactly (2 A m + B) h, linear in m, so
+    the first and the last cell bound every other.
     """
-    grid = _search_grid(spec, grid_points)
-    diffs = np.diff(grid.log_r)
-    if np.all(diffs > _FLAT_LOG_R_STEP):
+    if spec._log_r_quadratic is None:
+        steps = np.diff(_search_grid(spec, grid_points).log_r)
+    else:
+        _check_grid_points(grid_points)
+        quad_a, quad_b, _ = spec._log_r_quadratic
+        h = (spec.search_hi - spec.search_lo) / (grid_points - 1)
+        steps = (2.0 * quad_a * np.array([spec.search_lo + 0.5 * h, spec.search_hi - 0.5 * h]) + quad_b) * h
+    if np.all(steps > _FLAT_LOG_R_STEP):
         return MonotonicityReport(Monotonicity.STRICTLY_INCREASING, grid_points)
-    if np.all(diffs < -_FLAT_LOG_R_STEP):
+    if np.all(steps < -_FLAT_LOG_R_STEP):
         return MonotonicityReport(Monotonicity.STRICTLY_DECREASING, grid_points)
-    return MonotonicityReport(Monotonicity.NON_MONOTONIC, grid_points, flat=grid.flat)
+    flat = bool(np.all(np.abs(steps) <= _FLAT_LOG_R_STEP))
+    return MonotonicityReport(Monotonicity.NON_MONOTONIC, grid_points, flat=flat)
 
 
 @dataclass(frozen=True)
@@ -298,7 +350,7 @@ def translate_log_concavity(spec: ChannelSpec, grid_points: int = DEFAULT_GRID_P
     so a single-threshold quantizer is optimal.  Translation is tested
     component-wise after shifting by the mixture-mean difference (tolerance
     1e-9 per parameter); concavity via second differences of the log-pdf
-    of density0 on the points of the channel's search grid.
+    of density0 on ``grid_points`` uniform points over the search window.
     """
     d0, d1 = spec.density0, spec.density1
     shift = d1.mean - d0.mean
@@ -313,7 +365,8 @@ def translate_log_concavity(spec: ChannelSpec, grid_points: int = DEFAULT_GRID_P
             for c0, c1 in pairs
         )
 
-    lp = log_pdf(d0, _search_grid(spec, grid_points).ys)
+    _check_grid_points(grid_points)
+    lp = log_pdf(d0, np.linspace(spec.search_lo, spec.search_hi, grid_points))
     second = lp[2:] - 2.0 * lp[1:-1] + lp[:-2]
     return TranslateConcavity(
         shift_detected=detected,
@@ -493,11 +546,10 @@ def find_level_sets(
     without crossing it there is no root.  Roots are sorted ascending and
     lie in the search window.  The channel picks the path: one Gaussian in
     each density gives the roots of the quadratic log r in closed form,
-    with no polishing (:func:`_quadratic_roots`); any other channel
-    brackets them on its cached uniform grid of ``grid_points`` over the
-    search window and polishes the roots of all levels together
-    (:func:`_crossing_roots`).  The grid is built, and ``grid_points``
-    checked, on either path: every caller of the level functionals reads it.
+    with no polishing and no grid (:func:`_quadratic_roots`); a mixture
+    channel brackets them on its cached search grid of ``grid_points``
+    (:func:`_search_grid`) and polishes the roots of all levels together
+    (:func:`_crossing_roots`).  ``grid_points`` is checked on either path.
 
     Raises InvalidSpecError if any level lies outside (1e-9, 1 - 1e-9), and
     NotConvergedError if a bracket is still open after 200 steps.
@@ -509,11 +561,11 @@ def find_level_sets(
     if not (levels.min() > _LEVEL_MARGIN and levels.max() < 1.0 - _LEVEL_MARGIN):
         bad = levels[~((levels > _LEVEL_MARGIN) & (levels < 1.0 - _LEVEL_MARGIN))]
         raise InvalidSpecError(f"level must lie in (1e-9, 1 - 1e-9), got {float(bad[0])!r}")
-    grid = _search_grid(spec, grid_points)
     uniq, inverse = np.unique(levels, return_inverse=True)
     if spec._log_r_quadratic is None:
-        lvl, roots = _crossing_roots(spec, grid, uniq)
+        lvl, roots = _crossing_roots(spec, _search_grid(spec, grid_points), uniq)
     else:
+        _check_grid_points(grid_points)
         lvl, roots = _quadratic_roots(spec, uniq)
 
     ends = np.cumsum(np.bincount(lvl, minlength=uniq.size)).tolist()

@@ -1,18 +1,21 @@
-"""Sorted-cell candidate search and batched level search for the optimal binary quantizer.
+"""Candidate ranking and batched level search for the optimal binary quantizer.
 
-The optimal quantizer is the full root set of u(y) = a* for one level a*, so
-every candidate is a prefix of the search grid's cells sorted by posterior
-level (Burshtein et al., Ann. Stat. 1992; Kurkoski & Yagi, IEEE T-IT 2014).
+The optimal quantizer is the full root set of u(y) = a* for one level a*.
 The stationarity function F may change sign from + to - more than once, so
-:func:`solve` runs one level search next to each MI peak of those prefixes,
-which brackets a + to - change of F and narrows the bracket by
-Chandrupatla's inverse-quadratic search; one batching loop runs all of them
-in shared rounds, each one :func:`~binquant.channel.stationarity` call
-(three on each shipped channel but the symmetric one, which takes one).
-The grid only ranks: every reported number comes from one
-:func:`~binquant.channel.level_functionals` call at a*, where every
-threshold carries the likelihood ratio r* = (p1/p0)(1 - a*)/a*; the worst
-relative deviation from it is the design's ``stationarity_residual``.
+:func:`solve` first ranks quantizers to find every peak of the mutual
+information.  A mixture channel ranks the prefixes of its search grid's
+cells sorted by posterior level (Burshtein et al., Ann. Stat. 1992;
+Kurkoski & Yagi, IEEE T-IT 2014); a single-Gaussian pair builds no grid
+and ranks the closed-form level sets of a scan of levels over the range of
+u instead.  One level search next to each peak brackets a + to - change of
+F and narrows the bracket by Chandrupatla's inverse-quadratic search; one
+batching loop runs all of them in shared rounds, each one
+:func:`~binquant.channel.stationarity` call (three on each shipped channel
+but the symmetric one, which takes one).  The ranking only ranks: every
+reported number comes from one :func:`~binquant.channel.level_functionals`
+call at a*, where every threshold carries the likelihood ratio
+r* = (p1/p0)(1 - a*)/a*; the worst relative deviation from it is the
+design's ``stationarity_residual``.
 """
 
 from __future__ import annotations
@@ -26,12 +29,12 @@ import numpy as np
 from .channel import ChannelMatrix, Mapping, _mi_bits, level_functionals, mutual_information, stationarity
 from .density import Thresholds, cdf
 from .errors import InvalidSpecError, NoSignChangeError, NotConvergedError
-from .likelihood import DEFAULT_GRID_POINTS, MAX_GRID_POINTS, ChannelSpec, Monotonicity, _search_grid
-from .likelihood import classify_monotonicity, likelihood_ratio
+from .likelihood import DEFAULT_GRID_POINTS, ChannelSpec, Monotonicity, _check_grid_points, _quadratic_roots
+from .likelihood import _quadratic_u, _search_grid, classify_monotonicity, likelihood_ratio
 
 __all__ = ["SolverConfig", "QuantizerDesign", "solve", "predict_single_threshold"]
 
-#: Sorted-cell MI peaks within this many bits of the best one are candidates.
+#: Ranked MI peaks within this many bits of the best one are candidates.
 PEAK_MARGIN_BITS = 1e-3
 
 #: Distance from a candidate level to the first levels round 0 evaluates next to it.
@@ -45,9 +48,13 @@ class SolverConfig:
     ``[a_lo, a_hi]`` is the admissible level range, ``tol_a`` the width the
     level search narrows each sign-change bracket to, ``max_iter`` the
     budget of narrowing rounds of each candidate's search, and
-    ``grid_points`` the size of the search grid that ranks candidates and
-    brackets the level-set roots, at most MAX_GRID_POINTS.  Each error
-    message starts with the name of the field it rejects.
+    ``grid_points`` the number of uniform points of a mixture's search grid,
+    which ranks its candidates, brackets its level-set roots and classifies
+    its ratio, at most MAX_GRID_POINTS.  A single-Gaussian pair is scanned
+    and classified in closed form; for it ``grid_points`` only sets the
+    grid of the monotonicity verdict, on which the steps of its quadratic
+    log r are judged.  Each error message starts with the name of the field
+    it rejects.
     """
 
     a_lo: float = 1e-6
@@ -65,8 +72,7 @@ class SolverConfig:
             raise InvalidSpecError(f"tol_a must be finite and > 0, got {self.tol_a!r}")
         if self.max_iter < 1:
             raise InvalidSpecError(f"max_iter must be >= 1, got {self.max_iter!r}")
-        if not 64 <= self.grid_points <= MAX_GRID_POINTS:
-            raise InvalidSpecError(f"grid_points must lie in [64, {MAX_GRID_POINTS}], got {self.grid_points!r}")
+        _check_grid_points(self.grid_points)
 
 
 @dataclass(frozen=True)
@@ -93,19 +99,15 @@ class QuantizerDesign:
     iterations: int
 
 
-def _candidate_levels(spec: ChannelSpec, cfg: SolverConfig) -> np.ndarray:
-    """Levels of the sorted-cell MI peaks within PEAK_MARGIN_BITS of the best.
+def _sorted_cells(spec: ChannelSpec, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Levels in increasing order and the MI of their quantizers, from a mixture's sorted grid cells.
 
     Each grid point is the centre of a cell reaching halfway to its
     neighbours (the outer cells reach +-inf).  With the n cells sorted by u
     and u = 0, 1 put at the ends, the first k of them (k = 0..n) are the
     quantizer {u < a} for every level a between the k-th and the (k+1)-th
     u, placed at the middle of that interval, so cumulative sums give a11
-    and a22 of all these quantizers at once.  The quantizers near the best
-    form runs in level order; each run, merged with any run whose end lies
-    within two bracket half-widths, gives its best level, so a single-peaked
-    MI curve gives one candidate however flat or jagged its top is at cell
-    resolution.
+    and a22 of all these quantizers at once.
     """
     grid = _search_grid(spec, cfg.grid_points)
     order = np.argsort(grid.u, kind="stable")
@@ -117,7 +119,55 @@ def _candidate_levels(spec: ChannelSpec, cfg: SolverConfig) -> np.ndarray:
     levels = np.clip(0.5 * (u[1:] + u[:-1])[inside], cfg.a_lo, cfg.a_hi)
     a11 = np.concatenate(([0.0], np.cumsum(m0)))
     a22 = 1.0 - np.concatenate(([0.0], np.cumsum(m1)))
-    mi = _mi_bits(spec.prior.p0, a11, a22)[inside]
+    return levels, _mi_bits(spec.prior.p0, a11, a22)[inside]
+
+
+def _level_scan(spec: ChannelSpec, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Levels in increasing order and the MI of their quantizers, for a single-Gaussian pair.
+
+    The range of u over the search window is u at its two ends and, when
+    it lies inside, at the vertex -B / 2A of log r = A y^2 + B y + C; cut
+    to [a_lo, a_hi], it gets levels spaced at most BRACKET_HALF_WIDTH / 4
+    apart, symmetric about its midpoint, which is one of them (at most 401
+    levels).  Their closed-form roots (:func:`_quadratic_roots`) bound the
+    segments; one CDF call per density at all the roots gives f and g of
+    every level by alternating sums, the first segment labelled by u at
+    ``search_lo``.
+    """
+    quad_a, quad_b, _ = spec._log_r_quadratic
+    ends = [spec.search_lo, spec.search_hi]
+    if quad_a != 0.0 and spec.search_lo < -quad_b / (2.0 * quad_a) < spec.search_hi:
+        ends.append(-quad_b / (2.0 * quad_a))
+    u = _quadratic_u(spec, ends)
+    low, high = np.clip([u.min(), u.max()], cfg.a_lo, cfg.a_hi)
+    half = 0.5 * (high - low)
+    n = math.ceil(half / (0.25 * BRACKET_HALF_WIDTH))
+    levels = np.clip(0.5 * (low + high) + half / max(n, 1) * np.arange(-n, n + 1), low, high)
+    lvl, roots = _quadratic_roots(spec, levels)
+    # the roots of each level alternate in sign in its sum of CDFs, the first one +
+    sign = np.where(np.r_[False, lvl[1:] == lvl[:-1]], -1.0, 1.0)
+    even = np.bincount(lvl, minlength=levels.size) % 2 == 0
+    odd0 = np.bincount(lvl, sign * cdf(spec.density0, roots), levels.size) + even
+    odd1 = np.bincount(lvl, sign * cdf(spec.density1, roots), levels.size) + even
+    # the odd segments, (-inf, h1), [h2, inf), ... are {u < a} when u at search_lo is below a
+    odd_first = u[0] < levels
+    f = np.clip(np.where(odd_first, odd0, 1.0 - odd0), 0.0, 1.0)
+    g = np.clip(np.where(odd_first, 1.0 - odd1, odd1), 0.0, 1.0)
+    return levels, _mi_bits(spec.prior.p0, f, g)
+
+
+def _candidate_levels(spec: ChannelSpec, cfg: SolverConfig) -> np.ndarray:
+    """Levels of the MI peaks within PEAK_MARGIN_BITS of the best of the ranked quantizers.
+
+    A mixture ranks its sorted grid cells (:func:`_sorted_cells`), a
+    single-Gaussian pair a scan of levels (:func:`_level_scan`).  The
+    quantizers near the best form runs in level order; each run, merged
+    with any run whose end lies within two bracket half-widths, gives its
+    best level, so a single-peaked MI curve gives one candidate however
+    flat or jagged its top is at the ranking's resolution.
+    """
+    rank = _sorted_cells if spec._log_r_quadratic is None else _level_scan
+    levels, mi = rank(spec, cfg)
     near_best = np.flatnonzero(mi >= mi.max(initial=0.0) - PEAK_MARGIN_BITS)
     cuts = 1 + np.flatnonzero(
         (np.diff(near_best) > 1) & (np.diff(levels[near_best]) > 2.0 * BRACKET_HALF_WIDTH)
@@ -147,7 +197,10 @@ def _candidate_search(c: float, a_lo: float, a_hi: float, xtol: float, max_round
     takes c - w, c and c + w (w = BRACKET_HALF_WIDTH, clipped to [a_lo,
     a_hi]).  A zero at c is the root; else the sign of F(c) says on which
     side the + to - change lies, and the end on that side moves out to
-    c +- 2w, 4w, ..., a level a round, until it brackets the change.  Each
+    c +- 2w, 4w, ..., a level a round, until it brackets the change.  F is
+    NaN at degenerate levels, which lie beyond the last levels where F has a
+    value, so once the end lands on a NaN the walk bisects between the last
+    level where F had the sign of F(c) and the nearest NaN instead.  Each
     narrowing round then takes the Chandrupatla point x
     (:func:`_chandrupatla_t`) and the guards x +- xtol / 2, every level at
     least xtol / 4 inside the bracket, so the round in which x lands within
@@ -155,8 +208,12 @@ def _candidate_search(c: float, a_lo: float, a_hi: float, xtol: float, max_round
     walk, then the end a round evaluated (of two, the one where |F| is
     smaller); x3 is the level before x1 in the walk, then the far guard
     beyond x1, else the old end there.  Returns ``("level", a)`` for a zero
-    or for x1 once the bracket is at most ``xtol`` wide, and ``("edge",
-    a)`` when the walk reached the edge a with no sign change; raises
+    or for x1 once the bracket is at most ``xtol`` wide, ``("edge", a)``
+    when the walk reached the edge a with no sign change, and ``("nan",
+    a)`` when F is NaN at c (a = c - w when F is NaN there too, else c), at
+    a narrowing level a, or at a level a within ``xtol`` of the walk's last
+    level with the sign of F(c).  F at the round-0 level on the other side
+    of c serves only as x3, where a NaN gives the secant point.  Raises
     NotConvergedError past ``max_rounds`` narrowing rounds.
     """
     w = BRACKET_HALF_WIDTH
@@ -164,13 +221,25 @@ def _candidate_search(c: float, a_lo: float, a_hi: float, xtol: float, max_round
     f_left, f_c, f_right = yield [left, c, right]
     if f_c == 0.0:
         return "level", c
+    if math.isnan(f_c):
+        return "nan", left if math.isnan(f_left) else c
     inner, step, ends = (c, f_c), math.copysign(w, f_c), [(left, f_left), (right, f_right)]
     beyond, (x, fx) = ends if f_c > 0.0 else ends[::-1]
-    while fx != 0.0 and (fx > 0.0) == (step > 0.0):
-        if x in (a_lo, a_hi):
+    nan_at = None  # the level nearest c where F was NaN on the walk's side
+    # until F is 0 or has the other sign than the step (both comparisons are False for NaN)
+    while math.isnan(fx) or (fx > 0.0 if step > 0.0 else fx < 0.0):
+        if math.isnan(fx):
+            nan_at = x
+        elif x in (a_lo, a_hi):
             return "edge", x
-        step, beyond, inner = 2.0 * step, inner, (x, fx)
-        x = min(max(c + step, a_lo), a_hi)
+        else:
+            step, beyond, inner = 2.0 * step, inner, (x, fx)
+        if nan_at is None:
+            x = min(max(c + step, a_lo), a_hi)
+        elif abs(nan_at - inner[0]) <= xtol:
+            return "nan", nan_at
+        else:
+            x = 0.5 * (inner[0] + nan_at)
         (fx,) = yield [x]
     if fx == 0.0:
         return "level", x
@@ -187,7 +256,10 @@ def _candidate_search(c: float, a_lo: float, a_hi: float, xtol: float, max_round
         x = x1 + min(max(_chandrupatla_t(x1, f1, x2, f2, x3, f3), t_min), 1.0 - t_min) * (x2 - x1)
         inner_lo, inner_hi = min(x1, x2) + 0.25 * xtol, max(x1, x2) - 0.25 * xtol
         points = [p for p in (x - 0.5 * xtol, x, x + 0.5 * xtol) if p == x or inner_lo <= p <= inner_hi]
-        seq = sorted([(x1, f1), (x2, f2), *zip(points, (yield points))])
+        values = yield points
+        if any(map(math.isnan, values)):
+            return "nan", min(p for p, v in zip(points, values) if math.isnan(v))
+        seq = sorted([(x1, f1), (x2, f2), *zip(points, values)])
         # the first level where F is 0 or has the other sign than at the lower end
         j = next(j for j, (_, v) in enumerate(seq) if v == 0.0 or (v > 0.0) != (seq[0][1] > 0.0))
         if seq[j][1] == 0.0:
@@ -202,11 +274,10 @@ def _search(fn, searches):
 
     ``fn`` maps an array of levels to F at each, NaN where F has none.  Each
     round puts the levels of every live search (:func:`_candidate_search`)
-    into one call and sends each search its values; a search with a NaN
-    among them is dropped as ``("nan", a)`` at its lowest such level a.
-    Searches leave the batch when done, so each outcome equals that of its
-    search run alone.  Returns the outcomes, in order, and the number of
-    rounds after round 0 (calls of ``fn`` - 1).
+    into one call and sends each search its values.  Searches leave the
+    batch when done, so each outcome equals that of its search run alone.
+    Returns the outcomes, in order, and the number of rounds after round 0
+    (calls of ``fn`` - 1).
     """
     outcomes = [None] * len(searches)
     asking = {i: next(search) for i, search in enumerate(searches)}
@@ -214,13 +285,8 @@ def _search(fn, searches):
         values = iter(fn(np.array([a for levels in asking.values() for a in levels])).tolist())
         batch, asking = asking, {}
         for i, levels in batch.items():
-            f = [next(values) for _ in levels]
-            nan = [a for a, v in zip(levels, f) if math.isnan(v)]
-            if nan:
-                outcomes[i] = ("nan", min(nan))
-                continue
             try:
-                asking[i] = searches[i].send(f)
+                asking[i] = searches[i].send([next(values) for _ in levels])
             except StopIteration as done:
                 outcomes[i] = done.value
         if not asking:
@@ -230,7 +296,7 @@ def _search(fn, searches):
 def solve(spec: ChannelSpec, config: SolverConfig | None = None) -> QuantizerDesign:
     """Find the optimal binary quantizer for ``spec``.
 
-    (1) Rank the sorted-cell quantizers and take the candidate levels
+    (1) Rank quantizers and take the candidate levels at their MI peaks
     (:func:`_candidate_levels`); (2) run one level search next to each
     (:func:`_candidate_search`), all in shared rounds of one
     :func:`~binquant.channel.stationarity` call each (:func:`_search`),

@@ -4,6 +4,7 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from binquant import DensityModel, GaussianComponent, Prior, channel_spec
 from binquant.cli import load_config
@@ -102,3 +103,41 @@ def batch_levels(spec, grid_points=4096):
     u = _search_grid(spec, grid_points).u
     on_grid = [a for a in u[[300, 1500, 2047, 2600, 3700]].tolist() if 1e-6 < a < 1.0 - 1e-6]
     return [0.7, 0.2, 0.5, 0.2, 0.05, 0.95, 0.3205528447713517, *on_grid, 0.7, *on_grid[:1], 0.5]
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@st.composite
+def gaussian_pairs(draw):
+    """A single-Gaussian channel: stddevs from 0.05 to 5, and cases drawn on purpose.
+
+    Equal stddevs (a linear log r), near-identical densities (means 1e-3 to
+    1e-2 stddevs apart), and nearly equal stddevs, whose vertex of log r lies
+    far out: when it is within 60 of the means, the window's edge beyond it
+    is moved to within 3 cells of a 4096-point grid of it, inside or outside.
+    """
+    p0 = draw(st.floats(0.05, 0.95))
+    m0, s0 = draw(st.floats(-3.0, 3.0)), draw(_log_uniform(0.05, 5.0))
+    kind = draw(st.sampled_from(["any", "equal", "near_identical", "edge_vertex"]))
+    if kind == "near_identical":
+        m1, s1 = m0 + s0 * draw(st.floats(1e-3, 1e-2)), s0 * (1.0 + draw(st.floats(0.0, 1e-3)))
+    elif kind == "any":
+        m1, s1 = draw(st.floats(-3.0, 3.0)), draw(_log_uniform(0.05, 5.0))
+    elif kind == "equal":
+        m1, s1 = draw(st.floats(-3.0, 3.0)), s0
+    else:
+        m1, s1 = draw(st.floats(-3.0, 3.0)), s0 * draw(st.floats(1.005, 1.1))
+    spec = channel_spec(Prior(p0=p0), single_gaussian(m0, s0), single_gaussian(m1, s1))
+    if kind == "edge_vertex":
+        vertex = (m1 / s1**2 - m0 / s0**2) / (1.0 / s1**2 - 1.0 / s0**2)
+        lo, hi = spec.search_lo, spec.search_hi
+        # within 3 cells of a 4096-point grid of the window
+        offset = draw(st.floats(-3.0, 3.0)) * (max(hi, vertex) - min(lo, vertex)) / 4095
+        if hi < vertex < m0 + 60.0:
+            hi = max(hi, vertex + offset)
+        elif m0 - 60.0 < vertex < lo:
+            lo = min(lo, vertex - offset)
+        spec = channel_spec(spec.prior, spec.density0, spec.density1, lo, hi)
+    return spec

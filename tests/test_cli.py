@@ -122,6 +122,16 @@ class TestConfigLoading:
         assert captured.err.startswith("error:") and "solver.grid_points" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("value, shown", [("1e300", "1e+300"), ("1e12", "1e+12"), ("32", "32")])
+    def test_out_of_range_grid_is_one_short_line(self, value, shown, tmp_path, capsys):
+        # the value prints to 6 significant digits: 1e300 used to print as a 301-digit integer
+        path = tmp_path / "cfg.json"
+        path.write_text(_single_gaussian_config(f'"grid_points": {value}'))
+        assert main(["solve", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "solver.grid_points" in err and err.endswith(f"got {shown}\n")
+        assert err.count("\n") == 1 and len(err) < 200
+
     def test_largest_grid_is_accepted(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(_single_gaussian_config(f'"grid_points": {2**20}'))

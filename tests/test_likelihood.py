@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from binquant import (
     InvalidSpecError,
@@ -22,13 +23,16 @@ from binquant import (
     posterior,
     predict_single_threshold,
     solve,
+    stationarity,
+    structural_checks,
+    sweep_levels,
     translate_log_concavity,
 )
 from binquant import likelihood
 from binquant.cli import load_config
 from binquant.density import DensityModel, GaussianComponent, Prior
 from binquant.likelihood import _newton_polish, _search_grid
-from tests.conftest import BATCH_SPECS, CONFIG_DIR, batch_levels, fresh_copy, shared_channel
+from tests.conftest import BATCH_SPECS, CONFIG_DIR, batch_levels, fresh_copy, gaussian_pairs, shared_channel
 
 # likelihood ratio of the unequal-variance channel at the equal-ratio pair
 # (-0.5374, 3.5374); mpmath, 30 dps
@@ -158,6 +162,26 @@ class TestClassify:
     def test_rejects_tiny_grid(self, example1_spec):
         with pytest.raises(InvalidSpecError):
             classify_monotonicity(example1_spec, grid_points=32)
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(spec=gaussian_pairs(), grid_points=st.sampled_from([64, 1000, 4096]))
+    def test_closed_form_verdict_is_the_step_rule_on_the_grid(self, spec, grid_points):
+        # log r of a single-Gaussian pair, evaluated by the test in extended precision
+        # on the uniform grid, and the 1e-12 rule applied to its steps
+        (c0,), (c1,) = spec.density0.components, spec.density1.components
+        y = np.linspace(spec.search_lo, spec.search_hi, grid_points).astype(np.longdouble)
+        m0, s0, m1, s1 = (np.longdouble(v) for v in (c0.mean, c0.stddev, c1.mean, c1.stddev))
+        steps = np.diff(((y - m1) / s1) ** 2 / 2 - ((y - m0) / s0) ** 2 / 2)
+        if np.all(steps > 1e-12):
+            verdict = Monotonicity.STRICTLY_INCREASING
+        elif np.all(steps < -1e-12):
+            verdict = Monotonicity.STRICTLY_DECREASING
+        else:
+            verdict = Monotonicity.NON_MONOTONIC
+        report = classify_monotonicity(spec, grid_points)
+        assert (report.verdict, report.flat) == (verdict, bool(np.all(np.abs(steps) <= 1e-12)))
+        assert report.grid_points == grid_points
+        assert spec._grids == {}
 
 
 class TestTranslateConcavity:
@@ -510,18 +534,24 @@ def _fresh_example2():
     )
 
 
+def _fresh_fig5():
+    """configs/fig5.json, built anew: a mixture channel, whose search grid is uniform."""
+    return load_config(str(CONFIG_DIR / "fig5.json"))[0]
+
+
 def _count_full_grid_log_pdfs(monkeypatch):
-    """Ids of the models of every log-pdf evaluation on a whole 4096-point grid.
+    """Ids of the models of every log-pdf evaluation on a whole grid of at least 4096 points.
 
     Counts both kernels ``likelihood`` evaluates mixtures with: ``log_pdf``
-    and ``_log_pdf_slope``, which builds the search grid.
+    and ``_log_pdf_slope``, which builds the search grid (4096 uniform
+    points, plus 129 for each narrow component).
     """
     calls = []
     for name in ("log_pdf", "_log_pdf_slope"):
         real = getattr(likelihood, name)
 
         def counting(model, y, real=real):
-            if np.size(y) == 4096:
+            if np.size(y) >= 4096:
                 calls.append(id(model))
             return real(model, y)
 
@@ -532,10 +562,10 @@ def _count_full_grid_log_pdfs(monkeypatch):
 class TestSearchGridCache:
     def test_equal_specs_each_compute_their_grid_once(self, monkeypatch):
         full_grid_pdfs = _count_full_grid_log_pdfs(monkeypatch)
-        first, second = _fresh_example2(), _fresh_example2()
+        first, second = _fresh_fig5(), _fresh_fig5()
         assert first == second and first is not second
         for spec in (first, second, first):
-            for level in (0.2, 0.3205528447713517, 0.5):
+            for level in (0.2, 0.655842234224044, 0.5):
                 find_level_set(spec, level)
                 level_functionals(spec, level)
             classify_monotonicity(spec)
@@ -548,7 +578,7 @@ class TestSearchGridCache:
             translate_log_concavity(spec)
         assert full_grid_pdfs == [id(first.density0), id(second.density0), id(first.density0)]
 
-    @pytest.mark.parametrize("name", ["example2_spec", "fig5_spec"])
+    @pytest.mark.parametrize("name", ["two_peaks_spec", "fig5_spec"])
     def test_predict_single_threshold_after_solve_reads_the_grid(self, name, request, monkeypatch):
         fixture = request.getfixturevalue(name)
         spec = channel_spec(fixture.prior, fixture.density0, fixture.density1)
@@ -566,6 +596,14 @@ class TestSearchGridCache:
                 assert find_level_set(spec, level, grid_points) == find_level_set(
                     fresh, level, grid_points
                 )
+
+    def test_a_narrow_component_adds_points_over_it(self, two_peaks_spec):
+        # sigma = 3e-3 is a tenth of the uniform spacing: 129 points over mean +- 8 sigma join the grid
+        grid = _search_grid(fresh_copy(two_peaks_spec), 4096)
+        uniform = np.linspace(two_peaks_spec.search_lo, two_peaks_spec.search_hi, 4096)
+        narrow = np.linspace(20.0 - 0.024, 20.0 + 0.024, 129)
+        np.testing.assert_array_equal(grid.ys, np.union1d(uniform, narrow))
+        assert grid.u.shape == grid.du.shape == grid.log_r.shape == grid.ys.shape
 
     def test_cached_arrays_are_read_only(self):
         grid = _search_grid(_fresh_example2(), 4096)
@@ -698,10 +736,10 @@ def _two_peaks_narrow():
     return channel_spec(spec.prior, density0, spec.density1)
 
 
-#: Mixture channels and their total root count over the 99 sweep levels on the 4096-point grid.
-ROOT_COUNT_CHANNELS = {
+#: Total root counts over the 99 sweep levels of mixture channels whose roots
+#: the uniform 4096-point grid alone already found.
+PINNED_ROOT_COUNTS = {
     "mixture_two_peaks": 362,
-    "mixture_two_peaks_sd3e-4": 164,
     "solve-1-mix02": 137,
     "solve-3-mix04": 354,
     "solve-6-mix02-1": 412,
@@ -709,6 +747,9 @@ ROOT_COUNT_CHANNELS = {
     "tabulate-2-mix01-1": 302,
     "tabulate-2-mix09-1": 218,
 }
+
+#: The pinned channels, and the two-peak config with a component 1/100 of the uniform spacing wide.
+ROOT_COUNT_CHANNELS = sorted([*PINNED_ROOT_COUNTS, "mixture_two_peaks_sd3e-4"])
 
 SWEEP_LEVELS = np.linspace(0.01, 0.99, 99)
 
@@ -723,6 +764,79 @@ def _root_count_channel(name):
     return load_config(str(VERIFY_DATA / f"{name}.json"))[0]
 
 
+def _fresh_asym():
+    """The unequal-variance channel with a skewed prior, built anew."""
+    return channel_spec(
+        Prior(p0=0.3),
+        DensityModel((GaussianComponent(mean=-1.0, stddev=math.sqrt(5.0), weight=1.0),)),
+        DensityModel((GaussianComponent(mean=1.0, stddev=1.0, weight=1.0),)),
+    )
+
+
+class TestGaussianPairsBuildNoGrid:
+    """A single-Gaussian pair is ranked, labelled and classified in closed form: it builds no search grid."""
+
+    @pytest.mark.parametrize("make", [_fresh_example2, _fresh_asym], ids=["example2", "asym"])
+    def test_no_call_builds_a_grid(self, make, monkeypatch):
+        slopes = []
+        real = likelihood._log_pdf_slope
+        monkeypatch.setattr(likelihood, "_log_pdf_slope", lambda *args: slopes.append(args) or real(*args))
+        spec = make()
+        design = solve(spec)
+        assert len(design.thresholds) == 2
+        assert not predict_single_threshold(spec)
+        assert classify_monotonicity(spec).verdict is Monotonicity.NON_MONOTONIC
+        single = level_functionals(spec, design.a_star)
+        batch = level_functionals(spec, [0.2, design.a_star, 0.5])
+        assert batch[1] == single and single.roots == design.thresholds
+        assert stationarity(spec, [0.2, 0.5]).tolist() == [batch[0].stationarity_value, batch[2].stationarity_value]
+        assert stationarity(spec, 0.2) == batch[0].stationarity_value
+        sweep_levels(spec, SWEEP_LEVELS)
+        assert all(check.passed for check in structural_checks(spec).values())
+        translate_log_concavity(spec)
+        assert spec._grids == {}
+        assert slopes == []
+
+    @pytest.mark.parametrize("grid_points", [32, 2**20 + 1])
+    def test_grid_points_are_checked_without_a_grid(self, grid_points):
+        spec = _fresh_example2()
+        for call in (find_level_sets, level_functionals, stationarity):
+            with pytest.raises(InvalidSpecError, match="grid_points must lie in"):
+                call(spec, [0.3], grid_points)
+        for call in (classify_monotonicity, translate_log_concavity):
+            with pytest.raises(InvalidSpecError, match="grid_points must lie in"):
+                call(spec, grid_points)
+        assert spec._grids == {}
+
+
+def _reference_root_counts(spec, levels):
+    """Sign changes of log r - t(a) at each level a, scanned with scipy on a fine grid.
+
+    Shares no code with the library: the log-densities come from the Gaussian
+    formula and ``scipy.special.logsumexp``, on points 1e-3 apart over the
+    window, and 1/64 stddev apart over mean +- 64 stddevs of every component
+    narrower than 0.05.  u = a exactly where log r = log(p1/p0) + log((1 - a)/a).
+    """
+    lo, hi = spec.search_lo, spec.search_hi
+    comps = spec.density0.components + spec.density1.components
+    points = [np.arange(lo, hi, 1e-3), [hi]]
+    points += [np.linspace(c.mean - 64 * c.stddev, c.mean + 64 * c.stddev, 8193) for c in comps if c.stddev < 0.05]
+    y = np.unique(np.concatenate(points))
+
+    def log_density(model):
+        comps = model.components
+        terms = [-0.5 * ((y - c.mean) / c.stddev) ** 2 - math.log(c.stddev * math.sqrt(2.0 * math.pi)) for c in comps]
+        return logsumexp(terms, axis=0, b=np.array([[c.weight] for c in comps]))
+
+    log_r = log_density(spec.density0) - log_density(spec.density1)
+    p0 = spec.prior.p0
+    counts = []
+    for a in levels:
+        above = log_r > math.log((1.0 - p0) / p0) + math.log((1.0 - a) / a)
+        counts.append(int(np.count_nonzero(above[1:] != above[:-1])))
+    return counts
+
+
 def _meets_the_stop_rule(spec, level, roots):
     """|u - level| <= 1e-12 at each root, or a sign change of u - level within 1e-12 of it."""
     roots = np.asarray(roots)
@@ -734,12 +848,16 @@ def _meets_the_stop_rule(spec, level, roots):
 class TestPolishRobustness:
     """The slope only steers the polishing: the bracket and |u - a| decide where it stops."""
 
-    @pytest.mark.parametrize("name", sorted(ROOT_COUNT_CHANNELS))
+    @pytest.mark.parametrize("name", ROOT_COUNT_CHANNELS)
     def test_root_counts_and_stop_rule_at_99_levels(self, name):
         spec = _root_count_channel(name)
         u = _search_grid(spec, 4096).u
         sets = find_level_sets(spec, SWEEP_LEVELS)
-        assert sum(len(ls.roots) for ls in sets) == ROOT_COUNT_CHANNELS[name]
+        counts = [len(ls.roots) for ls in sets]
+        # a narrow component hides roots from the uniform grid: the grid adds points over it
+        assert counts == _reference_root_counts(spec, SWEEP_LEVELS)
+        if name in PINNED_ROOT_COUNTS:
+            assert sum(counts) == PINNED_ROOT_COUNTS[name]
         for ls in sets:
             # one root per cell whose ends lie on the two sides of the level
             assert len(ls.roots) == np.count_nonzero((u[:-1] < ls.level) != (u[1:] < ls.level))

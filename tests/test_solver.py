@@ -36,7 +36,7 @@ from binquant import (
 )
 from binquant import channel, likelihood, solver
 from binquant.cli import load_config
-from tests.conftest import CONFIG_DIR, single_gaussian
+from tests.conftest import CONFIG_DIR, gaussian_pairs, single_gaussian
 
 SHIPPED_AND_VERIFY_CONFIGS = sorted(CONFIG_DIR.glob("*.json")) + sorted(
     (Path(__file__).resolve().parent / "data" / "verify").glob("*.json")
@@ -360,14 +360,30 @@ class TestBatchedSearch:
     def test_a_walk_that_reaches_the_edge_gives_the_edge(self):
         assert _searched(lambda x: 2.0 - x, [0.5], 0.0, 1.0) == ([("edge", 1.0)], 6)
 
+    def test_a_nan_on_the_side_the_walk_leaves_keeps_the_search(self):
+        # F(0.205) > 0 sends the search up; F at 0.195, below it, is NaN and unused
+        fn = lambda x: np.where(x < 0.2, np.nan, 0.25 - x)
+        outcomes, _ = _searched(fn, [0.205], 0.0, 1.0)
+        assert outcomes == [("level", pytest.approx(0.25, abs=1e-10))]
+
+    def test_a_walk_into_nan_bisects_back_to_the_sign_change(self):
+        # F(0.205) < 0 sends the search down to 0.195, where F is NaN; the midpoint 0.2 has F > 0
+        fn = lambda x: np.where(x < 0.2, np.nan, 0.2005 - x)
+        outcomes, _ = _searched(fn, [0.205], 0.0, 1.0)
+        assert outcomes == [("level", pytest.approx(0.2005, abs=1e-10))]
+
     def test_a_nan_at_a_candidates_level_drops_it(self):
-        # NaN below 0.2: 0.1 and 0.205 are dropped in round 0 at their lowest
-        # NaN level, 0.3 once its lower end, moving out, reaches 0.14
+        # NaN below 0.2 and F < 0 above it: 0.1 is dropped in round 0 at its
+        # lowest NaN level; 0.205 (from round 0's 0.195) and 0.3 (once its
+        # lower end, moving out, reaches 0.14) bisect toward the NaN until the
+        # last level with F < 0 is within xtol of it, 30 rounds from 0.14
         fn = lambda x: np.where(x < 0.2, np.nan, 0.15 - x)
         searches = [solver._candidate_search(c, 0.0, 1.0, 1e-10, 200) for c in (0.1, 0.205, 0.3)]
         outcomes, n_rounds = solver._search(fn, searches)
-        assert [kind for kind, _ in outcomes] == ["nan"] * 3 and n_rounds == 4
-        assert [a for _, a in outcomes] == pytest.approx([0.09, 0.195, 0.14])
+        assert [kind for kind, _ in outcomes] == ["nan"] * 3 and n_rounds == 34
+        assert outcomes[0][1] == pytest.approx(0.09)
+        for _, a in outcomes[1:]:
+            assert 0.2 - 1e-10 <= a < 0.2 and np.isnan(fn(a))
 
     def test_the_design_is_read_from_the_last_level_batch(self, fig5_spec, monkeypatch):
         spec = channel_spec(fig5_spec.prior, fig5_spec.density0, fig5_spec.density1)
@@ -565,6 +581,80 @@ class TestGlobalOptimum:
         for level in (a - 1e-6, a + 1e-6):
             fn = level_functionals(spec, level)
             assert design.mi_bits >= mutual_information(spec.prior, ChannelMatrix(fn.correct0, fn.correct1)) - 1e-15
+
+
+def _dense_level_scan(spec, levels):
+    """MI in bits of the quantizer {u < a} of a single-Gaussian pair at each level a.
+
+    The test's own closed form: u < a exactly where log r(y) - t(a) =
+    a2 y^2 + a1 y + a0 > 0, with t(a) = log(p1/p0) + log((1 - a)/a), a set
+    of at most two intervals whose ends are the roots of that quadratic
+    (q / a2 and a0 / q, q = -(a1 + sign(a1) sqrt(a1^2 - 4 a2 a0)) / 2),
+    and scipy's ``ndtr`` gives each density's mass on it.  Masses are over
+    the whole line, not the search window.
+    """
+    (c0,), (c1,) = spec.density0.components, spec.density1.components
+    p0 = spec.prior.p0
+    a2 = 0.5 / c1.stddev**2 - 0.5 / c0.stddev**2
+    a1 = c0.mean / c0.stddev**2 - c1.mean / c1.stddev**2
+    a0 = (
+        0.5 * c1.mean**2 / c1.stddev**2 - 0.5 * c0.mean**2 / c0.stddev**2 + math.log(c1.stddev / c0.stddev)
+        - math.log((1.0 - p0) / p0) - np.log((1.0 - levels) / levels)
+    )
+
+    def mass(c):
+        if a2 == 0.0:
+            if a1 == 0.0:
+                return (a0 > 0.0).astype(float)
+            # above -a0 / a1 when a1 > 0, below it when a1 < 0
+            return ndtr(math.copysign(1.0, a1) * (c.mean + a0 / a1) / c.stddev)
+        disc = a1 * a1 - 4.0 * a2 * a0
+        q = -0.5 * (a1 + math.copysign(1.0, a1) * np.sqrt(np.maximum(disc, 0.0)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ends = np.sort(np.stack([q / a2, a0 / q]), axis=0)
+        between = ndtr((ends[1] - c.mean) / c.stddev) - ndtr((ends[0] - c.mean) / c.stddev)
+        between = np.where(disc > 0.0, between, 0.0)
+        return 1.0 - between if a2 > 0.0 else between
+
+    f, g = mass(c0), 1.0 - mass(c1)
+    return _h2_bits(p0 * f + (1.0 - p0) * (1.0 - g)) - p0 * _h2_bits(f) - (1.0 - p0) * _h2_bits(g)
+
+
+def _h2_bits(w):
+    inside = (w > 0.0) & (w < 1.0)
+    v = np.where(inside, w, 0.5)
+    return np.where(inside, -(v * np.log2(v) + (1.0 - v) * np.log2(1.0 - v)), 0.0)
+
+
+class TestGaussianPairScan:
+    """The closed-form level scan that ranks the candidates of a single-Gaussian pair."""
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(spec=gaussian_pairs())
+    def test_candidates_and_design_match_a_dense_scan(self, spec):
+        cfg = SolverConfig()
+        levels = np.linspace(cfg.a_lo, cfg.a_hi, 20001)
+        mi = _dense_level_scan(spec, levels)
+        # the best levels: every one within rounding of the largest MI
+        best = levels[mi >= mi.max() - 1e-12]
+        candidates = solver._candidate_levels(spec, cfg)
+        assert np.min(np.abs(candidates[:, None] - best[None, :])) <= solver.BRACKET_HALF_WIDTH
+        try:
+            design = solve(spec, cfg)
+        except NoSignChangeError:
+            assert mi.max() <= 1e-12  # only identical densities, which carry no information
+            return
+        except DegenerateChannelError:
+            # only a channel that carries next to no information, or one that
+            # some level separates almost without error
+            assert mi.max() <= 1e-12 or mi.max() >= _h2_bits(np.array(spec.prior.p0)) - 1e-9
+            return
+        assert design.mi_bits >= mi.max() - 1e-12
+
+    def test_symmetric_channel_scans_its_midpoint(self, example1_spec):
+        # the scan levels are symmetric about the midpoint of the range of u, 0.5
+        candidates = solver._candidate_levels(example1_spec, SolverConfig())
+        assert candidates.tolist() == [0.5]
 
 
 class TestErrors:
