@@ -10,10 +10,9 @@ giving the correct-decision masses
 both computed from the CDFs at the level-set roots (no quadrature), by the
 same alternate-segment sum as :func:`channel_matrix`: one CDF call per
 density over all the thresholds, and one ``math.fsum`` of exact terms per
-mass.  (The solver's candidate ranking sums its own masses: the cell
-masses of a mixture's sorted grid, or the CDFs at the closed-form roots of
-a single-Gaussian pair's scan levels.)  :func:`level_functionals` takes
-one level or a batch, which costs one
+mass.  (The solver's candidate ranking sums its own masses, vectorized
+over its scan of levels, from the CDFs at their unpolished roots.)
+:func:`level_functionals` takes one level or a batch, which costs one
 :func:`~binquant.likelihood.find_level_sets` call and one CDF call per
 density over all its roots.  The stationarity function F is the scalar
 factor in
@@ -42,8 +41,7 @@ import numpy as np
 
 from .density import Thresholds, cdf
 from .errors import DegenerateChannelError, InvalidSpecError, QuantizerError
-from .likelihood import DEFAULT_GRID_POINTS, ChannelSpec, Prior, _quadratic_u, _search_grid
-from .likelihood import find_level_set, find_level_sets
+from .likelihood import DEFAULT_GRID_POINTS, ChannelSpec, Prior, _u_extent, find_level_set, find_level_sets
 
 __all__ = [
     "Mapping",
@@ -218,22 +216,18 @@ def level_functionals(spec: ChannelSpec, level, grid_points: int = DEFAULT_GRID_
     The level-set roots are the thresholds, and the segments between them
     alternate between {u < level} and {u >= level}, so only the first one,
     (-inf, h1), needs a label: the posterior at ``search_lo``, where it has
-    stabilized to its tail behavior, decides it, with no posterior call.  A
-    single-Gaussian pair takes it from its quadratic log r; a mixture reads
-    it off the first point of its cached search grid, which its level sets
-    are bracketed on anyway.  f and g are then a11 and
-    a22 of ``channel_matrix(spec, roots, mapping)``, and F is taken from
-    them.  Boundary points (u = level) carry no mass.
+    stabilized to its tail behavior, decides it, with no posterior call
+    (:func:`~binquant.likelihood._u_extent`: closed form for a
+    single-Gaussian pair, the first point of a mixture's search grid).  f
+    and g are then a11 and a22 of ``channel_matrix(spec, roots, mapping)``,
+    and F is taken from them.  Boundary points (u = level) carry no mass.
     """
     single = np.ndim(level) == 0
     if single:
         sets = (find_level_set(spec, level, grid_points),)
     else:
         sets = spec._last_level_sets[grid_points] = find_level_sets(spec, level, grid_points)
-    if spec._log_r_quadratic is None:
-        u_lo = _search_grid(spec, grid_points).u[0]
-    else:
-        u_lo = _quadratic_u(spec, spec.search_lo)
+    u_lo = _u_extent(spec, grid_points)[0]
     c0, c1 = _cdfs(spec, np.array([h for ls in sets for h in ls.roots]))
     out = []
     stop = 0

@@ -10,7 +10,9 @@ a strictly decreasing one-to-one function of ``r``.  Candidate quantizer
 thresholds at level ``a`` are the solutions of ``u(y) = a``; the solver in
 :mod:`binquant.solver` searches over ``a``.
 
-The channel picks one of two ways to answer every question about ``u``:
+Only this module tells the two kinds of channel apart, for the roots of
+a batch of levels (:func:`_level_roots`), ``u`` at ``search_lo`` and the
+range of ``u`` (:func:`_u_extent`), and the monotonicity verdict:
 
 * When each density is a single Gaussian, ``log r`` is the quadratic
   ``A y^2 + B y + C`` (coefficients kept on the spec), and nothing needs a
@@ -25,13 +27,14 @@ The channel picks one of two ways to answer every question about ``u``:
   cell's range of ``u`` (see :func:`_search_grid`).  A cell holds a root
   of level ``a`` when exactly one of its two ends lies below ``a``.  A
   ``searchsorted`` of every cell's range against the sorted levels finds
-  all the crossing cells of a batch at once, and all of their brackets are
-  polished together by :func:`_newton_polish`: safeguarded Newton steps
-  from the inverse cubic-Hermite point of each cell (built from ``u`` and
-  ``du/dy`` at its ends), the first with that interpolant's slope.  Only
-  the bracket and ``|u - a|`` decide when a root is done, so a wrong slope
-  can cost steps but cannot move a root.  Every bracket narrows on its
-  own, so a level's roots do not depend on the batch it came in.
+  all the crossing cells of a batch at once.  To ranking accuracy a root
+  is the inverse cubic-Hermite point of its cell (built from ``u`` and
+  ``du/dy`` at its ends); polished, all the brackets narrow together by
+  :func:`_newton_polish`: safeguarded Newton steps from that point, the
+  first with that interpolant's slope.  Only the bracket and ``|u - a|``
+  decide when a root is done, so a wrong slope can cost steps but cannot
+  move a root.  Every bracket narrows on its own, so a level's roots do
+  not depend on the batch it came in.
 
 Every root is a crossing of ``u`` between {u < a} and {u >= a}, so the
 segments between roots alternate between the two.
@@ -183,13 +186,6 @@ def _logistic(spec: ChannelSpec, log_r):
     return expit(math.log(spec.prior.p1 / spec.prior.p0) - np.asarray(log_r))
 
 
-def _quadratic_u(spec: ChannelSpec, y):
-    """u(y) of a single-Gaussian pair, from its quadratic log r = A y^2 + B y + C."""
-    quad_a, quad_b, quad_c = spec._log_r_quadratic
-    y = np.asarray(y, dtype=float)
-    return _logistic(spec, (quad_a * y + quad_b) * y + quad_c)
-
-
 def _check_grid_points(grid_points) -> None:
     """Raise InvalidSpecError unless ``grid_points`` lies in [64, MAX_GRID_POINTS].
 
@@ -214,10 +210,10 @@ def posterior(spec: ChannelSpec, y):
 class _Grid(NamedTuple):
     """The level-independent search grid of a mixture channel; arrays are read-only.
 
-    It ranks the candidate levels of :func:`~binquant.solver.solve`,
-    brackets the level-set roots and classifies the monotonicity of r, for
-    mixture channels only: single-Gaussian pairs are scanned and classified
-    in closed form, and never build one.  Cell i is [ys[i], ys[i + 1]], and
+    It brackets the level-set roots of the levels that
+    :func:`~binquant.solver.solve` scans and searches, and classifies the
+    monotonicity of r, for mixture channels only: single-Gaussian pairs are
+    scanned and classified in closed form, and never build one.  Cell i is [ys[i], ys[i + 1]], and
     ``du`` is du/dy.  ``cells`` lists the cells in which u takes more than
     one value and reaches into the admissible levels (1e-9, 1 - 1e-9), the
     only ones a level can cross; ``lo_u``/``hi_u`` are the smaller and the
@@ -245,22 +241,20 @@ def _search_grid(spec: ChannelSpec, grid_points: int) -> _Grid:
     between two points, 129 more over mean +- 8 stddevs of every component
     whose stddev is below 8 uniform spacings (1/8 stddev apart).  Computed
     on first use for each ``grid_points`` and kept on ``spec``.  The
-    library builds it for mixture channels only; a single-Gaussian pair
-    gets the uniform points alone.
+    library builds it for mixture channels only.
     """
     _check_grid_points(grid_points)
     grid = spec._grids.get(grid_points)
     if grid is None:
         ys = np.linspace(spec.search_lo, spec.search_hi, grid_points)
-        if spec._log_r_quadratic is None:
-            reach = _NARROW_SIGMAS * (ys[1] - ys[0])
-            narrow = [
-                np.linspace(c.mean - _NARROW_SIGMAS * c.stddev, c.mean + _NARROW_SIGMAS * c.stddev, _NARROW_POINTS)
-                for c in spec.density0.components + spec.density1.components
-                if c.stddev < reach
-            ]
-            if narrow:
-                ys = np.union1d(ys, np.concatenate(narrow))
+        reach = _NARROW_SIGMAS * (ys[1] - ys[0])
+        narrow = [
+            np.linspace(c.mean - _NARROW_SIGMAS * c.stddev, c.mean + _NARROW_SIGMAS * c.stddev, _NARROW_POINTS)
+            for c in spec.density0.components + spec.density1.components
+            if c.stddev < reach
+        ]
+        if narrow:
+            ys = np.union1d(ys, np.concatenate(narrow))
         log_p0, slope0 = _log_pdf_slope(spec.density0, ys)
         log_p1, slope1 = _log_pdf_slope(spec.density1, ys)
         log_r = log_p0 - log_p1
@@ -276,6 +270,26 @@ def _search_grid(spec: ChannelSpec, grid_points: int) -> _Grid:
             arr.flags.writeable = False
         spec._grids[grid_points] = grid
     return grid
+
+
+def _u_extent(spec: ChannelSpec, grid_points: int) -> tuple[float, float, float]:
+    """u at ``search_lo``, which labels the first segment, and the least and the largest u in the window.
+
+    A single-Gaussian pair takes them in closed form, from u at the two
+    ends of the window and, when it lies inside, at the vertex -B / 2A of
+    log r = A y^2 + B y + C; a mixture reads them off its search grid.
+    """
+    if spec._log_r_quadratic is None:
+        u = _search_grid(spec, grid_points).u
+    else:
+        _check_grid_points(grid_points)
+        quad_a, quad_b, quad_c = spec._log_r_quadratic
+        ys = [spec.search_lo, spec.search_hi]
+        if quad_a != 0.0 and spec.search_lo < -quad_b / (2.0 * quad_a) < spec.search_hi:
+            ys.append(-quad_b / (2.0 * quad_a))
+        y = np.array(ys)
+        u = _logistic(spec, (quad_a * y + quad_b) * y + quad_c)
+    return float(u[0]), float(u.min()), float(u.max())
 
 
 class Monotonicity(enum.Enum):
@@ -419,12 +433,14 @@ def _newton_polish(fn, lo, hi, f_lo, f_hi, d_lo, d_hi, xtol: float, ftol: float,
     ``fn`` once per open bracket, at least xtol / 2 inside it, and keeps
     the sub-bracket with the sign change.  A point with |fn| <= ftol is a
     root; a bracket at most xtol wide gives its midpoint.  So a wrong slope
-    costs steps, never a root, and every bracket narrows on its own.
+    costs steps, never a root, and every bracket narrows on its own.  With
+    ``max_steps`` = 0, ``fn`` is never called and each open bracket gives
+    its first point.
 
     Returns the roots and the number of steps taken; raises
     NotConvergedError when brackets are still open after ``max_steps``.
     """
-    lo, hi, f_lo, f_hi, d_lo, d_hi = (np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi, d_lo, d_hi))
+    lo, hi, f_lo, f_hi, d_lo, d_hi = (np.asarray(v, dtype=float) for v in (lo, hi, f_lo, f_hi, d_lo, d_hi))
     roots = np.where(f_lo == 0.0, lo, np.where(f_hi == 0.0, hi, 0.5 * (lo + hi)))
     # the open brackets' state, compacted as they close
     idx = np.flatnonzero((f_lo != 0.0) & (f_hi != 0.0) & (hi - lo > xtol))
@@ -436,6 +452,9 @@ def _newton_polish(fn, lo, hi, f_lo, f_hi, d_lo, d_hi, xtol: float, ftol: float,
         secant, s = df / h, -fp / df
         t = s * s * (3.0 - 2.0 * s) + s * (1.0 - s) * ((1.0 - s) * secant / d0 - s * secant / d1)
         x = np.clip(a + h * np.where((0.0 < t) & (t < 1.0), t, s), a + half, b - half)
+        if not max_steps:
+            roots[idx] = x
+            return roots, 0
         # the interpolant's slope at x; (xp, fp) is the point evaluated before x, first the lower end
         t = (x - a) / h
         slope = d0 + t * (6.0 * secant - 4.0 * d0 - 2.0 * d1 + t * (3.0 * (d0 + d1) - 6.0 * secant))
@@ -504,20 +523,20 @@ def _quadratic_roots(spec: ChannelSpec, levels: np.ndarray):
     return np.nonzero(keep)[0], roots[keep]
 
 
-def _crossing_roots(spec: ChannelSpec, grid: _Grid, levels: np.ndarray):
+def _crossing_roots(spec: ChannelSpec, grid: _Grid, levels: np.ndarray, max_steps: int):
     """Level indices and roots of u(y) = a for the sorted ``levels``, by the grid crossing rule.
 
     Cell i of the cached grid holds a root of level a when exactly one of
     its ends lies below a, ``lo_u[i] < a <= hi_u[i]``.  A ``searchsorted``
     of the cached ranges of u of the cells that reach into the admissible
     levels against the levels finds them all, with no levels x grid array.
-    The brackets of all levels are refined together by
-    :func:`_newton_polish` until |u(y) - level| <= 1e-12 or the bracket
-    is at most 1e-12 wide, each exactly as it would be refined alone; a
-    bracket end where u equals a exactly is its root.  A grid point where u
-    touches a from below closes the brackets on both of its sides there;
-    that pair of equal roots bounds an empty segment and is dropped.
-    Returned in (level, root) order.
+    :func:`_newton_polish` refines the brackets of all levels together,
+    each exactly as alone, in at most ``max_steps`` steps (none: the
+    inverse cubic-Hermite point of each cell), until |u(y) - level| <=
+    1e-12 or the bracket is at most 1e-12 wide.  A bracket end where u
+    equals a exactly is its root.  A grid point where u touches a from
+    below closes the brackets on both of its sides; that pair of equal
+    roots bounds an empty segment and is dropped.  In (level, root) order.
     """
     ys, u = grid.ys, grid.u
     # each cell holds the run of sorted levels in (lo_u, hi_u]
@@ -527,13 +546,27 @@ def _crossing_roots(spec: ChannelSpec, grid: _Grid, levels: np.ndarray):
     roots, _ = _newton_polish(
         lambda y, j: posterior(spec, y) - target[j],
         ys[cell], ys[cell + 1], u[cell] - target, u[cell + 1] - target, grid.du[cell], grid.du[cell + 1],
-        REFINE_TOL, REFINE_TOL, 200,
+        REFINE_TOL, REFINE_TOL, max_steps,
     )
     # drop each pair of equal roots: it bounds an empty segment
     order = np.lexsort((roots, lvl))
     lvl, roots = lvl[order], roots[order]
     twins = np.flatnonzero((lvl[1:] == lvl[:-1]) & (roots[1:] == roots[:-1]))
     return np.delete(lvl, np.r_[twins, twins + 1]), np.delete(roots, np.r_[twins, twins + 1])
+
+
+def _level_roots(spec: ChannelSpec, levels: np.ndarray, grid_points: int, polish: bool = True):
+    """Level indices and roots of u(y) = a for the sorted ``levels``, in (level, root) order.
+
+    One Gaussian in each density gives the roots of the quadratic log r in
+    closed form (:func:`_quadratic_roots`); a mixture brackets them on its
+    search grid of ``grid_points`` (:func:`_crossing_roots`) and polishes
+    them, unless ``polish`` is False: then they are to ranking accuracy.
+    """
+    if spec._log_r_quadratic is None:
+        return _crossing_roots(spec, _search_grid(spec, grid_points), levels, 200 if polish else 0)
+    _check_grid_points(grid_points)
+    return _quadratic_roots(spec, levels)
 
 
 def find_level_sets(
@@ -544,12 +577,9 @@ def find_level_sets(
     Every root is a crossing of u between {u < a} and {u >= a}, so the
     segments between roots alternate between the two; where u meets a
     without crossing it there is no root.  Roots are sorted ascending and
-    lie in the search window.  The channel picks the path: one Gaussian in
-    each density gives the roots of the quadratic log r in closed form,
-    with no polishing and no grid (:func:`_quadratic_roots`); a mixture
-    channel brackets them on its cached search grid of ``grid_points``
-    (:func:`_search_grid`) and polishes the roots of all levels together
-    (:func:`_crossing_roots`).  ``grid_points`` is checked on either path.
+    lie in the search window, polished (:func:`_level_roots`): in closed
+    form for a single-Gaussian pair, on the search grid of ``grid_points``
+    for a mixture.  ``grid_points`` is checked on either path.
 
     Raises InvalidSpecError if any level lies outside (1e-9, 1 - 1e-9), and
     NotConvergedError if a bracket is still open after 200 steps.
@@ -562,12 +592,7 @@ def find_level_sets(
         bad = levels[~((levels > _LEVEL_MARGIN) & (levels < 1.0 - _LEVEL_MARGIN))]
         raise InvalidSpecError(f"level must lie in (1e-9, 1 - 1e-9), got {float(bad[0])!r}")
     uniq, inverse = np.unique(levels, return_inverse=True)
-    if spec._log_r_quadratic is None:
-        lvl, roots = _crossing_roots(spec, _search_grid(spec, grid_points), uniq)
-    else:
-        _check_grid_points(grid_points)
-        lvl, roots = _quadratic_roots(spec, uniq)
-
+    lvl, roots = _level_roots(spec, uniq, grid_points)
     ends = np.cumsum(np.bincount(lvl, minlength=uniq.size)).tolist()
     roots = roots.tolist()
     sets = [LevelSet(level, tuple(roots[i:j])) for level, i, j in zip(uniq.tolist(), [0, *ends], ends)]

@@ -3,15 +3,15 @@
 The optimal quantizer is the full root set of u(y) = a* for one level a*.
 The stationarity function F may change sign from + to - more than once, so
 :func:`solve` first ranks quantizers to find every peak of the mutual
-information.  A mixture channel ranks the prefixes of its search grid's
-cells sorted by posterior level (Burshtein et al., Ann. Stat. 1992;
-Kurkoski & Yagi, IEEE T-IT 2014); a single-Gaussian pair builds no grid
-and ranks the closed-form level sets of a scan of levels over the range of
-u instead.  One level search next to each peak brackets a + to - change of
-F and narrows the bracket by Chandrupatla's inverse-quadratic search; one
-batching loop runs all of them in shared rounds, each one
-:func:`~binquant.channel.stationarity` call (three on each shipped channel
-but the symmetric one, which takes one).  The ranking only ranks: every
+information.  Only level-set quantizers can be optimal, so every channel
+ranks the level sets of one scan of levels over the range of u, their
+roots taken to ranking accuracy (closed form for a single-Gaussian pair,
+unpolished grid crossings for a mixture).  One level search next to each
+peak brackets a + to - change of F and narrows the bracket by
+Chandrupatla's inverse-quadratic search; one batching loop runs all of
+them in shared rounds, each one :func:`~binquant.channel.stationarity`
+call (three on each shipped channel but the symmetric one, which takes
+one).  The ranking only ranks: every
 reported number comes from one :func:`~binquant.channel.level_functionals`
 call at a*, where every threshold carries the likelihood ratio
 r* = (p1/p0)(1 - a*)/a*; the worst relative deviation from it is the
@@ -29,8 +29,8 @@ import numpy as np
 from .channel import ChannelMatrix, Mapping, _mi_bits, level_functionals, mutual_information, stationarity
 from .density import Thresholds, cdf
 from .errors import InvalidSpecError, NoSignChangeError, NotConvergedError
-from .likelihood import DEFAULT_GRID_POINTS, ChannelSpec, Monotonicity, _check_grid_points, _quadratic_roots
-from .likelihood import _quadratic_u, _search_grid, classify_monotonicity, likelihood_ratio
+from .likelihood import DEFAULT_GRID_POINTS, ChannelSpec, Monotonicity, _check_grid_points, _level_roots
+from .likelihood import _u_extent, classify_monotonicity, likelihood_ratio
 
 __all__ = ["SolverConfig", "QuantizerDesign", "solve", "predict_single_threshold"]
 
@@ -39,6 +39,9 @@ PEAK_MARGIN_BITS = 1e-3
 
 #: Distance from a candidate level to the first levels round 0 evaluates next to it.
 BRACKET_HALF_WIDTH = 0.01
+
+#: A channel carries no information when no quantizer the scan or the search finds carries more bits than this.
+_NO_INFORMATION_BITS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -49,12 +52,12 @@ class SolverConfig:
     level search narrows each sign-change bracket to, ``max_iter`` the
     budget of narrowing rounds of each candidate's search, and
     ``grid_points`` the number of uniform points of a mixture's search grid,
-    which ranks its candidates, brackets its level-set roots and classifies
-    its ratio, at most MAX_GRID_POINTS.  A single-Gaussian pair is scanned
-    and classified in closed form; for it ``grid_points`` only sets the
-    grid of the monotonicity verdict, on which the steps of its quadratic
-    log r are judged.  Each error message starts with the name of the field
-    it rejects.
+    which brackets its level-set roots (for the scan that ranks its
+    candidates, too) and classifies its ratio, at most MAX_GRID_POINTS.  A
+    single-Gaussian pair is scanned and classified in closed form; for it
+    ``grid_points`` only sets the grid of the monotonicity verdict, on which
+    the steps of its quadratic log r are judged.  Each error message starts
+    with the name of the field it rejects.
     """
 
     a_lo: float = 1e-6
@@ -99,75 +102,47 @@ class QuantizerDesign:
     iterations: int
 
 
-def _sorted_cells(spec: ChannelSpec, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Levels in increasing order and the MI of their quantizers, from a mixture's sorted grid cells.
-
-    Each grid point is the centre of a cell reaching halfway to its
-    neighbours (the outer cells reach +-inf).  With the n cells sorted by u
-    and u = 0, 1 put at the ends, the first k of them (k = 0..n) are the
-    quantizer {u < a} for every level a between the k-th and the (k+1)-th
-    u, placed at the middle of that interval, so cumulative sums give a11
-    and a22 of all these quantizers at once.
-    """
-    grid = _search_grid(spec, cfg.grid_points)
-    order = np.argsort(grid.u, kind="stable")
-    edges = 0.5 * (grid.ys[1:] + grid.ys[:-1])
-    m0 = np.diff(cdf(spec.density0, edges), prepend=0.0, append=1.0)[order]
-    m1 = np.diff(cdf(spec.density1, edges), prepend=0.0, append=1.0)[order]
-    u = np.concatenate(([0.0], grid.u[order], [1.0]))
-    inside = (u[1:] >= cfg.a_lo) & (u[:-1] <= cfg.a_hi)
-    levels = np.clip(0.5 * (u[1:] + u[:-1])[inside], cfg.a_lo, cfg.a_hi)
-    a11 = np.concatenate(([0.0], np.cumsum(m0)))
-    a22 = 1.0 - np.concatenate(([0.0], np.cumsum(m1)))
-    return levels, _mi_bits(spec.prior.p0, a11, a22)[inside]
-
-
 def _level_scan(spec: ChannelSpec, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Levels in increasing order and the MI of their quantizers, for a single-Gaussian pair.
+    """Levels in increasing order and the MI of their level-set quantizers.
 
-    The range of u over the search window is u at its two ends and, when
-    it lies inside, at the vertex -B / 2A of log r = A y^2 + B y + C; cut
-    to [a_lo, a_hi], it gets levels spaced at most BRACKET_HALF_WIDTH / 4
-    apart, symmetric about its midpoint, which is one of them (at most 401
-    levels).  Their closed-form roots (:func:`_quadratic_roots`) bound the
-    segments; one CDF call per density at all the roots gives f and g of
-    every level by alternating sums, the first segment labelled by u at
-    ``search_lo``.
+    The range of u over the search window, cut to [a_lo, a_hi], gets levels
+    spaced at most BRACKET_HALF_WIDTH / 4 apart, symmetric about its
+    midpoint, which is one of them (at most 401 levels).  Their roots, to
+    ranking accuracy, bound the segments; one CDF call per density at all
+    the roots gives f and g of every level by alternating sums, the first
+    segment labelled by u at ``search_lo``.  The range, the roots and the
+    label come from :mod:`binquant.likelihood`.
     """
-    quad_a, quad_b, _ = spec._log_r_quadratic
-    ends = [spec.search_lo, spec.search_hi]
-    if quad_a != 0.0 and spec.search_lo < -quad_b / (2.0 * quad_a) < spec.search_hi:
-        ends.append(-quad_b / (2.0 * quad_a))
-    u = _quadratic_u(spec, ends)
-    low, high = np.clip([u.min(), u.max()], cfg.a_lo, cfg.a_hi)
+    u_lo, u_min, u_max = _u_extent(spec, cfg.grid_points)
+    low, high = np.clip([u_min, u_max], cfg.a_lo, cfg.a_hi)
     half = 0.5 * (high - low)
     n = math.ceil(half / (0.25 * BRACKET_HALF_WIDTH))
     levels = np.clip(0.5 * (low + high) + half / max(n, 1) * np.arange(-n, n + 1), low, high)
-    lvl, roots = _quadratic_roots(spec, levels)
+    lvl, roots = _level_roots(spec, levels, cfg.grid_points, polish=False)
+    count = np.bincount(lvl, minlength=levels.size)
     # the roots of each level alternate in sign in its sum of CDFs, the first one +
-    sign = np.where(np.r_[False, lvl[1:] == lvl[:-1]], -1.0, 1.0)
-    even = np.bincount(lvl, minlength=levels.size) % 2 == 0
+    sign = np.where((np.arange(lvl.size) - (np.cumsum(count) - count)[lvl]) % 2, -1.0, 1.0)
+    even = count % 2 == 0
     odd0 = np.bincount(lvl, sign * cdf(spec.density0, roots), levels.size) + even
     odd1 = np.bincount(lvl, sign * cdf(spec.density1, roots), levels.size) + even
-    # the odd segments, (-inf, h1), [h2, inf), ... are {u < a} when u at search_lo is below a
-    odd_first = u[0] < levels
+    # the odd segments, (-inf, h1), [h2, h3), ... are {u < a} when u at search_lo is below a
+    odd_first = u_lo < levels
     f = np.clip(np.where(odd_first, odd0, 1.0 - odd0), 0.0, 1.0)
     g = np.clip(np.where(odd_first, 1.0 - odd1, odd1), 0.0, 1.0)
     return levels, _mi_bits(spec.prior.p0, f, g)
 
 
 def _candidate_levels(spec: ChannelSpec, cfg: SolverConfig) -> np.ndarray:
-    """Levels of the MI peaks within PEAK_MARGIN_BITS of the best of the ranked quantizers.
+    """Levels of the MI peaks within PEAK_MARGIN_BITS of the best of the scanned levels.
 
-    A mixture ranks its sorted grid cells (:func:`_sorted_cells`), a
-    single-Gaussian pair a scan of levels (:func:`_level_scan`).  The
-    quantizers near the best form runs in level order; each run, merged
-    with any run whose end lies within two bracket half-widths, gives its
-    best level, so a single-peaked MI curve gives one candidate however
-    flat or jagged its top is at the ranking's resolution.
+    The paper's optimum is a level-set quantizer, so the ranking scans
+    levels (:func:`_level_scan`).  The levels near the best form runs in
+    level order; each run, merged with any run whose end lies within two
+    bracket half-widths, gives its best level, so a single-peaked MI curve
+    gives one candidate however flat or jagged its top is at the scan's
+    resolution.
     """
-    rank = _sorted_cells if spec._log_r_quadratic is None else _level_scan
-    levels, mi = rank(spec, cfg)
+    levels, mi = _level_scan(spec, cfg)
     near_best = np.flatnonzero(mi >= mi.max(initial=0.0) - PEAK_MARGIN_BITS)
     cuts = 1 + np.flatnonzero(
         (np.diff(near_best) > 1) & (np.diff(levels[near_best]) > 2.0 * BRACKET_HALF_WIDTH)
@@ -305,23 +280,28 @@ def solve(spec: ChannelSpec, config: SolverConfig | None = None) -> QuantizerDes
     keeps the level sets of the last call, so a design at a level of the
     last round polishes no root again.
 
-    Raises NoSignChangeError when no candidate can be bracketed (the best
-    level in range is at its edge, or identical conditional densities carry
-    no information), NotConvergedError when a search is still open after
-    ``max_iter`` narrowing rounds, and DegenerateChannelError when no
-    candidate is left and F was degenerate at one of its levels.
+    Raises NoSignChangeError when no quantizer of the scan or the search
+    carries more than _NO_INFORMATION_BITS (the channel carries no
+    information, as with identical conditional densities) or no candidate
+    can be bracketed (the best level in range is at its edge),
+    NotConvergedError when a search is still open after ``max_iter``
+    narrowing rounds, and DegenerateChannelError when no candidate is left
+    and F was degenerate at one of its levels.
     """
     cfg = config or SolverConfig()
     candidates = _candidate_levels(spec, cfg).tolist()
     searches = [_candidate_search(c, cfg.a_lo, cfg.a_hi, cfg.tol_a, cfg.max_iter) for c in candidates]
     outcomes, rounds = _search(lambda levels: stationarity(spec, levels, cfg.grid_points), searches)
-    levels = [a for kind, a in outcomes if kind == "level"]
-    if not levels:
-        if classify_monotonicity(spec, cfg.grid_points).flat:
-            raise NoSignChangeError(
-                "the posterior level is constant, so the channel carries no "
-                "information (mutual information is identically 0)"
-            )
+    fns = [level_functionals(spec, a, cfg.grid_points) for kind, a in outcomes if kind == "level"]
+    mis = [_mi_bits(spec.prior.p0, fn.correct0, fn.correct1) for fn in fns]
+    # the scan is taken again only where the search found nothing better than no information
+    no_information = max(mis, default=0.0) <= _NO_INFORMATION_BITS
+    if no_information and _level_scan(spec, cfg)[1].max() <= _NO_INFORMATION_BITS:
+        raise NoSignChangeError(
+            f"neither the level scan nor the level search found a quantizer carrying more than "
+            f"{_NO_INFORMATION_BITS:g} bits, so the channel carries no information"
+        )
+    if not fns:
         degenerate = [a for kind, a in outcomes if kind == "nan"]
         if degenerate:
             stationarity(spec, degenerate[-1], cfg.grid_points)  # a scalar level raises DegenerateChannelError
@@ -331,10 +311,7 @@ def solve(spec: ChannelSpec, config: SolverConfig | None = None) -> QuantizerDes
             "the mutual information is highest at its edge; widen the range"
         )
 
-    fn = max(
-        (level_functionals(spec, a, cfg.grid_points) for a in levels),
-        key=lambda fn: _mi_bits(spec.prior.p0, fn.correct0, fn.correct1),
-    )
+    fn = fns[int(np.argmax(mis))]
     matrix = ChannelMatrix(a11=fn.correct0, a22=fn.correct1)
     r_star = (spec.prior.p1 / spec.prior.p0) * (1.0 - fn.level) / fn.level
     ratios = likelihood_ratio(spec, np.asarray(fn.roots))

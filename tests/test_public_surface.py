@@ -86,12 +86,12 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
 LIBRARY = sorted((Path(__file__).resolve().parent.parent / "src" / "binquant").glob("*.py"))
 
 #: The private helpers that are shared between library modules on purpose.
-#: ``_quadratic_roots`` and ``_quadratic_u`` let the solver scan single-Gaussian
-#: pairs in closed form, and ``_check_grid_points`` is the one range check of
-#: ``grid_points``, shared by ``SolverConfig``.
-SHARED_PRIVATE = {
-    "_search_grid", "_mi_bits", "_h2", "_log_pdf_slope", "_quadratic_roots", "_quadratic_u", "_check_grid_points"
-}
+#: ``_level_roots`` and ``_u_extent`` give the solver's level scan its roots,
+#: the range of u and the first segment's label (``_u_extent`` gives
+#: ``level_functionals`` the label too), so ``likelihood`` alone picks the
+#: closed form or the search grid; ``_check_grid_points`` is the one range
+#: check of ``grid_points``, shared by ``SolverConfig``.
+SHARED_PRIVATE = {"_mi_bits", "_h2", "_log_pdf_slope", "_level_roots", "_u_extent", "_check_grid_points"}
 
 
 def _imports(tree):

@@ -36,7 +36,7 @@ from binquant import (
 )
 from binquant import channel, likelihood, solver
 from binquant.cli import load_config
-from tests.conftest import CONFIG_DIR, gaussian_pairs, single_gaussian
+from tests.conftest import CONFIG_DIR, fresh_copy, gaussian_pairs, single_gaussian
 
 SHIPPED_AND_VERIFY_CONFIGS = sorted(CONFIG_DIR.glob("*.json")) + sorted(
     (Path(__file__).resolve().parent / "data" / "verify").glob("*.json")
@@ -506,16 +506,20 @@ class TestTwoPeakMixture:
 
 
 def _cell_bound_bits(p0, comps0, comps1, cells=2**16):
-    """Best MI of a union of ``cells`` cells, from scipy's normal CDF alone.
+    """Best MI of a union of about ``cells`` cells, from scipy's normal CDF alone.
 
     The cells cover the line; sorted by their mass ratio, every prefix is a
-    quantizer, so the best prefix is a lower bound on the optimal MI.
+    quantizer, so the best prefix is a lower bound on the optimal MI.  The
+    edges are uniform, plus 2001 over mean +- 12 stddevs of every component
+    narrower than 16 uniform cells, so the bound resolves it too.
     """
     comps = comps0 + comps1
     smax = max(s for _, s, _ in comps)
     lo = min(m for m, _, _ in comps) - 12.0 * smax
     hi = max(m for m, _, _ in comps) + 12.0 * smax
-    edges = np.concatenate(([-np.inf], np.linspace(lo, hi, cells - 1), [np.inf]))
+    uniform = np.linspace(lo, hi, cells - 1)
+    narrow = [np.linspace(m - 12.0 * s, m + 12.0 * s, 2001) for m, s, _ in comps if s < 16.0 * (uniform[1] - lo)]
+    edges = np.concatenate(([-np.inf], np.unique(np.concatenate([uniform, *narrow])), [np.inf]))
 
     def masses(mixture):
         return np.diff(sum(w * ndtr((edges - m) / s) for m, s, w in mixture))
@@ -544,6 +548,18 @@ def _normalized(comps):
 
 _MIXTURE = st.lists(
     st.tuples(st.floats(-4.0, 4.0), st.floats(0.05, 3.0), st.floats(0.1, 1.0)),
+    min_size=1,
+    max_size=3,
+).map(_normalized)
+
+
+#: A component's stddev: log-uniform on [3e-4, 3e-2] with probability 0.3, else uniform on [0.05, 3].
+_NARROW_OR_WIDE = st.tuples(st.floats(0.0, 1.0), st.floats(math.log(3e-4), math.log(3e-2)), st.floats(0.05, 3.0)).map(
+    lambda t: math.exp(t[1]) if t[0] < 0.3 else t[2]
+)
+
+_NARROW_MIXTURE = st.lists(
+    st.tuples(st.floats(-4.0, 4.0), _NARROW_OR_WIDE, st.floats(0.1, 1.0)),
     min_size=1,
     max_size=3,
 ).map(_normalized)
@@ -581,6 +597,24 @@ class TestGlobalOptimum:
         for level in (a - 1e-6, a + 1e-6):
             fn = level_functionals(spec, level)
             assert design.mi_bits >= mutual_information(spec.prior, ChannelMatrix(fn.correct0, fn.correct1)) - 1e-15
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(p0=st.floats(0.2, 0.8), comps0=_NARROW_MIXTURE, comps1=_NARROW_MIXTURE)
+    def test_narrow_components_never_below_a_sorted_cell_bound(self, p0, comps0, comps1):
+        # components far narrower than the search grid's uniform spacing
+        assume(comps0 != comps1)
+        density0, density1 = (
+            DensityModel(tuple(GaussianComponent(*c) for c in comps)) for comps in (comps0, comps1)
+        )
+        bound, err0, err1 = _cell_bound_bits(p0, comps0, comps1)
+        try:
+            design = solve(channel_spec(Prior(p0=p0), density0, density1))
+        except NoSignChangeError:
+            assert bound <= 1e-9
+        except DegenerateChannelError:
+            assert min(err0, err1) <= 1e-9
+        else:
+            assert design.mi_bits >= bound - 1e-9
 
 
 def _dense_level_scan(spec, levels):
@@ -651,6 +685,17 @@ class TestGaussianPairScan:
             return
         assert design.mi_bits >= mi.max() - 1e-12
 
+    @pytest.mark.parametrize("name, most_roots", [("fig5_spec", 6), ("two_peaks_spec", 4)])
+    def test_a_mixture_scan_gives_the_mi_of_its_level_sets(self, name, most_roots, request):
+        # the roots of a level alternate in sign past the second one; unpolished,
+        # they move the MI by far less than the PEAK_MARGIN_BITS that ranks it
+        spec = request.getfixturevalue(name)
+        levels, mi = solver._level_scan(spec, SolverConfig())
+        fns = level_functionals(fresh_copy(spec), levels)
+        exact = [mutual_information(spec.prior, ChannelMatrix(fn.correct0, fn.correct1)) for fn in fns]
+        assert max(len(fn.roots) for fn in fns) == most_roots
+        np.testing.assert_allclose(mi, exact, rtol=0.0, atol=1e-5)
+
     def test_symmetric_channel_scans_its_midpoint(self, example1_spec):
         # the scan levels are symmetric about the midpoint of the range of u, 0.5
         candidates = solver._candidate_levels(example1_spec, SolverConfig())
@@ -666,6 +711,13 @@ class TestErrors:
         # F < 0 on the whole admissible range above the optimum
         with pytest.raises(NoSignChangeError):
             solve(example2_spec, SolverConfig(a_lo=0.5, a_hi=0.7))
+
+    def test_a_channel_with_next_to_no_information_reports_none(self):
+        # the means are 6e-8 stddevs apart: every level-set quantizer carries 0.0 bits
+        spec = channel_spec(Prior(p0=0.0508), single_gaussian(-6e-8, 1.0), single_gaussian(0.0, 1.0))
+        assert not classify_monotonicity(spec).flat
+        with pytest.raises(NoSignChangeError, match="no information"):
+            solve(spec)
 
     def test_identical_densities_written_as_a_mixture_have_no_level_set(self):
         # u is 0.5 up to rounding, which crosses the level 0.5 in many grid cells
