@@ -8,23 +8,21 @@ giving the correct-decision masses
     f(a) = mass of density0 on {u < a},   g(a) = mass of density1 on {u >= a},
 
 both computed from the CDFs at the level-set roots (no quadrature), by the
-same alternate-segment sum as :func:`channel_matrix`: one CDF call per
-density over all the thresholds, and one ``math.fsum`` of exact terms per
-mass.  (The solver's candidate ranking sums its own masses, vectorized
-over its scan of levels, from the CDFs at their unpolished roots.)
-:func:`level_functionals` takes one level or a batch, which costs one
-:func:`~binquant.likelihood.find_level_sets` call and one CDF call per
-density over all its roots.  The stationarity function F is the scalar
-factor in
+one exact sum that :func:`channel_matrix` uses too (:func:`_correct_masses`):
+one CDF call per density over all the thresholds, and one ``math.fsum`` of
+exact terms per mass.  (The solver's candidate ranking sums its own masses,
+vectorized over its scan of levels, from the CDFs at their unpolished
+roots.)  Every batch of levels is one :func:`_level_batch`, which reads
+its roots and CDFs in one call each and gives f, g and F as arrays, with
+no object per level.  The stationarity function F is the scalar factor in
 
     d I(X;Z)_a / da = p0 * f'(a) * F(a),
 
 so a zero where F falls from positive to negative is a local maximum of
 the mutual information.  F can have several, so the solver brackets one
 per candidate peak, evaluating all its brackets in one :func:`stationarity`
-call per round: the F column of a :func:`level_functionals` batch.  The
-spec keeps the level sets of its last batch, so the design read at a*
-polishes no root again.
+call per round.  The spec keeps the roots of its last batch, so the design
+read at a* polishes no root again.
 
 A level whose f or g lies within DEGENERACY_EPS of {0, 1} is degenerate: F
 is unbounded there, the level functionals give it as NaN, and
@@ -34,6 +32,7 @@ is unbounded there, the level functionals give it as NaN, and
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Literal
 
@@ -41,7 +40,7 @@ import numpy as np
 
 from .density import Thresholds, cdf
 from .errors import DegenerateChannelError, InvalidSpecError, QuantizerError
-from .likelihood import DEFAULT_GRID_POINTS, ChannelSpec, Prior, _u_extent, find_level_set, find_level_sets
+from .likelihood import DEFAULT_GRID_POINTS, ChannelSpec, LevelSet, Prior, _batch_roots, _u_extent, find_level_set
 
 __all__ = [
     "Mapping",
@@ -60,6 +59,9 @@ Mapping = Literal["odd_to_zero", "even_to_zero"]
 #: logs unbounded: ``LevelFunctionals.stationarity_value`` is NaN there, and
 #: :func:`stationarity` raises DegenerateChannelError.
 DEGENERACY_EPS = 1e-12
+
+#: The QuantizerError of masses with f + g < 1: no level set gives them, so its roots or labels are wrong.
+_MASS_SUM_ERROR = "inconsistent level set at level a={!r}: f={!r}, g={!r} violate f + g >= 1"
 
 
 @dataclass(frozen=True)
@@ -101,10 +103,7 @@ class LevelFunctionals:
 
     def __post_init__(self):
         if self.correct0 + self.correct1 < 1.0 - 1e-9:
-            raise QuantizerError(
-                f"inconsistent level set at level a={float(self.level)!r}: "
-                f"f={float(self.correct0)!r}, g={float(self.correct1)!r} violate f + g >= 1"
-            )
+            raise QuantizerError(_MASS_SUM_ERROR.format(*map(float, (self.level, self.correct0, self.correct1))))
 
 
 def validate_thresholds(thresholds) -> Thresholds:
@@ -119,23 +118,27 @@ def validate_thresholds(thresholds) -> Thresholds:
     return h
 
 
-def _alternating_mass(cdf_at_thresholds: list[float], odd: bool) -> float:
-    """Mass on the odd (or else even) segments of the partition by thresholds h1 < ... < hn.
+def _correct_masses(c0: list[float], c1: list[float], bounds: list[int], odd_first: list[bool]):
+    """(a11, a22) lists of a batch of threshold vectors, from both CDFs at all their thresholds.
 
-    The thresholds split the line into n + 1 segments; the odd ones are
-    (-inf, h1), [h2, h3), ... and the even ones [h1, h2), [h3, h4), ....
-    With CDF values c1 <= ... <= cn the odd segments hold
-    c1 - c2 + c3 - ... (+ 1 when n is even), and the even ones 1 minus
-    that.  Both are summed from these exact terms by ``math.fsum``, so the
-    mass is rounded once, and clamped into [0, 1]; the two parities always
-    add up to 1.  With no thresholds the whole line is the one odd segment.
+    Vector i's are at bounds[i]:bounds[i + 1], and ``odd_first[i]`` sends
+    its odd segments to Z=0.  Thresholds h1 < ... < hn split the line into
+    the odd segments (-inf, h1), [h2, h3), ... and the even ones [h1, h2),
+    [h3, h4), ....  With CDF values c1 <= ... <= cn the odd ones hold
+    c1 - c2 + c3 - ... (+ 1 when n is even), the even ones -c1 + c2 - ...
+    (+ 1 when n is odd).  Each mass is one ``math.fsum`` of these exact
+    terms, so it is rounded once, and clamped into [0, 1]; it does not
+    depend on the batch.
     """
-    c = cdf_at_thresholds
-    terms = c[::2] + [-v for v in c[1::2]]
-    if len(c) % 2 == 0:
-        terms.append(1.0)
-    mass = math.fsum(terms) if odd else math.fsum([1.0] + [-v for v in terms])
-    return min(1.0, max(0.0, mass))
+    neg0, neg1 = [-v for v in c0], [-v for v in c1]
+    a11, a22 = [], []
+    for start, stop, odd in zip(bounds, bounds[1:], odd_first):
+        # the Z=0 segments add the CDFs from i on, every other one, and subtract those from j on
+        i, j = (start, start + 1) if odd else (start + 1, start)
+        one, other = ([1.0], []) if (stop - i) % 2 == 0 else ([], [1.0])
+        a11.append(min(1.0, max(0.0, math.fsum(c0[i:stop:2] + neg0[j:stop:2] + one))))
+        a22.append(min(1.0, max(0.0, math.fsum(c1[j:stop:2] + neg1[i:stop:2] + other))))
+    return a11, a22
 
 
 def _cdfs(spec: ChannelSpec, points: np.ndarray) -> tuple[list[float], list[float]]:
@@ -143,11 +146,6 @@ def _cdfs(spec: ChannelSpec, points: np.ndarray) -> tuple[list[float], list[floa
     if not points.size:
         return [], []
     return cdf(spec.density0, points).tolist(), cdf(spec.density1, points).tolist()
-
-
-def _correct_masses(c0: list[float], c1: list[float], odd_first: bool) -> tuple[float, float]:
-    """(a11, a22) from both CDFs at the thresholds; ``odd_first`` sends the odd segments to Z=0."""
-    return _alternating_mass(c0, odd=odd_first), _alternating_mass(c1, odd=not odd_first)
 
 
 def channel_matrix(spec: ChannelSpec, thresholds: Thresholds, mapping: Mapping) -> ChannelMatrix:
@@ -160,7 +158,7 @@ def channel_matrix(spec: ChannelSpec, thresholds: Thresholds, mapping: Mapping) 
     if mapping not in ("odd_to_zero", "even_to_zero"):
         raise InvalidSpecError(f"unknown mapping {mapping!r}")
     c0, c1 = _cdfs(spec, np.array(validate_thresholds(thresholds)))
-    a11, a22 = _correct_masses(c0, c1, mapping == "odd_to_zero")
+    (a11,), (a22,) = _correct_masses(c0, c1, [0, len(c0)], [mapping == "odd_to_zero"])
     return ChannelMatrix(a11=a11, a22=a22)
 
 
@@ -202,16 +200,44 @@ def mutual_information(prior: Prior, matrix: ChannelMatrix) -> float:
     return float(_mi_bits(prior.p0, matrix.a11, matrix.a22))
 
 
+#: The level functionals of a batch, per sorted unique level (:func:`_level_batch`).
+_Batch = namedtuple("_Batch", "levels inverse bounds roots odd_first f g F")
+
+
+def _level_batch(spec: ChannelSpec, levels, grid_points: int, level_set: LevelSet | None = None) -> _Batch:
+    """f, g and F of a batch of levels as arrays, per sorted unique level, with no object per level.
+
+    The roots come from one :func:`~binquant.likelihood._batch_roots` call,
+    which the spec keeps as its last batch of this grid size, or from
+    ``level_set``, a batch of one; one CDF call per density at all of them
+    gives every mass (:func:`_correct_masses`).  Raises QuantizerError for
+    the first level of ``levels`` with f + g < 1.
+    """
+    if level_set is None:
+        uniq, inverse, bounds, roots = _batch_roots(spec, levels, grid_points, keep=True)
+    else:
+        uniq, inverse, bounds, roots = [level_set.level], [0], [0, len(level_set.roots)], np.array(level_set.roots)
+    u_lo = _u_extent(spec, grid_points)[0]
+    odd_first = [u_lo < a for a in uniq]
+    f, g = _correct_masses(*_cdfs(spec, roots), bounds, odd_first)
+    F = np.array([_stationarity_from_masses(spec.prior, *v) for v in zip(uniq, f, g)])
+    f, g = np.array(f), np.array(g)
+    short = f + g < 1.0 - 1e-9
+    if short.any():
+        i = inverse[short[inverse].argmax()]
+        raise QuantizerError(_MASS_SUM_ERROR.format(uniq[i], float(f[i]), float(g[i])))
+    return _Batch(uniq, inverse, bounds, roots, odd_first, f, g, F)
+
+
 def level_functionals(spec: ChannelSpec, level, grid_points: int = DEFAULT_GRID_POINTS):
     """Correct-decision masses f, g of the quantizer induced by ``level``, and F from them.
 
     A single level gives one :class:`LevelFunctionals`, whose level set
     comes from :func:`~binquant.likelihood.find_level_set`.  An array of
-    levels gives a tuple of them, in input order, from one
-    :func:`~binquant.likelihood.find_level_sets` call and one CDF call per
-    density over all their roots; the spec keeps those level sets as its
-    last batch of this grid size, which
-    :func:`~binquant.likelihood.find_level_set` reads.
+    levels gives a tuple of them, in input order, from the arrays of one
+    :func:`_level_batch` (whose roots the spec keeps for
+    :func:`~binquant.likelihood.find_level_set`), which the callers that
+    need only numbers (:func:`stationarity`, the oracle) read directly.
 
     The level-set roots are the thresholds, and the segments between them
     alternate between {u < level} and {u >= level}, so only the first one,
@@ -222,27 +248,11 @@ def level_functionals(spec: ChannelSpec, level, grid_points: int = DEFAULT_GRID_
     and g are then a11 and a22 of ``channel_matrix(spec, roots, mapping)``,
     and F is taken from them.  Boundary points (u = level) carry no mass.
     """
-    single = np.ndim(level) == 0
-    if single:
-        sets = (find_level_set(spec, level, grid_points),)
-    else:
-        sets = spec._last_level_sets[grid_points] = find_level_sets(spec, level, grid_points)
-    u_lo = _u_extent(spec, grid_points)[0]
-    c0, c1 = _cdfs(spec, np.array([h for ls in sets for h in ls.roots]))
-    out = []
-    stop = 0
-    for ls in sets:
-        start, stop = stop, stop + len(ls.roots)
-        odd_first = u_lo < ls.level
-        a11, a22 = _correct_masses(c0[start:stop], c1[start:stop], odd_first)
-        out.append(
-            LevelFunctionals(
-                level=ls.level, correct0=a11, correct1=a22, roots=ls.roots,
-                mapping="odd_to_zero" if odd_first else "even_to_zero",
-                stationarity_value=_stationarity_from_masses(spec.prior, ls.level, a11, a22),
-            )
-        )
-    return out[0] if single else tuple(out)
+    b = _level_batch(spec, level, grid_points, None if np.ndim(level) else find_level_set(spec, level, grid_points))
+    roots, mapping = b.roots.tolist(), ("even_to_zero", "odd_to_zero")
+    rows = zip(b.levels, b.bounds, b.bounds[1:], b.odd_first, b.f.tolist(), b.g.tolist(), b.F.tolist())
+    fns = [LevelFunctionals(a, f, g, tuple(roots[i:j]), mapping[odd], F) for a, i, j, odd, f, g, F in rows]
+    return tuple(fns[i] for i in b.inverse.tolist()) if np.ndim(level) else fns[0]
 
 
 def _stationarity_from_masses(prior: Prior, level: float, f: float, g: float) -> float:
@@ -274,15 +284,14 @@ def stationarity(spec: ChannelSpec, level, grid_points: int = DEFAULT_GRID_POINT
     and it can have several + to - zeros.  The zeros are invariant to the
     log base.
 
-    F is the ``stationarity_value`` column of one :func:`level_functionals`
-    batch.  An array of levels gives F at each, in order, NaN at degenerate
-    levels; a scalar level gives a float, and raises DegenerateChannelError
-    when f or g is within 1e-12 of {0, 1}: the level must move inward.
+    F is read from one :func:`_level_batch`.  An array of levels gives F
+    at each, in order, NaN at degenerate levels; a scalar level gives a
+    float, and raises DegenerateChannelError when f or g is within 1e-12 of
+    {0, 1}: the level must move inward.
     """
-    fns = level_functionals(spec, np.atleast_1d(level), grid_points)
+    b = _level_batch(spec, np.atleast_1d(level), grid_points)
     if np.ndim(level):
-        return np.array([fn.stationarity_value for fn in fns])
-    (fn,) = fns
-    if math.isnan(fn.stationarity_value):
-        raise DegenerateChannelError(level, fn.correct0, fn.correct1)
-    return fn.stationarity_value
+        return b.F[b.inverse]
+    if math.isnan(b.F[0]):
+        raise DegenerateChannelError(level, b.f[0], b.g[0])
+    return float(b.F[0])

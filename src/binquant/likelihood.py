@@ -100,11 +100,11 @@ class ChannelSpec:
 
     Each instance keeps its own search grids (:func:`_search_grid`; mixture
     channels only), so two equal specs built separately each compute theirs
-    once, and the level
-    sets of the last :func:`~binquant.channel.level_functionals` batch per
-    grid size, which :func:`find_level_set` returns.  It also keeps the
-    coefficients of ``log r`` when that is a quadratic
-    (:func:`_log_r_quadratic`).
+    once, and the levels and roots of the last batch of level functionals
+    per grid size (:func:`_batch_roots`), which :func:`find_level_set`
+    reads.  It also keeps the coefficients of ``log r`` when that is a
+    quadratic (:func:`_log_r_quadratic`), and then ``u`` at ``search_lo``
+    and the range of ``u`` once computed (:func:`_u_extent`).
     """
 
     prior: Prior
@@ -128,8 +128,9 @@ class ChannelSpec:
                 f"[{lo_req!r}, {hi_req!r}] (all means with a 10-sigma margin)"
             )
         object.__setattr__(self, "_grids", {})
-        object.__setattr__(self, "_last_level_sets", {})
+        object.__setattr__(self, "_last_batch", {})
         object.__setattr__(self, "_log_r_quadratic", _log_r_quadratic(self.density0, self.density1))
+        object.__setattr__(self, "_quadratic_u_extent", None)
 
 
 def default_search_interval(density0: DensityModel, density1: DensityModel) -> tuple[float, float]:
@@ -218,9 +219,10 @@ class _Grid(NamedTuple):
     one value and reaches into the admissible levels (1e-9, 1 - 1e-9), the
     only ones a level can cross; ``lo_u``/``hi_u`` are the smaller and the
     larger of u at their ends, so such a cell holds a root of level a
-    exactly when lo_u < a <= hi_u.  ``flat`` is the one flatness verdict
-    of the cells: every step of log r is at most _FLAT_LOG_R_STEP, so u is
-    constant up to rounding, and no cell is kept (no level has a root).
+    exactly when lo_u < a <= hi_u.  ``u_extent`` is :func:`_u_extent` on
+    the grid.  ``flat`` is the one flatness verdict of the cells: every
+    step of log r is at most _FLAT_LOG_R_STEP, so u is constant up to
+    rounding, and no cell is kept (no level has a root).
     """
 
     ys: np.ndarray
@@ -230,6 +232,7 @@ class _Grid(NamedTuple):
     cells: np.ndarray
     lo_u: np.ndarray
     hi_u: np.ndarray
+    u_extent: tuple[float, float, float]
     flat: bool
 
 
@@ -265,8 +268,9 @@ def _search_grid(spec: ChannelSpec, grid_points: int) -> _Grid:
         # on a flat grid u differs from point to point by rounding alone, so no cell holds a root
         crossing = (lo_u < hi_u) & (hi_u > _LEVEL_MARGIN) & (lo_u < 1.0 - _LEVEL_MARGIN)
         cells = np.flatnonzero(crossing & (not flat))
-        grid = _Grid(ys, log_r, u, du, cells, lo_u[cells], hi_u[cells], flat)
-        for arr in grid[:-1]:
+        extent = float(u[0]), float(u.min()), float(u.max())
+        grid = _Grid(ys, log_r, u, du, cells, lo_u[cells], hi_u[cells], extent, flat)
+        for arr in grid[:-2]:
             arr.flags.writeable = False
         spec._grids[grid_points] = grid
     return grid
@@ -278,18 +282,20 @@ def _u_extent(spec: ChannelSpec, grid_points: int) -> tuple[float, float, float]
     A single-Gaussian pair takes them in closed form, from u at the two
     ends of the window and, when it lies inside, at the vertex -B / 2A of
     log r = A y^2 + B y + C; a mixture reads them off its search grid.
+    Either way they are computed once per channel and kept.
     """
     if spec._log_r_quadratic is None:
-        u = _search_grid(spec, grid_points).u
-    else:
-        _check_grid_points(grid_points)
+        return _search_grid(spec, grid_points).u_extent
+    _check_grid_points(grid_points)
+    if spec._quadratic_u_extent is None:
         quad_a, quad_b, quad_c = spec._log_r_quadratic
         ys = [spec.search_lo, spec.search_hi]
         if quad_a != 0.0 and spec.search_lo < -quad_b / (2.0 * quad_a) < spec.search_hi:
             ys.append(-quad_b / (2.0 * quad_a))
         y = np.array(ys)
         u = _logistic(spec, (quad_a * y + quad_b) * y + quad_c)
-    return float(u[0]), float(u.min()), float(u.max())
+        object.__setattr__(spec, "_quadratic_u_extent", (float(u[0]), float(u.min()), float(u.max())))
+    return spec._quadratic_u_extent
 
 
 class Monotonicity(enum.Enum):
@@ -569,6 +575,28 @@ def _level_roots(spec: ChannelSpec, levels: np.ndarray, grid_points: int, polish
     return _quadratic_roots(spec, levels)
 
 
+def _batch_roots(spec: ChannelSpec, levels, grid_points: int, keep: bool = False):
+    """The sorted unique ``levels`` (a list), each level's index among them, and their roots' bounds and roots.
+
+    One :func:`_level_roots` call gives the roots; level i's are
+    roots[bounds[i]:bounds[i + 1]].  With ``keep`` the spec keeps levels,
+    bounds and roots as its last batch of this grid size, which
+    :func:`find_level_set` reads.  Raises InvalidSpecError if any level
+    lies outside (1e-9, 1 - 1e-9).
+    """
+    levels = np.asarray(levels, dtype=float).ravel()
+    # NaN fails both comparisons, and it propagates through min and max
+    if levels.size and not (levels.min() > _LEVEL_MARGIN and levels.max() < 1.0 - _LEVEL_MARGIN):
+        bad = levels[~((levels > _LEVEL_MARGIN) & (levels < 1.0 - _LEVEL_MARGIN))]
+        raise InvalidSpecError(f"level must lie in (1e-9, 1 - 1e-9), got {float(bad[0])!r}")
+    uniq, inverse = np.unique(levels, return_inverse=True)
+    lvl, roots = _level_roots(spec, uniq, grid_points)
+    levels, bounds = uniq.tolist(), [0, *np.cumsum(np.bincount(lvl, minlength=uniq.size)).tolist()]
+    if keep:
+        spec._last_batch[grid_points] = levels, bounds, roots
+    return levels, inverse, bounds, roots
+
+
 def find_level_sets(
     spec: ChannelSpec, levels, grid_points: int = DEFAULT_GRID_POINTS
 ) -> tuple[LevelSet, ...]:
@@ -584,32 +612,24 @@ def find_level_sets(
     Raises InvalidSpecError if any level lies outside (1e-9, 1 - 1e-9), and
     NotConvergedError if a bracket is still open after 200 steps.
     """
-    levels = np.asarray(levels, dtype=float).ravel()
-    if not levels.size:
-        return ()
-    # NaN fails both comparisons, and it propagates through min and max
-    if not (levels.min() > _LEVEL_MARGIN and levels.max() < 1.0 - _LEVEL_MARGIN):
-        bad = levels[~((levels > _LEVEL_MARGIN) & (levels < 1.0 - _LEVEL_MARGIN))]
-        raise InvalidSpecError(f"level must lie in (1e-9, 1 - 1e-9), got {float(bad[0])!r}")
-    uniq, inverse = np.unique(levels, return_inverse=True)
-    lvl, roots = _level_roots(spec, uniq, grid_points)
-    ends = np.cumsum(np.bincount(lvl, minlength=uniq.size)).tolist()
+    uniq, inverse, bounds, roots = _batch_roots(spec, levels, grid_points)
     roots = roots.tolist()
-    sets = [LevelSet(level, tuple(roots[i:j])) for level, i, j in zip(uniq.tolist(), [0, *ends], ends)]
+    sets = [LevelSet(level, tuple(roots[i:j])) for level, i, j in zip(uniq, bounds, bounds[1:])]
     return tuple(sets[j] for j in inverse.tolist())
 
 
 def find_level_set(spec: ChannelSpec, level: float, grid_points: int = DEFAULT_GRID_POINTS) -> LevelSet:
     """The level set u(y) = ``level``: :func:`find_level_sets` on a batch of one.
 
-    When the last :func:`~binquant.channel.level_functionals` batch of this
-    grid size holds the level, its level set is returned, which equals the
-    batch of one.  Raises InvalidSpecError when ``level`` is not a scalar:
-    a batch of levels goes to :func:`find_level_sets`.
+    When the last batch of level functionals of this grid size holds the
+    level, its roots are read from the spec (:func:`_batch_roots`), which
+    equal the batch of one.  Raises InvalidSpecError when ``level`` is not
+    a scalar: a batch of levels goes to :func:`find_level_sets`.
     """
     if np.ndim(level):
         raise InvalidSpecError(f"find_level_set takes one level, got {level!r}; use find_level_sets for a batch")
-    for level_set in spec._last_level_sets.get(grid_points, ()):
-        if level_set.level == level:
-            return level_set
+    levels, bounds, roots = spec._last_batch.get(grid_points, ((), (), None))
+    if level in levels:
+        i = levels.index(level)
+        return LevelSet(levels[i], tuple(roots[bounds[i] : bounds[i + 1]].tolist()))
     return find_level_sets(spec, (level,), grid_points)[0]

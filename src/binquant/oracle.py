@@ -13,8 +13,9 @@ functionals across the whole admissible range, and
 functionals with central finite differences: mass monotonicity, the
 derivative relation between the correct-decision masses, and the sign of
 the stationarity function against the slope of the mutual information.
-Each takes all of its levels, F and the degeneracy verdict from one
-:func:`~binquant.channel.level_functionals` batch.
+Each reads f, g and F of all of its levels as arrays from one batch of
+level functionals (``channel._level_batch``), which builds no object per
+level; a NaN F marks a degenerate level.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _h2, _mi_bits, channel_matrix, level_functionals, mutual_information
+from .channel import _h2, _level_batch, _mi_bits, channel_matrix, mutual_information
 from .density import Thresholds, cdf
 from .errors import InvalidSpecError
 from .likelihood import DEFAULT_GRID_POINTS, ChannelSpec
@@ -306,23 +307,15 @@ def sweep_levels(
 ) -> list[SweepRow]:
     """Tabulate the quantizer induced at each level of ``levels``.
 
-    All levels go through one :func:`~binquant.channel.level_functionals`
-    batch; ``mi_bits`` is the mutual information of each level's masses.
+    All levels go through one batch of level functionals, read as arrays
+    (``channel._level_batch``); ``mi_bits`` is the mutual information of
+    each level's masses.
     """
-    fns = level_functionals(spec, np.atleast_1d(levels), grid_points)
-    f = np.array([fn.correct0 for fn in fns])
-    g = np.array([fn.correct1 for fn in fns])
+    b = _level_batch(spec, np.atleast_1d(levels), grid_points)
+    columns = (np.array(b.levels), b.f, b.g, b.F, _mi_bits(spec.prior.p0, b.f, b.g), np.diff(b.bounds))
     return [
-        SweepRow(
-            level=fn.level,
-            correct0=fn.correct0,
-            correct1=fn.correct1,
-            stationarity_value=fn.stationarity_value,
-            mi_bits=mi,
-            n_roots=len(fn.roots),
-            degenerate=math.isnan(fn.stationarity_value),
-        )
-        for fn, mi in zip(fns, _mi_bits(spec.prior.p0, f, g).tolist())
+        SweepRow(a, f, g, F, mi, n, math.isnan(F))
+        for a, f, g, F, mi, n in zip(*(column[b.inverse].tolist() for column in columns))
     ]
 
 
@@ -356,16 +349,14 @@ def structural_checks(spec: ChannelSpec, grid_points: int = DEFAULT_GRID_POINTS)
 
     Degenerate levels take part in the mass checks (their masses are exact
     0/1) and are skipped by the sign check, where F is NaN.  The 19 levels
-    and their neighbours go through one
-    :func:`~binquant.channel.level_functionals` batch.
+    and their neighbours go through one batch of level functionals, read
+    as arrays (``channel._level_batch``).
     """
     levels, fd_step = _CHECK_LEVELS, _FD_STEP
     p0, p1 = spec.prior.p0, spec.prior.p1
-    fns = level_functionals(spec, np.concatenate([levels, levels + fd_step, levels - fd_step]), grid_points)
-    fs = np.array([fn.correct0 for fn in fns]).reshape(3, -1)
-    gs = np.array([fn.correct1 for fn in fns]).reshape(3, -1)
-    (f, f_hi, f_lo), (g, g_hi, g_lo) = fs, gs
-    f_stat = np.array([fn.stationarity_value for fn in fns[: levels.size]])
+    b = _level_batch(spec, np.concatenate([levels, levels + fd_step, levels - fd_step]), grid_points)
+    fs, gs, stat = (column[b.inverse].reshape(3, -1) for column in (b.f, b.g, b.F))
+    (f, f_hi, f_lo), (g, g_hi, g_lo), f_stat = fs, gs, stat[0]
 
     checks: dict[str, StructuralCheck] = {}
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelMatrix, Mapping, _mi_bits, level_functionals, mutual_information, stationarity
+from .channel import ChannelMatrix, Mapping, _mi_bits, level_functionals, stationarity
 from .density import Thresholds, cdf
 from .errors import InvalidSpecError, NoSignChangeError, NotConvergedError
 from .likelihood import DEFAULT_GRID_POINTS, ChannelSpec, Monotonicity, _check_grid_points, _level_roots
@@ -293,9 +293,9 @@ def solve(spec: ChannelSpec, config: SolverConfig | None = None) -> QuantizerDes
     searches = [_candidate_search(c, cfg.a_lo, cfg.a_hi, cfg.tol_a, cfg.max_iter) for c in candidates]
     outcomes, rounds = _search(lambda levels: stationarity(spec, levels, cfg.grid_points), searches)
     fns = [level_functionals(spec, a, cfg.grid_points) for kind, a in outcomes if kind == "level"]
-    mis = [_mi_bits(spec.prior.p0, fn.correct0, fn.correct1) for fn in fns]
+    mis = _mi_bits(spec.prior.p0, np.array([fn.correct0 for fn in fns]), np.array([fn.correct1 for fn in fns]))
     # the scan is taken again only where the search found nothing better than no information
-    no_information = max(mis, default=0.0) <= _NO_INFORMATION_BITS
+    no_information = mis.max(initial=0.0) <= _NO_INFORMATION_BITS
     if no_information and _level_scan(spec, cfg)[1].max() <= _NO_INFORMATION_BITS:
         raise NoSignChangeError(
             f"neither the level scan nor the level search found a quantizer carrying more than "
@@ -311,7 +311,7 @@ def solve(spec: ChannelSpec, config: SolverConfig | None = None) -> QuantizerDes
             "the mutual information is highest at its edge; widen the range"
         )
 
-    fn = fns[int(np.argmax(mis))]
+    fn, mi_bits = fns[int(np.argmax(mis))], float(mis.max())
     matrix = ChannelMatrix(a11=fn.correct0, a22=fn.correct1)
     r_star = (spec.prior.p1 / spec.prior.p0) * (1.0 - fn.level) / fn.level
     ratios = likelihood_ratio(spec, np.asarray(fn.roots))
@@ -321,7 +321,7 @@ def solve(spec: ChannelSpec, config: SolverConfig | None = None) -> QuantizerDes
         thresholds=fn.roots,
         mapping=fn.mapping,
         channel=matrix,
-        mi_bits=mutual_information(spec.prior, matrix),
+        mi_bits=mi_bits,
         stationarity_residual=float(np.max(np.abs(ratios - r_star), initial=0.0) / r_star),
         iterations=rounds,
     )

@@ -187,6 +187,11 @@ def _fields(fn):
     return (fn.level, fn.correct0, fn.correct1, fn.roots, fn.mapping, f_value)
 
 
+def _comparable(v):
+    """A float with NaN made comparable."""
+    return "nan" if math.isnan(v) else v
+
+
 class TestLevelFunctionalsBatch:
     @pytest.mark.parametrize("name", BATCH_SPECS)
     def test_batch_equals_each_level_alone(self, name, request):
@@ -230,26 +235,30 @@ class TestLevelFunctionals:
     def test_the_last_batch_per_grid_size_is_kept(self, fig5_spec, monkeypatch):
         spec = channel_spec(fig5_spec.prior, fig5_spec.density0, fig5_spec.density1)
         fresh = lambda a, n: level_functionals(channel_spec(spec.prior, spec.density0, spec.density1), a, n)
-        level_sets = []
-        real = likelihood.find_level_sets
-        monkeypatch.setattr(likelihood, "find_level_sets", lambda *args: level_sets.append(args[1:]) or real(*args))
+        computed = []  # the levels and grid size of every root computation
+        real = likelihood._level_roots
+        monkeypatch.setattr(
+            likelihood, "_level_roots", lambda s, levels, n: computed.append((tuple(levels.tolist()), n)) or real(s, levels, n)
+        )
         stationarity(spec, np.array([0.5, 0.3]), 4096)
         stationarity(spec, np.array([0.5]), 8192)
         asked = [(0.5, 4096), (0.5, 4096), (0.5, 8192), (0.3, 4096), (0.7, 4096), (0.5, 8192), (0.7, 4096)]
         got = [level_functionals(spec, a, n) for a, n in asked]
-        # a level set only where the level is not in the last batch of its grid size, every time
-        assert level_sets == [((0.7,), 4096), ((0.7,), 4096)]
+        # roots only where the level is not in the last batch of its grid size, every time
+        assert computed == [((0.3, 0.5), 4096), ((0.5,), 8192), ((0.7,), 4096), ((0.7,), 4096)]
+        computed.clear()
         kept = [find_level_set(spec, a, n) for a, n in asked]
-        assert kept[1] is kept[0] and kept[5] is kept[2] and kept[4] is not kept[6]
-        assert got[1].roots is got[0].roots and got[5].roots is got[2].roots
+        assert computed == [((0.7,), 4096), ((0.7,), 4096)]
+        assert [ls.roots for ls in kept] == [fn.roots for fn in got]
         # a new batch replaces the last one of its grid size only
         stationarity(spec, 0.7, 4096)
-        level_sets.clear()
-        assert find_level_set(spec, 0.7, 4096) is find_level_set(spec, 0.7, 4096)
-        assert find_level_set(spec, 0.5, 8192) is kept[2]
+        computed.clear()
+        assert find_level_set(spec, 0.7, 4096) == find_level_set(spec, 0.7, 4096) == kept[4]
+        assert find_level_set(spec, 0.5, 8192) == kept[2]
+        assert computed == []
         find_level_set(spec, 0.5, 4096)
-        assert level_sets == [((0.5,), 4096)]
-        monkeypatch.setattr(likelihood, "find_level_sets", real)
+        assert computed == [((0.5,), 4096)]
+        monkeypatch.setattr(likelihood, "_level_roots", real)
         assert [_fields(fn) for fn in got] == [_fields(fresh(a, n)) for a, n in asked]
 
     def test_a_list_of_levels_is_a_batch(self, fig5_spec):
@@ -382,6 +391,16 @@ class TestStationarity:
                 except DegenerateChannelError:
                     continue
             assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("name", ["example2_spec", "fig5_spec"])
+    def test_builds_no_object_per_level(self, name, request, monkeypatch):
+        spec = fresh_copy(request.getfixturevalue(name))
+        levels = np.linspace(0.05, 0.75, 15)
+        want = [fn.stationarity_value for fn in level_functionals(fresh_copy(spec), levels)]
+        for module, cls in ((channel, "LevelFunctionals"), (likelihood, "LevelSet")):
+            monkeypatch.setattr(module, cls, lambda *args, cls=cls: pytest.fail(f"built a {cls}"))
+        assert [_comparable(v) for v in stationarity(spec, levels).tolist()] == [_comparable(v) for v in want]
+        assert _comparable(stationarity(spec, float(levels[5]))) == _comparable(want[5])
 
     def test_degenerate_level_raises(self, example2_spec):
         # above sup u = 0.7866 the quantizer is constant: f = 1, g = 0

@@ -208,7 +208,9 @@ class TestSolveCommand:
 
     def test_inconsistent_level_set_exits_2(self, capsys, monkeypatch):
         # masses with f + g < 1 mean a wrong level set, not a bad config
-        monkeypatch.setattr(channel, "_correct_masses", lambda c0, c1, odd_first: (0.25, 0.5))
+        monkeypatch.setattr(
+            channel, "_correct_masses", lambda c0, c1, bounds, odd_first: ([0.25] * len(odd_first), [0.5] * len(odd_first))
+        )
         assert main(["solve", "--config", EXAMPLE2]) == 2
         err = capsys.readouterr().err
         assert "inconsistent level set at level a=" in err

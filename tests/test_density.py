@@ -20,7 +20,7 @@ from binquant import (
     channel_spec,
     log_pdf,
 )
-from binquant.channel import _alternating_mass
+from binquant.channel import _correct_masses
 from binquant.density import _log_pdf_slope
 
 INF = math.inf
@@ -348,12 +348,44 @@ class TestLogPdfSlope:
 
 
 _PROBABILITY = st.floats(min_value=0.0, max_value=1.0, allow_subnormal=True)
+_SORTED_CDFS = st.lists(_PROBABILITY, min_size=0, max_size=9).map(sorted)
+
+
+def _exact_odd_mass(c):
+    """c1 - c2 + c3 - ... (+ 1 when the count is even), the mass of the odd segments, as a Fraction."""
+    return sum((Fraction(v) * (-1) ** i for i, v in enumerate(c)), Fraction(1 - len(c) % 2))
+
+
+def _clamped(x):
+    return min(1.0, max(0.0, float(x)))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.lists(_PROBABILITY, min_size=0, max_size=9).map(sorted))
+@given(_SORTED_CDFS)
 def test_alternating_mass_is_the_exact_sum_rounded_once(c):
     # odd segments: c1 - c2 + c3 - ... (+ 1 when the count is even); even: 1 minus that
-    odd = sum((Fraction(v) * (-1) ** i for i, v in enumerate(c)), Fraction(1 - len(c) % 2))
-    assert _alternating_mass(c, odd=True) == float(odd)
-    assert _alternating_mass(c, odd=False) == float(1 - odd)
+    odd = _exact_odd_mass(c)
+    # odd segments to Z=0: a11 is density0's odd mass, a22 density1's even mass
+    assert _correct_masses(c, c, [0, len(c)], [True]) == ([float(odd)], [float(1 - odd)])
+    assert _correct_masses(c, c, [0, len(c)], [False]) == ([float(1 - odd)], [float(odd)])
+
+
+_LEVEL_CDFS = st.integers(0, 9).flatmap(
+    lambda n: st.tuples(*[st.lists(_PROBABILITY, min_size=n, max_size=n).map(sorted)] * 2, st.booleans())
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(_LEVEL_CDFS, min_size=1, max_size=12))
+def test_a_batch_of_masses_is_each_exact_sum_rounded_once(levels):
+    # one entry per level: both densities' sorted CDFs at its roots, and whether its odd segments go to Z=0
+    c0 = [v for level in levels for v in level[0]]
+    c1 = [v for level in levels for v in level[1]]
+    bounds = np.cumsum([0] + [len(level[0]) for level in levels]).tolist()
+    odd_first = [level[2] for level in levels]
+    a11, a22 = _correct_masses(c0, c1, bounds, odd_first)
+    for (l0, l1, odd), f, g in zip(levels, a11, a22, strict=True):
+        m0, m1 = _exact_odd_mass(l0), _exact_odd_mass(l1)
+        assert (f, g) == ((_clamped(m0), _clamped(1 - m1)) if odd else (_clamped(1 - m0), _clamped(m1)))
+        # the same level alone
+        assert _correct_masses(l0, l1, [0, len(l0)], [odd]) == ([f], [g])

@@ -31,7 +31,7 @@ from binquant import (
 from binquant import likelihood
 from binquant.cli import load_config
 from binquant.density import DensityModel, GaussianComponent, Prior
-from binquant.likelihood import _newton_polish, _search_grid
+from binquant.likelihood import _newton_polish, _search_grid, _u_extent
 from tests.conftest import BATCH_SPECS, CONFIG_DIR, batch_levels, fresh_copy, gaussian_pairs, shared_channel
 
 # likelihood ratio of the unequal-variance channel at the equal-ratio pair
@@ -607,10 +607,36 @@ class TestSearchGridCache:
 
     def test_cached_arrays_are_read_only(self):
         grid = _search_grid(_fresh_example2(), 4096)
-        assert type(grid.flat) is bool  # the one field that is not an array
-        for arr in grid[:-1]:
+        # the two fields that are not arrays
+        assert type(grid.flat) is bool and [type(v) for v in grid.u_extent] == [float] * 3
+        for arr in grid[:-2]:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
+
+
+class TestUExtentOncePerChannel:
+    """u at ``search_lo`` and the range of u depend on no level, so a batch of levels reads them, kept per channel."""
+
+    def test_a_gaussian_pair_computes_them_once(self, monkeypatch):
+        spec = _fresh_example2()
+        calls = []
+        real = likelihood._logistic
+        monkeypatch.setattr(likelihood, "_logistic", lambda *args: calls.append(args) or real(*args))
+        stationarity(spec, np.array([0.3, 0.5]))
+        # the closed form: u at the window's ends and at the vertex of log r
+        assert [np.size(log_r) for _, log_r in calls] == [3]
+        extent = _u_extent(spec, 4096)
+        stationarity(spec, np.array([0.4, 0.6]))
+        sweep_levels(spec, [0.2, 0.7])
+        assert len(calls) == 1 and _u_extent(spec, 4096) is extent
+
+    def test_a_mixture_keeps_them_on_its_grid(self, fig5_spec):
+        spec = fresh_copy(fig5_spec)
+        stationarity(spec, np.array([0.3, 0.5]))
+        grid, extent = _search_grid(spec, 4096), _u_extent(spec, 4096)
+        assert extent is grid.u_extent == (grid.u[0], grid.u.min(), grid.u.max())
+        stationarity(spec, np.array([0.4, 0.6]))
+        assert _u_extent(spec, 4096) is extent and _search_grid(spec, 4096) is grid
 
 
 def _ends(fn, lo, hi, slope=None):

@@ -1,6 +1,5 @@
 """Brute-force oracle: grid search, level sweeps, and structural checks."""
 
-import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -405,14 +404,17 @@ class TestBatchedOracle:
 
     def test_one_batch_per_sweep_and_per_check(self, fig5_spec, monkeypatch):
         batches, posterior_calls = [], []
-        real_batch, real_posterior = oracle.level_functionals, likelihood.posterior
+        real_batch, real_posterior = oracle._level_batch, likelihood.posterior
         monkeypatch.setattr(
-            oracle, "level_functionals",
+            oracle, "_level_batch",
             lambda spec, levels, *args: batches.append(len(levels)) or real_batch(spec, levels, *args),
         )
         monkeypatch.setattr(
             likelihood, "posterior", lambda spec, y: posterior_calls.append(np.size(y)) or real_posterior(spec, y)
         )
+        # the batches are read as arrays: no level set or level functionals object per level
+        for module, name in ((channel, "LevelFunctionals"), (likelihood, "LevelSet")):
+            monkeypatch.setattr(module, name, lambda *args, name=name: pytest.fail(f"built a {name}"))
         sweep_levels(fig5_spec, np.linspace(0.01, 0.99, 99))
         structural_checks(fig5_spec)
         assert batches == [99, 57]
@@ -463,14 +465,8 @@ class TestStructuralChecks:
 
     def test_roots_of_a_nearby_level_fail_the_derivative_relation(self, request, monkeypatch):
         # each level gets the roots of level + 1e-3
-        real = channel.find_level_sets
-
-        def moved(spec, levels, grid_points):
-            levels = np.asarray(levels, dtype=float)
-            sets = real(spec, levels + 1e-3, grid_points)
-            return tuple(dataclasses.replace(ls, level=a) for a, ls in zip(levels.tolist(), sets))
-
-        monkeypatch.setattr(channel, "find_level_sets", moved)
+        real = likelihood._level_roots
+        monkeypatch.setattr(likelihood, "_level_roots", lambda spec, levels, n: real(spec, levels + 1e-3, n))
         assert all("derivative_relation" in failed for failed in _failed_checks(request))
 
     def test_swapped_masses_fail_monotonicity(self, request, monkeypatch):

@@ -87,11 +87,18 @@ LIBRARY = sorted((Path(__file__).resolve().parent.parent / "src" / "binquant").g
 
 #: The private helpers that are shared between library modules on purpose.
 #: ``_level_roots`` and ``_u_extent`` give the solver's level scan its roots,
-#: the range of u and the first segment's label (``_u_extent`` gives
-#: ``level_functionals`` the label too), so ``likelihood`` alone picks the
-#: closed form or the search grid; ``_check_grid_points`` is the one range
-#: check of ``grid_points``, shared by ``SolverConfig``.
-SHARED_PRIVATE = {"_mi_bits", "_h2", "_log_pdf_slope", "_level_roots", "_u_extent", "_check_grid_points"}
+#: the range of u and the first segment's label (``_u_extent`` gives the
+#: level functionals the label too), so ``likelihood`` alone picks the
+#: closed form or the search grid; ``_batch_roots`` gives a batch of level
+#: functionals its checked levels and their roots, and keeps them on the
+#: spec for ``find_level_set``; ``_level_batch`` is that batch as arrays,
+#: which the oracle's sweep and checks read with no object per level;
+#: ``_check_grid_points`` is the one range check of ``grid_points``, shared
+#: by ``SolverConfig``.
+SHARED_PRIVATE = {
+    "_mi_bits", "_h2", "_log_pdf_slope", "_level_roots", "_u_extent", "_batch_roots", "_level_batch",
+    "_check_grid_points",
+}
 
 
 def _imports(tree):
