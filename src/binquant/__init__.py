@@ -39,7 +39,6 @@ from .likelihood import (
     channel_spec,
     classify_monotonicity,
     find_level_set,
-    find_level_sets,
     likelihood_ratio,
     posterior,
     translate_log_concavity,
@@ -72,7 +71,6 @@ __all__ = [
     "classify_monotonicity",
     "translate_log_concavity",
     "find_level_set",
-    "find_level_sets",
     "ChannelMatrix",
     "LevelFunctionals",
     "channel_matrix",

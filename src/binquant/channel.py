@@ -232,12 +232,15 @@ def _level_batch(spec: ChannelSpec, levels, grid_points: int, level_set: LevelSe
 def level_functionals(spec: ChannelSpec, level, grid_points: int = DEFAULT_GRID_POINTS):
     """Correct-decision masses f, g of the quantizer induced by ``level``, and F from them.
 
-    A single level gives one :class:`LevelFunctionals`, whose level set
-    comes from :func:`~binquant.likelihood.find_level_set`.  An array of
-    levels gives a tuple of them, in input order, from the arrays of one
-    :func:`_level_batch` (whose roots the spec keeps for
+    Like :func:`~binquant.likelihood.find_level_set` and
+    :func:`stationarity`, it takes a level or a batch.  A single level gives
+    one :class:`LevelFunctionals`, whose level set comes from
+    :func:`~binquant.likelihood.find_level_set` with that scalar level.  Any
+    array-like of levels gives a tuple of them, in input order, from the
+    arrays of one :func:`_level_batch` (whose roots the spec keeps for
     :func:`~binquant.likelihood.find_level_set`), which the callers that
     need only numbers (:func:`stationarity`, the oracle) read directly.
+    Raises InvalidSpecError if any level lies outside (1e-9, 1 - 1e-9).
 
     The level-set roots are the thresholds, and the segments between them
     alternate between {u < level} and {u >= level}, so only the first one,

@@ -66,7 +66,6 @@ __all__ = [
     "classify_monotonicity",
     "translate_log_concavity",
     "find_level_set",
-    "find_level_sets",
 ]
 
 DEFAULT_GRID_POINTS = 4096
@@ -102,9 +101,9 @@ class ChannelSpec:
     channels only), so two equal specs built separately each compute theirs
     once, and the levels and roots of the last batch of level functionals
     per grid size (:func:`_batch_roots`), which :func:`find_level_set`
-    reads.  It also keeps the coefficients of ``log r`` when that is a
-    quadratic (:func:`_log_r_quadratic`), and then ``u`` at ``search_lo``
-    and the range of ``u`` once computed (:func:`_u_extent`).
+    reads.  When ``log r`` is a quadratic it also keeps, from the start,
+    its coefficients (:func:`_log_r_quadratic`) and ``u`` at ``search_lo``
+    and the range of ``u`` (:func:`_u_extent`).
     """
 
     prior: Prior
@@ -129,8 +128,16 @@ class ChannelSpec:
             )
         object.__setattr__(self, "_grids", {})
         object.__setattr__(self, "_last_batch", {})
-        object.__setattr__(self, "_log_r_quadratic", _log_r_quadratic(self.density0, self.density1))
-        object.__setattr__(self, "_quadratic_u_extent", None)
+        quad = _log_r_quadratic(self.density0, self.density1)
+        object.__setattr__(self, "_log_r_quadratic", quad)
+        if quad is not None:
+            quad_a, quad_b, quad_c = quad
+            ys = [self.search_lo, self.search_hi]
+            if quad_a != 0.0 and self.search_lo < -quad_b / (2.0 * quad_a) < self.search_hi:
+                ys.append(-quad_b / (2.0 * quad_a))
+            y = np.array(ys)
+            u = _logistic(self, (quad_a * y + quad_b) * y + quad_c)
+            object.__setattr__(self, "_quadratic_u_extent", (float(u[0]), float(u.min()), float(u.max())))
 
 
 def default_search_interval(density0: DensityModel, density1: DensityModel) -> tuple[float, float]:
@@ -282,19 +289,12 @@ def _u_extent(spec: ChannelSpec, grid_points: int) -> tuple[float, float, float]
     A single-Gaussian pair takes them in closed form, from u at the two
     ends of the window and, when it lies inside, at the vertex -B / 2A of
     log r = A y^2 + B y + C; a mixture reads them off its search grid.
-    Either way they are computed once per channel and kept.
+    The closed form is computed when the spec is built, the grid's on its
+    first use; either way once per channel, and kept.
     """
     if spec._log_r_quadratic is None:
         return _search_grid(spec, grid_points).u_extent
     _check_grid_points(grid_points)
-    if spec._quadratic_u_extent is None:
-        quad_a, quad_b, quad_c = spec._log_r_quadratic
-        ys = [spec.search_lo, spec.search_hi]
-        if quad_a != 0.0 and spec.search_lo < -quad_b / (2.0 * quad_a) < spec.search_hi:
-            ys.append(-quad_b / (2.0 * quad_a))
-        y = np.array(ys)
-        u = _logistic(spec, (quad_a * y + quad_b) * y + quad_c)
-        object.__setattr__(spec, "_quadratic_u_extent", (float(u[0]), float(u.min()), float(u.max())))
     return spec._quadratic_u_extent
 
 
@@ -308,8 +308,11 @@ class Monotonicity(enum.Enum):
 class MonotonicityReport:
     """Numerical monotonicity verdict for the likelihood ratio.
 
-    This is a finite-grid verdict, not a proof, so the number of uniform
-    grid points it was established on travels with it.  ``flat`` marks the
+    This is a finite-grid verdict, not a proof, so the size of the grid it
+    was established on travels with it: ``grid_points`` uniform points over
+    the search window, to which a mixture's grid adds 129 points over each
+    component narrower than 8 uniform spacings (:func:`_search_grid`); a
+    single-Gaussian pair judges the uniform cells alone.  ``flat`` marks the
     degenerate case where the log-ratio is constant to within the
     strictness threshold everywhere (identical densities).
     """
@@ -597,10 +600,8 @@ def _batch_roots(spec: ChannelSpec, levels, grid_points: int, keep: bool = False
     return levels, inverse, bounds, roots
 
 
-def find_level_sets(
-    spec: ChannelSpec, levels, grid_points: int = DEFAULT_GRID_POINTS
-) -> tuple[LevelSet, ...]:
-    """Every root of u(y) = a for each level a of ``levels``, in input order.
+def find_level_set(spec: ChannelSpec, level, grid_points: int = DEFAULT_GRID_POINTS):
+    """Every root of u(y) = ``level`` in the search window: one :class:`LevelSet`, or a tuple for a batch.
 
     Every root is a crossing of u between {u < a} and {u >= a}, so the
     segments between roots alternate between the two; where u meets a
@@ -609,27 +610,21 @@ def find_level_sets(
     form for a single-Gaussian pair, on the search grid of ``grid_points``
     for a mixture.  ``grid_points`` is checked on either path.
 
+    A scalar level gives one :class:`LevelSet`.  When the last batch of
+    level functionals of this grid size holds it, its roots are read from
+    the spec (:func:`_batch_roots`), which equal a batch of one.  Any
+    array-like of levels gives a tuple of level sets, in input order, from
+    one :func:`_batch_roots` call, which the spec does not keep.
+
     Raises InvalidSpecError if any level lies outside (1e-9, 1 - 1e-9), and
     NotConvergedError if a bracket is still open after 200 steps.
     """
-    uniq, inverse, bounds, roots = _batch_roots(spec, levels, grid_points)
+    if not np.ndim(level):
+        levels, bounds, roots = spec._last_batch.get(grid_points, ((), (), None))
+        if level in levels:
+            i = levels.index(level)
+            return LevelSet(levels[i], tuple(roots[bounds[i] : bounds[i + 1]].tolist()))
+    uniq, inverse, bounds, roots = _batch_roots(spec, level, grid_points)
     roots = roots.tolist()
-    sets = [LevelSet(level, tuple(roots[i:j])) for level, i, j in zip(uniq, bounds, bounds[1:])]
-    return tuple(sets[j] for j in inverse.tolist())
-
-
-def find_level_set(spec: ChannelSpec, level: float, grid_points: int = DEFAULT_GRID_POINTS) -> LevelSet:
-    """The level set u(y) = ``level``: :func:`find_level_sets` on a batch of one.
-
-    When the last batch of level functionals of this grid size holds the
-    level, its roots are read from the spec (:func:`_batch_roots`), which
-    equal the batch of one.  Raises InvalidSpecError when ``level`` is not
-    a scalar: a batch of levels goes to :func:`find_level_sets`.
-    """
-    if np.ndim(level):
-        raise InvalidSpecError(f"find_level_set takes one level, got {level!r}; use find_level_sets for a batch")
-    levels, bounds, roots = spec._last_batch.get(grid_points, ((), (), None))
-    if level in levels:
-        i = levels.index(level)
-        return LevelSet(levels[i], tuple(roots[bounds[i] : bounds[i + 1]].tolist()))
-    return find_level_sets(spec, (level,), grid_points)[0]
+    sets = [LevelSet(a, tuple(roots[i:j])) for a, i, j in zip(uniq, bounds, bounds[1:])]
+    return tuple(sets[j] for j in inverse.tolist()) if np.ndim(level) else sets[0]

@@ -29,8 +29,8 @@ import numpy as np
 from .channel import ChannelMatrix, Mapping, _mi_bits, level_functionals, stationarity
 from .density import Thresholds, cdf
 from .errors import InvalidSpecError, NoSignChangeError, NotConvergedError
-from .likelihood import DEFAULT_GRID_POINTS, ChannelSpec, Monotonicity, _check_grid_points, _level_roots
-from .likelihood import _u_extent, classify_monotonicity, likelihood_ratio
+from .likelihood import _LEVEL_MARGIN, DEFAULT_GRID_POINTS, ChannelSpec, Monotonicity, _check_grid_points
+from .likelihood import _level_roots, _u_extent, classify_monotonicity, likelihood_ratio
 
 __all__ = ["SolverConfig", "QuantizerDesign", "solve", "predict_single_threshold"]
 
@@ -48,7 +48,9 @@ _NO_INFORMATION_BITS = 1e-12
 class SolverConfig:
     """Level-search parameters; the defaults solve all shipped channels < 1 s.
 
-    ``[a_lo, a_hi]`` is the admissible level range, ``tol_a`` the width the
+    ``[a_lo, a_hi]`` is the range of levels the solver scans and searches,
+    inside the levels that :mod:`binquant.likelihood` admits:
+    1e-9 < a_lo < a_hi < 1 - 1e-9.  ``tol_a`` is the width the
     level search narrows each sign-change bracket to, ``max_iter`` the
     budget of narrowing rounds of each candidate's search, and
     ``grid_points`` the number of uniform points of a mixture's search grid,
@@ -67,10 +69,10 @@ class SolverConfig:
     grid_points: int = DEFAULT_GRID_POINTS
 
     def __post_init__(self):
-        if not 0.0 < self.a_hi < 1.0:
-            raise InvalidSpecError(f"a_hi must lie in (0, 1), got {self.a_hi!r}")
-        if not 0.0 < self.a_lo < self.a_hi:
-            raise InvalidSpecError(f"a_lo must lie in (0, a_hi = {self.a_hi!r}), got {self.a_lo!r}")
+        if not _LEVEL_MARGIN < self.a_lo < 1.0 - _LEVEL_MARGIN:
+            raise InvalidSpecError(f"a_lo must lie in (1e-9, 1 - 1e-9), got {self.a_lo!r}")
+        if not self.a_lo < self.a_hi < 1.0 - _LEVEL_MARGIN:
+            raise InvalidSpecError(f"a_hi must lie in (a_lo = {self.a_lo!r}, 1 - 1e-9), got {self.a_hi!r}")
         if not (math.isfinite(self.tol_a) and self.tol_a > 0.0):
             raise InvalidSpecError(f"tol_a must be finite and > 0, got {self.tol_a!r}")
         if self.max_iter < 1:
@@ -132,8 +134,8 @@ def _level_scan(spec: ChannelSpec, cfg: SolverConfig) -> tuple[np.ndarray, np.nd
     return levels, _mi_bits(spec.prior.p0, f, g)
 
 
-def _candidate_levels(spec: ChannelSpec, cfg: SolverConfig) -> np.ndarray:
-    """Levels of the MI peaks within PEAK_MARGIN_BITS of the best of the scanned levels.
+def _candidate_levels(spec: ChannelSpec, cfg: SolverConfig) -> tuple[np.ndarray, float]:
+    """Levels of the MI peaks within PEAK_MARGIN_BITS of the best of the scanned levels, and that best MI.
 
     The paper's optimum is a level-set quantizer, so the ranking scans
     levels (:func:`_level_scan`).  The levels near the best form runs in
@@ -143,11 +145,12 @@ def _candidate_levels(spec: ChannelSpec, cfg: SolverConfig) -> np.ndarray:
     resolution.
     """
     levels, mi = _level_scan(spec, cfg)
-    near_best = np.flatnonzero(mi >= mi.max(initial=0.0) - PEAK_MARGIN_BITS)
+    best = float(mi.max(initial=0.0))
+    near_best = np.flatnonzero(mi >= best - PEAK_MARGIN_BITS)
     cuts = 1 + np.flatnonzero(
         (np.diff(near_best) > 1) & (np.diff(levels[near_best]) > 2.0 * BRACKET_HALF_WIDTH)
     )
-    return np.array([levels[g[np.argmax(mi[g])]] for g in np.split(near_best, cuts) if g.size])
+    return np.array([levels[g[np.argmax(mi[g])]] for g in np.split(near_best, cuts) if g.size]), best
 
 
 def _chandrupatla_t(x1: float, f1: float, x2: float, f2: float, x3: float, f3: float) -> float:
@@ -289,14 +292,12 @@ def solve(spec: ChannelSpec, config: SolverConfig | None = None) -> QuantizerDes
     and F was degenerate at one of its levels.
     """
     cfg = config or SolverConfig()
-    candidates = _candidate_levels(spec, cfg).tolist()
-    searches = [_candidate_search(c, cfg.a_lo, cfg.a_hi, cfg.tol_a, cfg.max_iter) for c in candidates]
+    candidates, scan_best = _candidate_levels(spec, cfg)
+    searches = [_candidate_search(c, cfg.a_lo, cfg.a_hi, cfg.tol_a, cfg.max_iter) for c in candidates.tolist()]
     outcomes, rounds = _search(lambda levels: stationarity(spec, levels, cfg.grid_points), searches)
     fns = [level_functionals(spec, a, cfg.grid_points) for kind, a in outcomes if kind == "level"]
     mis = _mi_bits(spec.prior.p0, np.array([fn.correct0 for fn in fns]), np.array([fn.correct1 for fn in fns]))
-    # the scan is taken again only where the search found nothing better than no information
-    no_information = mis.max(initial=0.0) <= _NO_INFORMATION_BITS
-    if no_information and _level_scan(spec, cfg)[1].max() <= _NO_INFORMATION_BITS:
+    if max(scan_best, mis.max(initial=0.0)) <= _NO_INFORMATION_BITS:
         raise NoSignChangeError(
             f"neither the level scan nor the level search found a quantizer carrying more than "
             f"{_NO_INFORMATION_BITS:g} bits, so the channel carries no information"

@@ -105,7 +105,7 @@ def batch_levels(spec, grid_points=4096):
     return [0.7, 0.2, 0.5, 0.2, 0.05, 0.95, 0.3205528447713517, *on_grid, 0.7, *on_grid[:1], 0.5]
 
 
-def _log_uniform(lo, hi):
+def log_uniform(lo, hi):
     return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 
 
@@ -119,12 +119,12 @@ def gaussian_pairs(draw):
     is moved to within 3 cells of a 4096-point grid of it, inside or outside.
     """
     p0 = draw(st.floats(0.05, 0.95))
-    m0, s0 = draw(st.floats(-3.0, 3.0)), draw(_log_uniform(0.05, 5.0))
+    m0, s0 = draw(st.floats(-3.0, 3.0)), draw(log_uniform(0.05, 5.0))
     kind = draw(st.sampled_from(["any", "equal", "near_identical", "edge_vertex"]))
     if kind == "near_identical":
         m1, s1 = m0 + s0 * draw(st.floats(1e-3, 1e-2)), s0 * (1.0 + draw(st.floats(0.0, 1e-3)))
     elif kind == "any":
-        m1, s1 = draw(st.floats(-3.0, 3.0)), draw(_log_uniform(0.05, 5.0))
+        m1, s1 = draw(st.floats(-3.0, 3.0)), draw(log_uniform(0.05, 5.0))
     elif kind == "equal":
         m1, s1 = draw(st.floats(-3.0, 3.0)), s0
     else:

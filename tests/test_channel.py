@@ -270,16 +270,18 @@ class TestLevelFunctionals:
         assert [_fields(fn) for fn in together] == [_fields(fn) for fn in alone]
         assert isinstance(level_functionals(spec, np.float64(0.3)), LevelFunctionals)
 
-    def test_find_level_set_rejects_a_batch(self, fig5_spec):
-        # a list used to give the level set of its first level, or a numpy ValueError after a batch
+    def test_find_level_set_takes_a_batch(self, fig5_spec):
+        # a list used to give the level set of its first level, and then was rejected
         spec = fresh_copy(fig5_spec)
-        for levels in ([0.3, 0.5], np.array([0.3, 0.5]), [0.3]):
-            with pytest.raises(InvalidSpecError, match="find_level_sets"):
-                find_level_set(spec, levels)
+        alone = {a: find_level_set(fresh_copy(spec), a) for a in (0.3, 0.5, 0.7)}
+        batches = ([0.5, 0.3], np.array([0.3, 0.5]), [0.3], [0.5, 0.3, 0.5], (0.7,), [], np.empty(0))
+        expected = [tuple(alone[a] for a in np.asarray(levels).tolist()) for levels in batches]
+        assert [find_level_set(spec, levels) for levels in batches] == expected
+        # the same after a kept batch of level functionals, which a batch of level sets does not replace
         stationarity(spec, np.array([0.3, 0.5]))
-        for levels in ([0.3, 0.5], np.array([0.3, 0.5]), [0.3]):
-            with pytest.raises(InvalidSpecError, match="find_level_sets"):
-                find_level_set(spec, levels)
+        kept = spec._last_batch[4096]
+        assert [find_level_set(spec, levels) for levels in batches] == expected
+        assert spec._last_batch[4096] is kept
 
     def test_symmetric_channel_at_half(self, example1_spec):
         fn = level_functionals(example1_spec, 0.5)

@@ -5,6 +5,7 @@ import json
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import binquant.cli as cli
@@ -148,6 +149,26 @@ class TestConfigLoading:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and "'solver.tol'" in captured.err
+
+    def test_a_level_range_the_level_layer_rejects_exits_1_at_load(self, tmp_path, capsys):
+        # a_lo = 1e-12 used to load, and at p0 = 0.999 solve and verify then
+        # exited 1 on a level error that named no config field
+        path = tmp_path / "cfg.json"
+        config = (
+            '{"prior": {"p0": 0.999},'
+            ' "phi0": {"components": [{"mean": 0, "stddev": 1, "weight": 1}]},'
+            ' "phi1": {"components": [{"mean": 1, "stddev": 1, "weight": 1}]},'
+            ' "solver": {"a_lo": %s, "a_hi": %s}}'
+        )
+        path.write_text(config % ("1e-12", "0.999999999999"))
+        with pytest.raises(cli.ConfigError, match="solver.a_lo must lie in"):
+            load_config(str(path))
+        for command in ("solve", "verify"):
+            assert main([command, "--config", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith(f"error: config {str(path)!r}: solver.a_lo")
+        path.write_text(config % ("2e-9", "0.999999998"))
+        assert main(["solve", "--config", str(path)]) == 0
 
 
 class TestSolveCommand:
@@ -424,3 +445,19 @@ class TestUsageErrors:
         assert shared == fresh
         assert [code for code, *_ in shared] == [0, 1, 0]
         assert "--steps" in shared[1][2]
+
+
+def test_the_library_never_hands_find_level_set_a_batch(tmp_path, capsys, monkeypatch):
+    # find_level_set answers a batch with a tuple, in which the benchmark's
+    # likelihood.roots_per_level would find no roots to count
+    ndims = []
+    real = channel.find_level_set
+    record = lambda spec, level, *rest: ndims.append(np.ndim(level)) or real(spec, level, *rest)
+    monkeypatch.setattr(channel, "find_level_set", record)
+    sweep = ["sweep", "--out", str(tmp_path / "sweep.csv")]
+    commands = [["solve", "--format", "json"], sweep, ["verify"], ["classify"]]
+    for config in SHIPPED:
+        for command, *rest in commands:
+            assert main([command, "--config", config, *rest]) == 0
+    capsys.readouterr()
+    assert ndims and set(ndims) == {0}

@@ -17,7 +17,6 @@ from binquant import (
     channel_spec,
     classify_monotonicity,
     find_level_set,
-    find_level_sets,
     level_functionals,
     likelihood_ratio,
     posterior,
@@ -333,7 +332,7 @@ class TestBatchedLevelSets:
     def test_batch_equals_each_level_alone(self, name, request):
         spec = request.getfixturevalue(name)
         levels = batch_levels(spec)
-        together = find_level_sets(spec, levels)
+        together = find_level_set(spec, levels)
         alone = fresh_copy(spec)
         assert together == tuple(find_level_set(alone, a) for a in levels)
         assert [ls.level for ls in together] == levels
@@ -342,13 +341,13 @@ class TestBatchedLevelSets:
     def test_root_counts_match_a_dense_sign_scan(self, name, request):
         spec = request.getfixturevalue(name)
         levels = batch_levels(spec)
-        for a, ls in zip(levels, find_level_sets(spec, levels)):
+        for a, ls in zip(levels, find_level_set(spec, levels)):
             assert len(ls.roots) == dense_scan(spec, a)
             assert np.all(np.abs(posterior(spec, np.asarray(ls.roots)) - a) <= 1e-9)
 
     def test_exact_grid_hit_in_a_batch(self, example1_spec, example2_spec, fig5_spec):
         # 4097 points put y = 0.0 on the grid, where u == 0.5 exactly
-        sets = find_level_sets(example1_spec, [0.3, 0.5, 0.7, 0.5], grid_points=4097)
+        sets = find_level_set(example1_spec, [0.3, 0.5, 0.7, 0.5], grid_points=4097)
         assert sets[1].roots == sets[3].roots == (0.0,)
         assert sets == tuple(find_level_set(fresh_copy(example1_spec), a, 4097) for a in (0.3, 0.5, 0.7, 0.5))
         assert [len(ls.roots) for ls in sets] == [dense_scan(example1_spec, a, 4097) for a in (0.3, 0.5, 0.7, 0.5)]
@@ -362,7 +361,7 @@ class TestBatchedLevelSets:
         peak = int(1 + np.flatnonzero((u[1:-1] > u[:-2]) & (u[1:-1] > u[2:]))[0])
         assert np.count_nonzero(u == u[peak]) == 1
         levels = [float(u[mono]), float(u[peak]), 0.5, float(u[mono])]
-        sets = find_level_sets(fig5_spec, levels)
+        sets = find_level_set(fig5_spec, levels)
         assert ys[mono] in sets[0].roots and sets[3] == sets[0]
         assert ys[peak] not in sets[1].roots
         assert sets == tuple(find_level_set(fresh_copy(fig5_spec), a) for a in levels)
@@ -376,7 +375,7 @@ class TestBatchedLevelSets:
         peak = int(np.argmax(u))
         assert 0 < peak < u.size - 1 and np.count_nonzero(u == u[peak]) == 1
         level = float(u[peak])
-        sets = find_level_sets(example2_spec, [0.3, level])
+        sets = find_level_set(example2_spec, [0.3, level])
         assert dense_scan(example2_spec, level) == 0
         reference, disc = reference_level_roots(example2_spec, level)
         assert disc > 0 and len(reference) == 2
@@ -388,19 +387,19 @@ class TestBatchedLevelSets:
         assert len(sets[0].roots) == 2
 
     def test_constant_posterior_in_a_batch(self, flat_spec):
-        low, half, high = find_level_sets(flat_spec, [0.25, 0.5, 0.75])
+        low, half, high = find_level_set(flat_spec, [0.25, 0.5, 0.75])
         assert half.roots == ()
         assert low.roots == high.roots == ()
 
     def test_out_of_band_level_anywhere_raises(self, example1_spec):
         for bad in (0.0, 1.0, 1e-12, float("nan")):
-            for levels in ([bad, 0.3, 0.5], [0.3, bad, 0.5], [0.3, 0.5, bad]):
-                with pytest.raises(InvalidSpecError):
-                    find_level_sets(example1_spec, levels)
+            for levels in (bad, [bad], [bad, 0.3, 0.5], [0.3, bad, 0.5], np.array([0.3, 0.5, bad])):
+                with pytest.raises(InvalidSpecError, match="level must lie in"):
+                    find_level_set(example1_spec, levels)
 
     def test_empty_batch(self, example1_spec):
-        assert find_level_sets(example1_spec, []) == ()
-        assert find_level_sets(example1_spec, np.empty(0)) == ()
+        assert find_level_set(example1_spec, []) == ()
+        assert find_level_set(example1_spec, np.empty(0)) == ()
 
 
 def _normalized_mixture(comps):
@@ -430,7 +429,7 @@ class TestCrossingRule:
         extrema = 1 + np.flatnonzero((u[1:-1] - u[:-2]) * (u[1:-1] - u[2:]) > 0)
         levels = [a for a in u[[*picks, *extrema]].tolist() if 1e-9 < a < 1.0 - 1e-9]
         assume(levels)
-        for a, ls in zip(levels, find_level_sets(spec, levels)):
+        for a, ls in zip(levels, find_level_set(spec, levels)):
             roots = np.asarray(ls.roots)
             assert np.all(np.diff(roots) > 0)
             # every grid point off the level lies on the side the alternation
@@ -475,7 +474,7 @@ class TestClosedFormLevelSets:
     def test_roots_match_an_independent_reference(self, case):
         spec, levels = case
         assert spec._log_r_quadratic is not None
-        for a, ls in zip(levels, find_level_sets(spec, levels)):
+        for a, ls in zip(levels, find_level_set(spec, levels)):
             roots = np.asarray(ls.roots)
             assert np.all(np.diff(roots) > 0)
             assert np.all((roots >= spec.search_lo) & (roots <= spec.search_hi))
@@ -618,14 +617,14 @@ class TestUExtentOncePerChannel:
     """u at ``search_lo`` and the range of u depend on no level, so a batch of levels reads them, kept per channel."""
 
     def test_a_gaussian_pair_computes_them_once(self, monkeypatch):
-        spec = _fresh_example2()
         calls = []
         real = likelihood._logistic
         monkeypatch.setattr(likelihood, "_logistic", lambda *args: calls.append(args) or real(*args))
-        stationarity(spec, np.array([0.3, 0.5]))
-        # the closed form: u at the window's ends and at the vertex of log r
+        spec = _fresh_example2()
+        # built with the spec, in closed form: u at the window's ends and at the vertex of log r
         assert [np.size(log_r) for _, log_r in calls] == [3]
         extent = _u_extent(spec, 4096)
+        stationarity(spec, np.array([0.3, 0.5]))
         stationarity(spec, np.array([0.4, 0.6]))
         sweep_levels(spec, [0.2, 0.7])
         assert len(calls) == 1 and _u_extent(spec, 4096) is extent
@@ -826,9 +825,10 @@ class TestGaussianPairsBuildNoGrid:
     @pytest.mark.parametrize("grid_points", [32, 2**20 + 1])
     def test_grid_points_are_checked_without_a_grid(self, grid_points):
         spec = _fresh_example2()
-        for call in (find_level_sets, level_functionals, stationarity):
-            with pytest.raises(InvalidSpecError, match="grid_points must lie in"):
-                call(spec, [0.3], grid_points)
+        for call in (find_level_set, level_functionals, stationarity):
+            for level in (0.3, [0.3]):
+                with pytest.raises(InvalidSpecError, match="grid_points must lie in"):
+                    call(spec, level, grid_points)
         for call in (classify_monotonicity, translate_log_concavity):
             with pytest.raises(InvalidSpecError, match="grid_points must lie in"):
                 call(spec, grid_points)
@@ -878,7 +878,7 @@ class TestPolishRobustness:
     def test_root_counts_and_stop_rule_at_99_levels(self, name):
         spec = _root_count_channel(name)
         u = _search_grid(spec, 4096).u
-        sets = find_level_sets(spec, SWEEP_LEVELS)
+        sets = find_level_set(spec, SWEEP_LEVELS)
         counts = [len(ls.roots) for ls in sets]
         # a narrow component hides roots from the uniform grid: the grid adds points over it
         assert counts == _reference_root_counts(spec, SWEEP_LEVELS)
@@ -898,9 +898,9 @@ class TestPolishRobustness:
     def test_wrong_slopes_cost_steps_not_roots(self, name, distort):
         spec = _root_count_channel(name)
         grid = _search_grid(spec, 4096)
-        expected = find_level_sets(spec, SWEEP_LEVELS)
+        expected = find_level_set(spec, SWEEP_LEVELS)
         spec._grids[4096] = grid._replace(du=distort(grid.du))
-        sets = find_level_sets(spec, SWEEP_LEVELS)
+        sets = find_level_set(spec, SWEEP_LEVELS)
         for ls, want in zip(sets, expected):
             assert len(ls.roots) == len(want.roots)
             assert _meets_the_stop_rule(spec, ls.level, ls.roots)

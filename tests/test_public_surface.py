@@ -94,10 +94,11 @@ LIBRARY = sorted((Path(__file__).resolve().parent.parent / "src" / "binquant").g
 #: spec for ``find_level_set``; ``_level_batch`` is that batch as arrays,
 #: which the oracle's sweep and checks read with no object per level;
 #: ``_check_grid_points`` is the one range check of ``grid_points``, shared
-#: by ``SolverConfig``.
+#: by ``SolverConfig``; ``_LEVEL_MARGIN`` bounds the levels the level layer
+#: admits, so ``SolverConfig`` admits no level range beyond them.
 SHARED_PRIVATE = {
     "_mi_bits", "_h2", "_log_pdf_slope", "_level_roots", "_u_extent", "_batch_roots", "_level_batch",
-    "_check_grid_points",
+    "_check_grid_points", "_LEVEL_MARGIN",
 }
 
 

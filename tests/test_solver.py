@@ -36,7 +36,7 @@ from binquant import (
 )
 from binquant import likelihood, solver
 from binquant.cli import load_config
-from tests.conftest import CONFIG_DIR, fresh_copy, gaussian_pairs, single_gaussian
+from tests.conftest import CONFIG_DIR, fresh_copy, gaussian_pairs, log_uniform, single_gaussian
 
 SHIPPED_AND_VERIFY_CONFIGS = sorted(CONFIG_DIR.glob("*.json")) + sorted(
     (Path(__file__).resolve().parent / "data" / "verify").glob("*.json")
@@ -481,7 +481,8 @@ class TestTwoPeakMixture:
 
     def test_the_higher_of_two_brackets_wins(self, spec, monkeypatch):
         # one candidate at each + to - zero of F, the lower peak's first
-        monkeypatch.setattr(solver, "_candidate_levels", lambda spec, cfg: np.array([0.07, 0.7]))
+        real = solver._candidate_levels
+        monkeypatch.setattr(solver, "_candidate_levels", lambda spec, cfg: (np.array([0.07, 0.7]), real(spec, cfg)[1]))
         design = solve(spec)
         assert design.mi_bits >= 0.38662
         assert design.a_star == pytest.approx(0.69730, abs=1e-4)
@@ -702,7 +703,8 @@ class TestGaussianPairScan:
         mi = _dense_level_scan(spec, levels)
         # the best levels: every one within rounding of the largest MI
         best = levels[mi >= mi.max() - 1e-12]
-        candidates = solver._candidate_levels(spec, cfg)
+        candidates, scan_best = solver._candidate_levels(spec, cfg)
+        assert scan_best == solver._level_scan(spec, cfg)[1].max()
         assert np.min(np.abs(candidates[:, None] - best[None, :])) <= solver.BRACKET_HALF_WIDTH
         try:
             design = solve(spec, cfg)
@@ -729,7 +731,7 @@ class TestGaussianPairScan:
 
     def test_symmetric_channel_scans_its_midpoint(self, example1_spec):
         # the scan levels are symmetric about the midpoint of the range of u, 0.5
-        candidates = solver._candidate_levels(example1_spec, SolverConfig())
+        candidates, _ = solver._candidate_levels(example1_spec, SolverConfig())
         assert candidates.tolist() == [0.5]
 
 
@@ -737,6 +739,15 @@ class TestErrors:
     def test_identical_densities_report_no_information(self, flat_spec):
         with pytest.raises(NoSignChangeError, match="no information"):
             solve(flat_spec)
+
+    def test_no_information_takes_one_scan(self, flat_spec, monkeypatch):
+        # the scan's best MI goes to solve with its candidates: the scan is not taken again
+        scans = []
+        real = solver._level_roots
+        monkeypatch.setattr(solver, "_level_roots", lambda *args, **kw: scans.append(kw) or real(*args, **kw))
+        with pytest.raises(NoSignChangeError, match="no information"):
+            solve(flat_spec)
+        assert scans == [{"polish": False}]
 
     def test_bracket_without_root_raises(self, example2_spec):
         # F < 0 on the whole admissible range above the optimum
@@ -779,6 +790,30 @@ class TestErrors:
         for tol_a in (float("inf"), float("nan")):
             with pytest.raises(InvalidSpecError, match="tol_a"):
                 SolverConfig(tol_a=tol_a)
+        # the level range lies inside the levels the level layer admits
+        for field, value in [("a_lo", 1e-9), ("a_lo", 1e-12), ("a_lo", 0.0), ("a_hi", 1.0 - 1e-9), ("a_hi", 1.0)]:
+            with pytest.raises(InvalidSpecError, match=f"^{field} must lie in \\(.*, 1 - 1e-9\\), got "):
+                SolverConfig(**{field: value})
+        cfg = SolverConfig(a_lo=2e-9, a_hi=1.0 - 2e-9)
+        assert (cfg.a_lo, cfg.a_hi) == (2e-9, 1.0 - 2e-9)
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(
+        pair=gaussian_pairs(),
+        p0=st.floats(1e-3, 0.9999),
+        lo=log_uniform(1e-9, 1e-4).filter(lambda v: v > 1e-9),
+        hi=log_uniform(1e-9, 1e-4).filter(lambda v: v > 1e-9),
+    )
+    def test_every_accepted_config_can_be_searched(self, pair, p0, lo, hi):
+        # the scan and the search ask the level layer only for levels it admits
+        assume(1.0 - hi < 1.0 - 1e-9)
+        cfg = SolverConfig(a_lo=lo, a_hi=1.0 - hi)
+        spec = channel_spec(Prior(p0=p0), pair.density0, pair.density1, pair.search_lo, pair.search_hi)
+        try:
+            design = solve(spec, cfg)
+        except (DegenerateChannelError, NoSignChangeError):
+            return
+        assert cfg.a_lo <= design.a_star <= cfg.a_hi
 
 
 class TestPredictions:

@@ -2,17 +2,18 @@
 
 Usage, from the repository root::
 
-    python tools/compare_cli.py PARENT_SRC CHANGE_SRC DIR [DIR ...]
+    python tools/compare_cli.py PARENT_SRC CHANGE_SRC [DIR ...]
 
 ``PARENT_SRC`` and ``CHANGE_SRC`` are ``src`` directories (each holding a
 ``binquant`` package), for instance a ``git archive`` of an earlier commit
 next to this checkout's ``src``.  Every ``*.json`` file directly inside each
-``DIR`` is a config.  On each config the CLI runs ``solve --format json``,
-``solve``, ``sweep`` (default levels, CSV to a temporary file), ``verify``
-(default oracle arguments) and ``classify``.  All runs of one source tree
-happen in one worker process, which imports that tree's ``binquant`` and
-calls ``binquant.cli.main`` in-process, capturing stdout, stderr, the exit
-code and the CSV.  Each run gets fresh warning filters, so a warning shows
+``DIR`` is a config; with no ``DIR``, the committed configs of this
+repository, in ``configs/`` and ``tests/data/verify/``.  On each config the
+CLI runs ``solve --format json``, ``solve``, ``sweep`` (default levels, CSV
+to a temporary file), ``verify`` (default oracle arguments) and
+``classify``.  All runs of one source tree happen in one worker process,
+which imports that tree's ``binquant`` and calls ``binquant.cli.main``
+in-process, capturing stdout, stderr, the exit code and the CSV.  Each run gets fresh warning filters, so a warning shows
 once per run, as it would in a process of its own.
 
 Prints one line per run whose stdout, stderr, exit code or CSV differs
@@ -31,6 +32,9 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+
+#: The config directories compared when no DIR is given.
+COMMITTED_DIRS = [Path(__file__).resolve().parent.parent / d for d in ("configs", "tests/data/verify")]
 
 #: The CLI arguments of each run, after the config; ``{csv}`` is the sweep's output file.
 COMMANDS = {
@@ -88,9 +92,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src")
     parser.add_argument("change_src")
-    parser.add_argument("dirs", nargs="+")
+    parser.add_argument("dirs", nargs="*")
     args = parser.parse_args(argv)
-    configs = [str(p) for d in args.dirs for p in sorted(Path(d).glob("*.json"))]
+    configs = [str(p) for d in args.dirs or COMMITTED_DIRS for p in sorted(Path(d).glob("*.json"))]
     parent, change = _records(args.parent_src, configs), _records(args.change_src, configs)
     differing = 0
     for old, new in zip(parent, change):
