@@ -186,21 +186,8 @@ def cmd_sweep(config_path: str, a_min: float, a_max: float, steps: int, out_csv:
         raise ConfigError(f"steps must be >= 2, got {steps!r}")
     spec, cfg = load_config(config_path)
     rows = sweep_levels(spec, np.linspace(a_min, a_max, steps), cfg.grid_points)
-    lines = [CSV_HEADER]
-    for row in rows:
-        lines.append(
-            ",".join(
-                (
-                    f"{row.level:.17g}",
-                    f"{row.correct0:.17g}",
-                    f"{row.correct1:.17g}",
-                    f"{row.stationarity_value:.17g}",
-                    f"{row.mi_bits:.17g}",
-                    str(row.n_roots),
-                    "1" if row.degenerate else "0",
-                )
-            )
-        )
+    # a SweepRow is the tuple of the CSV's columns, in order
+    lines = [CSV_HEADER, *("%.17g,%.17g,%.17g,%.17g,%.17g,%d,%d" % row for row in rows)]
     _emit("\n".join(lines) + "\n", out_csv)
     return 0
 

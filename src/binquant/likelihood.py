@@ -460,7 +460,7 @@ def _newton_polish(fn, lo, hi, f_lo, f_hi, d_lo, d_hi, xtol: float, ftol: float,
         # inverse cubic Hermite interpolation of y(fn) at fn = 0, with dy/dfn = 1 / slope at the ends
         secant, s = df / h, -fp / df
         t = s * s * (3.0 - 2.0 * s) + s * (1.0 - s) * ((1.0 - s) * secant / d0 - s * secant / d1)
-        x = np.clip(a + h * np.where((0.0 < t) & (t < 1.0), t, s), a + half, b - half)
+        x = np.minimum(np.maximum(a + h * np.where((0.0 < t) & (t < 1.0), t, s), a + half), b - half)
         if not max_steps:
             roots[idx] = x
             return roots, 0
@@ -486,11 +486,13 @@ def _newton_polish(fn, lo, hi, f_lo, f_hi, d_lo, d_hi, xtol: float, ftol: float,
                 idx, x, fx, a, b, xp, fp, slope, rising, last, before = (
                     v[~done] for v in (idx, x, fx, a, b, xp, fp, slope, rising, last, before)
                 )
+                if not idx.size:
+                    break
             if steps > 1:
                 slope = (fx - fp) / (x - xp)
             newton = x - fx / slope
             inside = (a < newton) & (newton < b)
-            newton = np.clip(newton, a + half, b - half)
+            newton = np.minimum(np.maximum(newton, a + half), b - half)
             newton = np.where(inside & (np.abs(newton - x) <= 0.5 * before), newton, 0.5 * (a + b))
             xp, fp, x, before, last = x, fx, newton, last, np.abs(newton - x)
     return roots, steps
@@ -561,7 +563,10 @@ def _crossing_roots(spec: ChannelSpec, grid: _Grid, levels: np.ndarray, max_step
     order = np.lexsort((roots, lvl))
     lvl, roots = lvl[order], roots[order]
     twins = np.flatnonzero((lvl[1:] == lvl[:-1]) & (roots[1:] == roots[:-1]))
-    return np.delete(lvl, np.r_[twins, twins + 1]), np.delete(roots, np.r_[twins, twins + 1])
+    if twins.size:
+        drop = np.r_[twins, twins + 1]
+        lvl, roots = np.delete(lvl, drop), np.delete(roots, drop)
+    return lvl, roots
 
 
 def _level_roots(spec: ChannelSpec, levels: np.ndarray, grid_points: int, polish: bool = True):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -285,12 +286,12 @@ def grid_search(spec: ChannelSpec, n_thresholds: int, grid_step: float) -> Oracl
     )
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One tabulated level: masses, stationarity value, MI, and root count.
 
     ``degenerate`` rows (masses at machine 0/1) carry NaN in
-    ``stationarity_value`` but are emitted rather than dropped.
+    ``stationarity_value`` but are emitted rather than dropped.  A row is
+    a tuple of its fields in this order, so a CSV line formats it whole.
     """
 
     level: float

@@ -7,10 +7,12 @@ information.  Only level-set quantizers can be optimal, so every channel
 ranks the level sets of one scan of levels over the range of u, their
 roots taken to ranking accuracy (closed form for a single-Gaussian pair,
 unpolished grid crossings for a mixture).  One level search next to each
-peak brackets a + to - change of F and narrows the bracket by
+peak brackets a + to - change of F, first within 1e-4 of the vertex of
+the parabola through the scan's MI at the peak and its two neighbours,
+then by moving out from the peak, and narrows the bracket by
 Chandrupatla's inverse-quadratic search; one batching loop runs all of
 them in shared rounds, each one :func:`~binquant.channel.stationarity`
-call (three on each shipped channel but the symmetric one, which takes
+call (two on each shipped channel but the symmetric one, which takes
 one).  The ranking only ranks: every
 reported number comes from one :func:`~binquant.channel.level_functionals`
 call at a*, where every threshold carries the likelihood ratio
@@ -39,6 +41,9 @@ PEAK_MARGIN_BITS = 1e-3
 
 #: Distance from a candidate level to the first levels round 0 evaluates next to it.
 BRACKET_HALF_WIDTH = 0.01
+
+#: Distance from a candidate's scan vertex to the levels round 0 evaluates next to it.
+_VERTEX_HALF_WIDTH = 1e-4
 
 #: A channel carries no information when no quantizer the scan or the search finds carries more bits than this.
 _NO_INFORMATION_BITS = 1e-12
@@ -134,15 +139,16 @@ def _level_scan(spec: ChannelSpec, cfg: SolverConfig) -> tuple[np.ndarray, np.nd
     return levels, _mi_bits(spec.prior.p0, f, g)
 
 
-def _candidate_levels(spec: ChannelSpec, cfg: SolverConfig) -> tuple[np.ndarray, float]:
-    """Levels of the MI peaks within PEAK_MARGIN_BITS of the best of the scanned levels, and that best MI.
+def _candidate_levels(spec: ChannelSpec, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray, float]:
+    """Levels of the MI peaks within PEAK_MARGIN_BITS of the best scanned level, their vertices, and that best MI.
 
     The paper's optimum is a level-set quantizer, so the ranking scans
     levels (:func:`_level_scan`).  The levels near the best form runs in
     level order; each run, merged with any run whose end lies within two
     bracket half-widths, gives its best level, so a single-peaked MI curve
     gives one candidate however flat or jagged its top is at the scan's
-    resolution.
+    resolution.  Each candidate's vertex is that of the parabola through
+    the MI at it and at its two scan neighbours (:func:`_scan_vertex`).
     """
     levels, mi = _level_scan(spec, cfg)
     best = float(mi.max(initial=0.0))
@@ -150,7 +156,27 @@ def _candidate_levels(spec: ChannelSpec, cfg: SolverConfig) -> tuple[np.ndarray,
     cuts = 1 + np.flatnonzero(
         (np.diff(near_best) > 1) & (np.diff(levels[near_best]) > 2.0 * BRACKET_HALF_WIDTH)
     )
-    return np.array([levels[g[np.argmax(mi[g])]] for g in np.split(near_best, cuts) if g.size]), best
+    peaks = [int(g[np.argmax(mi[g])]) for g in np.split(near_best, cuts) if g.size]
+    return levels[peaks], np.array([_scan_vertex(levels, mi, i) for i in peaks]), best
+
+
+def _scan_vertex(levels: np.ndarray, mi: np.ndarray, i: int) -> float:
+    """The vertex of the parabola through the scan's MI at ``levels[i]`` and its two neighbours.
+
+    The MI at level i is the highest of the three, so the vertex lies
+    between the midpoints of its two gaps.  Where the three points are not
+    strictly concave (a neighbour at the same level included), or level i
+    ends the scan, it is ``levels[i]``.
+    """
+    if not 0 < i < levels.size - 1:
+        return float(levels[i])
+    (x0, x1, x2), (m0, m1, m2) = levels[i - 1 : i + 2].tolist(), mi[i - 1 : i + 2].tolist()
+    d0, d2 = x1 - x0, x2 - x1
+    # d0 d2 times the drop in slope from [x0, x1] to [x1, x2]
+    curvature = d0 * (m1 - m2) + d2 * (m1 - m0)
+    if not curvature > 0.0:
+        return x1
+    return x1 + 0.5 * (d2 * d2 * (m1 - m0) - d0 * d0 * (m1 - m2)) / curvature
 
 
 def _chandrupatla_t(x1: float, f1: float, x2: float, f2: float, x3: float, f3: float) -> float:
@@ -168,60 +194,77 @@ def _chandrupatla_t(x1: float, f1: float, x2: float, f2: float, x3: float, f3: f
     return 0.5
 
 
-def _candidate_search(c: float, a_lo: float, a_hi: float, xtol: float, max_rounds: int):
-    """The level search next to the candidate level ``c``: a generator that :func:`_search` runs.
+def _candidate_search(c: float, v: float, a_lo: float, a_hi: float, xtol: float, max_rounds: int):
+    """The level search next to the candidate level ``c`` with scan vertex ``v``: a generator :func:`_search` runs.
 
     Each round it yields the levels it needs and is sent F at them.  Round 0
-    takes c - w, c and c + w (w = BRACKET_HALF_WIDTH, clipped to [a_lo,
-    a_hi]).  A zero at c is the root; else the sign of F(c) says on which
-    side the + to - change lies, and the end on that side moves out to
-    c +- 2w, 4w, ..., a level a round, until it brackets the change.  F is
-    NaN at degenerate levels, which lie beyond the last levels where F has a
-    value, so once the end lands on a NaN the walk bisects between the last
-    level where F had the sign of F(c) and the nearest NaN instead.  Each
-    narrowing round then takes the Chandrupatla point x
-    (:func:`_chandrupatla_t`) and the guards x +- xtol / 2, every level at
-    least xtol / 4 inside the bracket, so the round in which x lands within
-    xtol / 2 of a zero also closes it.  x1 is the end nearer c after the
-    walk, then the end a round evaluated (of two, the one where |F| is
-    smaller); x3 is the level before x1 in the walk, then the far guard
+    takes c - w, c and c + w (w = BRACKET_HALF_WIDTH) and v - d, v and
+    v + d (d = _VERTEX_HALF_WIDTH), all clipped to [a_lo, a_hi].  A zero at
+    c, else at v, is the root.  Else the sign of F(v) says on which side of
+    v the + to - change lies; where F at v +- d on that side is 0, that
+    level is the root, and where it has the other sign, narrowing starts
+    from there with x1 = v, so a vertex within d of the zero needs no walk.
+    Else the search goes on from c: the sign of F(c) says on which side the
+    change lies, and the end on that side moves out to c +- 2w, 4w, ..., a
+    level a round, until it brackets the change.  F is NaN at degenerate
+    levels, which lie beyond the last levels where F has a value, so once
+    the end lands on a NaN the walk bisects between the last level where F
+    had the sign of F(c) and the nearest NaN instead.  Each narrowing round
+    then takes the Chandrupatla point x (:func:`_chandrupatla_t`) and the
+    guards x +- xtol / 2, every level at least xtol / 4 inside the bracket,
+    so the round in which x lands within xtol / 2 of a zero also closes it.
+    x1 is v or the end nearer c after the walk, then the end a round
+    evaluated (of two, the one where |F| is smaller); x3 is v's level on
+    the other side or the level before x1 in the walk, then the far guard
     beyond x1, else the old end there.  Returns ``("level", a)`` for a zero
     or for x1 once the bracket is at most ``xtol`` wide, ``("edge", a)``
     when the walk reached the edge a with no sign change, and ``("nan",
-    a)`` when F is NaN at c (a = c - w when F is NaN there too, else c), at
-    a narrowing level a, or at a level a within ``xtol`` of the walk's last
-    level with the sign of F(c).  F at the round-0 level on the other side
-    of c serves only as x3, where a NaN gives the secant point.  Raises
-    NotConvergedError past ``max_rounds`` narrowing rounds.
+    a)`` when F is NaN at c (a = c - w when F is NaN there too, else c) and
+    v's levels bracket no change, at a narrowing level a, or at a level a
+    within ``xtol`` of the walk's last level with the sign of F(c).  F at
+    the round-0 level on the other side of c serves only as x3, where a NaN
+    gives the secant point.  Raises NotConvergedError past ``max_rounds``
+    narrowing rounds.
     """
-    w = BRACKET_HALF_WIDTH
-    left, right = max(c - w, a_lo), min(c + w, a_hi)
-    f_left, f_c, f_right = yield [left, c, right]
+    w, d = BRACKET_HALF_WIDTH, _VERTEX_HALF_WIDTH
+    left, right, v_left, v_right = max(c - w, a_lo), min(c + w, a_hi), max(v - d, a_lo), min(v + d, a_hi)
+    f_left, f_c, f_right, fv_left, f_v, fv_right = yield [left, c, right, v_left, v, v_right]
     if f_c == 0.0:
         return "level", c
-    if math.isnan(f_c):
+    if f_v == 0.0:
+        return "level", v
+    # v's level on the side the sign of F(v) points to, and the one on the other side
+    ends = [(v_left, fv_left), (v_right, fv_right)]
+    beyond, (x, fx) = ends if f_v > 0.0 else ends[::-1]
+    if f_v > 0.0 >= fx or f_v < 0.0 <= fx:
+        if fx == 0.0:
+            return "level", x
+        bracket = (v, f_v), (x, fx), beyond
+    elif math.isnan(f_c):
         return "nan", left if math.isnan(f_left) else c
-    inner, step, ends = (c, f_c), math.copysign(w, f_c), [(left, f_left), (right, f_right)]
-    beyond, (x, fx) = ends if f_c > 0.0 else ends[::-1]
-    nan_at = None  # the level nearest c where F was NaN on the walk's side
-    # until F is 0 or has the other sign than the step (both comparisons are False for NaN)
-    while math.isnan(fx) or (fx > 0.0 if step > 0.0 else fx < 0.0):
-        if math.isnan(fx):
-            nan_at = x
-        elif x in (a_lo, a_hi):
-            return "edge", x
-        else:
-            step, beyond, inner = 2.0 * step, inner, (x, fx)
-        if nan_at is None:
-            x = min(max(c + step, a_lo), a_hi)
-        elif abs(nan_at - inner[0]) <= xtol:
-            return "nan", nan_at
-        else:
-            x = 0.5 * (inner[0] + nan_at)
-        (fx,) = yield [x]
-    if fx == 0.0:
-        return "level", x
-    (x1, f1), (x2, f2), (x3, f3) = inner, (x, fx), beyond
+    else:
+        inner, step, ends = (c, f_c), math.copysign(w, f_c), [(left, f_left), (right, f_right)]
+        beyond, (x, fx) = ends if f_c > 0.0 else ends[::-1]
+        nan_at = None  # the level nearest c where F was NaN on the walk's side
+        # until F is 0 or has the other sign than the step (both comparisons are False for NaN)
+        while math.isnan(fx) or (fx > 0.0 if step > 0.0 else fx < 0.0):
+            if math.isnan(fx):
+                nan_at = x
+            elif x in (a_lo, a_hi):
+                return "edge", x
+            else:
+                step, beyond, inner = 2.0 * step, inner, (x, fx)
+            if nan_at is None:
+                x = min(max(c + step, a_lo), a_hi)
+            elif abs(nan_at - inner[0]) <= xtol:
+                return "nan", nan_at
+            else:
+                x = 0.5 * (inner[0] + nan_at)
+            (fx,) = yield [x]
+        if fx == 0.0:
+            return "level", x
+        bracket = inner, (x, fx), beyond
+    (x1, f1), (x2, f2), (x3, f3) = bracket
     for rounds in itertools.count():
         if abs(x2 - x1) <= xtol:
             return "level", x1
@@ -292,8 +335,11 @@ def solve(spec: ChannelSpec, config: SolverConfig | None = None) -> QuantizerDes
     and F was degenerate at one of its levels.
     """
     cfg = config or SolverConfig()
-    candidates, scan_best = _candidate_levels(spec, cfg)
-    searches = [_candidate_search(c, cfg.a_lo, cfg.a_hi, cfg.tol_a, cfg.max_iter) for c in candidates.tolist()]
+    candidates, vertices, scan_best = _candidate_levels(spec, cfg)
+    searches = [
+        _candidate_search(c, v, cfg.a_lo, cfg.a_hi, cfg.tol_a, cfg.max_iter)
+        for c, v in zip(candidates.tolist(), vertices.tolist())
+    ]
     outcomes, rounds = _search(lambda levels: stationarity(spec, levels, cfg.grid_points), searches)
     fns = [level_functionals(spec, a, cfg.grid_points) for kind, a in outcomes if kind == "level"]
     mis = _mi_bits(spec.prior.p0, np.array([fn.correct0 for fn in fns]), np.array([fn.correct1 for fn in fns]))

@@ -284,6 +284,20 @@ class TestSweepCommand:
         main(args + [str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_each_line_is_its_row_at_full_precision(self, tmp_path):
+        # the levels from 0.8 up are degenerate on example2: F is NaN and the flag 1
+        out = tmp_path / "sweep.csv"
+        main(["sweep", "--config", EXAMPLE2, "--a-min", "0.05", "--a-max", "0.95",
+              "--steps", "19", "--out", str(out)])
+        spec, cfg = load_config(EXAMPLE2)
+        rows = oracle.sweep_levels(spec, np.linspace(0.05, 0.95, 19), cfg.grid_points)
+        expected = [
+            ",".join([*(f"{value:.17g}" for value in row[:5]), str(row.n_roots), "1" if row.degenerate else "0"])
+            for row in rows
+        ]
+        assert out.read_text().splitlines()[1:] == expected
+        assert any(row.degenerate for row in rows) and not all(row.degenerate for row in rows)
+
     def test_run_of_grid_points_on_the_level_is_one_root(self, shared_spec, tmp_path):
         config, out = tmp_path / "shared.json", tmp_path / "shared.csv"
         density = lambda model: {"components": [vars(c) for c in model.components]}

@@ -82,6 +82,8 @@ class TestSolveSymmetric:
         assert design.mi_bits == pytest.approx(EX1_MI, abs=1e-9)
         assert design.stationarity_residual <= 1e-8
         assert design.mapping == "odd_to_zero"
+        # F(0.5) is exactly 0 by symmetry, so round 0 ends the search
+        assert design.iterations == 0
 
 
     @pytest.mark.parametrize("config", [SolverConfig(a_hi=0.5), SolverConfig(a_lo=0.5)])
@@ -180,7 +182,7 @@ class TestVerifyStationarity:
 
 
 class TestSearchBudget:
-    """Round 0 plus two narrowing rounds: at most 3 F batches per solve on the shipped channels."""
+    """Round 0 plus one narrowing round: at most 2 F batches per solve on the shipped channels."""
 
     @pytest.mark.parametrize(
         "name, a_star",
@@ -188,8 +190,8 @@ class TestSearchBudget:
     )
     def test_stationarity_calls(self, name, a_star, request, monkeypatch):
         design, calls = self._solve_counting_f(request.getfixturevalue(name), monkeypatch)
-        # one bracket from round 0, then two narrowing rounds
-        assert len(calls) <= 3
+        # one bracket next to the scan vertex from round 0, then one narrowing round
+        assert len(calls) <= 2
         assert design.iterations == len(calls) - 1
         assert design.a_star == pytest.approx(a_star, abs=1e-8)
 
@@ -207,6 +209,7 @@ class TestSearchBudget:
         spec, cfg = load_config(str(path))
         design, calls = self._solve_counting_f(spec, monkeypatch, cfg)
         assert design.iterations == len(calls) - 1
+        assert len(calls) <= 2
 
     @staticmethod
     def _solve_counting_f(spec, monkeypatch, config=None):
@@ -225,13 +228,16 @@ def _cubic(x):
     return (x - 0.3) ** 3 + 0.01 * (x - 0.3)
 
 
-def _searched(fn, candidates, a_lo, a_hi, xtol=1e-10, max_rounds=200, rounds=None, logs=None):
+def _searched(fn, candidates, a_lo, a_hi, xtol=1e-10, max_rounds=200, rounds=None, logs=None, vertices=None):
     """:func:`solver._search` of one :func:`solver._candidate_search` per candidate, F = ``fn``.
 
-    ``rounds`` gets the levels of each call of ``fn``; ``logs``, one list
-    per candidate, the levels its search yields in each of its own rounds.
+    Each candidate's scan vertex is the one in ``vertices``, else the
+    candidate itself.  ``rounds`` gets the levels of each call of ``fn``;
+    ``logs``, one list per candidate, the levels its search yields in each
+    of its own rounds.
     """
-    searches = [solver._candidate_search(c, a_lo, a_hi, xtol, max_rounds) for c in candidates]
+    vertices = candidates if vertices is None else vertices
+    searches = [solver._candidate_search(c, v, a_lo, a_hi, xtol, max_rounds) for c, v in zip(candidates, vertices)]
     if logs is not None:
         searches = [_logged(search, log) for search, log in zip(searches, logs)]
     return solver._search(_recording(fn, [] if rounds is None else rounds), searches)
@@ -257,6 +263,25 @@ class TestBatchedSearch:
         assert _searched(fn, [0.255], 0.0, 1.0, 1e-3, rounds=rounds) == ([("level", 0.25)], 1)
         assert len(rounds) == 2
 
+    def test_a_zero_next_to_the_vertex_closes_in_one_narrowing_round(self):
+        # the zero 0.7 lies within d of the vertex 0.69995, 0.02 from the candidate 0.68
+        fn, d, rounds = (lambda x: np.expm1(0.7 - x)), solver._VERTEX_HALF_WIDTH, []
+        [(kind, level)], n_rounds = _searched(fn, [0.68], 0.0, 1.0, rounds=rounds, vertices=[0.69995])
+        assert kind == "level" and level == pytest.approx(0.7, abs=1e-10) and n_rounds == 1
+        # the one narrowing round lies inside [v, v + d], where F falls from + to -
+        assert [len(levels) for levels in rounds] == [6, 3]
+        assert all(0.69995 < x < 0.69995 + d for x in rounds[1])
+
+    @pytest.mark.parametrize("vertex", [0.68, 0.6805, 0.6795])
+    def test_a_vertex_that_misses_costs_the_rounds_of_the_candidate_alone(self, vertex):
+        # no sign change of F within d of the vertex: the search goes on from
+        # c +- w, a walk round to 0.70 and one narrowing round, as with no vertex
+        fn, w, rounds = (lambda x: np.tanh(50.0 * (0.7 - x))), solver.BRACKET_HALF_WIDTH, []
+        [(kind, level)], n_rounds = _searched(fn, [0.68], 0.0, 1.0, rounds=rounds, vertices=[vertex])
+        assert kind == "level" and level == pytest.approx(0.7, abs=1e-10) and n_rounds == 2
+        assert [len(levels) for levels in rounds] == [6, 1, 2] and rounds[1] == [0.68 + 2.0 * w]
+        assert rounds[0][:3] == [0.68 - w, 0.68, 0.68 + w]
+
     @pytest.mark.parametrize(
         "steps, walk_rounds", [(0, 0), (1, 0), (-1, 0), (-2, 1)], ids=["c", "c+w", "c-w", "c-2w"]
     )
@@ -266,7 +291,8 @@ class TestBatchedSearch:
         zero = c + steps * w
         fn, rounds = lambda x: zero - x, []
         assert _searched(fn, [c], 0.0, 1.0, rounds=rounds) == ([("level", zero)], walk_rounds)
-        assert [len(levels) for levels in rounds] == [3] + [1] * walk_rounds
+        # round 0 is c - w, c, c + w and the vertex c with c +- d
+        assert [len(levels) for levels in rounds] == [6] + [1] * walk_rounds
 
     @pytest.mark.parametrize(
         "fn, c, a_lo, a_hi, xtol",
@@ -311,7 +337,7 @@ class TestBatchedSearch:
         offsets = [0.0, 10.0, 20.0]
         shifted = lambda x: cases[round(x / 10.0)][0](x - 10.0 * round(x / 10.0))
         moved = [(c + d, a_lo + d, a_hi + d) for d, (_, c, a_lo, a_hi) in zip(offsets, cases)]
-        searches = [solver._candidate_search(c, a_lo, a_hi, 1e-10, 200) for c, a_lo, a_hi in moved]
+        searches = [solver._candidate_search(c, c, a_lo, a_hi, 1e-10, 200) for c, a_lo, a_hi in moved]
         outcomes, n_rounds = solver._search(_recording(shifted, []), searches)
         assert n_rounds == max(n for _, n in alone)
         assert [kind for kind, _ in outcomes] == ["level"] * 3
@@ -343,12 +369,12 @@ class TestBatchedSearch:
 
     def test_ends_that_do_not_bracket_move_out_in_shared_rounds(self):
         # the zero 0.25 lies below both candidates; 0.95's walk reaches the range's edge 0 first
-        fn, w, xtol = (lambda x: (0.25 - x) * (1.0 + x)), solver.BRACKET_HALF_WIDTH, 1e-10
+        fn, w, d, xtol = (lambda x: (0.25 - x) * (1.0 + x)), solver.BRACKET_HALF_WIDTH, solver._VERTEX_HALF_WIDTH, 1e-10
         candidates, logs = (0.5, 0.95), [[], []]
         outcomes, _ = _searched(fn, candidates, 0.0, 1.0, xtol, logs=logs)
         for c, log, walk in zip(candidates, logs, (5, 7)):
             # round 0, then the lower end moves out to c - 2w, c - 4w, ..., one level a round
-            assert log[0] == [c - w, c, c + w]
+            assert log[0] == [c - w, c, c + w, c - d, c, c + d]
             assert log[1 : walk + 1] == [[max(c - 2**k * w, 0.0)] for k in range(1, walk + 1)]
             # the bracket: x1 the walk's level before the last, x2 the last, x3 the one before x1
             x1, x2, x3 = log[walk - 1][0], log[walk][0], log[walk - 2][0]
@@ -378,7 +404,7 @@ class TestBatchedSearch:
         # lower end, moving out, reaches 0.14) bisect toward the NaN until the
         # last level with F < 0 is within xtol of it, 30 rounds from 0.14
         fn = lambda x: np.where(x < 0.2, np.nan, 0.15 - x)
-        searches = [solver._candidate_search(c, 0.0, 1.0, 1e-10, 200) for c in (0.1, 0.205, 0.3)]
+        searches = [solver._candidate_search(c, c, 0.0, 1.0, 1e-10, 200) for c in (0.1, 0.205, 0.3)]
         outcomes, n_rounds = solver._search(fn, searches)
         assert [kind for kind, _ in outcomes] == ["nan"] * 3 and n_rounds == 34
         assert outcomes[0][1] == pytest.approx(0.09)
@@ -482,7 +508,8 @@ class TestTwoPeakMixture:
     def test_the_higher_of_two_brackets_wins(self, spec, monkeypatch):
         # one candidate at each + to - zero of F, the lower peak's first
         real = solver._candidate_levels
-        monkeypatch.setattr(solver, "_candidate_levels", lambda spec, cfg: (np.array([0.07, 0.7]), real(spec, cfg)[1]))
+        levels = np.array([0.07, 0.7])
+        monkeypatch.setattr(solver, "_candidate_levels", lambda spec, cfg: (levels, levels, real(spec, cfg)[2]))
         design = solve(spec)
         assert design.mi_bits >= 0.38662
         assert design.a_star == pytest.approx(0.69730, abs=1e-4)
@@ -703,7 +730,7 @@ class TestGaussianPairScan:
         mi = _dense_level_scan(spec, levels)
         # the best levels: every one within rounding of the largest MI
         best = levels[mi >= mi.max() - 1e-12]
-        candidates, scan_best = solver._candidate_levels(spec, cfg)
+        candidates, _, scan_best = solver._candidate_levels(spec, cfg)
         assert scan_best == solver._level_scan(spec, cfg)[1].max()
         assert np.min(np.abs(candidates[:, None] - best[None, :])) <= solver.BRACKET_HALF_WIDTH
         try:
@@ -731,8 +758,23 @@ class TestGaussianPairScan:
 
     def test_symmetric_channel_scans_its_midpoint(self, example1_spec):
         # the scan levels are symmetric about the midpoint of the range of u, 0.5
-        candidates, _ = solver._candidate_levels(example1_spec, SolverConfig())
+        candidates, vertices, _ = solver._candidate_levels(example1_spec, SolverConfig())
         assert candidates.tolist() == [0.5]
+        # its MI is symmetric about 0.5 too, so the vertex is 0.5 up to rounding
+        assert vertices.tolist() == pytest.approx([0.5], abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "levels, mi, i, vertex",
+        [
+            ([0.1, 0.2, 0.4], [-(0.15**2), -(0.05**2), -(0.15**2)], 1, 0.25),  # a parabola peaking at 0.25
+            ([0.1, 0.2, 0.3], [1.0, 1.0, 1.0], 1, 0.2),  # flat
+            ([0.1, 0.2, 0.3], [0.0, 1.0, 0.5], 0, 0.1),  # the first level
+            ([0.1, 0.2, 0.3], [0.0, 1.0, 0.5], 2, 0.3),  # the last level
+            ([0.1, 0.2, 0.2], [0.0, 1.0, 1.0], 1, 0.2),  # a neighbour at the same level
+        ],
+    )
+    def test_the_vertex_of_three_scan_levels(self, levels, mi, i, vertex):
+        assert solver._scan_vertex(np.array(levels), np.array(mi), i) == pytest.approx(vertex, abs=1e-15)
 
 
 class TestErrors:
@@ -777,10 +819,10 @@ class TestErrors:
         with pytest.raises(DegenerateChannelError):
             solve(spec)
 
-    def test_iteration_budget_enforced(self, example2_spec):
-        with pytest.raises(NotConvergedError):
-            # example2 takes two narrowing rounds
-            solve(example2_spec, SolverConfig(max_iter=1))
+    def test_iteration_budget_enforced(self, fig5_spec):
+        with pytest.raises(NotConvergedError, match="all 1 rounds"):
+            # fig5 takes one narrowing round to tol_a = 1e-10, and more to 1e-13
+            solve(fig5_spec, SolverConfig(tol_a=1e-13, max_iter=1))
 
     def test_config_validation(self):
         with pytest.raises(Exception):

@@ -17,7 +17,12 @@ in-process, capturing stdout, stderr, the exit code and the CSV.  Each run gets 
 once per run, as it would in a process of its own.
 
 Prints one line per run whose stdout, stderr, exit code or CSV differs
-between the trees, then a summary line; exits 1 when any run differs.
+between the trees, then a summary line; exits 1 when any run differs.  Each
+line ends with the largest absolute difference between corresponding
+non-integer numbers of the two runs' outputs and how many integers (counts
+such as ``iterations``) differ, so a run whose levels moved only within a
+tolerance reads as such; when the outputs hold different counts of
+numbers, it says so instead.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -44,6 +50,9 @@ COMMANDS = {
     "verify": ["verify"],
     "classify": ["classify"],
 }
+
+#: A decimal number in an output, not part of a word (so not the 02 of ``mix02``).
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?")
 
 
 def _run_all(configs: list[str]) -> list[dict]:
@@ -88,6 +97,22 @@ def _records(src: str, configs: list[str]) -> list[dict]:
     return json.loads(proc.stdout)
 
 
+def _largest_difference(old: dict, new: dict) -> str:
+    """The largest absolute difference between corresponding non-integer numbers of two runs; how many integers differ.
+
+    The numbers are read from stdout, stderr and the CSV, in that order.
+    Integers are counted apart, so a changed count does not hide a small
+    move of a level or a threshold.
+    """
+    numbers = [[x for k in ("stdout", "stderr", "csv") for x in NUMBER.findall(run[k] or "")] for run in (old, new)]
+    if len(numbers[0]) != len(numbers[1]):
+        return f"{len(numbers[0])} against {len(numbers[1])} numbers"
+    pairs = [(x, y) for x, y in zip(*numbers) if x != y]
+    whole = [all(v.lstrip("+-").isdigit() for v in pair) for pair in pairs]
+    largest = max((abs(float(x) - float(y)) for (x, y), w in zip(pairs, whole) if not w), default=0.0)
+    return f"largest difference {largest:.3g}" + (f", {sum(whole)} integer(s) differ" if any(whole) else "")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_src")
@@ -101,7 +126,7 @@ def main(argv=None) -> int:
         fields = [k for k in ("stdout", "stderr", "code", "csv") if old[k] != new[k]]
         if fields:
             differing += 1
-            print(f"DIFFERS {old['command']:<10} {old['config']}: {', '.join(fields)}")
+            print(f"DIFFERS {old['command']:<10} {old['config']}: {', '.join(fields)}; {_largest_difference(old, new)}")
     print(f"{differing} of {len(parent)} runs differ ({len(configs)} configs x {len(COMMANDS)} commands)")
     return 1 if differing else 0
 
