@@ -9,12 +9,14 @@ giving the correct-decision masses
 
 both computed from the CDFs at the level-set roots (no quadrature), by the
 one exact sum that :func:`channel_matrix` uses too (:func:`_correct_masses`):
-one CDF call per density over all the thresholds, and one ``math.fsum`` of
-exact terms per mass.  (The solver's candidate ranking sums its own masses,
-vectorized over its scan of levels, from the CDFs at their unpolished
-roots.)  Every batch of levels is one :func:`_level_batch`, which reads
-its roots and CDFs in one call each and gives f, g and F as arrays, with
-no object per level.  The stationarity function F is the scalar factor in
+one CDF call per density over all the thresholds, negated at every other
+index so that the terms alternate across the batch, and per mass one
+``math.fsum`` of a contiguous slice, its sign restored, clamped at +0.0.
+(The solver's candidate ranking sums its own masses, vectorized over its
+scan of levels, from the CDFs at their unpolished roots.)  Every batch of
+levels is one :func:`_level_batch`: roots and CDFs in one call each, and
+f, g and F (one loop on ``math.log``) as arrays, with no object per
+level.  The stationarity function F is the scalar factor in
 
     d I(X;Z)_a / da = p0 * f'(a) * F(a),
 
@@ -126,18 +128,25 @@ def _correct_masses(c0: list[float], c1: list[float], bounds: list[int], odd_fir
     the odd segments (-inf, h1), [h2, h3), ... and the even ones [h1, h2),
     [h3, h4), ....  With CDF values c1 <= ... <= cn the odd ones hold
     c1 - c2 + c3 - ... (+ 1 when n is even), the even ones -c1 + c2 - ...
-    (+ 1 when n is odd).  Each mass is one ``math.fsum`` of these exact
-    terms, so it is rounded once, and clamped into [0, 1]; it does not
-    depend on the batch.
+    (+ 1 when n is odd).  The CDFs at odd indices of the batch are negated
+    once, so a vector's terms are one contiguous slice, whose sum is +-1
+    times its alternating sum (by the parity of its first index and the
+    label of its first segment).  Each mass is that sign times one
+    ``math.fsum`` of the slice (and the sign, to add 1): the exact sum
+    rounded once, clamped into [0, 1] as +0.0, never -0.0, in any batch.
     """
-    neg0, neg1 = [-v for v in c0], [-v for v in c1]
-    a11, a22 = [], []
+    a0, a1 = c0[:], c1[:]
+    a0[1::2], a1[1::2] = [-v for v in c0[1::2]], [-v for v in c1[1::2]]
+    a11, a22, fsum = [], [], math.fsum
     for start, stop, odd in zip(bounds, bounds[1:], odd_first):
-        # the Z=0 segments add the CDFs from i on, every other one, and subtract those from j on
-        i, j = (start, start + 1) if odd else (start + 1, start)
-        one, other = ([1.0], []) if (stop - i) % 2 == 0 else ([], [1.0])
-        a11.append(min(1.0, max(0.0, math.fsum(c0[i:stop:2] + neg0[j:stop:2] + one))))
-        a22.append(min(1.0, max(0.0, math.fsum(c1[j:stop:2] + neg1[i:stop:2] + other))))
+        # a11 is sign * sum(a0[start:stop]), a22 is -sign * sum(a1[start:stop]); one of them adds 1
+        sign = 1.0 if (start % 2 == 0) == odd else -1.0
+        if ((stop - start) % 2 == 0) == odd:
+            m0, m1 = sign * fsum(a0[start:stop] + [sign]), -sign * fsum(a1[start:stop])
+        else:
+            m0, m1 = sign * fsum(a0[start:stop]), -sign * fsum(a1[start:stop] + [-sign])
+        a11.append(0.0 if m0 <= 0.0 else m0 if m0 < 1.0 else 1.0)
+        a22.append(0.0 if m1 <= 0.0 else m1 if m1 < 1.0 else 1.0)
     return a11, a22
 
 
@@ -220,7 +229,7 @@ def _level_batch(spec: ChannelSpec, levels, grid_points: int, level_set: LevelSe
     u_lo = _u_extent(spec, grid_points)[0]
     odd_first = [u_lo < a for a in uniq]
     f, g = _correct_masses(*_cdfs(spec, roots), bounds, odd_first)
-    F = np.array([_stationarity_from_masses(spec.prior, *v) for v in zip(uniq, f, g)])
+    F = _stationarity_from_masses(spec.prior, uniq, f, g)
     f, g = np.array(f), np.array(g)
     short = f + g < 1.0 - 1e-9
     if short.any():
@@ -258,27 +267,25 @@ def level_functionals(spec: ChannelSpec, level, grid_points: int = DEFAULT_GRID_
     return tuple(fns[i] for i in b.inverse.tolist()) if np.ndim(level) else fns[0]
 
 
-def _stationarity_from_masses(prior: Prior, level: float, f: float, g: float) -> float:
-    """F value from the masses; NaN when f or g is degenerate."""
+def _stationarity_from_masses(prior: Prior, levels: list[float], f: list[float], g: list[float]) -> np.ndarray:
+    """F of each level by the :func:`stationarity` formula on ``math.log``; NaN where f or g is degenerate."""
     lo, hi = DEGENERACY_EPS, 1.0 - DEGENERACY_EPS
-    if not (lo < f < hi and lo < g < hi):
-        return math.nan
-    p0, p1 = prior.p0, prior.p1
-    q0 = p0 * f + p1 * (1.0 - g)
-    q1 = p0 * (1.0 - f) + p1 * g
-    ratio_coeff = level / (1.0 - level)
-    return (
-        math.log(f / (1.0 - f))
-        - ratio_coeff * math.log(g / (1.0 - g))
-        - (1.0 + ratio_coeff) * math.log(q0 / q1)
-    )
+    p0, p1, log = prior.p0, prior.p1, math.log
+    F = []
+    for a, fa, ga in zip(levels, f, g):
+        if lo < fa < hi and lo < ga < hi:
+            r, q0, q1 = a / (1.0 - a), p0 * fa + p1 * (1.0 - ga), p0 * (1.0 - fa) + p1 * ga
+            F.append(log(fa / (1.0 - fa)) - r * log(ga / (1.0 - ga)) - (1.0 + r) * log(q0 / q1))
+        else:
+            F.append(math.nan)
+    return np.array(F)
 
 
 def stationarity(spec: ChannelSpec, level, grid_points: int = DEFAULT_GRID_POINTS):
     """The stationarity function F at ``level`` (natural logs).
 
-        F(a) = log(f/(1-f)) - (a/(1-a)) log(g/(1-g))
-               - (1/(1-a)) log((p0 f + p1 (1-g)) / (p0 (1-f) + p1 g))
+        F(a) = log(f/(1-f)) - r log(g/(1-g))
+               - (1 + r) log((p0 f + p1 (1-g)) / (p0 (1-f) + p1 g)),   r = a/(1-a)
 
     F is the scalar factor in dI/da = p0 f'(a) F(a): it is positive while
     raising the level gains information and negative while it loses it, so

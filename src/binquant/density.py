@@ -120,10 +120,15 @@ def _shaped(vals: np.ndarray, y):
 def _log_sum_exp(model: DensityModel, y):
     """``z``, the component densities over the largest, their sum, and the log-pdf."""
     z = _z(model, y)
-    comp_logs = -0.5 * z * z + model._log_coef
-    # log-sum-exp over the components; comp_logs is always finite
-    top = comp_logs.max(axis=0)
-    rel = np.exp(comp_logs - top)
+    # the component logs -z^2/2 + log_coef, in place; they are always finite
+    logs = np.multiply(z, z)
+    logs *= -0.5
+    logs += model._log_coef
+    if len(logs) == 1:  # one row's log-sum-exp is exactly top, 1, 1 and top + 0
+        return z, 1.0, 1.0, logs[0]
+    top = logs.max(axis=0)
+    logs -= top
+    rel = np.exp(logs, out=logs)
     total = rel.sum(axis=0)
     return z, rel, total, top + np.log(total)
 

@@ -547,7 +547,8 @@ def _crossing_roots(spec: ChannelSpec, grid: _Grid, levels: np.ndarray, max_step
     1e-12 or the bracket is at most 1e-12 wide.  A bracket end where u
     equals a exactly is its root.  A grid point where u touches a from
     below closes the brackets on both of its sides; that pair of equal
-    roots bounds an empty segment and is dropped.  In (level, root) order.
+    roots bounds an empty segment and is dropped.  In (level, root) order,
+    by a stable sort on the level: the roots come in cell order, ascending.
     """
     ys, u = grid.ys, grid.u
     # each cell holds the run of sorted levels in (lo_u, hi_u]
@@ -560,7 +561,7 @@ def _crossing_roots(spec: ChannelSpec, grid: _Grid, levels: np.ndarray, max_step
         REFINE_TOL, REFINE_TOL, max_steps,
     )
     # drop each pair of equal roots: it bounds an empty segment
-    order = np.lexsort((roots, lvl))
+    order = np.argsort(lvl, kind="stable")
     lvl, roots = lvl[order], roots[order]
     twins = np.flatnonzero((lvl[1:] == lvl[:-1]) & (roots[1:] == roots[:-1]))
     if twins.size:

@@ -313,11 +313,8 @@ def sweep_levels(
     each level's masses.
     """
     b = _level_batch(spec, np.atleast_1d(levels), grid_points)
-    columns = (np.array(b.levels), b.f, b.g, b.F, _mi_bits(spec.prior.p0, b.f, b.g), np.diff(b.bounds))
-    return [
-        SweepRow(a, f, g, F, mi, n, math.isnan(F))
-        for a, f, g, F, mi, n in zip(*(column[b.inverse].tolist() for column in columns))
-    ]
+    columns = (np.array(b.levels), b.f, b.g, b.F, _mi_bits(spec.prior.p0, b.f, b.g), np.diff(b.bounds), np.isnan(b.F))
+    return list(map(SweepRow._make, zip(*(column[b.inverse].tolist() for column in columns))))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from binquant import (
     stationarity,
 )
 from binquant import channel, likelihood
-from binquant.channel import _h2, _mi_bits
+from binquant.channel import DEGENERACY_EPS, _h2, _mi_bits
 from tests.conftest import BATCH_SPECS, batch_levels, fresh_copy
 
 PHI_1 = 0.8413447460685429
@@ -49,6 +49,22 @@ _UNIT = st.one_of(
 )
 #: Masses outside (0, 1) that rounded sums produce, whose entropy is 0.
 _OUTSIDE = st.sampled_from([0.0, 1.0, math.nextafter(1.0, 2.0), -1e-300, -0.0, 1.5])
+
+
+#: Posterior levels inside (0, 1), and masses anywhere in [0, 1] or within DEGENERACY_EPS of either end.
+_LEVEL = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+_MASS = st.one_of(
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 2.0 * DEGENERACY_EPS),
+    st.floats(0.0, 2.0 * DEGENERACY_EPS).map(lambda d: 1.0 - d),
+)
+
+
+def _formula_F(p0: float, a: float, f: float, g: float) -> float:
+    """F(a) by the formula of ``stationarity``'s docstring, one level on ``math.log``."""
+    p1, r = 1.0 - p0, a / (1.0 - a)
+    q0, q1 = p0 * f + p1 * (1.0 - g), p0 * (1.0 - f) + p1 * g
+    return math.log(f / (1.0 - f)) - r * math.log(g / (1.0 - g)) - (1.0 + r) * math.log(q0 / q1)
 
 
 def _h2_mpmath(w: float) -> float:
@@ -431,6 +447,18 @@ class TestStationarity:
             assert alone == ["degenerate"] * levels.size
         else:
             assert "degenerate" in alone and alone.count("degenerate") < levels.size
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.floats(0.001, 0.999), st.lists(st.tuples(_LEVEL, _MASS, _MASS), max_size=12))
+    def test_the_batch_is_the_formula_bit_for_bit(self, p0, rows):
+        levels, f, g = (list(column) for column in zip(*rows)) if rows else ([], [], [])
+        got = channel._stationarity_from_masses(Prior(p0), levels, f, g)
+        assert isinstance(got, np.ndarray) and got.shape == (len(rows),)
+        for value, (a, fa, ga) in zip(got.tolist(), rows):
+            degenerate = not all(DEGENERACY_EPS < m < 1.0 - DEGENERACY_EPS for m in (fa, ga))
+            assert math.isnan(value) == degenerate
+            if not degenerate:
+                assert value == _formula_F(p0, a, fa, ga)
 
     def test_flat_channel_always_degenerate(self, flat_spec):
         for level in (0.2, 0.5, 0.8):

@@ -249,6 +249,26 @@ def _loop_cdf(model, y):
 KERNELS = [(log_pdf, _loop_log_pdf), (cdf, _loop_cdf)]
 
 
+def _out_of_place_log_pdf_slope(model, y):
+    """log-pdf and slope by the log-sum-exp written out of place, each step a new array."""
+    z = (np.asarray(y, dtype=float).ravel() - model._mus) / model._sigmas
+    comp_logs = -0.5 * z * z + model._log_coef
+    top = comp_logs.max(axis=0)
+    rel = np.exp(comp_logs - top)
+    total = rel.sum(axis=0)
+    slope = (-1.0 / model._sigmas.ravel()) @ (rel * z) / total
+    return (top + np.log(total)).reshape(np.shape(y)), slope.reshape(np.shape(y))
+
+
+def _bits(x) -> bytes:
+    """The float64 bytes of a float or an array, with its shape: equal only when every bit is."""
+    return repr(np.shape(x)).encode() + np.asarray(x, dtype=np.float64).tobytes()
+
+
+def _model_id(model) -> str:
+    return f"{len(model.components)}-components-sd{model.components[0].stddev:.3g}"
+
+
 class TestComponentMajorKernels:
     """The kernels reduce over a leading component axis; a loop adding one
     component at a time gives the same floats."""
@@ -266,6 +286,15 @@ class TestComponentMajorKernels:
             else:
                 assert got.shape == np.shape(y)
                 assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("model", [STD_NORMAL, HEAVY, *map(_mixture, range(1, 7))], ids=_model_id)
+    def test_in_place_kernel_equals_the_out_of_place_expressions(self, model):
+        ys = np.r_[np.linspace(-60.0, 60.0, 1201), [c.mean for c in model.components]]
+        for y in (0.37, np.float64(-1.25), np.array(2.5), ys, ys[:1200].reshape(40, 30)):
+            got_log, got_slope = _log_pdf_slope(model, y)
+            want_log, want_slope = _out_of_place_log_pdf_slope(model, y)
+            assert _bits(got_log) == _bits(log_pdf(model, y)) == _bits(want_log)
+            assert _bits(got_slope) == _bits(want_slope)
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_cdf_at_infinities(self, k):
@@ -360,6 +389,10 @@ def _clamped(x):
     return min(1.0, max(0.0, float(x)))
 
 
+def _assert_no_negative_zero(*masses):
+    assert all(math.copysign(1.0, m) == 1.0 for batch in masses for m in batch)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_SORTED_CDFS)
 def test_alternating_mass_is_the_exact_sum_rounded_once(c):
@@ -368,6 +401,8 @@ def test_alternating_mass_is_the_exact_sum_rounded_once(c):
     # odd segments to Z=0: a11 is density0's odd mass, a22 density1's even mass
     assert _correct_masses(c, c, [0, len(c)], [True]) == ([float(odd)], [float(1 - odd)])
     assert _correct_masses(c, c, [0, len(c)], [False]) == ([float(1 - odd)], [float(odd)])
+    # == takes -0.0 for 0.0; the sign bit must be clear too
+    _assert_no_negative_zero(*_correct_masses(c, c, [0, len(c)], [True]), *_correct_masses(c, c, [0, len(c)], [False]))
 
 
 _LEVEL_CDFS = st.integers(0, 9).flatmap(
@@ -384,6 +419,7 @@ def test_a_batch_of_masses_is_each_exact_sum_rounded_once(levels):
     bounds = np.cumsum([0] + [len(level[0]) for level in levels]).tolist()
     odd_first = [level[2] for level in levels]
     a11, a22 = _correct_masses(c0, c1, bounds, odd_first)
+    _assert_no_negative_zero(a11, a22)
     for (l0, l1, odd), f, g in zip(levels, a11, a22, strict=True):
         m0, m1 = _exact_odd_mass(l0), _exact_odd_mass(l1)
         assert (f, g) == ((_clamped(m0), _clamped(1 - m1)) if odd else (_clamped(1 - m0), _clamped(m1)))
