@@ -6,18 +6,19 @@ The stationarity function F may change sign from + to - more than once, so
 information.  Only level-set quantizers can be optimal, so every channel
 ranks the level sets of one scan of levels over the range of u, their
 roots taken to ranking accuracy (closed form for a single-Gaussian pair,
-unpolished grid crossings for a mixture).  One level search next to each
-peak brackets a + to - change of F, first within 1e-4 of the vertex of
-the parabola through the scan's MI at the peak and its two neighbours,
-then by moving out from the peak, and narrows the bracket by
-Chandrupatla's inverse-quadratic search; one batching loop runs all of
-them in shared rounds, each one :func:`~binquant.channel.stationarity`
-call (two on each shipped channel but the symmetric one, which takes
-one).  The ranking only ranks: every
-reported number comes from one :func:`~binquant.channel.level_functionals`
-call at a*, where every threshold carries the likelihood ratio
-r* = (p1/p0)(1 - a*)/a*; the worst relative deviation from it is the
-design's ``stationarity_residual``.
+unpolished grid crossings for a mixture).  One level search starts from
+each peak's vertex v, that of the parabola through the scan's MI at the
+peak and its two neighbours: it brackets a + to - change of F within 1e-4
+of v, else by moving out from v, and narrows the bracket by Chandrupatla's
+inverse-quadratic search; one batching loop runs all of them in shared
+rounds, each one :func:`~binquant.channel.stationarity` call (two on each
+shipped channel).  The ranking only ranks: every reported number comes
+from one :func:`~binquant.channel.level_functionals` call at a*, where
+every threshold carries the likelihood ratio r* = (p1/p0)(1 - a*)/a*; the
+worst relative deviation from it is the design's
+``stationarity_residual``.  Where the scan's best MI beats every searched
+level's, that level is read and compared too, so a design never carries
+less than the scan's best level set.
 """
 
 from __future__ import annotations
@@ -39,13 +40,15 @@ __all__ = ["SolverConfig", "QuantizerDesign", "solve", "predict_single_threshold
 #: Ranked MI peaks within this many bits of the best one are candidates.
 PEAK_MARGIN_BITS = 1e-3
 
-#: Distance from a candidate level to the first levels round 0 evaluates next to it.
+#: The first step of a level search's walk out from its vertex, doubled each round; a quarter of it spaces the scan.
 BRACKET_HALF_WIDTH = 0.01
 
 #: Distance from a candidate's scan vertex to the levels round 0 evaluates next to it.
 _VERTEX_HALF_WIDTH = 1e-4
 
-#: A channel carries no information when no quantizer the scan or the search finds carries more bits than this.
+#: MI differences up to this many bits are rounding: a channel carries no information when no quantizer
+#: the scan or the search finds carries more, and the scan's best level replaces a searched design only
+#: when it carries more than this above it.
 _NO_INFORMATION_BITS = 1e-12
 
 
@@ -139,25 +142,25 @@ def _level_scan(spec: ChannelSpec, cfg: SolverConfig) -> tuple[np.ndarray, np.nd
     return levels, _mi_bits(spec.prior.p0, f, g)
 
 
-def _candidate_levels(spec: ChannelSpec, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray, float]:
-    """Levels of the MI peaks within PEAK_MARGIN_BITS of the best scanned level, their vertices, and that best MI.
+def _candidate_levels(spec: ChannelSpec, cfg: SolverConfig) -> tuple[np.ndarray, float, float]:
+    """Scan vertices of the MI peaks within PEAK_MARGIN_BITS of the best scanned level, that level and its MI.
 
     The paper's optimum is a level-set quantizer, so the ranking scans
     levels (:func:`_level_scan`).  The levels near the best form runs in
     level order; each run, merged with any run whose end lies within two
     bracket half-widths, gives its best level, so a single-peaked MI curve
     gives one candidate however flat or jagged its top is at the scan's
-    resolution.  Each candidate's vertex is that of the parabola through
-    the MI at it and at its two scan neighbours (:func:`_scan_vertex`).
+    resolution.  Each candidate is the vertex of the parabola through the
+    MI at that level and at its two scan neighbours (:func:`_scan_vertex`).
     """
     levels, mi = _level_scan(spec, cfg)
-    best = float(mi.max(initial=0.0))
-    near_best = np.flatnonzero(mi >= best - PEAK_MARGIN_BITS)
+    best = int(np.argmax(mi))
+    near_best = np.flatnonzero(mi >= mi[best] - PEAK_MARGIN_BITS)
     cuts = 1 + np.flatnonzero(
         (np.diff(near_best) > 1) & (np.diff(levels[near_best]) > 2.0 * BRACKET_HALF_WIDTH)
     )
     peaks = [int(g[np.argmax(mi[g])]) for g in np.split(near_best, cuts) if g.size]
-    return levels[peaks], np.array([_scan_vertex(levels, mi, i) for i in peaks]), best
+    return np.array([_scan_vertex(levels, mi, i) for i in peaks]), float(levels[best]), float(mi[best])
 
 
 def _scan_vertex(levels: np.ndarray, mi: np.ndarray, i: int) -> float:
@@ -194,83 +197,69 @@ def _chandrupatla_t(x1: float, f1: float, x2: float, f2: float, x3: float, f3: f
     return 0.5
 
 
-def _candidate_search(c: float, v: float, a_lo: float, a_hi: float, xtol: float, max_rounds: int):
-    """The level search next to the candidate level ``c`` with scan vertex ``v``: a generator :func:`_search` runs.
+def _candidate_search(v: float, a_lo: float, a_hi: float, xtol: float, max_rounds: int):
+    """The level search from the scan vertex ``v``: a generator :func:`_search` runs.
 
     Each round it yields the levels it needs and is sent F at them.  Round 0
-    takes c - w, c and c + w (w = BRACKET_HALF_WIDTH) and v - d, v and
-    v + d (d = _VERTEX_HALF_WIDTH), all clipped to [a_lo, a_hi].  A zero at
-    c, else at v, is the root.  Else the sign of F(v) says on which side of
-    v the + to - change lies; where F at v +- d on that side is 0, that
-    level is the root, and where it has the other sign, narrowing starts
-    from there with x1 = v, so a vertex within d of the zero needs no walk.
-    Else the search goes on from c: the sign of F(c) says on which side the
-    change lies, and the end on that side moves out to c +- 2w, 4w, ..., a
-    level a round, until it brackets the change.  F is NaN at degenerate
+    takes v - d, v and v + d (d = _VERTEX_HALF_WIDTH), clipped to [a_lo,
+    a_hi].  A zero at v is the root.  Else the sign of F(v) says on which
+    side of v the + to - change lies, and the end on that side, v +- d,
+    moves out to v +- w, 2w, 4w, ... (w = BRACKET_HALF_WIDTH), a level a
+    round, until F there is 0, the root, or has the other sign than F(v), so
+    a vertex within d of the zero needs no walk.  F is NaN at degenerate
     levels, which lie beyond the last levels where F has a value, so once
     the end lands on a NaN the walk bisects between the last level where F
-    had the sign of F(c) and the nearest NaN instead.  Each narrowing round
+    had the sign of F(v) and the nearest NaN instead.  Each narrowing round
     then takes the Chandrupatla point x (:func:`_chandrupatla_t`) and the
     guards x +- xtol / 2, every level at least xtol / 4 inside the bracket,
     so the round in which x lands within xtol / 2 of a zero also closes it.
-    x1 is v or the end nearer c after the walk, then the end a round
-    evaluated (of two, the one where |F| is smaller); x3 is v's level on
-    the other side or the level before x1 in the walk, then the far guard
-    beyond x1, else the old end there.  Returns ``("level", a)`` for a zero
-    or for x1 once the bracket is at most ``xtol`` wide, ``("edge", a)``
-    when the walk reached the edge a with no sign change, and ``("nan",
-    a)`` when F is NaN at c (a = c - w when F is NaN there too, else c) and
-    v's levels bracket no change, at a narrowing level a, or at a level a
-    within ``xtol`` of the walk's last level with the sign of F(c).  F at
-    the round-0 level on the other side of c serves only as x3, where a NaN
-    gives the secant point.  Raises NotConvergedError past ``max_rounds``
-    narrowing rounds.
+    x1 is the walk's last level with the sign of F(v), then the end a round
+    evaluated (of two, the one where |F| is smaller); x3 is the level
+    before x1 on the walk (v +- d on the other side when x1 is v), then the
+    far guard beyond x1, else the old end there.  Returns ``("level", a)``
+    for a zero or for x1 once the bracket is at most ``xtol`` wide,
+    ``("edge", a)`` when the walk reached the edge a with no sign change,
+    and ``("nan", a)`` when F is NaN at v (a = v - d when F is NaN there
+    too, else v), at a narrowing level a, or at a level a within ``xtol`` of
+    the walk's last level with the sign of F(v).  F at v +- d on the other
+    side serves only as x3, where a NaN gives the secant point.  Raises
+    NotConvergedError past ``max_rounds`` narrowing rounds.
     """
     w, d = BRACKET_HALF_WIDTH, _VERTEX_HALF_WIDTH
-    left, right, v_left, v_right = max(c - w, a_lo), min(c + w, a_hi), max(v - d, a_lo), min(v + d, a_hi)
-    f_left, f_c, f_right, fv_left, f_v, fv_right = yield [left, c, right, v_left, v, v_right]
-    if f_c == 0.0:
-        return "level", c
+    left, right = max(v - d, a_lo), min(v + d, a_hi)
+    f_left, f_v, f_right = yield [left, v, right]
     if f_v == 0.0:
         return "level", v
-    # v's level on the side the sign of F(v) points to, and the one on the other side
-    ends = [(v_left, fv_left), (v_right, fv_right)]
+    if math.isnan(f_v):
+        return "nan", left if math.isnan(f_left) else v
+    # the walk's step, doubled before each level it takes after v +- d: v +- w, 2w, 4w, ...
+    inner, step, ends = (v, f_v), math.copysign(0.5 * w, f_v), [(left, f_left), (right, f_right)]
     beyond, (x, fx) = ends if f_v > 0.0 else ends[::-1]
-    if f_v > 0.0 >= fx or f_v < 0.0 <= fx:
-        if fx == 0.0:
-            return "level", x
-        bracket = (v, f_v), (x, fx), beyond
-    elif math.isnan(f_c):
-        return "nan", left if math.isnan(f_left) else c
-    else:
-        inner, step, ends = (c, f_c), math.copysign(w, f_c), [(left, f_left), (right, f_right)]
-        beyond, (x, fx) = ends if f_c > 0.0 else ends[::-1]
-        nan_at = None  # the level nearest c where F was NaN on the walk's side
-        # until F is 0 or has the other sign than the step (both comparisons are False for NaN)
-        while math.isnan(fx) or (fx > 0.0 if step > 0.0 else fx < 0.0):
-            if math.isnan(fx):
-                nan_at = x
-            elif x in (a_lo, a_hi):
-                return "edge", x
-            else:
-                step, beyond, inner = 2.0 * step, inner, (x, fx)
-            if nan_at is None:
-                x = min(max(c + step, a_lo), a_hi)
-            elif abs(nan_at - inner[0]) <= xtol:
-                return "nan", nan_at
-            else:
-                x = 0.5 * (inner[0] + nan_at)
-            (fx,) = yield [x]
-        if fx == 0.0:
-            return "level", x
-        bracket = inner, (x, fx), beyond
-    (x1, f1), (x2, f2), (x3, f3) = bracket
+    nan_at = None  # the level nearest v where F was NaN on the walk's side
+    # until F is 0 or has the other sign than the step (both comparisons are False for NaN)
+    while math.isnan(fx) or (fx > 0.0 if step > 0.0 else fx < 0.0):
+        if math.isnan(fx):
+            nan_at = x
+        elif x in (a_lo, a_hi):
+            return "edge", x
+        else:
+            step, beyond, inner = 2.0 * step, inner, (x, fx)
+        if nan_at is None:
+            x = min(max(v + step, a_lo), a_hi)
+        elif abs(nan_at - inner[0]) <= xtol:
+            return "nan", nan_at
+        else:
+            x = 0.5 * (inner[0] + nan_at)
+        (fx,) = yield [x]
+    if fx == 0.0:
+        return "level", x
+    (x1, f1), (x2, f2), (x3, f3) = inner, (x, fx), beyond
     for rounds in itertools.count():
         if abs(x2 - x1) <= xtol:
             return "level", x1
         if rounds == max_rounds:
             raise NotConvergedError(
-                f"level search next to {c:.6g} used all {max_rounds} rounds with its bracket "
+                f"level search from {v:.6g} used all {max_rounds} rounds with its bracket "
                 f"still wider than {xtol:g} ({abs(x2 - x1):.3e} wide)"
             )
         t_min = 0.25 * xtol / abs(x2 - x1)
@@ -279,10 +268,10 @@ def _candidate_search(c: float, v: float, a_lo: float, a_hi: float, xtol: float,
         points = [p for p in (x - 0.5 * xtol, x, x + 0.5 * xtol) if p == x or inner_lo <= p <= inner_hi]
         values = yield points
         if any(map(math.isnan, values)):
-            return "nan", min(p for p, v in zip(points, values) if math.isnan(v))
+            return "nan", min(p for p, fp in zip(points, values) if math.isnan(fp))
         seq = sorted([(x1, f1), (x2, f2), *zip(points, values)])
         # the first level where F is 0 or has the other sign than at the lower end
-        j = next(j for j, (_, v) in enumerate(seq) if v == 0.0 or (v > 0.0) != (seq[0][1] > 0.0))
+        j = next(j for j, (_, fp) in enumerate(seq) if fp == 0.0 or (fp > 0.0) != (seq[0][1] > 0.0))
         if seq[j][1] == 0.0:
             return "level", seq[j][0]
         k = min((k for k in (j - 1, j) if 0 < k < len(seq) - 1), key=lambda k: abs(seq[k][1]))
@@ -317,14 +306,15 @@ def _search(fn, searches):
 def solve(spec: ChannelSpec, config: SolverConfig | None = None) -> QuantizerDesign:
     """Find the optimal binary quantizer for ``spec``.
 
-    (1) Rank quantizers and take the candidate levels at their MI peaks
-    (:func:`_candidate_levels`); (2) run one level search next to each
+    (1) Rank quantizers and take the scan vertex of each MI peak
+    (:func:`_candidate_levels`); (2) run one level search from each
     (:func:`_candidate_search`), all in shared rounds of one
     :func:`~binquant.channel.stationarity` call each (:func:`_search`),
     whose rounds after round 0 ``iterations`` counts; (3) keep the level
-    whose level functionals give the largest mutual information.  The spec
-    keeps the level sets of the last call, so a design at a level of the
-    last round polishes no root again.
+    whose level functionals give the largest mutual information, the
+    scan's best level too where its MI beats every searched level's by more
+    than _NO_INFORMATION_BITS.  The spec keeps the level sets of the last
+    call, so a design at a level of the last round polishes no root again.
 
     Raises NoSignChangeError when no quantizer of the scan or the search
     carries more than _NO_INFORMATION_BITS (the channel carries no
@@ -335,11 +325,8 @@ def solve(spec: ChannelSpec, config: SolverConfig | None = None) -> QuantizerDes
     and F was degenerate at one of its levels.
     """
     cfg = config or SolverConfig()
-    candidates, vertices, scan_best = _candidate_levels(spec, cfg)
-    searches = [
-        _candidate_search(c, v, cfg.a_lo, cfg.a_hi, cfg.tol_a, cfg.max_iter)
-        for c, v in zip(candidates.tolist(), vertices.tolist())
-    ]
+    vertices, scan_level, scan_best = _candidate_levels(spec, cfg)
+    searches = [_candidate_search(v, cfg.a_lo, cfg.a_hi, cfg.tol_a, cfg.max_iter) for v in vertices.tolist()]
     outcomes, rounds = _search(lambda levels: stationarity(spec, levels, cfg.grid_points), searches)
     fns = [level_functionals(spec, a, cfg.grid_points) for kind, a in outcomes if kind == "level"]
     mis = _mi_bits(spec.prior.p0, np.array([fn.correct0 for fn in fns]), np.array([fn.correct1 for fn in fns]))
@@ -357,6 +344,10 @@ def solve(spec: ChannelSpec, config: SolverConfig | None = None) -> QuantizerDes
             f"best levels of the admissible range [{cfg.a_lo}, {cfg.a_hi}], so "
             "the mutual information is highest at its edge; widen the range"
         )
+    if scan_best > mis.max() + _NO_INFORMATION_BITS:
+        # no search reached the scan's best level set: read it too, and keep whichever carries more
+        fns.append(level_functionals(spec, scan_level, cfg.grid_points))
+        mis = np.append(mis, _mi_bits(spec.prior.p0, fns[-1].correct0, fns[-1].correct1))
 
     fn, mi_bits = fns[int(np.argmax(mis))], float(mis.max())
     matrix = ChannelMatrix(a11=fn.correct0, a22=fn.correct1)

@@ -82,8 +82,10 @@ class TestSolveSymmetric:
         assert design.mi_bits == pytest.approx(EX1_MI, abs=1e-9)
         assert design.stationarity_residual <= 1e-8
         assert design.mapping == "odd_to_zero"
-        # F(0.5) is exactly 0 by symmetry, so round 0 ends the search
-        assert design.iterations == 0
+        # F(0.5) is exactly 0 by symmetry, but the scan vertex is 0.5 only up
+        # to rounding: round 0 brackets it within 1e-4, one round narrows it
+        assert design.a_star == pytest.approx(0.5, abs=SolverConfig().tol_a)
+        assert design.iterations == 1
 
 
     @pytest.mark.parametrize("config", [SolverConfig(a_hi=0.5), SolverConfig(a_lo=0.5)])
@@ -210,6 +212,8 @@ class TestSearchBudget:
         design, calls = self._solve_counting_f(spec, monkeypatch, cfg)
         assert design.iterations == len(calls) - 1
         assert len(calls) <= 2
+        # round 0 asks for v - d, v and v + d of each scan vertex
+        assert calls[0][1].size == 3 * solver._candidate_levels(spec, cfg)[0].size
 
     @staticmethod
     def _solve_counting_f(spec, monkeypatch, config=None):
@@ -228,16 +232,13 @@ def _cubic(x):
     return (x - 0.3) ** 3 + 0.01 * (x - 0.3)
 
 
-def _searched(fn, candidates, a_lo, a_hi, xtol=1e-10, max_rounds=200, rounds=None, logs=None, vertices=None):
-    """:func:`solver._search` of one :func:`solver._candidate_search` per candidate, F = ``fn``.
+def _searched(fn, vertices, a_lo, a_hi, xtol=1e-10, max_rounds=200, rounds=None, logs=None):
+    """:func:`solver._search` of one :func:`solver._candidate_search` per scan vertex, F = ``fn``.
 
-    Each candidate's scan vertex is the one in ``vertices``, else the
-    candidate itself.  ``rounds`` gets the levels of each call of ``fn``;
-    ``logs``, one list per candidate, the levels its search yields in each
-    of its own rounds.
+    ``rounds`` gets the levels of each call of ``fn``; ``logs``, one list
+    per vertex, the levels its search yields in each of its own rounds.
     """
-    vertices = candidates if vertices is None else vertices
-    searches = [solver._candidate_search(c, v, a_lo, a_hi, xtol, max_rounds) for c, v in zip(candidates, vertices)]
+    searches = [solver._candidate_search(v, a_lo, a_hi, xtol, max_rounds) for v in vertices]
     if logs is not None:
         searches = [_logged(search, log) for search, log in zip(searches, logs)]
     return solver._search(_recording(fn, [] if rounds is None else rounds), searches)
@@ -258,41 +259,49 @@ class TestBatchedSearch:
     """Level search: :func:`solver._candidate_search` for one candidate, :func:`solver._search` for all."""
 
     def test_a_lines_zero_is_found_in_one_round(self):
-        # round 0 brackets the zero in [0.245, 0.255]; the first narrowing point of a line is its zero
+        # round 0 brackets the zero in [0.24995, 0.25005]; the first narrowing point of a line is its zero
         fn, rounds = lambda x: 0.25 - x, []
-        assert _searched(fn, [0.255], 0.0, 1.0, 1e-3, rounds=rounds) == ([("level", 0.25)], 1)
-        assert len(rounds) == 2
+        assert _searched(fn, [0.25005], 0.0, 1.0, 1e-5, rounds=rounds) == ([("level", 0.25)], 1)
+        assert [len(levels) for levels in rounds] == [3, 3]
 
     def test_a_zero_next_to_the_vertex_closes_in_one_narrowing_round(self):
-        # the zero 0.7 lies within d of the vertex 0.69995, 0.02 from the candidate 0.68
+        # the zero 0.7 lies within d of the vertex 0.69995
         fn, d, rounds = (lambda x: np.expm1(0.7 - x)), solver._VERTEX_HALF_WIDTH, []
-        [(kind, level)], n_rounds = _searched(fn, [0.68], 0.0, 1.0, rounds=rounds, vertices=[0.69995])
+        [(kind, level)], n_rounds = _searched(fn, [0.69995], 0.0, 1.0, rounds=rounds)
         assert kind == "level" and level == pytest.approx(0.7, abs=1e-10) and n_rounds == 1
-        # the one narrowing round lies inside [v, v + d], where F falls from + to -
-        assert [len(levels) for levels in rounds] == [6, 3]
+        # round 0 is v - d, v and v + d; the one narrowing round lies inside [v, v + d], where F falls from + to -
+        assert rounds[0] == [0.69995 - d, 0.69995, 0.69995 + d]
+        assert [len(levels) for levels in rounds] == [3, 3]
         assert all(0.69995 < x < 0.69995 + d for x in rounds[1])
 
-    @pytest.mark.parametrize("vertex", [0.68, 0.6805, 0.6795])
-    def test_a_vertex_that_misses_costs_the_rounds_of_the_candidate_alone(self, vertex):
-        # no sign change of F within d of the vertex: the search goes on from
-        # c +- w, a walk round to 0.70 and one narrowing round, as with no vertex
+    @pytest.mark.parametrize("vertex, walk", [(0.68, 2), (0.6805, 2), (0.6795, 3)])
+    def test_a_vertex_that_misses_walks_out_from_it(self, vertex, walk):
+        # no sign change of F within d of the vertex: the upper end moves out
+        # to v + w, v + 2w, v + 4w, ... until it passes 0.70, then narrows
         fn, w, rounds = (lambda x: np.tanh(50.0 * (0.7 - x))), solver.BRACKET_HALF_WIDTH, []
-        [(kind, level)], n_rounds = _searched(fn, [0.68], 0.0, 1.0, rounds=rounds, vertices=[vertex])
-        assert kind == "level" and level == pytest.approx(0.7, abs=1e-10) and n_rounds == 2
-        assert [len(levels) for levels in rounds] == [6, 1, 2] and rounds[1] == [0.68 + 2.0 * w]
-        assert rounds[0][:3] == [0.68 - w, 0.68, 0.68 + w]
+        [(kind, level)], n_rounds = _searched(fn, [vertex], 0.0, 1.0, rounds=rounds)
+        assert kind == "level" and level == pytest.approx(0.7, abs=1e-10) and n_rounds > walk
+        assert [len(levels) for levels in rounds[: walk + 1]] == [3] + [1] * walk
+        assert rounds[1 : walk + 1] == [[vertex + 2**k * w] for k in range(walk)]
 
     @pytest.mark.parametrize(
-        "steps, walk_rounds", [(0, 0), (1, 0), (-1, 0), (-2, 1)], ids=["c", "c+w", "c-w", "c-2w"]
+        "steps, walk_rounds",
+        [
+            (0.0, 0),
+            (solver._VERTEX_HALF_WIDTH, 0),
+            (-solver._VERTEX_HALF_WIDTH, 0),
+            (-solver.BRACKET_HALF_WIDTH, 1),
+            (-2.0 * solver.BRACKET_HALF_WIDTH, 2),
+        ],
+        ids=["v", "v+d", "v-d", "v-w", "v-2w"],
     )
     def test_exact_zero_at_an_end_takes_no_round(self, steps, walk_rounds):
-        # F is exactly 0 at c, at c + w, at c - w (round 0) or at c - 2w (the walk's first level)
-        c, w = 0.5, solver.BRACKET_HALF_WIDTH
-        zero = c + steps * w
+        # F is exactly 0 at v, at v + d, at v - d (round 0) or at v - w or v - 2w (the walk's first levels)
+        v = 0.5
+        zero = v + steps
         fn, rounds = lambda x: zero - x, []
-        assert _searched(fn, [c], 0.0, 1.0, rounds=rounds) == ([("level", zero)], walk_rounds)
-        # round 0 is c - w, c, c + w and the vertex c with c +- d
-        assert [len(levels) for levels in rounds] == [6] + [1] * walk_rounds
+        assert _searched(fn, [v], 0.0, 1.0, rounds=rounds) == ([("level", zero)], walk_rounds)
+        assert [len(levels) for levels in rounds] == [3] + [1] * walk_rounds
 
     @pytest.mark.parametrize(
         "fn, c, a_lo, a_hi, xtol",
@@ -337,7 +346,7 @@ class TestBatchedSearch:
         offsets = [0.0, 10.0, 20.0]
         shifted = lambda x: cases[round(x / 10.0)][0](x - 10.0 * round(x / 10.0))
         moved = [(c + d, a_lo + d, a_hi + d) for d, (_, c, a_lo, a_hi) in zip(offsets, cases)]
-        searches = [solver._candidate_search(c, c, a_lo, a_hi, 1e-10, 200) for c, a_lo, a_hi in moved]
+        searches = [solver._candidate_search(v, a_lo, a_hi, 1e-10, 200) for v, a_lo, a_hi in moved]
         outcomes, n_rounds = solver._search(_recording(shifted, []), searches)
         assert n_rounds == max(n for _, n in alone)
         assert [kind for kind, _ in outcomes] == ["level"] * 3
@@ -347,18 +356,20 @@ class TestBatchedSearch:
 
     def test_a_search_that_walks_shares_rounds_with_one_that_narrows(self):
         # F falls from + to - at 0.25 and at 0.8: round 0 brackets the first
-        # next to 0.255, while 0.95 walks down to 0.79 in four more rounds
+        # next to 0.25005, while 0.95 walks down to 0.79 in five more rounds
         fn, w = (lambda x: -(x - 0.25) * (x - 0.5) * (x - 0.8)), solver.BRACKET_HALF_WIDTH
-        candidates, logs, rounds = (0.255, 0.95), [[], []], []
-        outcomes, n_rounds = _searched(fn, candidates, 0.0, 1.0, rounds=rounds, logs=logs)
-        assert logs[1][1:5] == [[0.95 - k * w] for k in (2, 4, 8, 16)]
-        # round 1 holds the first narrowing levels of 0.255 and the first walk level of 0.95
+        vertices, logs, rounds = (0.25005, 0.95), [[], []], []
+        outcomes, n_rounds = _searched(fn, vertices, 0.0, 1.0, rounds=rounds, logs=logs)
+        assert logs[1][1:6] == [[0.95 - k * w] for k in (1, 2, 4, 8, 16)]
+        # round 0 asks for 3 levels per vertex; round 1 holds the first
+        # narrowing levels of 0.25005 and the first walk level of 0.95
+        assert rounds[0] == logs[0][0] + logs[1][0] and [len(log[0]) for log in logs] == [3, 3]
         assert len(logs[0][1]) == 3 and rounds[1] == logs[0][1] + logs[1][1]
         assert n_rounds == len(rounds) - 1 == max(len(log) for log in logs) - 1
         # each search's own levels and its outcome equal those of the search run alone
-        for c, log, outcome in zip(candidates, logs, outcomes):
+        for v, log, outcome in zip(vertices, logs, outcomes):
             alone_log = []
-            assert _searched(fn, [c], 0.0, 1.0, logs=[alone_log]) == ([outcome], len(log) - 1)
+            assert _searched(fn, [v], 0.0, 1.0, logs=[alone_log]) == ([outcome], len(log) - 1)
             assert alone_log == log
         assert [kind for kind, _ in outcomes] == ["level", "level"]
         assert [a for _, a in outcomes] == pytest.approx([0.25, 0.8], abs=1e-10)
@@ -368,14 +379,14 @@ class TestBatchedSearch:
             _searched(lambda x: -_cubic(x), [0.95], -2.0, 1.0, 1e-12, 3)
 
     def test_ends_that_do_not_bracket_move_out_in_shared_rounds(self):
-        # the zero 0.25 lies below both candidates; 0.95's walk reaches the range's edge 0 first
+        # the zero 0.25 lies below both vertices; 0.95's walk reaches the range's edge 0 first
         fn, w, d, xtol = (lambda x: (0.25 - x) * (1.0 + x)), solver.BRACKET_HALF_WIDTH, solver._VERTEX_HALF_WIDTH, 1e-10
-        candidates, logs = (0.5, 0.95), [[], []]
-        outcomes, _ = _searched(fn, candidates, 0.0, 1.0, xtol, logs=logs)
-        for c, log, walk in zip(candidates, logs, (5, 7)):
-            # round 0, then the lower end moves out to c - 2w, c - 4w, ..., one level a round
-            assert log[0] == [c - w, c, c + w, c - d, c, c + d]
-            assert log[1 : walk + 1] == [[max(c - 2**k * w, 0.0)] for k in range(1, walk + 1)]
+        vertices, logs = (0.5, 0.95), [[], []]
+        outcomes, _ = _searched(fn, vertices, 0.0, 1.0, xtol, logs=logs)
+        for v, log, walk in zip(vertices, logs, (6, 8)):
+            # round 0, then the lower end moves out to v - w, v - 2w, v - 4w, ..., one level a round
+            assert log[0] == [v - d, v, v + d]
+            assert log[1 : walk + 1] == [[max(v - 2**k * w, 0.0)] for k in range(walk)]
             # the bracket: x1 the walk's level before the last, x2 the last, x3 the one before x1
             x1, x2, x3 = log[walk - 1][0], log[walk][0], log[walk - 2][0]
             assert fn(x1) < 0.0 < fn(x2)
@@ -384,30 +395,31 @@ class TestBatchedSearch:
         assert outcomes == [("level", pytest.approx(0.25, abs=1e-10))] * 2
 
     def test_a_walk_that_reaches_the_edge_gives_the_edge(self):
-        assert _searched(lambda x: 2.0 - x, [0.5], 0.0, 1.0) == ([("edge", 1.0)], 6)
+        # the upper end moves out to 0.51, 0.52, 0.54, ..., 0.82 and then the edge 1
+        assert _searched(lambda x: 2.0 - x, [0.5], 0.0, 1.0) == ([("edge", 1.0)], 7)
 
     def test_a_nan_on_the_side_the_walk_leaves_keeps_the_search(self):
-        # F(0.205) > 0 sends the search up; F at 0.195, below it, is NaN and unused
+        # F(0.20005) > 0 sends the search up; F at 0.19995, below it, is NaN and unused
         fn = lambda x: np.where(x < 0.2, np.nan, 0.25 - x)
-        outcomes, _ = _searched(fn, [0.205], 0.0, 1.0)
+        outcomes, _ = _searched(fn, [0.20005], 0.0, 1.0)
         assert outcomes == [("level", pytest.approx(0.25, abs=1e-10))]
 
     def test_a_walk_into_nan_bisects_back_to_the_sign_change(self):
-        # F(0.205) < 0 sends the search down to 0.195, where F is NaN; the midpoint 0.2 has F > 0
+        # F(0.205) < 0 sends the search down to 0.195, where F is NaN; bisecting from 0.2049 finds F > 0
         fn = lambda x: np.where(x < 0.2, np.nan, 0.2005 - x)
         outcomes, _ = _searched(fn, [0.205], 0.0, 1.0)
         assert outcomes == [("level", pytest.approx(0.2005, abs=1e-10))]
 
-    def test_a_nan_at_a_candidates_level_drops_it(self):
+    def test_a_nan_at_a_vertex_drops_it(self):
         # NaN below 0.2 and F < 0 above it: 0.1 is dropped in round 0 at its
-        # lowest NaN level; 0.205 (from round 0's 0.195) and 0.3 (once its
-        # lower end, moving out, reaches 0.14) bisect toward the NaN until the
-        # last level with F < 0 is within xtol of it, 30 rounds from 0.14
+        # lowest NaN level; 0.205 (once its lower end reaches 0.195) and 0.3
+        # (once it reaches 0.14) bisect toward the NaN until the last level
+        # with F < 0 is within xtol of it, 30 rounds from 0.14
         fn = lambda x: np.where(x < 0.2, np.nan, 0.15 - x)
-        searches = [solver._candidate_search(c, c, 0.0, 1.0, 1e-10, 200) for c in (0.1, 0.205, 0.3)]
+        searches = [solver._candidate_search(v, 0.0, 1.0, 1e-10, 200) for v in (0.1, 0.205, 0.3)]
         outcomes, n_rounds = solver._search(fn, searches)
-        assert [kind for kind, _ in outcomes] == ["nan"] * 3 and n_rounds == 34
-        assert outcomes[0][1] == pytest.approx(0.09)
+        assert [kind for kind, _ in outcomes] == ["nan"] * 3 and n_rounds == 35
+        assert outcomes[0][1] == pytest.approx(0.1 - solver._VERTEX_HALF_WIDTH)
         for _, a in outcomes[1:]:
             assert 0.2 - 1e-10 <= a < 0.2 and np.isnan(fn(a))
 
@@ -508,8 +520,8 @@ class TestTwoPeakMixture:
     def test_the_higher_of_two_brackets_wins(self, spec, monkeypatch):
         # one candidate at each + to - zero of F, the lower peak's first
         real = solver._candidate_levels
-        levels = np.array([0.07, 0.7])
-        monkeypatch.setattr(solver, "_candidate_levels", lambda spec, cfg: (levels, levels, real(spec, cfg)[2]))
+        vertices = np.array([0.07, 0.7])
+        monkeypatch.setattr(solver, "_candidate_levels", lambda spec, cfg: (vertices, *real(spec, cfg)[1:]))
         design = solve(spec)
         assert design.mi_bits >= 0.38662
         assert design.a_star == pytest.approx(0.69730, abs=1e-4)
@@ -629,6 +641,19 @@ def _assert_a_local_maximum(spec, design):
         assert design.mi_bits >= mi - own - _mi_rounding_bits(p0, fn.correct0, fn.correct1)
 
 
+def _assert_never_below_the_scan(spec, design):
+    """The design carries at least the scan's best level set, up to 1e-12 bits.
+
+    The scan's MI comes from unpolished roots, so it may lie above or below
+    the exact MI of its best level's level set; the design beats the lower
+    of the two.
+    """
+    _, level, scan_best = solver._candidate_levels(spec, SolverConfig())
+    fn = level_functionals(spec, level)
+    exact = mutual_information(spec.prior, ChannelMatrix(fn.correct0, fn.correct1))
+    assert design.mi_bits >= min(scan_best, exact) - 1e-12
+
+
 class TestGlobalOptimum:
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
     @given(p0=st.floats(0.2, 0.8), comps0=_MIXTURE, comps1=_MIXTURE)
@@ -652,6 +677,7 @@ class TestGlobalOptimum:
             assert min(err0, err1) <= 1e-9
             return
         assert design.mi_bits >= bound - 1e-9
+        _assert_never_below_the_scan(spec, design)
         assert design.iterations == len(calls) - 1
         _assert_a_local_maximum(spec, design)
 
@@ -673,7 +699,25 @@ class TestGlobalOptimum:
             assert min(err0, err1) <= 1e-9
         else:
             assert design.mi_bits >= bound - 1e-9
+            _assert_never_below_the_scan(spec, design)
             _assert_a_local_maximum(spec, design)
+
+    def test_never_below_its_own_scan(self):
+        # the searched levels' best design has 3 thresholds and 0.158901 bits;
+        # the scan's best level set, one threshold where F is NaN nearby,
+        # carries 0.159386 bits, and no search reaches it
+        p0 = 0.79286
+        comps0 = [(-18.226, 1.6267, 0.5616), (14.939, 2.9526, 0.4384)]
+        comps1 = [(-16.636, 0.24837, 0.1892), (-46.769, 1.7696, 0.3108), (-18.226, 1.6267, 0.5)]
+        density0, density1 = (
+            DensityModel(tuple(GaussianComponent(*c) for c in comps)) for comps in (comps0, comps1)
+        )
+        spec = channel_spec(Prior(p0=p0), density0, density1)
+        bound, _, _ = _cell_bound_bits(p0, comps0, comps1)
+        design = solve(spec)
+        assert design.mi_bits >= bound - 1e-9
+        _assert_never_below_the_scan(spec, design)
+        assert design.a_star == solver._candidate_levels(spec, SolverConfig())[1]
 
 
 def _dense_level_scan(spec, levels):
@@ -730,9 +774,10 @@ class TestGaussianPairScan:
         mi = _dense_level_scan(spec, levels)
         # the best levels: every one within rounding of the largest MI
         best = levels[mi >= mi.max() - 1e-12]
-        candidates, _, scan_best = solver._candidate_levels(spec, cfg)
-        assert scan_best == solver._level_scan(spec, cfg)[1].max()
-        assert np.min(np.abs(candidates[:, None] - best[None, :])) <= solver.BRACKET_HALF_WIDTH
+        vertices, scan_level, scan_best = solver._candidate_levels(spec, cfg)
+        levels, scan_mi = solver._level_scan(spec, cfg)
+        assert scan_best == scan_mi.max() and scan_level == levels[np.argmax(scan_mi)]
+        assert np.min(np.abs(vertices[:, None] - best[None, :])) <= solver.BRACKET_HALF_WIDTH
         try:
             design = solve(spec, cfg)
         except NoSignChangeError:
@@ -758,8 +803,8 @@ class TestGaussianPairScan:
 
     def test_symmetric_channel_scans_its_midpoint(self, example1_spec):
         # the scan levels are symmetric about the midpoint of the range of u, 0.5
-        candidates, vertices, _ = solver._candidate_levels(example1_spec, SolverConfig())
-        assert candidates.tolist() == [0.5]
+        vertices, scan_level, _ = solver._candidate_levels(example1_spec, SolverConfig())
+        assert scan_level == 0.5
         # its MI is symmetric about 0.5 too, so the vertex is 0.5 up to rounding
         assert vertices.tolist() == pytest.approx([0.5], abs=1e-12)
 

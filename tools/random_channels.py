@@ -24,10 +24,11 @@ which imports nothing from ``binquant``:
 * every other outcome is wrong: ``below-certificate`` (a design that fails
   ``check_solve``), or the name of the exception raised.
 
-It prints the count of each outcome kind and the total number of
-``channel.stationarity`` calls made by ``solve``; ``--each`` also prints
-one line per channel (number, kind, calls, and the design's or the
-error's text), so a channel can be cited by its number.
+It prints the count of each outcome kind, the total number of
+``channel.stationarity`` calls made by ``solve`` and the total number of
+levels those calls evaluated; ``--each`` also prints one line per channel
+(number, kind, calls, levels, and the design's or the error's text), so a
+channel can be cited by its number.
 """
 
 from __future__ import annotations
@@ -78,15 +79,16 @@ def _spec(config: dict):
     return channel_spec(Prior(p0=config["prior"]["p0"]), density0, density1)
 
 
-def _solve(config: dict) -> tuple[str, str, int]:
-    """(outcome kind, text, stationarity calls) of ``solve`` on ``config``."""
-    calls = 0
+def _solve(config: dict) -> tuple[str, str, int, int]:
+    """(outcome kind, text, stationarity calls, levels they evaluated) of ``solve`` on ``config``."""
+    calls = levels = 0
     real = solver.stationarity
 
-    def counted(*args):
-        nonlocal calls
+    def counted(spec, level, *args):
+        nonlocal calls, levels
         calls += 1
-        return real(*args)
+        levels += np.size(level)
+        return real(spec, level, *args)
 
     cert = certificate.certify(config, CELLS)
     solver.stationarity = counted
@@ -94,32 +96,34 @@ def _solve(config: dict) -> tuple[str, str, int]:
         design = solver.solve(_spec(config))
     except DegenerateChannelError as err:
         genuine = (cert.excluded or "").startswith("error probabilities")
-        return ("degenerate" if genuine else "DegenerateChannelError"), str(err), calls
+        return ("degenerate" if genuine else "DegenerateChannelError"), str(err), calls, levels
     except NoSignChangeError as err:
-        return ("no-information" if cert.mi_bits <= 1e-9 else "NoSignChangeError"), str(err), calls
+        return ("no-information" if cert.mi_bits <= 1e-9 else "NoSignChangeError"), str(err), calls, levels
     except Exception as err:  # every other error is a wrong outcome, counted by its name
-        return type(err).__name__, str(err), calls
+        return type(err).__name__, str(err), calls, levels
     finally:
         solver.stationarity = real
     text = json.dumps({"thresholds": design.thresholds, "mapping": design.mapping, "mi_bits": design.mi_bits})
     failure = certificate.check_solve(config, cert, text)
-    return ("below-certificate", failure, calls) if failure else ("correct", text, calls)
+    return ("below-certificate", failure, calls, levels) if failure else ("correct", text, calls, levels)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--each", action="store_true", help="print one line per channel")
     args = parser.parse_args(argv)
-    kinds, total = collections.Counter(), 0
+    kinds, total_calls, total_levels = collections.Counter(), 0, 0
     for i, config in enumerate(channels()):
-        kind, text, calls = _solve(config)
+        kind, text, calls, levels = _solve(config)
         kinds[kind] += 1
-        total += calls
+        total_calls += calls
+        total_levels += levels
         if args.each:
-            print(f"{i} {kind} {calls} {text}", flush=True)
+            print(f"{i} {kind} {calls} {levels} {text}", flush=True)
     for kind, count in sorted(kinds.items()):
         print(f"{kind:22s} {count}")
-    print(f"{'stationarity calls':22s} {total}")
+    print(f"{'stationarity calls':22s} {total_calls}")
+    print(f"{'levels evaluated':22s} {total_levels}")
     return 0
 
 
