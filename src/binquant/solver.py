@@ -18,7 +18,8 @@ every threshold carries the likelihood ratio r* = (p1/p0)(1 - a*)/a*; the
 worst relative deviation from it is the design's
 ``stationarity_residual``.  Where the scan's best MI beats every searched
 level's, that level is read and compared too, so a design never carries
-less than the scan's best level set.
+less than the scan's best level set (where no search ends on a level,
+``solve`` raises instead).
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
@@ -274,15 +274,24 @@ class TestBatchedSearch:
         assert [len(levels) for levels in rounds] == [3, 3]
         assert all(0.69995 < x < 0.69995 + d for x in rounds[1])
 
-    @pytest.mark.parametrize("vertex, walk", [(0.68, 2), (0.6805, 2), (0.6795, 3)])
-    def test_a_vertex_that_misses_walks_out_from_it(self, vertex, walk):
+    @pytest.mark.parametrize(
+        "vertex, walk, sizes",
+        [(0.68, 2, [3, 1, 1, 2]), (0.6805, 2, [3, 1, 1, 3, 3, 3]), (0.6795, 3, [3, 1, 1, 1, 3, 3, 3])],
+        ids=["0.68", "0.6805", "0.6795"],
+    )
+    def test_a_vertex_that_misses_walks_out_from_it(self, vertex, walk, sizes):
         # no sign change of F within d of the vertex: the upper end moves out
-        # to v + w, v + 2w, v + 4w, ... until it passes 0.70, then narrows
-        fn, w, rounds = (lambda x: np.tanh(50.0 * (0.7 - x))), solver.BRACKET_HALF_WIDTH, []
+        # to v + w, v + 2w, v + 4w, ... until it passes 0.70, then narrows;
+        # from 0.68 the walk ends within rounding of 0.70 and one round of two
+        # levels closes the bracket, from the others three rounds narrow it
+        fn, rounds = (lambda x: np.tanh(50.0 * (0.7 - x))), []
+        w, d = solver.BRACKET_HALF_WIDTH, solver._VERTEX_HALF_WIDTH
         [(kind, level)], n_rounds = _searched(fn, [vertex], 0.0, 1.0, rounds=rounds)
-        assert kind == "level" and level == pytest.approx(0.7, abs=1e-10) and n_rounds > walk
-        assert [len(levels) for levels in rounds[: walk + 1]] == [3] + [1] * walk
+        assert kind == "level" and level == pytest.approx(0.7, abs=1e-10) and n_rounds == len(sizes) - 1
+        assert [len(levels) for levels in rounds] == sizes
+        assert rounds[0] == [vertex - d, vertex, vertex + d]
         assert rounds[1 : walk + 1] == [[vertex + 2**k * w] for k in range(walk)]
+        assert all(vertex + 2 ** (walk - 2) * w < x < vertex + 2 ** (walk - 1) * w for x in rounds[walk + 1])
 
     @pytest.mark.parametrize(
         "steps, walk_rounds",
@@ -621,22 +630,49 @@ def _mi_rounding_bits(p0, a11, a22):
     return (17.0 + 4.0 * q0 * abs(math.log2(q0 / (1.0 - q0)))) * 2.0**-53
 
 
+def _stationarity_rounding(p0, fn):
+    """A bound on the rounding error of F at ``fn.level`` against the exact F of its level set's masses.
+
+    With u = 2^-53, each CDF value is within 8u of the exact mixture CDF at
+    its root (ndtr within 2u; its argument, rounded within 2u |z|, moves it
+    by at most 2u max z phi(z) < u; weighting and summing up to three
+    components add 3u), and a mass is a signed sum of one value per root
+    (and 1) rounded once, so f and g are within d = (8 k + 1) u for k
+    roots.  F's partial derivatives, with p0 + p1 = 1, turn that into
+    d (1/(f(1-f)) + r/(g(1-g)) + (1 + r)(1/q0 + 1/q1)), r = a/(1-a).
+    Evaluating F adds 2u to the first log (its quotient is rounded twice),
+    2u r to the second and 9u (1 + r) to the third (q0 and q1 within 4u
+    each, their quotient u), plus u times each log for the log itself, 3u
+    for r and 1 + r, and 2u for the two subtractions: in all at most
+    (11 (1 + r) + 7 (|t1| + |t2| + |t3|)) u for the terms t of F.
+    """
+    a, f, g, u = fn.level, fn.correct0, fn.correct1, 2.0**-53
+    r, q0, q1 = a / (1.0 - a), p0 * f + (1.0 - p0) * (1.0 - g), p0 * (1.0 - f) + (1.0 - p0) * g
+    terms = (math.log(f / (1.0 - f)), r * math.log(g / (1.0 - g)), (1.0 + r) * math.log(q0 / q1))
+    slopes = 1.0 / (f * (1.0 - f)) + r / (g * (1.0 - g)) + (1.0 + r) * (1.0 / q0 + 1.0 / q1)
+    return ((8 * len(fn.roots) + 1) * slopes + 11.0 * (1.0 + r) + 7.0 * sum(map(abs, terms))) * u
+
+
 def _assert_a_local_maximum(spec, design):
     """F falls through 0 at a*, and no level 1e-6 away carries more information, up to rounding.
 
     Whatever path the search took, it stopped on a + to - zero of F, a local
-    maximum of I(X;Z).  One F batch holds all four levels, and the MI at
-    a* +- 1e-6 reads its level sets.  Next to a maximum the MI is flat to
-    second order, so the two values may differ by rounding alone: the
-    allowance is the rounding bound of both (:func:`_mi_rounding_bits`).
+    maximum of I(X;Z).  One F batch holds all four levels, and their level
+    sets give the rounding allowance of each sign (:func:`_stationarity_rounding`):
+    on a channel within rounding of no information F is rounding noise.
+    The MI at a* +- 1e-6 reads those level sets.  Next to a maximum the MI
+    is flat to second order, so the two values may differ by rounding
+    alone: the allowance is the rounding bound of both (:func:`_mi_rounding_bits`).
     """
     a, tol, p0 = design.a_star, SolverConfig().tol_a, spec.prior.p0
-    values = stationarity(spec, np.array([a - tol, a + tol, a - 1e-6, a + 1e-6]))
-    assert values[0] >= 0.0 >= values[1]
-    assert values[2] >= 0.0 >= values[3]
+    levels = [a - tol, a + tol, a - 1e-6, a + 1e-6]
+    values = stationarity(spec, np.array(levels))
+    fns = [level_functionals(spec, level) for level in levels]
+    slack = [_stationarity_rounding(p0, fn) for fn in fns]
+    assert values[0] >= -slack[0] and values[1] <= slack[1]
+    assert values[2] >= -slack[2] and values[3] <= slack[3]
     own = _mi_rounding_bits(p0, design.channel.a11, design.channel.a22)
-    for level in (a - 1e-6, a + 1e-6):
-        fn = level_functionals(spec, level)
+    for fn in fns[2:]:
         mi = mutual_information(spec.prior, ChannelMatrix(fn.correct0, fn.correct1))
         assert design.mi_bits >= mi - own - _mi_rounding_bits(p0, fn.correct0, fn.correct1)
 
@@ -683,6 +719,8 @@ class TestGlobalOptimum:
 
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
     @given(p0=st.floats(0.2, 0.8), comps0=_NARROW_MIXTURE, comps1=_NARROW_MIXTURE)
+    # 1.4e-12 bits, within rounding of no information: F at a* +- tol_a is rounding noise
+    @example(p0=0.75, comps0=[(0.0, 2.5, 1.0)], comps1=[(1e-05, 2.5, 1.0)])
     def test_narrow_components_never_below_a_sorted_cell_bound(self, p0, comps0, comps1):
         # components far narrower than the search grid's uniform spacing
         assume(comps0 != comps1)
