@@ -23,9 +23,9 @@ level.  The stationarity function F is the scalar factor in
     d I(X;Z)_a / da = p0 * f'(a) * F(a),
 
 so a zero where F falls from positive to negative is a local maximum of
-the mutual information.  F can have several, so the solver brackets one
-per candidate peak, evaluating all its brackets in one :func:`stationarity`
-call per round.  The spec keeps the roots of its last batch, so the design
+the mutual information.  F can have several, so the solver searches one
+per candidate peak, each round of a search one :func:`stationarity` call
+on the levels it needs.  The spec keeps the roots of its last batch, so the design
 read at a* polishes no root again.
 
 A level whose f or g lies within DEGENERACY_EPS of {0, 1} is degenerate: F

@@ -1,4 +1,4 @@
-"""Candidate ranking and batched level search for the optimal binary quantizer.
+"""Candidate ranking and level search for the optimal binary quantizer.
 
 The optimal quantizer is the full root set of u(y) = a* for one level a*.
 The stationarity function F may change sign from + to - more than once, so
@@ -10,16 +10,16 @@ unpolished grid crossings for a mixture).  One level search starts from
 each peak's vertex v, that of the parabola through the scan's MI at the
 peak and its two neighbours: it brackets a + to - change of F within 1e-4
 of v, else by moving out from v, and narrows the bracket by Chandrupatla's
-inverse-quadratic search; one batching loop runs all of them in shared
-rounds, each one :func:`~binquant.channel.stationarity` call (two on each
-shipped channel).  The ranking only ranks: every reported number comes
-from one :func:`~binquant.channel.level_functionals` call at a*, where
-every threshold carries the likelihood ratio r* = (p1/p0)(1 - a*)/a*; the
-worst relative deviation from it is the design's
-``stationarity_residual``.  Where the scan's best MI beats every searched
-level's, that level is read and compared too, so a design never carries
-less than the scan's best level set (where no search ends on a level,
-``solve`` raises instead).
+inverse-quadratic search; the searches run one after another, each round
+one :func:`~binquant.channel.stationarity` call (two on each shipped
+channel, which has one candidate).  The ranking only ranks: every
+reported number comes from one :func:`~binquant.channel.level_functionals`
+call at a*, where every threshold carries the likelihood ratio
+r* = (p1/p0)(1 - a*)/a*; the worst relative deviation from it is the
+design's ``stationarity_residual``.  Where the scan's best MI beats every
+searched level's, that level is read and compared too, so a design never
+carries less than the scan's best level set (where no search ends on a
+level, ``solve`` raises instead).
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ __all__ = ["SolverConfig", "QuantizerDesign", "solve", "predict_single_threshold
 #: Ranked MI peaks within this many bits of the best one are candidates.
 PEAK_MARGIN_BITS = 1e-3
 
-#: The first step of a level search's walk out from its vertex, doubled each round; a quarter of it spaces the scan.
+#: MI peaks closer than twice this are one candidate; a quarter of it is the scan's largest level spacing and
+#: the first step of a level search's walk out from its vertex, doubled each round.
 BRACKET_HALF_WIDTH = 0.01
 
 #: Distance from a candidate's scan vertex to the levels round 0 evaluates next to it.
@@ -98,9 +99,9 @@ class QuantizerDesign:
     ``stationarity_residual`` the worst relative deviation
     max_i |r(h_i) - r*| / r* actually measured.  ``mi_bits`` is recomputed
     from exact partition masses at the final thresholds, never interpolated.
-    ``iterations`` is the number of rounds of the level search after round
-    0, that is :func:`~binquant.channel.stationarity` calls - 1 (walk and
-    narrowing rounds, shared by all candidates; 0 when round 0 settled all).
+    ``iterations`` is the number of :func:`~binquant.channel.stationarity`
+    calls - 1: the walk and narrowing rounds of the level search (0 when
+    round 0 settled it), plus every round of each further candidate's.
     """
 
     a_star: float
@@ -198,14 +199,15 @@ def _chandrupatla_t(x1: float, f1: float, x2: float, f2: float, x3: float, f3: f
     return 0.5
 
 
-def _candidate_search(v: float, a_lo: float, a_hi: float, xtol: float, max_rounds: int):
-    """The level search from the scan vertex ``v``: a generator :func:`_search` runs.
+def _candidate_search(fn, v: float, a_lo: float, a_hi: float, xtol: float, max_rounds: int) -> tuple[str, float]:
+    """The level search from the scan vertex ``v``, with F given as ``fn``.
 
-    Each round it yields the levels it needs and is sent F at them.  Round 0
-    takes v - d, v and v + d (d = _VERTEX_HALF_WIDTH), clipped to [a_lo,
-    a_hi].  A zero at v is the root.  Else the sign of F(v) says on which
-    side of v the + to - change lies, and the end on that side, v +- d,
-    moves out to v +- w, 2w, 4w, ... (w = BRACKET_HALF_WIDTH), a level a
+    Each round is one call of ``fn``, which maps an array of levels to F at
+    each, NaN where F has none.  Round 0 takes v - d, v and v + d
+    (d = _VERTEX_HALF_WIDTH), clipped to [a_lo, a_hi].  A zero at v is the
+    root.  Else the sign of F(v) says on which side of v the + to - change
+    lies, and the end on that side, v +- d, moves out to v +- w, 2w, 4w, ...
+    (w = BRACKET_HALF_WIDTH / 4, the scan's largest spacing), a level a
     round, until F there is 0, the root, or has the other sign than F(v), so
     a vertex within d of the zero needs no walk.  F is NaN at degenerate
     levels, which lie beyond the last levels where F has a value, so once
@@ -226,9 +228,9 @@ def _candidate_search(v: float, a_lo: float, a_hi: float, xtol: float, max_round
     side serves only as x3, where a NaN gives the secant point.  Raises
     NotConvergedError past ``max_rounds`` narrowing rounds.
     """
-    w, d = BRACKET_HALF_WIDTH, _VERTEX_HALF_WIDTH
+    w, d = 0.25 * BRACKET_HALF_WIDTH, _VERTEX_HALF_WIDTH
     left, right = max(v - d, a_lo), min(v + d, a_hi)
-    f_left, f_v, f_right = yield [left, v, right]
+    f_left, f_v, f_right = fn(np.array([left, v, right])).tolist()
     if f_v == 0.0:
         return "level", v
     if math.isnan(f_v):
@@ -251,7 +253,7 @@ def _candidate_search(v: float, a_lo: float, a_hi: float, xtol: float, max_round
             return "nan", nan_at
         else:
             x = 0.5 * (inner[0] + nan_at)
-        (fx,) = yield [x]
+        (fx,) = fn(np.array([x])).tolist()
     if fx == 0.0:
         return "level", x
     (x1, f1), (x2, f2), (x3, f3) = inner, (x, fx), beyond
@@ -267,7 +269,7 @@ def _candidate_search(v: float, a_lo: float, a_hi: float, xtol: float, max_round
         x = x1 + min(max(_chandrupatla_t(x1, f1, x2, f2, x3, f3), t_min), 1.0 - t_min) * (x2 - x1)
         inner_lo, inner_hi = min(x1, x2) + 0.25 * xtol, max(x1, x2) - 0.25 * xtol
         points = [p for p in (x - 0.5 * xtol, x, x + 0.5 * xtol) if p == x or inner_lo <= p <= inner_hi]
-        values = yield points
+        values = fn(np.array(points)).tolist()
         if any(map(math.isnan, values)):
             return "nan", min(p for p, fp in zip(points, values) if math.isnan(fp))
         seq = sorted([(x1, f1), (x2, f2), *zip(points, values)])
@@ -280,42 +282,18 @@ def _candidate_search(v: float, a_lo: float, a_hi: float, xtol: float, max_round
         (x1, f1), (x2, f2), (x3, f3) = seq[k], seq[2 * j - 1 - k], seq[beyond]
 
 
-def _search(fn, searches):
-    """Run the level searches of all candidates together, one call of ``fn`` per round.
-
-    ``fn`` maps an array of levels to F at each, NaN where F has none.  Each
-    round puts the levels of every live search (:func:`_candidate_search`)
-    into one call and sends each search its values.  Searches leave the
-    batch when done, so each outcome equals that of its search run alone.
-    Returns the outcomes, in order, and the number of rounds after round 0
-    (calls of ``fn`` - 1).
-    """
-    outcomes = [None] * len(searches)
-    asking = {i: next(search) for i, search in enumerate(searches)}
-    for rounds in itertools.count():
-        values = iter(fn(np.array([a for levels in asking.values() for a in levels])).tolist())
-        batch, asking = asking, {}
-        for i, levels in batch.items():
-            try:
-                asking[i] = searches[i].send([next(values) for _ in levels])
-            except StopIteration as done:
-                outcomes[i] = done.value
-        if not asking:
-            return outcomes, rounds
-
-
 def solve(spec: ChannelSpec, config: SolverConfig | None = None) -> QuantizerDesign:
     """Find the optimal binary quantizer for ``spec``.
 
     (1) Rank quantizers and take the scan vertex of each MI peak
     (:func:`_candidate_levels`); (2) run one level search from each
-    (:func:`_candidate_search`), all in shared rounds of one
-    :func:`~binquant.channel.stationarity` call each (:func:`_search`),
-    whose rounds after round 0 ``iterations`` counts; (3) keep the level
-    whose level functionals give the largest mutual information, the
-    scan's best level too where its MI beats every searched level's by more
-    than _NO_INFORMATION_BITS.  The spec keeps the level sets of the last
-    call, so a design at a level of the last round polishes no root again.
+    (:func:`_candidate_search`), one after another, each round one
+    :func:`~binquant.channel.stationarity` call (``iterations`` counts the
+    calls after the first); (3) keep the level whose level functionals
+    give the largest mutual information, the scan's best level too where
+    its MI beats every searched level's by more than _NO_INFORMATION_BITS.
+    The spec keeps the level sets of the last call, so a design at a level
+    of the last round polishes no root again.
 
     Raises NoSignChangeError when no quantizer of the scan or the search
     carries more than _NO_INFORMATION_BITS (the channel carries no
@@ -327,8 +305,13 @@ def solve(spec: ChannelSpec, config: SolverConfig | None = None) -> QuantizerDes
     """
     cfg = config or SolverConfig()
     vertices, scan_level, scan_best = _candidate_levels(spec, cfg)
-    searches = [_candidate_search(v, cfg.a_lo, cfg.a_hi, cfg.tol_a, cfg.max_iter) for v in vertices.tolist()]
-    outcomes, rounds = _search(lambda levels: stationarity(spec, levels, cfg.grid_points), searches)
+    calls = []  # the levels of each stationarity call
+
+    def f_at(levels):
+        calls.append(levels)
+        return stationarity(spec, levels, cfg.grid_points)
+
+    outcomes = [_candidate_search(f_at, v, cfg.a_lo, cfg.a_hi, cfg.tol_a, cfg.max_iter) for v in vertices.tolist()]
     fns = [level_functionals(spec, a, cfg.grid_points) for kind, a in outcomes if kind == "level"]
     mis = _mi_bits(spec.prior.p0, np.array([fn.correct0 for fn in fns]), np.array([fn.correct1 for fn in fns]))
     if max(scan_best, mis.max(initial=0.0)) <= _NO_INFORMATION_BITS:
@@ -362,7 +345,7 @@ def solve(spec: ChannelSpec, config: SolverConfig | None = None) -> QuantizerDes
         channel=matrix,
         mi_bits=mi_bits,
         stationarity_residual=float(np.max(np.abs(ratios - r_star), initial=0.0) / r_star),
-        iterations=rounds,
+        iterations=len(calls) - 1,
     )
 
 

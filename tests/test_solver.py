@@ -1,4 +1,4 @@
-"""End-to-end solver: the batched level search, design assembly, and the equal-ratio certificate."""
+"""End-to-end solver: the level search, design assembly, and the equal-ratio certificate."""
 
 import math
 from pathlib import Path
@@ -212,8 +212,9 @@ class TestSearchBudget:
         design, calls = self._solve_counting_f(spec, monkeypatch, cfg)
         assert design.iterations == len(calls) - 1
         assert len(calls) <= 2
-        # round 0 asks for v - d, v and v + d of each scan vertex
-        assert calls[0][1].size == 3 * solver._candidate_levels(spec, cfg)[0].size
+        # one scan vertex, whose round 0 asks for v - d, v and v + d
+        assert solver._candidate_levels(spec, cfg)[0].size == 1
+        assert calls[0][1].size == 3
 
     @staticmethod
     def _solve_counting_f(spec, monkeypatch, config=None):
@@ -232,31 +233,18 @@ def _cubic(x):
     return (x - 0.3) ** 3 + 0.01 * (x - 0.3)
 
 
-def _searched(fn, vertices, a_lo, a_hi, xtol=1e-10, max_rounds=200, rounds=None, logs=None):
-    """:func:`solver._search` of one :func:`solver._candidate_search` per scan vertex, F = ``fn``.
+def _searched(fn, vertices, a_lo, a_hi, xtol=1e-10, max_rounds=200, rounds=None):
+    """The outcomes of one :func:`solver._candidate_search` per scan vertex, in turn, and the calls of ``fn`` - 1.
 
-    ``rounds`` gets the levels of each call of ``fn``; ``logs``, one list
-    per vertex, the levels its search yields in each of its own rounds.
+    F is ``fn``; ``rounds`` gets the levels of each of its calls.
     """
-    searches = [solver._candidate_search(v, a_lo, a_hi, xtol, max_rounds) for v in vertices]
-    if logs is not None:
-        searches = [_logged(search, log) for search, log in zip(searches, logs)]
-    return solver._search(_recording(fn, [] if rounds is None else rounds), searches)
-
-
-def _logged(search, log):
-    """``search``, appending the levels it yields in each of its own rounds to ``log``."""
-    values = None
-    try:
-        while True:
-            log.append(search.send(values))
-            values = yield log[-1]
-    except StopIteration as done:
-        return done.value
+    rounds = [] if rounds is None else rounds
+    f_at = _recording(fn, rounds)
+    return [solver._candidate_search(f_at, v, a_lo, a_hi, xtol, max_rounds) for v in vertices], len(rounds) - 1
 
 
 class TestBatchedSearch:
-    """Level search: :func:`solver._candidate_search` for one candidate, :func:`solver._search` for all."""
+    """Level search: :func:`solver._candidate_search` from one scan vertex, each round one F batch."""
 
     def test_a_lines_zero_is_found_in_one_round(self):
         # round 0 brackets the zero in [0.24995, 0.25005]; the first narrowing point of a line is its zero
@@ -276,16 +264,21 @@ class TestBatchedSearch:
 
     @pytest.mark.parametrize(
         "vertex, walk, sizes",
-        [(0.68, 2, [3, 1, 1, 2]), (0.6805, 2, [3, 1, 1, 3, 3, 3]), (0.6795, 3, [3, 1, 1, 1, 3, 3, 3])],
+        [
+            (0.68, 4, [3, 1, 1, 1, 1, 2]),
+            (0.6805, 4, [3, 1, 1, 1, 1, 3, 3, 3]),
+            (0.6795, 5, [3, 1, 1, 1, 1, 1, 3, 3, 3]),
+        ],
         ids=["0.68", "0.6805", "0.6795"],
     )
     def test_a_vertex_that_misses_walks_out_from_it(self, vertex, walk, sizes):
         # no sign change of F within d of the vertex: the upper end moves out
-        # to v + w, v + 2w, v + 4w, ... until it passes 0.70, then narrows;
-        # from 0.68 the walk ends within rounding of 0.70 and one round of two
-        # levels closes the bracket, from the others three rounds narrow it
+        # to v + w, v + 2w, v + 4w, ... (w the scan's largest spacing) until
+        # it passes 0.70, then narrows; from 0.68 the walk ends within
+        # rounding of 0.70 and one round of two levels closes the bracket,
+        # from the others three rounds narrow it
         fn, rounds = (lambda x: np.tanh(50.0 * (0.7 - x))), []
-        w, d = solver.BRACKET_HALF_WIDTH, solver._VERTEX_HALF_WIDTH
+        w, d = 0.25 * solver.BRACKET_HALF_WIDTH, solver._VERTEX_HALF_WIDTH
         [(kind, level)], n_rounds = _searched(fn, [vertex], 0.0, 1.0, rounds=rounds)
         assert kind == "level" and level == pytest.approx(0.7, abs=1e-10) and n_rounds == len(sizes) - 1
         assert [len(levels) for levels in rounds] == sizes
@@ -293,14 +286,24 @@ class TestBatchedSearch:
         assert rounds[1 : walk + 1] == [[vertex + 2**k * w] for k in range(walk)]
         assert all(vertex + 2 ** (walk - 2) * w < x < vertex + 2 ** (walk - 1) * w for x in rounds[walk + 1])
 
+    def test_the_walk_steps_at_the_scans_spacing(self):
+        # F falls from + to - at 0.503 and 0.509 and rises at 0.506: the walk
+        # up from 0.5 takes 0.5025, then 0.505, whose bracket holds 0.503
+        # alone (a first step of 0.01 brackets all three zeros, and narrows
+        # onto 0.509)
+        fn, w, rounds = (lambda x: -(x - 0.503) * (x - 0.506) * (x - 0.509)), 0.25 * solver.BRACKET_HALF_WIDTH, []
+        [(kind, level)], _ = _searched(fn, [0.5], 0.0, 1.0, rounds=rounds)
+        assert rounds[1:3] == [[0.5 + w], [0.5 + 2.0 * w]]
+        assert kind == "level" and level == pytest.approx(0.503, abs=1e-10)
+
     @pytest.mark.parametrize(
         "steps, walk_rounds",
         [
             (0.0, 0),
             (solver._VERTEX_HALF_WIDTH, 0),
             (-solver._VERTEX_HALF_WIDTH, 0),
-            (-solver.BRACKET_HALF_WIDTH, 1),
-            (-2.0 * solver.BRACKET_HALF_WIDTH, 2),
+            (-0.25 * solver.BRACKET_HALF_WIDTH, 1),
+            (-0.5 * solver.BRACKET_HALF_WIDTH, 2),
         ],
         ids=["v", "v+d", "v-d", "v-w", "v-2w"],
     )
@@ -351,48 +354,27 @@ class TestBatchedSearch:
             (lambda x: 1e-15 - x, 0.95, 0.0, 1.0),
         ]
         alone = [_searched(fn, [c], a_lo, a_hi) for fn, c, a_lo, a_hi in cases]
-        # the three functions moved 0, 10 and 20 apart: the nearest multiple of 10 picks one
+        # the three functions moved 0, 10 and 20 apart into one F: the nearest multiple of 10 picks one
         offsets = [0.0, 10.0, 20.0]
-        shifted = lambda x: cases[round(x / 10.0)][0](x - 10.0 * round(x / 10.0))
+        shifted = _recording(lambda x: cases[round(x / 10.0)][0](x - 10.0 * round(x / 10.0)), [])
         moved = [(c + d, a_lo + d, a_hi + d) for d, (_, c, a_lo, a_hi) in zip(offsets, cases)]
-        searches = [solver._candidate_search(v, a_lo, a_hi, 1e-10, 200) for v, a_lo, a_hi in moved]
-        outcomes, n_rounds = solver._search(_recording(shifted, []), searches)
-        assert n_rounds == max(n for _, n in alone)
+        outcomes = [solver._candidate_search(shifted, v, a_lo, a_hi, 1e-10, 200) for v, a_lo, a_hi in moved]
         assert [kind for kind, _ in outcomes] == ["level"] * 3
         assert [a - d for d, (_, a) in zip(offsets, outcomes)] == pytest.approx(
             [a for ((_, a),), _ in alone], abs=1e-9
         )
 
-    def test_a_search_that_walks_shares_rounds_with_one_that_narrows(self):
-        # F falls from + to - at 0.25 and at 0.8: round 0 brackets the first
-        # next to 0.25005, while 0.95 walks down to 0.79 in five more rounds
-        fn, w = (lambda x: -(x - 0.25) * (x - 0.5) * (x - 0.8)), solver.BRACKET_HALF_WIDTH
-        vertices, logs, rounds = (0.25005, 0.95), [[], []], []
-        outcomes, n_rounds = _searched(fn, vertices, 0.0, 1.0, rounds=rounds, logs=logs)
-        assert logs[1][1:6] == [[0.95 - k * w] for k in (1, 2, 4, 8, 16)]
-        # round 0 asks for 3 levels per vertex; round 1 holds the first
-        # narrowing levels of 0.25005 and the first walk level of 0.95
-        assert rounds[0] == logs[0][0] + logs[1][0] and [len(log[0]) for log in logs] == [3, 3]
-        assert len(logs[0][1]) == 3 and rounds[1] == logs[0][1] + logs[1][1]
-        assert n_rounds == len(rounds) - 1 == max(len(log) for log in logs) - 1
-        # each search's own levels and its outcome equal those of the search run alone
-        for v, log, outcome in zip(vertices, logs, outcomes):
-            alone_log = []
-            assert _searched(fn, [v], 0.0, 1.0, logs=[alone_log]) == ([outcome], len(log) - 1)
-            assert alone_log == log
-        assert [kind for kind, _ in outcomes] == ["level", "level"]
-        assert [a for _, a in outcomes] == pytest.approx([0.25, 0.8], abs=1e-10)
-
     def test_exhausted_budget_raises(self):
         with pytest.raises(NotConvergedError, match="all 3 rounds"):
             _searched(lambda x: -_cubic(x), [0.95], -2.0, 1.0, 1e-12, 3)
 
-    def test_ends_that_do_not_bracket_move_out_in_shared_rounds(self):
+    def test_ends_that_do_not_bracket_move_out(self):
         # the zero 0.25 lies below both vertices; 0.95's walk reaches the range's edge 0 first
-        fn, w, d, xtol = (lambda x: (0.25 - x) * (1.0 + x)), solver.BRACKET_HALF_WIDTH, solver._VERTEX_HALF_WIDTH, 1e-10
-        vertices, logs = (0.5, 0.95), [[], []]
-        outcomes, _ = _searched(fn, vertices, 0.0, 1.0, xtol, logs=logs)
-        for v, log, walk in zip(vertices, logs, (6, 8)):
+        fn, d, xtol = (lambda x: (0.25 - x) * (1.0 + x)), solver._VERTEX_HALF_WIDTH, 1e-10
+        w = 0.25 * solver.BRACKET_HALF_WIDTH
+        for v, walk in ((0.5, 8), (0.95, 10)):
+            log = []
+            assert _searched(fn, [v], 0.0, 1.0, xtol, rounds=log)[0] == [("level", pytest.approx(0.25, abs=1e-10))]
             # round 0, then the lower end moves out to v - w, v - 2w, v - 4w, ..., one level a round
             assert log[0] == [v - d, v, v + d]
             assert log[1 : walk + 1] == [[max(v - 2**k * w, 0.0)] for k in range(walk)]
@@ -401,11 +383,10 @@ class TestBatchedSearch:
             assert fn(x1) < 0.0 < fn(x2)
             x = x1 + solver._chandrupatla_t(x1, fn(x1), x2, fn(x2), x3, fn(x3)) * (x2 - x1)
             assert log[walk + 1] == [x - 0.5 * xtol, x, x + 0.5 * xtol]
-        assert outcomes == [("level", pytest.approx(0.25, abs=1e-10))] * 2
 
     def test_a_walk_that_reaches_the_edge_gives_the_edge(self):
-        # the upper end moves out to 0.51, 0.52, 0.54, ..., 0.82 and then the edge 1
-        assert _searched(lambda x: 2.0 - x, [0.5], 0.0, 1.0) == ([("edge", 1.0)], 7)
+        # the upper end moves out to 0.5025, 0.505, 0.51, ..., 0.82 and then the edge 1
+        assert _searched(lambda x: 2.0 - x, [0.5], 0.0, 1.0) == ([("edge", 1.0)], 9)
 
     def test_a_nan_on_the_side_the_walk_leaves_keeps_the_search(self):
         # F(0.20005) > 0 sends the search up; F at 0.19995, below it, is NaN and unused
@@ -414,20 +395,23 @@ class TestBatchedSearch:
         assert outcomes == [("level", pytest.approx(0.25, abs=1e-10))]
 
     def test_a_walk_into_nan_bisects_back_to_the_sign_change(self):
-        # F(0.205) < 0 sends the search down to 0.195, where F is NaN; bisecting from 0.2049 finds F > 0
+        # F(0.205) < 0 sends the search down past 0.2025 to 0.2 - 3e-17, where
+        # F is NaN; bisecting from 0.2025 finds F > 0
         fn = lambda x: np.where(x < 0.2, np.nan, 0.2005 - x)
         outcomes, _ = _searched(fn, [0.205], 0.0, 1.0)
         assert outcomes == [("level", pytest.approx(0.2005, abs=1e-10))]
 
     def test_a_nan_at_a_vertex_drops_it(self):
         # NaN below 0.2 and F < 0 above it: 0.1 is dropped in round 0 at its
-        # lowest NaN level; 0.205 (once its lower end reaches 0.195) and 0.3
-        # (once it reaches 0.14) bisect toward the NaN until the last level
-        # with F < 0 is within xtol of it, 30 rounds from 0.14
+        # lowest NaN level; 0.205 (once its lower end reaches 0.2 - 3e-17, in
+        # 2 walk rounds) and 0.3 (once it reaches 0.14, in 7) bisect toward
+        # the NaN until the last level with F < 0 is within xtol of it, in 25
+        # and 30 rounds
         fn = lambda x: np.where(x < 0.2, np.nan, 0.15 - x)
-        searches = [solver._candidate_search(v, 0.0, 1.0, 1e-10, 200) for v in (0.1, 0.205, 0.3)]
-        outcomes, n_rounds = solver._search(fn, searches)
-        assert [kind for kind, _ in outcomes] == ["nan"] * 3 and n_rounds == 35
+        searched = [_searched(fn, [v], 0.0, 1.0) for v in (0.1, 0.205, 0.3)]
+        outcomes = [outcome for [outcome], _ in searched]
+        assert [kind for kind, _ in outcomes] == ["nan"] * 3
+        assert [n_rounds for _, n_rounds in searched] == [0, 27, 37]
         assert outcomes[0][1] == pytest.approx(0.1 - solver._VERTEX_HALF_WIDTH)
         for _, a in outcomes[1:]:
             assert 0.2 - 1e-10 <= a < 0.2 and np.isnan(fn(a))
@@ -528,12 +512,21 @@ class TestTwoPeakMixture:
 
     def test_the_higher_of_two_brackets_wins(self, spec, monkeypatch):
         # one candidate at each + to - zero of F, the lower peak's first
-        real = solver._candidate_levels
-        vertices = np.array([0.07, 0.7])
-        monkeypatch.setattr(solver, "_candidate_levels", lambda spec, cfg: (vertices, *real(spec, cfg)[1:]))
-        design = solve(spec)
+        real_levels, real_f = solver._candidate_levels, solver.stationarity
+
+        def solve_from(vertices):
+            calls = []
+            patched = lambda s, cfg: (np.array(vertices), *real_levels(s, cfg)[1:])
+            monkeypatch.setattr(solver, "_candidate_levels", patched)
+            monkeypatch.setattr(solver, "stationarity", lambda *args: calls.append(args) or real_f(*args))
+            return solve(spec), len(calls)
+
+        design, calls = solve_from([0.07, 0.7])
         assert design.mi_bits >= 0.38662
         assert design.a_star == pytest.approx(0.69730, abs=1e-4)
+        # the searches run in turn: each pays its own rounds
+        assert design.iterations == calls - 1
+        assert calls == solve_from([0.07])[1] + solve_from([0.7])[1]
 
     def test_a_range_below_the_higher_peak_gives_the_lower_one(self, spec):
         design = solve(spec, SolverConfig(a_hi=0.15))
@@ -693,6 +686,13 @@ def _assert_never_below_the_scan(spec, design):
 class TestGlobalOptimum:
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
     @given(p0=st.floats(0.2, 0.8), comps0=_MIXTURE, comps1=_MIXTURE)
+    # peaks at a = 0.783 (4 roots) and 0.788 (6 roots): a first walk step
+    # wider than the scan's spacing brackets both zeros of F
+    @example(
+        p0=0.21875,
+        comps0=[(1.765625, 1.265625, 0.25625), (-2.0, 0.0625, 0.6), (-0.0625, 2.921875, 0.14375)],
+        comps1=_normalized([(0.0, 2.76171875, 0.75), (2.140625, 1.0, 0.39453125), (-2.0, 0.0625, 0.9375)]),
+    )
     def test_never_below_a_sorted_cell_bound(self, p0, comps0, comps1):
         assume(comps0 != comps1)  # identical densities: TestErrors
         density0, density1 = (

@@ -25,9 +25,10 @@ which imports nothing from ``binquant``:
   ``check_solve``), or the name of the exception raised.
 
 It prints the count of each outcome kind, the total number of
-``channel.stationarity`` calls made by ``solve`` and the total number of
-levels those calls evaluated; ``--each`` also prints one line per channel
-(number, kind, calls, levels, and the design's or the error's text), so a
+``channel.stationarity`` calls made by ``solve``, the total number of
+levels those calls evaluated and the total number of level searches (one
+per candidate); ``--each`` also prints one line per channel (number, kind,
+calls, levels, searches, and the design's or the error's text), so a
 channel can be cited by its number.
 """
 
@@ -51,6 +52,7 @@ from binquant import channel_spec, solver  # noqa: E402
 
 CHANNELS = 300
 CELLS = 400_001
+COUNTS = ("stationarity calls", "levels evaluated", "level searches")
 
 
 def _density(rng: np.random.Generator) -> dict:
@@ -79,51 +81,53 @@ def _spec(config: dict):
     return channel_spec(Prior(p0=config["prior"]["p0"]), density0, density1)
 
 
-def _solve(config: dict) -> tuple[str, str, int, int]:
-    """(outcome kind, text, stationarity calls, levels they evaluated) of ``solve`` on ``config``."""
-    calls = levels = 0
-    real = solver.stationarity
+def _solve(config: dict) -> tuple[str, str, collections.Counter]:
+    """(outcome kind, text, each of COUNTS) of ``solve`` on ``config``."""
+    counts = collections.Counter()
+    real_f, real_search = solver.stationarity, solver._candidate_search
 
-    def counted(spec, level, *args):
-        nonlocal calls, levels
-        calls += 1
-        levels += np.size(level)
-        return real(spec, level, *args)
+    def counted_f(spec, level, *args):
+        counts["stationarity calls"] += 1
+        counts["levels evaluated"] += np.size(level)
+        return real_f(spec, level, *args)
+
+    def counted_search(*args):
+        counts["level searches"] += 1
+        return real_search(*args)
 
     cert = certificate.certify(config, CELLS)
-    solver.stationarity = counted
+    solver.stationarity, solver._candidate_search = counted_f, counted_search
     try:
         design = solver.solve(_spec(config))
     except DegenerateChannelError as err:
         genuine = (cert.excluded or "").startswith("error probabilities")
-        return ("degenerate" if genuine else "DegenerateChannelError"), str(err), calls, levels
+        return ("degenerate" if genuine else "DegenerateChannelError"), str(err), counts
     except NoSignChangeError as err:
-        return ("no-information" if cert.mi_bits <= 1e-9 else "NoSignChangeError"), str(err), calls, levels
+        return ("no-information" if cert.mi_bits <= 1e-9 else "NoSignChangeError"), str(err), counts
     except Exception as err:  # every other error is a wrong outcome, counted by its name
-        return type(err).__name__, str(err), calls, levels
+        return type(err).__name__, str(err), counts
     finally:
-        solver.stationarity = real
+        solver.stationarity, solver._candidate_search = real_f, real_search
     text = json.dumps({"thresholds": design.thresholds, "mapping": design.mapping, "mi_bits": design.mi_bits})
     failure = certificate.check_solve(config, cert, text)
-    return ("below-certificate", failure, calls, levels) if failure else ("correct", text, calls, levels)
+    return ("below-certificate", failure, counts) if failure else ("correct", text, counts)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--each", action="store_true", help="print one line per channel")
     args = parser.parse_args(argv)
-    kinds, total_calls, total_levels = collections.Counter(), 0, 0
+    kinds, totals = collections.Counter(), collections.Counter()
     for i, config in enumerate(channels()):
-        kind, text, calls, levels = _solve(config)
+        kind, text, counts = _solve(config)
         kinds[kind] += 1
-        total_calls += calls
-        total_levels += levels
+        totals.update(counts)
         if args.each:
-            print(f"{i} {kind} {calls} {levels} {text}", flush=True)
+            print(i, kind, *(counts[name] for name in COUNTS), text, flush=True)
     for kind, count in sorted(kinds.items()):
         print(f"{kind:22s} {count}")
-    print(f"{'stationarity calls':22s} {total_calls}")
-    print(f"{'levels evaluated':22s} {total_levels}")
+    for name in COUNTS:
+        print(f"{name:22s} {totals[name]}")
     return 0
 
 
