@@ -4,9 +4,14 @@
 exhaustive over the threshold tuples of a uniform grid, by convex tile
 bounds, with n = 1, 2 and 3 sharing one code path.  It returns what scoring
 every tuple would, but scores only the tiles of tuples whose bound can reach
-the best score.  It forms the masses of tuples and tile corners with its own
-alternating CDF sums (:func:`_masses`) and scores them with the MI formula
-of :mod:`binquant.channel`; the check that shares no code at all is
+the best score.  The CDFs at block ends, which bound the tiles, are kept
+per block; those inside a block fill a row of one ``(blocks, block size)``
+array per density the first time a scored tile uses the block, and a chunk
+of tiles is scored as one broadcast array, with the tuples that are not
+strictly increasing or lie past the last point masked out.  It forms the
+masses of tuples and tile corners with its own alternating CDF sums
+(:func:`_masses`) and scores them with the MI formula of
+:mod:`binquant.channel`; the check that shares no code at all is
 ``bench/certificate.py``.  :func:`sweep_levels` tabulates the level
 functionals across the whole admissible range, and
 :func:`structural_checks` validates structural facts of the level
@@ -62,8 +67,9 @@ _BYTE_BUDGET = 1 << 28
 _TILE_BYTES = {1: 200, 2: 170, 3: 180}
 
 #: Peak bytes per tuple of a full scoring chunk, beyond the tile arrays:
-#: its grid indices, masses and entropies (at most 1.3 MiB measured for
-#: ``_CHUNK_TUPLES`` tuples on a flat channel, where no tile is pruned).
+#: its masses, entropies and mask, and the grid indices of the tuples that
+#: tie for its top score (at most 1.4 MiB measured for ``_CHUNK_TUPLES``
+#: tuples that all tie, as on a flat channel, where no tile is pruned).
 _CHUNK_TUPLE_BYTES = 128
 
 #: The levels :func:`structural_checks` validates, and its finite-difference step.
@@ -118,12 +124,13 @@ def _blocks(npts: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return starts, np.minimum(starts + _BLOCK[n], npts) - 1
 
 
-def _tile_bounds(p0: float, c0, c1, starts, ends, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _tile_bounds(p0: float, head, tail, starts, ends, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The tiles of n thresholds and a bound on the MI score of every tuple in each.
 
     A tile is a non-decreasing tuple of block indices (an ``(n, tiles)``
     array) that holds at least one strictly increasing tuple of grid
-    indices.  Only the CDF values ``c0``, ``c1`` at block ends are read.
+    indices.  ``head`` and ``tail`` are the ``(c0, c1)`` CDF values at
+    each block's first and last grid point, one array of blocks each.
     The CDFs are monotone and rounded ``+``/``-`` is too, so the masses
     (a11, a22) of every tuple in a tile lie in the box between the tile's
     two extreme corners.  For a fixed input I(X;Z) is convex in the channel
@@ -148,7 +155,7 @@ def _tile_bounds(p0: float, c0, c1, starts, ends, n: int) -> tuple[np.ndarray, n
 
     # the masses are largest where the CDFs are high at the added first and
     # last thresholds and low at the subtracted second one
-    rise, fall = (c0[ends], c1[starts]), (c0[starts], c1[ends])
+    rise, fall = (tail[0], head[1]), (head[0], tail[1])
 
     def corner(slots):
         masses = _masses(*_PAD[n], *[(v0[b], v1[b]) for (v0, v1), b in zip(slots[3 - n :], blocks)])
@@ -170,16 +177,19 @@ def _tile_bounds(p0: float, c0, c1, starts, ends, n: int) -> tuple[np.ndarray, n
 def _search_bytes(spec: ChannelSpec, npts: int, n: int) -> int:
     """An upper bound on the bytes :func:`grid_search` holds at its peak on ``npts`` points.
 
-    The sum of the two CDF values per point, the arrays of
-    C(blocks + n - 1, n) tiles (``_TILE_BYTES``), one full scoring chunk
-    (``_CHUNK_TUPLE_BYTES``), and the two ``(components, points)`` arrays
-    of one CDF call, which evaluates at most a chunk's points or both ends
-    of every block.
+    The two CDF rows of every block, 16 bytes per slot of ``_BLOCK[n]``
+    (a partial last block is padded), and its two CDF values at each end;
+    the arrays of C(blocks + n - 1, n) tiles (``_TILE_BYTES``), one full
+    scoring chunk (``_CHUNK_TUPLE_BYTES``), and the two
+    ``(components, points)`` arrays of one CDF call, which evaluates at
+    most a chunk's points or both ends of every block.  The rows are
+    allocated whole but written a block at a time, so a search that scores
+    few tiles touches few of their pages.
     """
     blocks = -(-npts // _BLOCK[n])
     components = max(len(spec.density0.components), len(spec.density1.components))
     return (
-        16 * npts
+        16 * blocks * (_BLOCK[n] + 2)
         + _TILE_BYTES[n] * math.comb(blocks + n - 1, n)
         + _CHUNK_TUPLE_BYTES * _CHUNK_TUPLES
         + 16 * components * max(_CHUNK_TUPLES, 2 * blocks)
@@ -219,34 +229,52 @@ def grid_search(spec: ChannelSpec, n_thresholds: int, grid_step: float) -> Oracl
     The result is that of scoring every strictly increasing n-tuple on the
     uniform grid over the search window once (the label mapping does not
     change I(X;Z)) and keeping the lexicographically first maximum.  Every
-    tile is bounded from the CDFs at block ends (:func:`_tile_bounds`), and
-    tiles are scored in chunks in descending order of bound, the CDFs
-    inside a block being evaluated when a tile that uses it is first
-    scored.  The search stops once the next bound is below the best score
-    by more than ``_SLACK_BITS``, so no tuple left unscored could win or
-    tie.  ``n_thresholds`` is capped at 3: the search is O((range/step)^n)
-    in the worst case, and anything larger is better exercised through
-    :func:`sweep_levels`.
+    tile is bounded from the CDFs at block ends, one CDF call per density
+    on the starts and ends of all blocks (:func:`_tile_bounds`), and tiles
+    are scored in chunks in descending order of bound.  The CDFs inside
+    block b fill row b of a ``(blocks, _BLOCK[n])`` array per density the
+    first time a scored tile uses the block; the slots of a partial last
+    block past the last point repeat it.  A chunk's tuples form one
+    ``(tiles, size, ..., size)`` array, slot m's block row along axis
+    m + 1, and those that are not strictly increasing or lie past the last
+    point score -inf; only the tuples that tie for the chunk's top are
+    mapped back to grid indices.  The search stops once the next bound is
+    below the best score by more than ``_SLACK_BITS``, so no tuple left
+    unscored could win or tie.  ``n_thresholds`` is capped at 3: the
+    search is O((range/step)^n) in the worst case, and anything larger is
+    better exercised through :func:`sweep_levels`.
     """
     n = n_thresholds
     npts = grid_size(spec, n, grid_step)
     p0 = spec.prior.p0
     starts, ends = _blocks(npts, n)
-    # grid point k is search_lo + grid_step * k; its CDFs are set when first needed
-    c0, c1 = np.empty(npts), np.empty(npts)
+    size = _BLOCK[n]
 
-    def fill(idx):
+    def cdfs(idx):  # grid point k is search_lo + grid_step * k
         y = spec.search_lo + grid_step * idx
-        c0[idx], c1[idx] = cdf(spec.density0, y), cdf(spec.density1, y)
+        return cdf(spec.density0, y), cdf(spec.density1, y)
 
-    fill(np.union1d(starts, ends))
-    blocks, bound = _tile_bounds(p0, c0, c1, starts, ends, n)
+    # ((c0, c1) at block starts, (c0, c1) at block ends), from one call per density
+    head, tail = zip(*cdfs(np.stack([starts, ends])))
+    blocks, bound = _tile_bounds(p0, head, tail, starts, ends, n)
     order = np.argsort(-bound)
     bound, blocks = bound[order], blocks[:, order]
 
-    size = _BLOCK[n]
+    # row b holds the CDFs at points starts[b] + 0 ... size - 1, the slots
+    # past the last point clamped to it; it is filled when first scored
+    rows0, rows1 = np.empty((starts.size, size)), np.empty((starts.size, size))
     filled = np.zeros(starts.size, dtype=bool)
-    offsets = np.indices((size,) * n).reshape(n, 1, -1)
+    # slot m of a chunk's (tiles, size, ..., size) tuples runs along axis m + 1
+    axes = [(-1,) + (1,) * m + (size,) + (1,) * (n - 1 - m) for m in range(n)]
+    # out[k] marks the tuples that a tile of kind k cannot hold: bit m < n - 1
+    # of k is set when its slots m and m + 1 share a block, whose offsets must
+    # then increase, and bit n - 1 when its last slot is in the last block,
+    # whose offsets must not pass the last point
+    offsets = np.indices((size,) * n)
+    cuts = [offsets[m] >= offsets[m + 1] for m in range(n - 1)] + [offsets[-1] > npts - 1 - starts[-1]]
+    out = np.zeros((1 << n,) + (size,) * n, dtype=bool)
+    for j, cut in enumerate(cuts):
+        out[np.arange(1 << n) >> j & 1 == 1] |= cut
     per_chunk = _CHUNK_TUPLES // size**n
     best_mi, best = -np.inf, ()
     # chunks grow from one tile, so that a sharp peak is scored in few tiles
@@ -260,16 +288,16 @@ def grid_search(spec: ChannelSpec, n_thresholds: int, grid_step: float) -> Oracl
         todo = np.unique(chunk)
         todo = todo[~filled[todo]]
         if todo.size:
-            pts = (starts[todo, None] + np.arange(size)).ravel()
-            fill(pts[pts < npts])
+            rows0[todo], rows1[todo] = cdfs(np.minimum(starts[todo, None] + np.arange(size), npts - 1))
             filled[todo] = True
-        idx = starts[chunk][:, :, None] + offsets
-        ok = np.all(idx <= ends[chunk][:, :, None], axis=0) & np.all(np.diff(idx, axis=0) > 0, axis=0)
-        idx = idx[:, ok]
-        mi = _mi_bits(p0, *_masses(*_PAD[n], *[(c0[i], c1[i]) for i in idx]))
+        slots = [(rows0[b].reshape(axis), rows1[b].reshape(axis)) for b, axis in zip(chunk, axes)]
+        mi = _mi_bits(p0, *_masses(*_PAD[n], *slots))
+        bits = [chunk[m] == chunk[m + 1] for m in range(n - 1)] + [chunk[-1] == starts.size - 1]
+        mi[out[sum(bit * (1 << j) for j, bit in enumerate(bits))]] = -np.inf
         top = mi.max()
         if top >= best_mi:
-            ties = idx[:, mi == top]
+            tile, *at = np.unravel_index(np.flatnonzero(mi == top), mi.shape)
+            ties = starts[chunk[:, tile]] + np.array(at)
             winner = tuple(ties[:, np.lexsort(ties[::-1])[0]].tolist())
             if top > best_mi or winner < best:
                 best_mi, best = top, winner

@@ -189,6 +189,22 @@ class TestGridSearch:
             points *= 10  # a one-threshold tile spans 128 points; span several
         _assert_equals_plain_loops(spec, n, (spec.search_hi - spec.search_lo) / (points - 1))
 
+    @pytest.mark.parametrize(
+        "n, points",
+        [
+            # a last block of one point, a grid inside one block, and whole blocks only
+            *[pytest.param(n, points, id=f"n{n}-one-point-last-block") for n, points in ((1, 257), (2, 17), (3, 9))],
+            *[pytest.param(n, points, id=f"n{n}-under-one-block") for n, points in ((1, 50), (2, 5), (3, 3))],
+            *[pytest.param(n, points, id=f"n{n}-whole-blocks") for n, points in ((1, 256), (2, 16), (3, 8))],
+        ],
+    )
+    @pytest.mark.parametrize("name", ["example2_spec", "fig5_spec", "flat_spec"])
+    def test_block_edges_equal_plain_loops(self, name, n, points, request):
+        spec = request.getfixturevalue(name)
+        step = (spec.search_hi - spec.search_lo) / (points - 1)
+        assert oracle.grid_size(spec, n, step) == points
+        _assert_equals_plain_loops(spec, n, step)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_flat_channel_ties_break_like_plain_loops(self, flat_spec, n):
         # every score is 0 or a ~1e-17 rounding crumb, so no tile is pruned
@@ -243,6 +259,11 @@ class TestGridSearch:
             assert design.mi_bits >= oracle.best_mi_bits - 1e-4
 
 
+def _block_end_cdfs(c0, c1, starts, ends):
+    """The ``(c0, c1)`` CDF values at each block's first and at its last point."""
+    return (c0[starts], c1[starts]), (c0[ends], c1[ends])
+
+
 class TestTileBounds:
     @pytest.mark.parametrize("name", ["example2_spec", "fig5_spec", "two_peaks_spec"])
     @pytest.mark.parametrize("n, points", [(1, 600), (2, 120), (3, 40)])
@@ -250,7 +271,7 @@ class TestTileBounds:
         spec = request.getfixturevalue(name)
         count, _, c0, c1 = _grid_cdfs(spec, (spec.search_hi - spec.search_lo) / (points - 1))
         starts, ends = oracle._blocks(count, n)
-        blocks, bound = oracle._tile_bounds(spec.prior.p0, c0, c1, starts, ends, n)
+        blocks, bound = oracle._tile_bounds(spec.prior.p0, *_block_end_cdfs(c0, c1, starts, ends), starts, ends, n)
         # every increasing tuple, scored as grid_search scores it; a missing
         # leading threshold indexes an appended CDF value of 0.0
         tuples = np.array(list(itertools.combinations(range(count), n))).T
@@ -275,7 +296,7 @@ class TestTileBounds:
         spec = request.getfixturevalue(name)
         count, _, c0, c1 = _grid_cdfs(spec, (spec.search_hi - spec.search_lo) / (points - 1))
         starts, ends = oracle._blocks(count, n)
-        blocks, bound = oracle._tile_bounds(spec.prior.p0, c0, c1, starts, ends, n)
+        blocks, bound = oracle._tile_bounds(spec.prior.p0, *_block_end_cdfs(c0, c1, starts, ends), starts, ends, n)
         # the CDFs at the start and at the end of each threshold's block; a
         # missing leading threshold sits at -inf, where both CDFs are 0
         at = [np.zeros((2, 2, blocks.shape[1]))] * (3 - n) + [

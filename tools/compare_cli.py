@@ -10,11 +10,14 @@ next to this checkout's ``src``.  Every ``*.json`` file directly inside each
 ``DIR`` is a config; with no ``DIR``, the committed configs of this
 repository, in ``configs/`` and ``tests/data/verify/``.  On each config the
 CLI runs ``solve --format json``, ``solve``, ``sweep`` (default levels, CSV
-to a temporary file), ``verify`` (default oracle arguments) and
-``classify``.  All runs of one source tree happen in one worker process,
-which imports that tree's ``binquant`` and calls ``binquant.cli.main``
-in-process, capturing stdout, stderr, the exit code and the CSV.  Each run gets fresh warning filters, so a warning shows
-once per run, as it would in a process of its own.
+to a temporary file), ``verify`` three times (the default one-threshold
+oracle, then two thresholds at ``--grid-step 0.1`` and three at
+``--grid-step 0.5``, so that each of the oracle's n = 1, 2, 3 paths is
+compared) and ``classify``.  All runs of one source tree happen in one
+worker process, which imports that tree's ``binquant`` and calls
+``binquant.cli.main`` in-process, capturing stdout, stderr, the exit code
+and the CSV.  Each run gets fresh warning filters, so a warning shows once
+per run, as it would in a process of its own.
 
 Prints one line per run whose stdout, stderr, exit code or CSV differs
 between the trees, then a summary line; exits 1 when any run differs.  Each
@@ -48,6 +51,8 @@ COMMANDS = {
     "solve-text": ["solve"],
     "sweep": ["sweep", "--out", "{csv}"],
     "verify": ["verify"],
+    "verify-n2": ["verify", "--n-thresholds", "2", "--grid-step", "0.1"],
+    "verify-n3": ["verify", "--n-thresholds", "3", "--grid-step", "0.5"],
     "classify": ["classify"],
 }
 
