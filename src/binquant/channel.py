@@ -179,17 +179,27 @@ def _h2(w):
     Both logs come from numpy's vectorized ``log2`` (not scipy's ``entr``,
     a scalar loop), so an element gives the same float alone as inside an
     array.  0 log 0 := 0 at w = 0 and w = 1, and every w outside (0, 1)
-    gives exactly 0 too: masses formed by sums such as c0[i] + 1 - c0[j]
+    gives exactly +0.0 too: masses formed by sums such as c0[i] + 1 - c0[j]
     can round to 1 + 2^-52, where the formula would take the log of a
-    negative number, so the mask is not optional.  (In floating point,
-    w < 1 exactly when 1 - w > 0.)
+    negative number.  No mask is built for this: the sum w log2 w +
+    v log2 v is NaN exactly where w is outside (0, 1) or NaN (0 * -inf or
+    the log of a negative number; in floating point, w < 1 exactly when
+    v = 1 - w > 0), and negative inside, where neither product underflows
+    to zero.  So the sum is formed in place in one buffer, negated, and
+    ``fmax`` with +0.0 replaces its NaNs: two array passes, where a mask
+    and a ``where`` select would take five.  An array-like of any shape,
+    0-d included, gives an array of its shape.
     """
     w = np.asarray(w, dtype=float)
     v = 1.0 - w
+    h = np.empty_like(w)
     with np.errstate(divide="ignore", invalid="ignore"):
-        h = w * np.log2(w)
-        h += v * np.log2(v)
-    return np.where((w > 0.0) & (v > 0.0), -h, 0.0)
+        np.multiply(w, np.log2(w, out=h), out=h)
+        t = np.log2(v)
+        t *= v
+        h += t
+    np.negative(h, out=h)
+    return np.fmax(h, 0.0, out=h)
 
 
 def _mi_bits(p0: float, a11, a22):

@@ -4,11 +4,13 @@
 exhaustive over the threshold tuples of a uniform grid, by convex tile
 bounds, with n = 1, 2 and 3 sharing one code path.  It returns what scoring
 every tuple would, but scores only the tiles of tuples whose bound can reach
-the best score.  The CDFs at block ends, which bound the tiles, are kept
-per block; those inside a block fill a row of one ``(blocks, block size)``
-array per density the first time a scored tile uses the block, and a chunk
-of tiles is scored as one broadcast array, with the tuples that are not
-strictly increasing or lie past the last point masked out.  It forms the
+the best score: the tile of the highest bound first, alone, and then the
+tiles whose bound reaches its score, in full chunks.  The CDFs at block
+ends, which bound the tiles, are kept per block; those inside a block fill
+a row of one ``(blocks, block size)`` array per density the first time a
+scored tile uses the block, and a chunk of tiles is scored as one broadcast
+array, tile axis last, with the tuples that are not strictly increasing or
+lie past the last point masked out.  It forms the
 masses of tuples and tile corners with its own alternating CDF sums
 (:func:`_masses`) and scores them with the MI formula of
 :mod:`binquant.channel`; the check that shares no code at all is
@@ -67,9 +69,11 @@ _BYTE_BUDGET = 1 << 28
 _TILE_BYTES = {1: 200, 2: 170, 3: 180}
 
 #: Peak bytes per tuple of a full scoring chunk, beyond the tile arrays:
-#: its masses, entropies and mask, and the grid indices of the tuples that
-#: tie for its top score (at most 1.4 MiB measured for ``_CHUNK_TUPLES``
-#: tuples that all tie, as on a flat channel, where no tile is pruned).
+#: its block rows, masses, entropies and mask, and the grid indices of the
+#: tuples that tie for its top score.  Measured with ``tracemalloc`` as at
+#: most 1.13 MiB above what the search held before the chunk, for
+#: ``_CHUNK_TUPLES`` tuples that all tie, as on a flat channel, where no
+#: tile is pruned and the second chunk is already full.
 _CHUNK_TUPLE_BYTES = 128
 
 #: The levels :func:`structural_checks` validates, and its finite-difference step.
@@ -230,17 +234,20 @@ def grid_search(spec: ChannelSpec, n_thresholds: int, grid_step: float) -> Oracl
     uniform grid over the search window once (the label mapping does not
     change I(X;Z)) and keeping the lexicographically first maximum.  Every
     tile is bounded from the CDFs at block ends, one CDF call per density
-    on the starts and ends of all blocks (:func:`_tile_bounds`), and tiles
-    are scored in chunks in descending order of bound.  The CDFs inside
-    block b fill row b of a ``(blocks, _BLOCK[n])`` array per density the
-    first time a scored tile uses the block; the slots of a partial last
-    block past the last point repeat it.  A chunk's tuples form one
-    ``(tiles, size, ..., size)`` array, slot m's block row along axis
-    m + 1, and those that are not strictly increasing or lie past the last
-    point score -inf; only the tuples that tie for the chunk's top are
-    mapped back to grid indices.  The search stops once the next bound is
-    below the best score by more than ``_SLACK_BITS``, so no tuple left
-    unscored could win or tie.  ``n_thresholds`` is capped at 3: the
+    on the starts and ends of all blocks (:func:`_tile_bounds`).  The tile
+    of the highest bound is scored first, alone, and its top score sets
+    the bar: only the tiles whose bound reaches it, less ``_SLACK_BITS``,
+    are sorted by bound, and they are scored best bound first in full
+    chunks of ``_CHUNK_TUPLES`` tuples, each chunk's tiles filtered again
+    against the best score so far.  The search stops at the first chunk
+    with no tile left, so no tuple left unscored could win or tie.  The
+    CDFs inside block b fill row b of a ``(blocks, _BLOCK[n])`` array per
+    density the first time a scored tile uses the block; the slots of a
+    partial last block past the last point repeat it.  A chunk's tuples
+    form one ``(size, ..., size, tiles)`` array, slot m's block row along
+    axis m, and those that are not strictly increasing or lie past the
+    last point score -inf; only the tuples that tie for the chunk's top
+    are mapped back to grid indices.  ``n_thresholds`` is capped at 3: the
     search is O((range/step)^n) in the worst case, and anything larger is
     better exercised through :func:`sweep_levels`.
     """
@@ -257,50 +264,60 @@ def grid_search(spec: ChannelSpec, n_thresholds: int, grid_step: float) -> Oracl
     # ((c0, c1) at block starts, (c0, c1) at block ends), from one call per density
     head, tail = zip(*cdfs(np.stack([starts, ends])))
     blocks, bound = _tile_bounds(p0, head, tail, starts, ends, n)
-    order = np.argsort(-bound)
-    bound, blocks = bound[order], blocks[:, order]
 
     # row b holds the CDFs at points starts[b] + 0 ... size - 1, the slots
     # past the last point clamped to it; it is filled when first scored
     rows0, rows1 = np.empty((starts.size, size)), np.empty((starts.size, size))
     filled = np.zeros(starts.size, dtype=bool)
-    # slot m of a chunk's (tiles, size, ..., size) tuples runs along axis m + 1
-    axes = [(-1,) + (1,) * m + (size,) + (1,) * (n - 1 - m) for m in range(n)]
-    # out[k] marks the tuples that a tile of kind k cannot hold: bit m < n - 1
-    # of k is set when its slots m and m + 1 share a block, whose offsets must
-    # then increase, and bit n - 1 when its last slot is in the last block,
-    # whose offsets must not pass the last point
+    # slot m of a chunk's (size, ..., size, tiles) tuples runs along axis m,
+    # from a contiguous (size, tiles) copy of its block rows: with the tile
+    # axis last, numpy's inner loops run over the tiles, not over the 4 or 8
+    # slots of an n = 3 or n = 2 block
+    axes = [(1,) * m + (size,) + (1,) * (n - 1 - m) + (-1,) for m in range(n)]
+    # out[..., k] marks the tuples that a tile of kind k cannot hold: bit
+    # m < n - 1 of k is set when its slots m and m + 1 share a block, whose
+    # offsets must then increase, and bit n - 1 when its last slot is in the
+    # last block, whose offsets must not pass the last point
     offsets = np.indices((size,) * n)
     cuts = [offsets[m] >= offsets[m + 1] for m in range(n - 1)] + [offsets[-1] > npts - 1 - starts[-1]]
-    out = np.zeros((1 << n,) + (size,) * n, dtype=bool)
+    out = np.zeros((size,) * n + (1 << n,), dtype=bool)
     for j, cut in enumerate(cuts):
-        out[np.arange(1 << n) >> j & 1 == 1] |= cut
-    per_chunk = _CHUNK_TUPLES // size**n
-    best_mi, best = -np.inf, ()
-    # chunks grow from one tile, so that a sharp peak is scored in few tiles
-    c, take = 0, 1
-    while c < bound.size:
-        live = bound[c : c + take] >= best_mi - _SLACK_BITS
-        if not live[0]:
-            break
-        chunk = blocks[:, c : c + take][:, live]
-        c, take = c + take, min(2 * take, per_chunk)
+        out[..., np.arange(1 << n) >> j & 1 == 1] |= cut[..., None]
+
+    def score(tiles):
+        """The top score of the tuples of these tiles, and the first tuple that reaches it."""
+        chunk = blocks[:, tiles]
         todo = np.unique(chunk)
         todo = todo[~filled[todo]]
         if todo.size:
             rows0[todo], rows1[todo] = cdfs(np.minimum(starts[todo, None] + np.arange(size), npts - 1))
             filled[todo] = True
-        slots = [(rows0[b].reshape(axis), rows1[b].reshape(axis)) for b, axis in zip(chunk, axes)]
+        slots = [(rows0[b].T.copy().reshape(axis), rows1[b].T.copy().reshape(axis)) for b, axis in zip(chunk, axes)]
         mi = _mi_bits(p0, *_masses(*_PAD[n], *slots))
         bits = [chunk[m] == chunk[m + 1] for m in range(n - 1)] + [chunk[-1] == starts.size - 1]
-        mi[out[sum(bit * (1 << j) for j, bit in enumerate(bits))]] = -np.inf
+        mi[out[..., sum(bit * (1 << j) for j, bit in enumerate(bits))]] = -np.inf
         top = mi.max()
-        if top >= best_mi:
-            tile, *at = np.unravel_index(np.flatnonzero(mi == top), mi.shape)
-            ties = starts[chunk[:, tile]] + np.array(at)
-            winner = tuple(ties[:, np.lexsort(ties[::-1])[0]].tolist())
-            if top > best_mi or winner < best:
-                best_mi, best = top, winner
+        *at, tile = np.unravel_index(np.flatnonzero(mi == top), mi.shape)
+        ties = starts[chunk[:, tile]] + np.array(at)
+        return top, tuple(ties[:, np.lexsort(ties[::-1])[0]].tolist())
+
+    # the tile of the highest bound sets the bar alone; the others that can
+    # reach it are scored in full chunks, best bound first, each chunk
+    # re-filtered against the best score so far
+    first = np.argmax(bound)
+    best_mi, best = score(first[None])
+    live = np.flatnonzero(bound >= best_mi - _SLACK_BITS)
+    live = live[live != first]
+    live = live[np.argsort(-bound[live])]
+    per_chunk = _CHUNK_TUPLES // size**n
+    for c in range(0, live.size, per_chunk):
+        tiles = live[c : c + per_chunk]
+        tiles = tiles[bound[tiles] >= best_mi - _SLACK_BITS]
+        if not tiles.size:
+            break
+        top, winner = score(tiles)
+        if top > best_mi or (top == best_mi and winner < best):
+            best_mi, best = top, winner
 
     thresholds = tuple(float(spec.search_lo + grid_step * k) for k in best)
     exact = max(

@@ -74,6 +74,26 @@ def _h2_mpmath(w: float) -> float:
         return float(-(x * mpmath.log(x, 2) + (1 - x) * mpmath.log(1 - x, 2)))
 
 
+_NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+def _h2_masked(w):
+    """H2 by the formula with a mask and a ``where`` select, the reference for ``_h2``'s in-place kernel."""
+    w = np.asarray(w, dtype=float)
+    v = 1.0 - w
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = w * np.log2(w)
+        h += v * np.log2(v)
+    return np.where((w > 0.0) & (v > 0.0), -h, 0.0)
+
+
+def _assert_h2_is_the_masked_formula(w):
+    got, want = _h2(w), _h2_masked(w)
+    assert type(got) is type(want) and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert not np.any(np.signbit(got))  # never -0.0
+
+
 class TestChannelMatrix:
     def test_single_threshold_symmetric(self, example1_spec):
         cm = channel_matrix(example1_spec, (0.0,), "odd_to_zero")
@@ -186,6 +206,24 @@ class TestMutualInformation:
             for length in range(41 - start):
                 got = _h2(w[start : start + length])
                 assert got.tolist() == scalars[start : start + length]
+
+    @pytest.mark.parametrize(
+        "w",
+        [
+            0.0, 1.0, -0.0, 0.5, 0.3, math.nextafter(1.0, 2.0), -1e-300, *_NON_FINITE,
+            math.ulp(0.0), sys.float_info.min / 3, 1.0 - 2.0**-53, 2.0**-53,
+            np.float64(0.2), np.array(0.7), np.array(math.nan), np.array(-0.0),
+            np.array([0.0, 1.0, math.nextafter(1.0, 2.0), -1e-300, math.nan, math.ulp(0.0), 5e-310, 0.25]),
+            np.linspace(-0.5, 1.5, 81).reshape(9, 9),
+        ],
+    )
+    def test_binary_entropy_is_bit_identical_to_the_masked_formula(self, w):
+        _assert_h2_is_the_masked_formula(w)
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(values=st.lists(st.one_of(_UNIT, _OUTSIDE, st.floats(-1e300, 1e300), st.sampled_from(_NON_FINITE)), max_size=70))
+    def test_binary_entropy_of_any_array_is_bit_identical_to_the_masked_formula(self, values):
+        _assert_h2_is_the_masked_formula(np.array(values, dtype=float))
 
     def test_array_formula_matches_mutual_information(self, asym_spec):
         rng = np.random.default_rng(29)

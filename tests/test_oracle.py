@@ -244,6 +244,18 @@ class TestGridSearch:
             with pytest.raises(InvalidSpecError, match="grid_step .* too fine"):
                 grid_search(example1_spec, n, step)
 
+    @pytest.mark.parametrize("n, points", [(1, 100_001), (2, 1001), (3, 81)])
+    def test_few_scoring_calls(self, example2_spec, n, points, monkeypatch):
+        # the tile of the highest bound alone, then full chunks of the tiles
+        # that can reach its score
+        calls = []
+        real_mi_bits = oracle._mi_bits
+        monkeypatch.setattr(oracle, "_mi_bits", lambda *args: calls.append(1) or real_mi_bits(*args))
+        step = (example2_spec.search_hi - example2_spec.search_lo) / (points - 1)
+        assert oracle.grid_size(example2_spec, n, step) == points
+        grid_search(example2_spec, n, step)
+        assert len(calls) <= 3
+
     def test_evaluation_count(self, example1_spec):
         result = grid_search(example1_spec, 1, 0.01)
         assert result.n_evaluated == 2201  # 22-wide window, step 0.01, inclusive
