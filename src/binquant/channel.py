@@ -25,8 +25,9 @@ level.  The stationarity function F is the scalar factor in
 so a zero where F falls from positive to negative is a local maximum of
 the mutual information.  F can have several, so the solver searches one
 per candidate peak, each round of a search one :func:`stationarity` call
-on the levels it needs.  The spec keeps the roots of its last batch, so the design
-read at a* polishes no root again.
+on the levels it needs.  The spec keeps its last batch, roots and masses, so
+the design read at a level of the last round polishes no root and makes no
+CDF call.
 
 A level whose f or g lies within DEGENERACY_EPS of {0, 1} is degenerate: F
 is unbounded there, the level functionals give it as NaN, and
@@ -228,14 +229,16 @@ _Batch = namedtuple("_Batch", "levels inverse bounds roots odd_first f g F")
 def _level_batch(spec: ChannelSpec, levels, grid_points: int, level_set: LevelSet | None = None) -> _Batch:
     """f, g and F of a batch of levels as arrays, per sorted unique level, with no object per level.
 
-    The roots come from one :func:`~binquant.likelihood._batch_roots` call,
-    which the spec keeps as its last batch of this grid size, or from
-    ``level_set``, a batch of one; one CDF call per density at all of them
-    gives every mass (:func:`_correct_masses`).  Raises QuantizerError for
-    the first level of ``levels`` with f + g < 1.
+    The roots come from one :func:`~binquant.likelihood._batch_roots` call
+    or from ``level_set``, a batch of one; one CDF call per density at all
+    of them gives every mass (:func:`_correct_masses`).  Raises
+    QuantizerError for the first level of ``levels`` with f + g < 1.  The
+    spec keeps a batch of ``levels`` as its last batch of this grid size,
+    which :func:`level_functionals` and
+    :func:`~binquant.likelihood.find_level_set` read.
     """
     if level_set is None:
-        uniq, inverse, bounds, roots = _batch_roots(spec, levels, grid_points, keep=True)
+        uniq, inverse, bounds, roots = _batch_roots(spec, levels, grid_points)
     else:
         uniq, inverse, bounds, roots = [level_set.level], [0], [0, len(level_set.roots)], np.array(level_set.roots)
     u_lo = _u_extent(spec, grid_points)[0]
@@ -247,7 +250,10 @@ def _level_batch(spec: ChannelSpec, levels, grid_points: int, level_set: LevelSe
     if short.any():
         i = inverse[short[inverse].argmax()]
         raise QuantizerError(_MASS_SUM_ERROR.format(uniq[i], float(f[i]), float(g[i])))
-    return _Batch(uniq, inverse, bounds, roots, odd_first, f, g, F)
+    batch = _Batch(uniq, inverse, bounds, roots, odd_first, f, g, F)
+    if level_set is None:
+        spec._last_batch[grid_points] = batch
+    return batch
 
 
 def level_functionals(spec: ChannelSpec, level, grid_points: int = DEFAULT_GRID_POINTS):
@@ -255,13 +261,16 @@ def level_functionals(spec: ChannelSpec, level, grid_points: int = DEFAULT_GRID_
 
     Like :func:`~binquant.likelihood.find_level_set` and
     :func:`stationarity`, it takes a level or a batch.  A single level gives
-    one :class:`LevelFunctionals`, whose level set comes from
-    :func:`~binquant.likelihood.find_level_set` with that scalar level.  Any
+    one :class:`LevelFunctionals` on the level set that
+    :func:`~binquant.likelihood.find_level_set` gives for it.  When the
+    spec's last batch of this grid size holds the level, that is read from
+    the batch, and so are the masses and F: no root and no CDF is computed
+    again, and the fields are those of a batch of one.  Any
     array-like of levels gives a tuple of them, in input order, from the
-    arrays of one :func:`_level_batch` (whose roots the spec keeps for
-    :func:`~binquant.likelihood.find_level_set`), which the callers that
-    need only numbers (:func:`stationarity`, the oracle) read directly.
-    Raises InvalidSpecError if any level lies outside (1e-9, 1 - 1e-9).
+    arrays of one :func:`_level_batch` (which the spec keeps as its last
+    batch), which the callers that need only numbers (:func:`stationarity`,
+    the oracle) read directly.  Raises InvalidSpecError if any level lies
+    outside (1e-9, 1 - 1e-9).
 
     The level-set roots are the thresholds, and the segments between them
     alternate between {u < level} and {u >= level}, so only the first one,
@@ -272,11 +281,21 @@ def level_functionals(spec: ChannelSpec, level, grid_points: int = DEFAULT_GRID_
     and g are then a11 and a22 of ``channel_matrix(spec, roots, mapping)``,
     and F is taken from them.  Boundary points (u = level) carry no mass.
     """
-    b = _level_batch(spec, level, grid_points, None if np.ndim(level) else find_level_set(spec, level, grid_points))
-    roots, mapping = b.roots.tolist(), ("even_to_zero", "odd_to_zero")
-    rows = zip(b.levels, b.bounds, b.bounds[1:], b.odd_first, b.f.tolist(), b.g.tolist(), b.F.tolist())
-    fns = [LevelFunctionals(a, f, g, tuple(roots[i:j]), mapping[odd], F) for a, i, j, odd, f, g, F in rows]
-    return tuple(fns[i] for i in b.inverse.tolist()) if np.ndim(level) else fns[0]
+    mapping = ("even_to_zero", "odd_to_zero")
+    if np.ndim(level):
+        b = _level_batch(spec, level, grid_points)
+        roots = b.roots.tolist()
+        rows = zip(b.levels, b.bounds, b.bounds[1:], b.odd_first, b.f.tolist(), b.g.tolist(), b.F.tolist())
+        fns = [LevelFunctionals(a, f, g, tuple(roots[i:j]), mapping[odd], F) for a, i, j, odd, f, g, F in rows]
+        return tuple(fns[i] for i in b.inverse.tolist())
+    level_set = find_level_set(spec, level, grid_points)
+    b = spec._last_batch.get(grid_points)
+    if b is None or level not in b.levels:
+        b = _level_batch(spec, None, grid_points, level_set)
+    k = b.levels.index(level)
+    return LevelFunctionals(
+        level_set.level, float(b.f[k]), float(b.g[k]), level_set.roots, mapping[b.odd_first[k]], float(b.F[k])
+    )
 
 
 def _stationarity_from_masses(prior: Prior, levels: list[float], f: list[float], g: list[float]) -> np.ndarray:

@@ -5,9 +5,12 @@ Each conditional density of the channel output is a finite Gaussian mixture.
 form one row, each of the k components a row of a ``(k, points)`` array,
 and the sum or log-sum-exp over components reduces along axis 0, adding
 the rows in sequence.  (A reduction over a short trailing component axis
-costs several times more.)  The CDF is closed form through the normal CDF
-(error function); :mod:`binquant.channel` turns its values at the
-thresholds into probability masses, never by quadrature.
+costs several times more.)  The CDF is closed form through the normal CDF,
+which one numpy kernel evaluates (:func:`_ndtr`): a piecewise polynomial
+for the scaled complementary error function, whose table
+``tools/ndtr_table.py`` generates with ``mpmath``.  :mod:`binquant.channel`
+turns the CDF's values at the thresholds into probability masses, never by
+quadrature.
 
 The second Gaussian parameter throughout this package is the *standard
 deviation*, not the variance.
@@ -19,8 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
+from ._ndtr_table import COEFFICIENTS, INTERVALS, SCALE
 from .errors import InvalidSpecError
 
 __all__ = [
@@ -33,6 +36,14 @@ __all__ = [
 ]
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+#: The normal-CDF kernel's polynomial coefficients, one column per interval
+#: of t and one row per power of s, lowest first; constants as 0-d arrays,
+#: which numpy broadcasts faster than Python floats (see :func:`_ndtr`).
+_NDTR_TABLE = np.fromstring(COEFFICIENTS, sep=" ").reshape(INTERVALS + 1, -1).T.copy()
+_NDTR_TABLE.flags.writeable = False
+_ZERO, _ONE, _MINUS_HALF = np.array(0.0), np.array(1.0), np.array(-0.5)
+_SCALE, _INTERVAL_SCALE = np.array(SCALE), np.array(INTERVALS * SCALE)
 
 #: A strictly increasing, finite sequence of quantizer boundaries.
 #: The empty tuple is the constant quantizer (a single segment).
@@ -144,7 +155,49 @@ def _log_pdf_slope(model: DensityModel, y):
     return _shaped(log_p, y), _shaped((-1.0 / model._sigmas.ravel()) @ (rel * z) / total, y)
 
 
+def _ndtr(z: np.ndarray) -> np.ndarray:
+    """The standard normal CDF at each element of the float array ``z``, which it overwrites.
+
+    Phi(z) = exp(-z^2 / 2) P(t) for z <= 0, and 1 - Phi(-z) for z > 0, with
+    P = erfcx(|z| / sqrt 2) / 2 a polynomial of degree 5 in s on each of
+    256 equal intervals of t = SCALE / (SCALE + |z|) in [0, 1], where
+    256 t = i + s, s in [0, 1) (``tools/ndtr_table.py``).  The index i of
+    |z| = 0 is 256, a row of the table that holds P(0) = 1/2, so i needs no
+    clip (NaN, whose index is not a number, reads a clipped row and gives
+    NaN); +-inf give t = 0, exp(-inf) = 0 and exactly 0 and 1, with no
+    floating-point warning.
+
+    Measured against ``mpmath``, the relative error is at most about 6e-14
+    on z in [-37.5, -5) (most of it the rounding of z^2, amplified by exp)
+    and 1.5e-15 on [-5, 0); below -37.5 the value is subnormal or 0.  One
+    gather of the 6 coefficients of every element, and Horner's rule in
+    place, keep it to 23 numpy calls: their overhead, not the arithmetic,
+    is most of the cost on the short arrays the solver passes.  Its peak
+    workspace is 73 bytes per element, most of it the gathered
+    coefficients.
+    """
+    upper = np.greater(z, _ZERO)
+    tail = np.multiply(z, z)
+    np.multiply(tail, _MINUS_HALF, tail)
+    np.exp(tail, tail)
+    # z becomes 256 t, then s
+    np.abs(z, z)
+    np.add(z, _SCALE, z)
+    np.divide(_INTERVAL_SCALE, z, z)
+    index = np.floor(z)
+    np.subtract(z, index, z)
+    index = index.astype(np.intp)
+    c0, c1, c2, c3, c4, poly = _NDTR_TABLE.take(index, axis=1, mode="clip")
+    for c in (c4, c3, c2, c1, c0):
+        np.multiply(poly, z, poly)
+        np.add(poly, c, poly)
+    np.multiply(poly, tail, poly)
+    return np.subtract(_ONE, poly, out=poly, where=upper)
+
+
 def cdf(model: DensityModel, y):
     """Mixture CDF at ``y``; accepts +-inf (limits 0 and 1)."""
-    # means and stddevs are finite, so +-inf inputs give +-inf z, which ndtr maps to 1/0 exactly
-    return _shaped(np.sum(model._weights * ndtr(_z(model, y)), axis=0), y)
+    # means and stddevs are finite, so +-inf inputs give +-inf z, which _ndtr maps to 0/1 exactly
+    phi = _ndtr(_z(model, y))
+    np.multiply(phi, model._weights, phi)
+    return _shaped(np.add.reduce(phi, axis=0), y)

@@ -15,7 +15,8 @@ a batch of levels (:func:`_level_roots`), ``u`` at ``search_lo`` and the
 range of ``u`` (:func:`_u_extent`), and the monotonicity verdict:
 
 * When each density is a single Gaussian, ``log r`` is the quadratic
-  ``A y^2 + B y + C`` (coefficients kept on the spec), and nothing needs a
+  ``A w^2 + B w + C`` in ``w = y - m``, centered on the mean ``m`` of the
+  narrower component (coefficients kept on the spec), and nothing needs a
   grid: the roots of each level are those of the quadratic, in closed form
   (where ``u`` touches the level without crossing it, a double root or
   none, there is no root), ``u`` at the window's ends and at the vertex of
@@ -48,7 +49,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit
 
 from .density import DensityModel, Prior, Thresholds, _log_pdf_slope, log_pdf
 from .errors import InvalidSpecError, NotConvergedError
@@ -99,11 +99,11 @@ class ChannelSpec:
 
     Each instance keeps its own search grids (:func:`_search_grid`; mixture
     channels only), so two equal specs built separately each compute theirs
-    once, and the levels and roots of the last batch of level functionals
-    per grid size (:func:`_batch_roots`), which :func:`find_level_set`
-    reads.  When ``log r`` is a quadratic it also keeps, from the start,
-    its coefficients (:func:`_log_r_quadratic`) and ``u`` at ``search_lo``
-    and the range of ``u`` (:func:`_u_extent`).
+    once, and its last batch of level functionals per grid size (levels,
+    roots and masses, kept by :func:`binquant.channel._level_batch`), whose
+    roots :func:`find_level_set` reads.  When ``log r`` is a quadratic it
+    also keeps, from the start, its coefficients (:func:`_log_r_quadratic`)
+    and ``u`` at ``search_lo`` and the range of ``u`` (:func:`_u_extent`).
     """
 
     prior: Prior
@@ -131,12 +131,12 @@ class ChannelSpec:
         quad = _log_r_quadratic(self.density0, self.density1)
         object.__setattr__(self, "_log_r_quadratic", quad)
         if quad is not None:
-            quad_a, quad_b, quad_c = quad
-            ys = [self.search_lo, self.search_hi]
-            if quad_a != 0.0 and self.search_lo < -quad_b / (2.0 * quad_a) < self.search_hi:
-                ys.append(-quad_b / (2.0 * quad_a))
-            y = np.array(ys)
-            u = _logistic(self, (quad_a * y + quad_b) * y + quad_c)
+            quad_a, quad_b, quad_c, center = quad
+            ws = [self.search_lo - center, self.search_hi - center]
+            if quad_a != 0.0 and ws[0] < -quad_b / (2.0 * quad_a) < ws[1]:
+                ws.append(-quad_b / (2.0 * quad_a))
+            w = np.array(ws)
+            u = _logistic(self, (quad_a * w + quad_b) * w + quad_c)
             object.__setattr__(self, "_quadratic_u_extent", (float(u[0]), float(u.min()), float(u.max())))
 
 
@@ -148,16 +148,26 @@ def default_search_interval(density0: DensityModel, density1: DensityModel) -> t
     return min(means) - 10.0 * smax, max(means) + 10.0 * smax
 
 
-def _log_r_quadratic(density0: DensityModel, density1: DensityModel) -> tuple[float, float, float] | None:
-    """``(A, B, C)`` with log r(y) = A y^2 + B y + C when each density is one Gaussian, else None."""
+def _log_r_quadratic(density0: DensityModel, density1: DensityModel) -> tuple[float, float, float, float] | None:
+    """``(A, B, C, m)`` with log r(y) = A w^2 + B w + C, w = y - m, when each density is one Gaussian, else None.
+
+    m is the mean of the narrower component (density0's on a tie), so that
+    component's offset d = mu - m is 0 and C carries no mu^2 / sigma^2 term
+    of it.  Expanded in y itself, a mean far from 0 against a narrow
+    stddev puts terms such as 5e16 into C, whose rounding (8 there) swamps
+    the level's log((1 - a) / a) and stalls the roots at every level.
+    """
     if len(density0.components) != 1 or len(density1.components) != 1:
         return None
     (c0,), (c1,) = density0.components, density1.components
+    center = c0.mean if c0.stddev <= c1.stddev else c1.mean
+    d0, d1 = c0.mean - center, c1.mean - center
     v0, v1 = c0.stddev * c0.stddev, c1.stddev * c1.stddev
     return (
         0.5 / v1 - 0.5 / v0,
-        c0.mean / v0 - c1.mean / v1,
-        0.5 * c1.mean * c1.mean / v1 - 0.5 * c0.mean * c0.mean / v0 + math.log(c1.stddev / c0.stddev),
+        d0 / v0 - d1 / v1,
+        0.5 * d1 * d1 / v1 - 0.5 * d0 * d0 / v0 + math.log(c1.stddev / c0.stddev),
+        center,
     )
 
 
@@ -190,8 +200,15 @@ def likelihood_ratio(spec: ChannelSpec, y):
 
 
 def _logistic(spec: ChannelSpec, log_r):
-    """u = 1 / (1 + (p0/p1) exp(log_r)) as a stable logistic, which never overflows."""
-    return expit(math.log(spec.prior.p1 / spec.prior.p0) - np.asarray(log_r))
+    """u = 1 / (1 + (p0/p1) exp(log_r)), the logistic of x = log(p1/p0) - log_r, which never overflows.
+
+    Two branches of e = exp(-|x|) <= 1: 1 / (1 + e) where x >= 0 and
+    e / (1 + e) where x < 0, so +-inf give exactly 1 and 0, and a tiny u
+    keeps its relative precision down to the underflow of e.
+    """
+    x = math.log(spec.prior.p1 / spec.prior.p0) - np.asarray(log_r)
+    e = np.exp(-np.abs(x))
+    return np.where(x < 0.0, e, 1.0) / (1.0 + e)
 
 
 def _check_grid_points(grid_points) -> None:
@@ -287,8 +304,9 @@ def _u_extent(spec: ChannelSpec, grid_points: int) -> tuple[float, float, float]
     """u at ``search_lo``, which labels the first segment, and the least and the largest u in the window.
 
     A single-Gaussian pair takes them in closed form, from u at the two
-    ends of the window and, when it lies inside, at the vertex -B / 2A of
-    log r = A y^2 + B y + C; a mixture reads them off its search grid.
+    ends of the window and, when it lies inside, at the vertex
+    y = m - B / 2A of log r = A (y - m)^2 + B (y - m) + C; a mixture reads
+    them off its search grid.
     The closed form is computed when the spec is built, the grid's on its
     first use; either way once per channel, and kept.
     """
@@ -330,17 +348,18 @@ def classify_monotonicity(spec: ChannelSpec, grid_points: int = DEFAULT_GRID_POI
     double-precision noise floor for log-pdf differences) count as
     violations of strictness; ``flat`` says that every step is one, the
     search grid's verdict (:func:`_search_grid`).  A single-Gaussian pair
-    builds no grid: on a cell of width h and midpoint m of the uniform
-    ``grid_points`` grid its step is exactly (2 A m + B) h, linear in m, so
-    the first and the last cell bound every other.
+    builds no grid: on a cell of width h and midpoint y of the uniform
+    ``grid_points`` grid its step is exactly (2 A (y - m) + B) h, linear in
+    y, so the first and the last cell bound every other.
     """
     if spec._log_r_quadratic is None:
         steps = np.diff(_search_grid(spec, grid_points).log_r)
     else:
         _check_grid_points(grid_points)
-        quad_a, quad_b, _ = spec._log_r_quadratic
+        quad_a, quad_b, _, center = spec._log_r_quadratic
         h = (spec.search_hi - spec.search_lo) / (grid_points - 1)
-        steps = (2.0 * quad_a * np.array([spec.search_lo + 0.5 * h, spec.search_hi - 0.5 * h]) + quad_b) * h
+        mids = np.array([spec.search_lo + 0.5 * h, spec.search_hi - 0.5 * h])
+        steps = (2.0 * quad_a * (mids - center) + quad_b) * h
     if np.all(steps > _FLAT_LOG_R_STEP):
         return MonotonicityReport(Monotonicity.STRICTLY_INCREASING, grid_points)
     if np.all(steps < -_FLAT_LOG_R_STEP):
@@ -414,9 +433,10 @@ class LevelSet:
 
     * Closed form (one Gaussian per density): within
       2 eps (M / |d log r/dy| + |y|) of the exact root y, with eps the
-      double epsilon and M = sum_i (|y| + |mu_i|)^2 / (2 sigma_i^2) +
-      |log(sigma1/sigma0)| + |log(p1/p0)| + |log((1 - a)/a)| the size of
-      the terms that log r and the level are rounded from.
+      double epsilon and M = sum_i (|y - m| + |mu_i - m|)^2 / (2 sigma_i^2)
+      + |log(sigma1/sigma0)| + |log(p1/p0)| + |log((1 - a)/a)| the size of
+      the terms that log r and the level are rounded from, m the mean of
+      the narrower component (:func:`_log_r_quadratic`).
     * Grid path (mixtures): polishing stops in a bracket at most 1e-12
       wide across which the computed u - level changes sign, or where the
       computed |u - level| <= 1e-12: within max(1e-12, 1e-12 / |du/dy|)
@@ -511,14 +531,15 @@ def _pairs(first, stop):
 def _quadratic_roots(spec: ChannelSpec, levels: np.ndarray):
     """Level indices and roots of u(y) = a for the sorted ``levels`` when log r is a quadratic.
 
-    With log r(y) = A y^2 + B y + C, u(y) = a solves A y^2 + B y + c = 0 for
-    c = C - log(p1/p0) - log((1 - a)/a).  Its roots are q/A and c/q with
-    q = -(B + sign(B) sqrt(B^2 - 4 A c)) / 2, which never subtracts nearly
-    equal numbers, or -c/B when A = 0.  Where B^2 - 4 A c <= 0, or the two
-    roots are equal, u touches the level without crossing it: no root.  Only
-    roots inside the search window are kept, in (level, root) order.
+    With log r(y) = A w^2 + B w + C, w = y - m, u(y) = a solves
+    A w^2 + B w + c = 0 for c = C - log(p1/p0) - log((1 - a)/a).  Its roots
+    are q/A and c/q with q = -(B + sign(B) sqrt(B^2 - 4 A c)) / 2, which
+    never subtracts nearly equal numbers, or -c/B when A = 0; each root y is
+    m + w.  Where B^2 - 4 A c <= 0, or the two roots are equal, u touches
+    the level without crossing it: no root.  Only roots inside the search
+    window are kept, in (level, root) order.
     """
-    quad_a, quad_b, quad_c = spec._log_r_quadratic
+    quad_a, quad_b, quad_c, center = spec._log_r_quadratic
     c = (quad_c - math.log(spec.prior.p1 / spec.prior.p0)) - np.log((1.0 - levels) / levels)
     # -c/B with B = 0 (identical densities), the NaN of a negative B^2 - 4Ac
     # and a q/A past the float range all fall outside the window
@@ -530,6 +551,7 @@ def _quadratic_roots(spec: ChannelSpec, levels: np.ndarray):
             q = -0.5 * (quad_b + np.copysign(np.sqrt(disc), quad_b))
             roots = np.sort(np.stack((q / quad_a, c / q), axis=1), axis=1)
             roots[~(disc > 0.0) | (roots[:, 0] == roots[:, 1])] = np.nan
+    roots += center
     keep = (roots >= spec.search_lo) & (roots <= spec.search_hi)
     return np.nonzero(keep)[0], roots[keep]
 
@@ -584,13 +606,11 @@ def _level_roots(spec: ChannelSpec, levels: np.ndarray, grid_points: int, polish
     return _quadratic_roots(spec, levels)
 
 
-def _batch_roots(spec: ChannelSpec, levels, grid_points: int, keep: bool = False):
+def _batch_roots(spec: ChannelSpec, levels, grid_points: int):
     """The sorted unique ``levels`` (a list), each level's index among them, and their roots' bounds and roots.
 
     One :func:`_level_roots` call gives the roots; level i's are
-    roots[bounds[i]:bounds[i + 1]].  With ``keep`` the spec keeps levels,
-    bounds and roots as its last batch of this grid size, which
-    :func:`find_level_set` reads.  Raises InvalidSpecError if any level
+    roots[bounds[i]:bounds[i + 1]].  Raises InvalidSpecError if any level
     lies outside (1e-9, 1 - 1e-9).
     """
     levels = np.asarray(levels, dtype=float).ravel()
@@ -600,10 +620,7 @@ def _batch_roots(spec: ChannelSpec, levels, grid_points: int, keep: bool = False
         raise InvalidSpecError(f"level must lie in (1e-9, 1 - 1e-9), got {float(bad[0])!r}")
     uniq, inverse = np.unique(levels, return_inverse=True)
     lvl, roots = _level_roots(spec, uniq, grid_points)
-    levels, bounds = uniq.tolist(), [0, *np.cumsum(np.bincount(lvl, minlength=uniq.size)).tolist()]
-    if keep:
-        spec._last_batch[grid_points] = levels, bounds, roots
-    return levels, inverse, bounds, roots
+    return uniq.tolist(), inverse, [0, *np.cumsum(np.bincount(lvl, minlength=uniq.size)).tolist()], roots
 
 
 def find_level_set(spec: ChannelSpec, level, grid_points: int = DEFAULT_GRID_POINTS):
@@ -618,18 +635,17 @@ def find_level_set(spec: ChannelSpec, level, grid_points: int = DEFAULT_GRID_POI
 
     A scalar level gives one :class:`LevelSet`.  When the last batch of
     level functionals of this grid size holds it, its roots are read from
-    the spec (:func:`_batch_roots`), which equal a batch of one.  Any
+    the spec (:class:`ChannelSpec`), which equal a batch of one.  Any
     array-like of levels gives a tuple of level sets, in input order, from
     one :func:`_batch_roots` call, which the spec does not keep.
 
     Raises InvalidSpecError if any level lies outside (1e-9, 1 - 1e-9), and
     NotConvergedError if a bracket is still open after 200 steps.
     """
-    if not np.ndim(level):
-        levels, bounds, roots = spec._last_batch.get(grid_points, ((), (), None))
-        if level in levels:
-            i = levels.index(level)
-            return LevelSet(levels[i], tuple(roots[bounds[i] : bounds[i + 1]].tolist()))
+    kept = spec._last_batch.get(grid_points)
+    if not np.ndim(level) and kept and level in kept.levels:
+        i = kept.levels.index(level)
+        return LevelSet(kept.levels[i], tuple(kept.roots[kept.bounds[i] : kept.bounds[i + 1]].tolist()))
     uniq, inverse, bounds, roots = _batch_roots(spec, level, grid_points)
     roots = roots.tolist()
     sets = [LevelSet(a, tuple(roots[i:j])) for a, i, j in zip(uniq, bounds, bounds[1:])]

@@ -85,6 +85,15 @@ def shared_spec():
     return shared_channel()
 
 
+def far_narrow_pair():
+    """A narrow component far from 0: N(-43.445, 2.578) against N(-38.219068, 1.151e-7).
+
+    Expanded in y itself, the constant term of log r was about 5.5e16, with
+    an ulp of 8, so the roots stalled at every level.
+    """
+    return channel_spec(Prior(p0=0.5742386), single_gaussian(-43.445, 2.578), single_gaussian(-38.219068, 1.151e-7))
+
+
 def fresh_copy(spec):
     """An equal spec with nothing cached: no search grid and no last batch of level sets.
 

@@ -315,6 +315,17 @@ class TestLevelFunctionals:
         monkeypatch.setattr(likelihood, "_level_roots", real)
         assert [_fields(fn) for fn in got] == [_fields(fresh(a, n)) for a, n in asked]
 
+    def test_a_level_of_the_last_batch_is_read_with_no_cdf_call(self, fig5_spec, example2_spec, monkeypatch):
+        for spec in (fresh_copy(fig5_spec), fresh_copy(example2_spec)):
+            stationarity(spec, np.array([0.3, 0.5, 0.7]))
+            calls = []
+            real_cdf = channel.cdf
+            monkeypatch.setattr(channel, "cdf", lambda model, y: calls.append(np.size(y)) or real_cdf(model, y))
+            read = level_functionals(spec, 0.5)
+            assert calls == []
+            monkeypatch.setattr(channel, "cdf", real_cdf)
+            assert _fields(read) == _fields(level_functionals(fresh_copy(spec), 0.5))
+
     def test_a_list_of_levels_is_a_batch(self, fig5_spec):
         # a list used to give the functionals of its first level alone
         spec = fresh_copy(fig5_spec)

@@ -31,7 +31,9 @@ from binquant import likelihood
 from binquant.cli import load_config
 from binquant.density import DensityModel, GaussianComponent, Prior
 from binquant.likelihood import _newton_polish, _search_grid, _u_extent
-from tests.conftest import BATCH_SPECS, CONFIG_DIR, batch_levels, fresh_copy, gaussian_pairs, shared_channel
+from tests.conftest import (
+    BATCH_SPECS, CONFIG_DIR, batch_levels, far_narrow_pair, fresh_copy, gaussian_pairs, shared_channel
+)
 
 # likelihood ratio of the unequal-variance channel at the equal-ratio pair
 # (-0.5374, 3.5374); mpmath, 30 dps
@@ -132,6 +134,16 @@ class TestRatioAndPosterior:
         order = np.argsort(ratios)
         sorted_posts = posts[order]
         assert np.all(np.diff(sorted_posts) < 0)
+
+    def test_logistic_matches_mpmath(self, example1_spec):
+        # p0 = 1/2, so u is the logistic of -log r exactly
+        x = np.r_[np.linspace(-700.0, 700.0, 1401), np.random.default_rng(3).uniform(-40.0, 40.0, 600)]
+        got = likelihood._logistic(example1_spec, -x)
+        with mpmath.workdps(30):
+            want = np.array([float(1 / (1 + mpmath.exp(-mpmath.mpf(v)))) for v in x])
+        assert np.max(np.abs(got - want) / want) <= 1e-15
+        with np.errstate(all="raise"):
+            assert likelihood._logistic(example1_spec, np.array([-math.inf, math.inf])).tolist() == [1.0, 0.0]
 
     def test_posterior_matches_direct_formula(self, asym_spec):
         ys = np.linspace(-6.0, 6.0, 41)
@@ -380,8 +392,8 @@ class TestBatchedLevelSets:
         reference, disc = reference_level_roots(example2_spec, level)
         assert disc > 0 and len(reference) == 2
         np.testing.assert_allclose(sets[1].roots, reference, rtol=0.0, atol=1e-9)
-        quad_a, quad_b, _ = example2_spec._log_r_quadratic
-        vertex = -quad_b / (2.0 * quad_a)
+        quad_a, quad_b, _, center = example2_spec._log_r_quadratic
+        vertex = center - quad_b / (2.0 * quad_a)
         low, high = sets[1].roots
         assert vertex - (ys[1] - ys[0]) < low < vertex < high < vertex + (ys[1] - ys[0])
         assert len(sets[0].roots) == 2
@@ -487,7 +499,10 @@ class TestClosedFormLevelSets:
                 assert ls.roots == ()
 
     def test_root_error_is_bounded_in_y_next_to_a_narrow_component(self):
-        # u is steep here: roots 3.8e-12 from the exact ones have |u - a| = 1.36e-8
+        # u is steep here.  log r is expanded about m0, the narrow component's
+        # mean, so the size M of its rounded terms holds no m0^2 / (2 s0^2)
+        # (1.2e8): the bound is 2.2e-15 and |u(root) - a| at most 9.8e-13.
+        # Expanded in y itself, roots 3.8e-12 off had |u - a| = 1.36e-8.
         m0, s0, m1, s1 = 4.927594244707205, 0.0003216987682510348, 2.4770407629303737, 2.7393810165026125
         spec = channel_spec(
             Prior(p0=0.7868845056304776),
@@ -502,12 +517,24 @@ class TestClosedFormLevelSets:
             p0, a = mpmath.mpf(spec.prior.p0), mpmath.mpf(level)
             logs = abs(mpmath.log(s1 / s0)) + abs(mpmath.log((1 - p0) / p0)) + abs(mpmath.log((1 - a) / a))
             for root, y in zip(roots, map(mpmath.mpf, exact)):
-                size = (abs(y) + abs(m0)) ** 2 / (2 * s0**2) + (abs(y) + abs(m1)) ** 2 / (2 * s1**2) + logs
+                w = abs(y - m0)
+                size = w**2 / (2 * s0**2) + (w + abs(m1 - m0)) ** 2 / (2 * s1**2) + logs
                 slope = abs((y - m1) / s1**2 - (y - m0) / s0**2)
                 bound = 2 * np.finfo(float).eps * (size / slope + abs(y))
-                assert abs(root - y) <= bound <= 2e-11
+                assert abs(root - y) <= bound <= 1e-14
                 u = 1 / (1 + p0 / (1 - p0) * mpmath.npdf(root, m0, s0) / mpmath.npdf(root, m1, s1))
-                assert abs(u - a) > 1e-8
+                assert abs(u - a) < 1e-11
+
+    def test_roots_follow_the_level_next_to_a_far_narrow_component(self):
+        spec = far_narrow_pair()
+        sets = find_level_set(spec, [0.05, 0.3, 0.6, 0.9])
+        for a, ls in zip((0.05, 0.3, 0.6, 0.9), sets):
+            reference, _ = reference_level_roots(spec, a)
+            assert len(ls.roots) == len(reference) == 2
+            np.testing.assert_allclose(ls.roots, reference, rtol=0.0, atol=1e-13)
+        # the level set narrows about the spike's mean as the level rises
+        lows, highs = zip(*(ls.roots for ls in sets))
+        assert np.all(np.diff(lows) > 0) and np.all(np.diff(highs) < 0)
 
     def test_mixtures_take_the_grid_path(self, fig5_spec, two_peaks_spec, shared_spec):
         for spec in (fig5_spec, two_peaks_spec, shared_spec):

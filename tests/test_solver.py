@@ -36,7 +36,7 @@ from binquant import (
 )
 from binquant import likelihood, solver
 from binquant.cli import load_config
-from tests.conftest import CONFIG_DIR, fresh_copy, gaussian_pairs, log_uniform, single_gaussian
+from tests.conftest import CONFIG_DIR, far_narrow_pair, fresh_copy, gaussian_pairs, log_uniform, single_gaussian
 
 SHIPPED_AND_VERIFY_CONFIGS = sorted(CONFIG_DIR.glob("*.json")) + sorted(
     (Path(__file__).resolve().parent / "data" / "verify").glob("*.json")
@@ -485,6 +485,21 @@ def _mpmath_optimum(p0, comps0, comps1, ys, a_lo, a_hi):
         roots, f, g = design(a_star)
         mi = h2(p0 * f + p1 * (1 - g)) - p0 * h2(f) - p1 * h2(g)
         return float(a_star), [float(h) for h in roots], float(mi)
+
+
+def test_a_far_narrow_component_meets_a_30_digit_reference():
+    # with log r expanded in y itself, its level sets were the same at every
+    # level, and solve raised DegenerateChannelError
+    spec = far_narrow_pair()
+    (c0,), (c1,) = spec.density0.components, spec.density1.components
+    spike = np.linspace(c1.mean - 2e-6, c1.mean + 2e-6, 401)
+    ys = np.union1d(np.linspace(spec.search_lo, spec.search_hi, 1001), spike)
+    comps0, comps1 = [(c0.mean, c0.stddev, 1.0)], [(c1.mean, c1.stddev, 1.0)]
+    a_star, thresholds, mi = _mpmath_optimum(spec.prior.p0, comps0, comps1, ys, 0.44, 0.45)
+    design = solve(spec)
+    assert design.a_star == pytest.approx(a_star, abs=1e-8)
+    np.testing.assert_allclose(design.thresholds, thresholds, rtol=0.0, atol=1e-13)
+    assert design.mi_bits == pytest.approx(mi, abs=1e-12)
 
 
 class TestTwoPeakMixture:
