@@ -45,7 +45,7 @@ import numpy as np
 
 from .density import Thresholds, cdf
 from .errors import DegenerateChannelError, InvalidSpecError, QuantizerError
-from .likelihood import DEFAULT_GRID_POINTS, ChannelSpec, LevelSet, Prior, _batch_roots, _u_extent, find_level_set
+from .likelihood import DEFAULT_GRID_POINTS, ChannelSpec, Prior, _batch_roots, _u_extent, find_level_set
 
 __all__ = [
     "Mapping",
@@ -177,12 +177,11 @@ def channel_matrix(spec: ChannelSpec, thresholds: Thresholds, mapping: Mapping) 
 def _h2(w):
     """H2(w) = -(w log2 w + (1 - w) log2(1 - w)) in bits, elementwise; 0 for w outside (0, 1).
 
-    Both logs come from numpy's vectorized ``log2`` (not scipy's ``entr``,
-    a scalar loop), so an element gives the same float alone as inside an
-    array.  0 log 0 := 0 at w = 0 and w = 1, and every w outside (0, 1)
-    gives exactly +0.0 too: masses formed by sums such as c0[i] + 1 - c0[j]
-    can round to 1 + 2^-52, where the formula would take the log of a
-    negative number.  No mask is built for this: the sum w log2 w +
+    Both logs come from numpy's vectorized ``log2``, so an element gives
+    the same float alone as inside an array.  0 log 0 := 0 at w = 0 and
+    w = 1, and every w outside (0, 1) gives exactly +0.0 too: masses formed
+    by sums such as c0[i] + 1 - c0[j] can round to 1 + 2^-52, where the
+    formula would take the log of a negative number.  No mask is built for this: the sum w log2 w +
     v log2 v is NaN exactly where w is outside (0, 1) or NaN (0 * -inf or
     the log of a negative number; in floating point, w < 1 exactly when
     v = 1 - w > 0), and negative inside, where neither product underflows
@@ -226,21 +225,18 @@ def mutual_information(prior: Prior, matrix: ChannelMatrix) -> float:
 _Batch = namedtuple("_Batch", "levels inverse bounds roots odd_first f g F")
 
 
-def _level_batch(spec: ChannelSpec, levels, grid_points: int, level_set: LevelSet | None = None) -> _Batch:
+def _level_batch(spec: ChannelSpec, levels, grid_points: int) -> _Batch:
     """f, g and F of a batch of levels as arrays, per sorted unique level, with no object per level.
 
-    The roots come from one :func:`~binquant.likelihood._batch_roots` call
-    or from ``level_set``, a batch of one; one CDF call per density at all
-    of them gives every mass (:func:`_correct_masses`).  Raises
-    QuantizerError for the first level of ``levels`` with f + g < 1.  The
-    spec keeps a batch of ``levels`` as its last batch of this grid size,
-    which :func:`level_functionals` and
-    :func:`~binquant.likelihood.find_level_set` read.
+    The roots come from one :func:`~binquant.likelihood._batch_roots` call;
+    one CDF call per density at all of them gives every mass
+    (:func:`_correct_masses`).  Raises QuantizerError for the first level
+    of ``levels`` with f + g < 1.  Every batch is built here, and the spec
+    keeps it as its last batch of this grid size, which
+    :func:`level_functionals` and :func:`~binquant.likelihood.find_level_set`
+    read.
     """
-    if level_set is None:
-        uniq, inverse, bounds, roots = _batch_roots(spec, levels, grid_points)
-    else:
-        uniq, inverse, bounds, roots = [level_set.level], [0], [0, len(level_set.roots)], np.array(level_set.roots)
+    uniq, inverse, bounds, roots = _batch_roots(spec, levels, grid_points)
     u_lo = _u_extent(spec, grid_points)[0]
     odd_first = [u_lo < a for a in uniq]
     f, g = _correct_masses(*_cdfs(spec, roots), bounds, odd_first)
@@ -250,9 +246,7 @@ def _level_batch(spec: ChannelSpec, levels, grid_points: int, level_set: LevelSe
     if short.any():
         i = inverse[short[inverse].argmax()]
         raise QuantizerError(_MASS_SUM_ERROR.format(uniq[i], float(f[i]), float(g[i])))
-    batch = _Batch(uniq, inverse, bounds, roots, odd_first, f, g, F)
-    if level_set is None:
-        spec._last_batch[grid_points] = batch
+    spec._last_batch[grid_points] = batch = _Batch(uniq, inverse, bounds, roots, odd_first, f, g, F)
     return batch
 
 
@@ -262,9 +256,10 @@ def level_functionals(spec: ChannelSpec, level, grid_points: int = DEFAULT_GRID_
     Like :func:`~binquant.likelihood.find_level_set` and
     :func:`stationarity`, it takes a level or a batch.  A single level gives
     one :class:`LevelFunctionals` on the level set that
-    :func:`~binquant.likelihood.find_level_set` gives for it.  When the
-    spec's last batch of this grid size holds the level, that is read from
-    the batch, and so are the masses and F: no root and no CDF is computed
+    :func:`~binquant.likelihood.find_level_set` gives for it, read with the
+    masses and F from the spec's last batch of this grid size.  When that
+    batch does not hold the level, a batch of one is built and kept first
+    (:func:`_level_batch`); when it does, no root and no CDF is computed
     again, and the fields are those of a batch of one.  Any
     array-like of levels gives a tuple of them, in input order, from the
     arrays of one :func:`_level_batch` (which the spec keeps as its last
@@ -288,10 +283,10 @@ def level_functionals(spec: ChannelSpec, level, grid_points: int = DEFAULT_GRID_
         rows = zip(b.levels, b.bounds, b.bounds[1:], b.odd_first, b.f.tolist(), b.g.tolist(), b.F.tolist())
         fns = [LevelFunctionals(a, f, g, tuple(roots[i:j]), mapping[odd], F) for a, i, j, odd, f, g, F in rows]
         return tuple(fns[i] for i in b.inverse.tolist())
-    level_set = find_level_set(spec, level, grid_points)
     b = spec._last_batch.get(grid_points)
     if b is None or level not in b.levels:
-        b = _level_batch(spec, None, grid_points, level_set)
+        b = _level_batch(spec, [level], grid_points)
+    level_set = find_level_set(spec, level, grid_points)
     k = b.levels.index(level)
     return LevelFunctionals(
         level_set.level, float(b.f[k]), float(b.g[k]), level_set.roots, mapping[b.odd_first[k]], float(b.F[k])

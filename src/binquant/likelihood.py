@@ -24,11 +24,11 @@ range of ``u`` (:func:`_u_extent`), and the monotonicity verdict:
   linear in the cell midpoint, are decided by the first and last cell.
 * A mixture channel reads a search grid, which depends on no level, so
   each :class:`ChannelSpec` computes it, ``log r``, ``u`` and its slope
-  ``du/dy`` on it once per grid size and keeps them, together with each
-  cell's range of ``u`` (see :func:`_search_grid`).  A cell holds a root
-  of level ``a`` when exactly one of its two ends lies below ``a``.  A
-  ``searchsorted`` of every cell's range against the sorted levels finds
-  all the crossing cells of a batch at once.  To ranking accuracy a root
+  ``du/dy`` on it once per grid size and keeps them (see
+  :func:`_search_grid`).  A cell holds a root of level ``a`` when exactly
+  one of its two ends lies below ``a``, so one ``searchsorted`` of ``u``
+  against the sorted levels finds all the crossing cells of a batch at
+  once (:func:`_crossing_roots`).  To ranking accuracy a root
   is the inverse cubic-Hermite point of its cell (built from ``u`` and
   ``du/dy`` at its ends); polished, all the brackets narrow together by
   :func:`_newton_polish`: safeguarded Newton steps from that point, the
@@ -98,10 +98,11 @@ class ChannelSpec:
     Use :func:`channel_spec` to fill the default window.
 
     Each instance keeps its own search grids (:func:`_search_grid`; mixture
-    channels only), so two equal specs built separately each compute theirs
-    once, and its last batch of level functionals per grid size (levels,
-    roots and masses, kept by :func:`binquant.channel._level_batch`), whose
-    roots :func:`find_level_set` reads.  When ``log r`` is a quadratic it
+    channels only: the points, ``log r``, ``u`` and ``du/dy``), so two equal
+    specs built separately each compute theirs once, and its last batch of
+    level functionals per grid size (levels, roots and masses, kept by
+    :func:`binquant.channel._level_batch`, the one place a batch is built),
+    whose roots :func:`find_level_set` reads.  When ``log r`` is a quadratic it
     also keeps, from the start, its coefficients (:func:`_log_r_quadratic`)
     and ``u`` at ``search_lo`` and the range of ``u`` (:func:`_u_extent`).
     """
@@ -238,30 +239,25 @@ class _Grid(NamedTuple):
     It brackets the level-set roots of the levels that
     :func:`~binquant.solver.solve` scans and searches, and classifies the
     monotonicity of r, for mixture channels only: single-Gaussian pairs are
-    scanned and classified in closed form, and never build one.  Cell i is [ys[i], ys[i + 1]], and
-    ``du`` is du/dy.  ``cells`` lists the cells in which u takes more than
-    one value and reaches into the admissible levels (1e-9, 1 - 1e-9), the
-    only ones a level can cross; ``lo_u``/``hi_u`` are the smaller and the
-    larger of u at their ends, so such a cell holds a root of level a
-    exactly when lo_u < a <= hi_u.  ``u_extent`` is :func:`_u_extent` on
-    the grid.  ``flat`` is the one flatness verdict of the cells: every
+    scanned and classified in closed form, and never build one.  Cell i is
+    [ys[i], ys[i + 1]], and ``du`` is du/dy.  A cell holds a root of level a
+    exactly when a lies above the smaller and at most the larger of u at its
+    two ends (:func:`_crossing_roots`).  ``u_extent`` is :func:`_u_extent`
+    on the grid.  ``flat`` is the one flatness verdict of the grid: every
     step of log r is at most _FLAT_LOG_R_STEP, so u is constant up to
-    rounding, and no cell is kept (no level has a root).
+    rounding, and no level has a root.
     """
 
     ys: np.ndarray
     log_r: np.ndarray
     u: np.ndarray
     du: np.ndarray
-    cells: np.ndarray
-    lo_u: np.ndarray
-    hi_u: np.ndarray
     u_extent: tuple[float, float, float]
     flat: bool
 
 
 def _search_grid(spec: ChannelSpec, grid_points: int) -> _Grid:
-    """The search grid of a mixture channel, with log r, u, du/dy and the cell arrays on it.
+    """The search grid of a mixture channel, with log r, u and du/dy on it.
 
     ``grid_points`` uniform points over the search window, and, so that a
     component narrower than the uniform spacing cannot hide its roots
@@ -287,13 +283,8 @@ def _search_grid(spec: ChannelSpec, grid_points: int) -> _Grid:
         log_r = log_p0 - log_p1
         u = _logistic(spec, log_r)
         du = u * (u - 1.0) * (slope0 - slope1)
-        lo_u, hi_u = np.minimum(u[:-1], u[1:]), np.maximum(u[:-1], u[1:])
         flat = bool(np.all(np.abs(np.diff(log_r)) <= _FLAT_LOG_R_STEP))
-        # on a flat grid u differs from point to point by rounding alone, so no cell holds a root
-        crossing = (lo_u < hi_u) & (hi_u > _LEVEL_MARGIN) & (lo_u < 1.0 - _LEVEL_MARGIN)
-        cells = np.flatnonzero(crossing & (not flat))
-        extent = float(u[0]), float(u.min()), float(u.max())
-        grid = _Grid(ys, log_r, u, du, cells, lo_u[cells], hi_u[cells], extent, flat)
+        grid = _Grid(ys, log_r, u, du, (float(u[0]), float(u.min()), float(u.max())), flat)
         for arr in grid[:-2]:
             arr.flags.writeable = False
         spec._grids[grid_points] = grid
@@ -557,25 +548,29 @@ def _quadratic_roots(spec: ChannelSpec, levels: np.ndarray):
 
 
 def _crossing_roots(spec: ChannelSpec, grid: _Grid, levels: np.ndarray, max_steps: int):
-    """Level indices and roots of u(y) = a for the sorted ``levels``, by the grid crossing rule.
+    """Level indices and roots of u(y) = a for the sorted admissible ``levels``, by the grid crossing rule.
 
     Cell i of the cached grid holds a root of level a when exactly one of
-    its ends lies below a, ``lo_u[i] < a <= hi_u[i]``.  A ``searchsorted``
-    of the cached ranges of u of the cells that reach into the admissible
-    levels against the levels finds them all, with no levels x grid array.
-    :func:`_newton_polish` refines the brackets of all levels together,
-    each exactly as alone, in at most ``max_steps`` steps (none: the
-    inverse cubic-Hermite point of each cell), until |u(y) - level| <=
-    1e-12 or the bracket is at most 1e-12 wide.  A bracket end where u
-    equals a exactly is its root.  A grid point where u touches a from
-    below closes the brackets on both of its sides; that pair of equal
-    roots bounds an empty segment and is dropped.  In (level, root) order,
-    by a stable sort on the level: the roots come in cell order, ascending.
+    its ends lies below a: a lies above the smaller and at most the larger
+    of u at its ends.  One ``searchsorted`` of u at every grid point
+    against the levels counts the levels at most u there, so cell i holds
+    the sorted levels from the smaller to the larger count at its two ends,
+    with no levels x grid array.  A flat grid, where u differs from point
+    to point by rounding alone, gives no root.  :func:`_newton_polish`
+    refines the brackets of all levels together, each exactly as alone, in
+    at most ``max_steps`` steps (none: the inverse cubic-Hermite point of
+    each cell), until |u(y) - level| <= 1e-12 or the bracket is at most
+    1e-12 wide.  A bracket end where u equals a exactly is its root.  A
+    grid point where u touches a from below closes the brackets on both of
+    its sides; that pair of equal roots bounds an empty segment and is
+    dropped.  In (level, root) order, by a stable sort on the level: the
+    roots come in cell order, ascending.
     """
+    if grid.flat:
+        return np.empty(0, dtype=np.intp), np.empty(0)
     ys, u = grid.ys, grid.u
-    # each cell holds the run of sorted levels in (lo_u, hi_u]
-    k, lvl = _pairs(np.searchsorted(levels, grid.lo_u, "right"), np.searchsorted(levels, grid.hi_u, "right"))
-    cell = grid.cells[k]
+    count = np.searchsorted(levels, u, "right")
+    cell, lvl = _pairs(np.minimum(count[:-1], count[1:]), np.maximum(count[:-1], count[1:]))
     target = levels[lvl]
     roots, _ = _newton_polish(
         lambda y, j: posterior(spec, y) - target[j],
@@ -634,8 +629,10 @@ def find_level_set(spec: ChannelSpec, level, grid_points: int = DEFAULT_GRID_POI
     for a mixture.  ``grid_points`` is checked on either path.
 
     A scalar level gives one :class:`LevelSet`.  When the last batch of
-    level functionals of this grid size holds it, its roots are read from
-    the spec (:class:`ChannelSpec`), which equal a batch of one.  Any
+    level functionals of this grid size holds it (a scalar
+    :func:`~binquant.channel.level_functionals` keeps a batch of one before
+    it reads the level set here), its roots are read from the spec
+    (:class:`ChannelSpec`), which equal a batch of one.  Any
     array-like of levels gives a tuple of level sets, in input order, from
     one :func:`_batch_roots` call, which the spec does not keep.
 

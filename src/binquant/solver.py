@@ -119,7 +119,9 @@ def _level_scan(spec: ChannelSpec, cfg: SolverConfig) -> tuple[np.ndarray, np.nd
 
     The range of u over the search window, cut to [a_lo, a_hi], gets levels
     spaced at most BRACKET_HALF_WIDTH / 4 apart, symmetric about its
-    midpoint, which is one of them (at most 401 levels).  Their roots, to
+    midpoint, which is one of them, and at least 64 on each side of it, so
+    that a narrow range is resolved too: 129 to 401 levels (one where the
+    range is empty).  Their roots, to
     ranking accuracy, bound the segments; one CDF call per density at all
     the roots gives f and g of every level by alternating sums, the first
     segment labelled by u at ``search_lo``.  The range, the roots and the
@@ -128,7 +130,7 @@ def _level_scan(spec: ChannelSpec, cfg: SolverConfig) -> tuple[np.ndarray, np.nd
     u_lo, u_min, u_max = _u_extent(spec, cfg.grid_points)
     low, high = np.clip([u_min, u_max], cfg.a_lo, cfg.a_hi)
     half = 0.5 * (high - low)
-    n = math.ceil(half / (0.25 * BRACKET_HALF_WIDTH))
+    n = max(math.ceil(half / (0.25 * BRACKET_HALF_WIDTH)), 64) if half > 0.0 else 0
     levels = np.clip(0.5 * (low + high) + half / max(n, 1) * np.arange(-n, n + 1), low, high)
     lvl, roots = _level_roots(spec, levels, cfg.grid_points, polish=False)
     count = np.bincount(lvl, minlength=levels.size)

@@ -298,11 +298,12 @@ class TestLevelFunctionals:
         stationarity(spec, np.array([0.5]), 8192)
         asked = [(0.5, 4096), (0.5, 4096), (0.5, 8192), (0.3, 4096), (0.7, 4096), (0.5, 8192), (0.7, 4096)]
         got = [level_functionals(spec, a, n) for a, n in asked]
-        # roots only where the level is not in the last batch of its grid size, every time
-        assert computed == [((0.3, 0.5), 4096), ((0.5,), 8192), ((0.7,), 4096), ((0.7,), 4096)]
+        # roots only where the level is not in the last batch of its grid size; that batch of one is kept
+        assert computed == [((0.3, 0.5), 4096), ((0.5,), 8192), ((0.7,), 4096)]
         computed.clear()
+        # a level set is never kept: each one outside the last batch of its grid size is computed again
         kept = [find_level_set(spec, a, n) for a, n in asked]
-        assert computed == [((0.7,), 4096), ((0.7,), 4096)]
+        assert computed == [((0.5,), 4096), ((0.5,), 4096), ((0.3,), 4096)]
         assert [ls.roots for ls in kept] == [fn.roots for fn in got]
         # a new batch replaces the last one of its grid size only
         stationarity(spec, 0.7, 4096)

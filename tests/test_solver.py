@@ -843,6 +843,19 @@ class TestGaussianPairScan:
             return
         assert design.mi_bits >= mi.max() - 1e-12
 
+    def test_a_narrow_range_of_u_gets_a_design(self):
+        # u spans [0.06247, 0.06540]: a scan spaced BRACKET_HALF_WIDTH / 4 apart gave it 3 levels,
+        # all at 0 bits, and solve reported no information
+        spec = channel_spec(Prior(p0=0.9375), single_gaussian(0.0, 1.0), single_gaussian(0.0, 1.0004893230025016))
+        levels, _ = solver._level_scan(spec, SolverConfig())
+        assert levels.size == 129
+        design = solve(spec)
+        _, u_min, u_max = likelihood._u_extent(spec, SolverConfig().grid_points)
+        mi = _dense_level_scan(spec, np.linspace(u_min, u_max, 20001))
+        assert design.mi_bits >= 1.3e-8 and design.mi_bits >= mi.max() * (1.0 - 1e-9)
+        assert design.a_star == pytest.approx(0.0625343, abs=1e-6)
+        np.testing.assert_allclose(design.thresholds, [-1.4826098, 1.4826098], rtol=0.0, atol=1e-6)
+
     @pytest.mark.parametrize("name, most_roots", [("fig5_spec", 6), ("two_peaks_spec", 4)])
     def test_a_mixture_scan_gives_the_mi_of_its_level_sets(self, name, most_roots, request):
         # the roots of a level alternate in sign past the second one; unpolished,

@@ -8,7 +8,9 @@ Usage, from the repository root::
 ``binquant`` package), for instance a ``git archive`` of an earlier commit
 next to this checkout's ``src``.  Every ``*.json`` file directly inside each
 ``DIR`` is a config; with no ``DIR``, the committed configs of this
-repository, in ``configs/`` and ``tests/data/verify/``.  On each config the
+repository, in ``configs/`` and ``tests/data/verify/``, and the benchmark's
+attempt-0 configs of seeds 1-3 of every workload, written into a temporary
+directory by ``bench/workloads.py``.  On each config the
 CLI runs ``solve --format json``, ``solve``, ``sweep`` (default levels, CSV
 to a temporary file), ``verify`` three times (the default one-threshold
 oracle, then two thresholds at ``--grid-step 0.1`` and three at
@@ -42,8 +44,13 @@ import tempfile
 import warnings
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
+
 #: The config directories compared when no DIR is given.
-COMMITTED_DIRS = [Path(__file__).resolve().parent.parent / d for d in ("configs", "tests/data/verify")]
+COMMITTED_DIRS = [ROOT / d for d in ("configs", "tests/data/verify")]
+
+#: The benchmark seeds whose attempt-0 configs are compared when no DIR is given.
+BENCH_SEEDS = (1, 2, 3)
 
 #: The CLI arguments of each run, after the config; ``{csv}`` is the sweep's output file.
 COMMANDS = {
@@ -91,6 +98,19 @@ def _run_all(configs: list[str]) -> list[dict]:
     return records
 
 
+def _bench_configs(out_dir: Path) -> list[str]:
+    """The attempt-0 config of every slot of every workload for BENCH_SEEDS, written under ``out_dir``."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+
+    paths = []
+    for workload in workloads.WORKLOADS:
+        for seed in BENCH_SEEDS:
+            configs = dict(workloads.candidate(workload, seed, slot, 0) for slot in workloads.slots(workload))
+            paths += [str(p) for p in workloads.write_configs(configs, out_dir / f"{workload}-{seed}").values()]
+    return paths
+
+
 def _records(src: str, configs: list[str]) -> list[dict]:
     """The records of one source tree, from a worker process that imports ``binquant`` from ``src``."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
@@ -125,7 +145,10 @@ def main(argv=None) -> int:
     parser.add_argument("dirs", nargs="*")
     args = parser.parse_args(argv)
     configs = [str(p) for d in args.dirs or COMMITTED_DIRS for p in sorted(Path(d).glob("*.json"))]
-    parent, change = _records(args.parent_src, configs), _records(args.change_src, configs)
+    with tempfile.TemporaryDirectory() as tmp:
+        if not args.dirs:
+            configs += _bench_configs(Path(tmp))
+        parent, change = _records(args.parent_src, configs), _records(args.change_src, configs)
     differing = 0
     for old, new in zip(parent, change):
         fields = [k for k in ("stdout", "stderr", "code", "csv") if old[k] != new[k]]
